@@ -57,14 +57,6 @@ class RunManifest:
             fh.write("\n")
 
 
-def max_workers() -> int:
-    """Parallelism bound from the environment; execution is sequential by default."""
-    try:
-        return max(1, int(os.environ.get("CYLSPEC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _write_json(path: str, doc: dict, manifest: RunManifest) -> None:
     doc = dict(doc)
     doc["manifest_hash"] = manifest.hash
@@ -92,6 +84,12 @@ def _load(args):
 
 def _source(args) -> str:
     return args.config if args.config else args.fixture
+
+
+def _manifest(args) -> RunManifest:
+    """Manifest over every parsed argument except the output directory and dispatch."""
+    params = {k: v for k, v in vars(args).items() if k not in ("out", "command", "func")}
+    return RunManifest(args.command, _source(args), params)
 
 
 def _forcing_doc(arg: str):
@@ -134,7 +132,7 @@ def _decay_svg(path: str, times, norms, rate: float, manifest: RunManifest) -> N
 
 def cmd_check(args) -> int:
     spec = _load(args)
-    manifest = RunManifest("check", _source(args), {"density": args.density})
+    manifest = _manifest(args)
     os.makedirs(args.out, exist_ok=True)
     report = check_assumptions(spec, sample_density=args.density)
     _write_json(os.path.join(args.out, "check.json"), report.to_json(), manifest)
@@ -149,9 +147,7 @@ def cmd_check(args) -> int:
 
 def cmd_spectrum(args) -> int:
     spec = _load(args)
-    params = {"qmax": args.qmax, "m": args.m, "re_min": args.re_min,
-              "contour_nodes": args.contour_nodes}
-    manifest = RunManifest("spectrum", _source(args), params)
+    manifest = _manifest(args)
     os.makedirs(args.out, exist_ok=True)
     basis = build_basis(args.qmax, args.m)
     pole_set = find_poles(spec, basis, window=(args.re_min, args.re_max),
@@ -167,8 +163,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_codim(args) -> int:
     spec = _load(args)
-    params = {"qmax": args.qmax, "m": args.m, "re_min": args.re_min}
-    manifest = RunManifest("codim", _source(args), params)
+    manifest = _manifest(args)
     os.makedirs(args.out, exist_ok=True)
     basis = build_basis(args.qmax, args.m)
     pole_set = find_poles(spec, basis, window=(args.re_min, args.re_max))
@@ -189,9 +184,7 @@ def cmd_codim(args) -> int:
 
 def cmd_green(args) -> int:
     spec = _load(args)
-    params = {"qmax": args.qmax, "m": args.m, "re_min": args.re_min,
-              "forcing": args.forcing, "contour_nodes": args.contour_nodes}
-    manifest = RunManifest("green", _source(args), params)
+    manifest = _manifest(args)
     os.makedirs(args.out, exist_ok=True)
     basis = build_basis(args.qmax, args.m)
     forcing = make_forcing(basis, _forcing_doc(args.forcing), N=spec.N)
@@ -226,9 +219,7 @@ def cmd_green(args) -> int:
 
 def cmd_evolve(args) -> int:
     spec = _load(args)
-    params = {"m": args.m, "periods": args.periods, "seed": args.seed,
-              "lmax": args.lmax}
-    manifest = RunManifest("evolve", _source(args), params)
+    manifest = _manifest(args)
     os.makedirs(args.out, exist_ok=True)
     basis = build_basis(max(args.qmax, 1), args.m)
     rng = np.random.default_rng(args.seed)
@@ -266,9 +257,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_compare(args) -> int:
     spec = _load(args)
-    params = {"qmax": args.qmax, "m": args.m, "forcing": args.forcing,
-              "re_min": args.re_min}
-    manifest = RunManifest("compare", _source(args), params)
+    manifest = _manifest(args)
     os.makedirs(args.out, exist_ok=True)
     basis = build_basis(args.qmax, args.m)
     forcing = make_forcing(basis, _forcing_doc(args.forcing), N=spec.N)
@@ -380,8 +369,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # numeric failures -> machine-readable error report
         out = getattr(args, "out", "out")
         os.makedirs(out, exist_ok=True)
-        manifest = RunManifest(args.command, _source(args), {})
-        _error_json(out, manifest, exc)
+        _error_json(out, _manifest(args), exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -270,15 +270,6 @@ def eigenvalue_table(spec: OperatorSpec, q_range, p_max: int) -> list[dict]:
     return rows
 
 
-def eigentable_csv(rows: list[dict], path: str, manifest_hash: str = "") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if manifest_hash:
-            fh.write(f"# manifest: {manifest_hash}\n")
-        fh.write("q,p,re,im,dim\n")
-        for r in rows:
-            fh.write(f"{r['q']},{r['p']},{r['re']!r},{r['im']!r},{r['dim']}\n")
-
-
 def expected_multiplicity(spec: OperatorSpec, p: int) -> int:
     """N * C(p+n-1, n-1): free top-degree choices when back-substitution is regular."""
     return spec.N * math.comb(p + spec.n - 1, spec.n - 1)

@@ -24,7 +24,6 @@ from .spectral import (
     build_basis,
     chebyshev_coefficients,
     interior_mode_projector,
-    mode_blocks,
     mode_operator_parts,
     multiplier_matrix,
     phase_shift_matrix,
@@ -101,21 +100,31 @@ def resolvent_matrix_for(spec: OperatorSpec, basis: SpectralBasis, z: complex,
     if parts is None:
         parts = mode_operator_parts(spec, basis)
     base, a0 = parts
-    blocks = base + z * a0[None, :, :]
-    try:
-        inv = np.linalg.inv(blocks)
-    except np.linalg.LinAlgError:
-        raise NearPoleError(z, None, np.inf) from None
-    ident = np.eye(blocks.shape[1], dtype=complex)
-    inv = inv + inv @ (ident[None] - blocks @ inv)  # one Newton refinement step
-    residual = float(np.linalg.norm(ident[None] - blocks @ inv, axis=(1, 2)).max())
-    if residual > 1e-6 * math.sqrt(blocks.shape[1]):
-        raise NearPoleError(z, None, residual)
+    inv = _mode_inverses(base[None] + z * a0, np.array([z]))[0]
     V = np.exp(1j * np.outer(basis.x0, basis.modes))
     n_t = basis.n_time
     big = np.einsum("jq,kq,qab->jakb", V, V.conj() / n_t, inv, optimize=True)
-    size = n_t * blocks.shape[1]
+    size = n_t * inv.shape[1]
     return big.reshape(size, size)
+
+
+def _mode_inverses(blocks: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Inverses of per-mode blocks (shifts, modes, n, n), refined by one Newton step.
+
+    Raises NearPoleError at the shift whose blocks are numerically singular.
+    """
+    try:
+        inv = np.linalg.inv(blocks)
+    except np.linalg.LinAlgError:
+        k = int(np.argmin(np.abs(np.linalg.slogdet(blocks)[0]).min(axis=1)))
+        raise NearPoleError(complex(shifts[k]), None, np.inf) from None
+    ident = np.eye(blocks.shape[-1], dtype=complex)
+    inv = inv + inv @ (ident - blocks @ inv)
+    residual = np.linalg.norm(ident - blocks @ inv, axis=(-2, -1)).max(axis=1)
+    k = int(np.argmax(residual))
+    if not residual[k] <= 1e-6 * math.sqrt(blocks.shape[-1]):
+        raise NearPoleError(complex(shifts[k]), None, float(residual[k]))
+    return inv
 
 
 def apply_resolvent(spec: OperatorSpec, basis: SpectralBasis, z: complex, f: np.ndarray,
@@ -237,42 +246,25 @@ def _json_float(x: float):
 
 
 def _pencil_eigenpairs(spec: OperatorSpec, basis: SpectralBasis):
-    """Generalized eigenvalues z of (D + z*A^0) v = 0, with eigenvectors and mode tags."""
-    out = []
+    """Generalized eigenvalues z of (D + z*A^0) v = 0, with eigenvectors and mode tags.
+
+    Mode blocks decouple as block_q = block_0 + i*q*A^0, so the mode-0 pencil
+    gives every mode: same eigenvectors, eigenvalues shifted by -i*q.
+    """
     if spec.x0_independent():
-        blocks = mode_blocks(spec, basis, 0.0)
-        nxN = basis.n_space * spec.N
-        a0 = _mode_a0(spec, basis)
-        for q, block in zip(basis.modes, blocks):
-            vals, vecs = scipy.linalg.eig(block, -a0)
-            for idx in range(len(vals)):
-                z = vals[idx]
-                if not np.isfinite(z):
-                    continue
-                v = vecs[:, idx]
-                res = np.linalg.norm((block + z * a0) @ v) / max(np.linalg.norm(v), 1e-300)
-                out.append((complex(z), v, int(q), float(res)))
+        base, a0 = mode_operator_parts(spec, basis)
+        matrix, modes = base[0], [int(q) for q in basis.modes]  # FFT order: modes[0] == 0
     else:
-        asm = assemble_operator(spec, basis, 0.0)
-        a0 = multiplier_matrix(spec, basis)
-        vals, vecs = scipy.linalg.eig(asm.matrix, -a0)
-        for idx in range(len(vals)):
-            z = vals[idx]
-            if not np.isfinite(z):
-                continue
-            v = vecs[:, idx]
-            res = np.linalg.norm((asm.matrix + z * a0) @ v) / max(np.linalg.norm(v), 1e-300)
-            out.append((complex(z), v, None, float(res)))
-    return out
-
-
-def _mode_a0(spec: OperatorSpec, basis: SpectralBasis) -> np.ndarray:
-    N = spec.N
-    a0 = spec.A[0].eval_grid(np.array([0.0]), basis.x1)[0]
-    out = np.zeros((basis.n_space * N, basis.n_space * N), dtype=complex)
-    for m in range(basis.n_space):
-        out[m * N:(m + 1) * N, m * N:(m + 1) * N] = a0[m]
-    return out
+        matrix = assemble_operator(spec, basis, 0.0).matrix
+        a0, modes = multiplier_matrix(spec, basis), [None]
+    vals, vecs = scipy.linalg.eig(matrix, -a0)
+    pairs = []
+    for idx in np.flatnonzero(np.isfinite(vals)):
+        z, v = vals[idx], vecs[:, idx]
+        res = np.linalg.norm((matrix + z * a0) @ v) / max(np.linalg.norm(v), 1e-300)
+        pairs.append((complex(z), v, float(res)))
+    return [(complex(z.real, z.imag - (q or 0)), v, q, res)
+            for q in modes for z, v, res in pairs]
 
 
 def _chebyshev_tail_clean(v: np.ndarray, basis: SpectralBasis, N: int) -> bool:
@@ -346,7 +338,7 @@ def find_poles(spec: OperatorSpec, basis: SpectralBasis,
         # interior-most member (smallest |Im|) anchors the loop integral
         src, q, res = min(cl, key=lambda t: abs(t[0].imag))
         lam = complex(src.real, src.imag - math.floor(src.imag))
-        if abs(lam.imag) < 1e-12:
+        if min(lam.imag, 1.0 - lam.imag) < 1e-12:
             lam = complex(lam.real, 0.0)
         reps.append((lam, src, q, min(r for _z, _q, r in cl)))
 
@@ -413,9 +405,11 @@ def _resolvents_on_loop(spec: OperatorSpec, basis: SpectralBasis, center: comple
     ]
 
 
-def _loop_projection(resolvents: list[np.ndarray], phases: np.ndarray,
-                     radius: float, ell: int) -> np.ndarray:
-    """Trapezoid rule for (2*pi*i)^{-1} x loop integral of (z-center)^l D_z^{-1}."""
+def _loop_projection(resolvents, phases: np.ndarray, radius: float, ell: int) -> np.ndarray:
+    """Trapezoid rule for (2*pi*i)^{-1} x loop integral of (z-center)^l D_z^{-1}.
+
+    `resolvents` holds one resolvent (dense or per-mode blocks) per loop node.
+    """
     n = len(resolvents)
     out = np.zeros_like(resolvents[0])
     for r_mat, ph in zip(resolvents, phases):
@@ -425,28 +419,30 @@ def _loop_projection(resolvents: list[np.ndarray], phases: np.ndarray,
 
 def _projection_family(spec: OperatorSpec, basis: SpectralBasis, center: complex,
                        radius: float, n_nodes: int) -> dict:
-    """All loop projections at one pole, its order, and the rank of P A^0."""
-    resolvents = _resolvents_on_loop(spec, basis, center, radius, n_nodes)
-    phases = _loop_nodes(center, radius, n_nodes)[1]
-    a0 = multiplier_matrix(spec, basis)
-    mats = []
+    """Order and rank of the loop projections at one pole.
+
+    For mode-decoupled operators the loop resolvents are block-diagonal in the
+    Fourier mode and A^0 commutes with the DFT, so the projections stay per
+    mode: the Frobenius norms (the DFT scaled by 1/sqrt(nt) is unitary) and the
+    pooled singular values of the blocks of P_0 A^0 equal the value-space ones.
+    Coupled operators use the dense value-space resolvents as one block.
+    """
+    nodes, phases = _loop_nodes(center, radius, n_nodes)
+    if spec.x0_independent():
+        base, a0 = mode_operator_parts(spec, basis)
+        resolvents = _mode_inverses(base[None] + nodes[:, None, None, None] * a0, nodes)
+    else:
+        a0 = multiplier_matrix(spec, basis)
+        resolvents = [r[None] for r in _resolvents_on_loop(spec, basis, center, radius, n_nodes)]
     p0 = _loop_projection(resolvents, phases, radius, 0)
-    mats.append(p0)
     scale = np.linalg.norm(p0)
-    order = None
-    ell = 1
-    while order is None and ell <= 8:
-        p = _loop_projection(resolvents, phases, radius, ell)
-        if np.linalg.norm(p) <= ORDER_TOL * scale:
-            order = ell
-        else:
-            mats.append(p)
-            ell += 1
-    if order is None:
-        order = ell
+    order = 1
+    while order <= 8 and np.linalg.norm(
+            _loop_projection(resolvents, phases, radius, order)) > ORDER_TOL * scale:
+        order += 1
     sv = np.linalg.svd(p0 @ a0, compute_uv=False)
-    rank = int(np.sum(sv > RANK_TOL * max(sv[0], 1e-300)))
-    return {"matrices": mats, "order": order, "rank": rank, "radius": radius}
+    rank = int(np.sum(sv > RANK_TOL * max(sv.max(), 1e-300)))
+    return {"order": order, "rank": rank, "radius": radius}
 
 
 def spectral_projection(spec: OperatorSpec, basis: SpectralBasis, lam: complex, ell: int,

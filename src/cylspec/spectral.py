@@ -154,13 +154,6 @@ def fourier_coefficients(u: np.ndarray, basis: SpectralBasis) -> np.ndarray:
     return np.fft.fft(u, axis=0) / basis.n_time
 
 
-def evaluate_periodic(u: np.ndarray, basis: SpectralBasis, t: float) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of u at periodic coordinate t."""
-    coeff = fourier_coefficients(u, basis)
-    phases = np.exp(1j * basis.modes * t)
-    return np.tensordot(phases, coeff, axes=(0, 0))
-
-
 def chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients of data sampled on descending Gauss-Lobatto points."""
     M = values.shape[0] - 1
@@ -233,10 +226,14 @@ class ResolventAssembly:
                 fh.write(",".join(f"{v.real!r},{v.imag!r}" for v in row) + "\n")
 
 
-def coefficient_values(spec: OperatorSpec, basis: SpectralBasis):
-    """Pointwise coefficient matrices on the tensor grid: (A0, A1, B) with shape (nt, nx, N, N)."""
+def _require_one_space_dim(spec: OperatorSpec) -> None:
     if spec.n != 1:
         raise SpecError("grid engine supports n=1 only; use the polynomial eigentable for n >= 2")
+
+
+def coefficient_values(spec: OperatorSpec, basis: SpectralBasis):
+    """Pointwise coefficient matrices on the tensor grid: (A0, A1, B) with shape (nt, nx, N, N)."""
+    _require_one_space_dim(spec)
     a0 = spec.A[0].eval_grid(basis.x0, basis.x1)
     a1 = spec.A[1].eval_grid(basis.x0, basis.x1)
     b = spec.B.eval_grid(basis.x0, basis.x1)
@@ -251,8 +248,7 @@ def assemble_operator(spec: OperatorSpec, basis: SpectralBasis, z: complex) -> R
     coefficients do not depend on the periodic coordinate the matrix is block
     diagonal over Fourier modes.
     """
-    if spec.n != 1:
-        raise SpecError("grid engine supports n=1 only; use the polynomial eigentable for n >= 2")
+    _require_one_space_dim(spec)
     max_x0_degree = max(p.var_degree(0) for p in list(spec.A) + [spec.B])
     if max_x0_degree > 0 and max_x0_degree > basis.Q_max / 2:
         raise SpecError(
@@ -285,13 +281,10 @@ def assemble_operator(spec: OperatorSpec, basis: SpectralBasis, z: complex) -> R
 def _block_diag_multiplier(coeff: np.ndarray) -> np.ndarray:
     """Dense matrix of pointwise multiplication by coeff with shape (nt, nx, N, N)."""
     nt, nx, N, _ = coeff.shape
-    size = nt * nx * N
-    out = np.zeros((size, size), dtype=complex)
-    for j in range(nt):
-        for m in range(nx):
-            base = (j * nx + m) * N
-            out[base:base + N, base:base + N] = coeff[j, m]
-    return out
+    idx = np.arange(nt * nx)
+    out = np.zeros((nt * nx, N, nt * nx, N), dtype=complex)
+    out[idx, :, idx, :] = coeff.reshape(nt * nx, N, N)
+    return out.reshape(nt * nx * N, nt * nx * N)
 
 
 def multiplier_matrix(spec: OperatorSpec, basis: SpectralBasis) -> np.ndarray:
@@ -306,26 +299,13 @@ def mode_operator_parts(spec: OperatorSpec, basis: SpectralBasis) -> tuple[np.nd
     Block q acts on Chebyshev slices as i*q*A^0 + A^1 d1 + B + z*A^0; valid only
     when the coefficients are independent of the periodic coordinate.
     """
+    _require_one_space_dim(spec)
     if not spec.x0_independent():
         raise SpecError("mode decoupling requires coefficients independent of x0")
-    N = spec.N
-    nx = basis.n_space
-    a0 = spec.A[0].eval_grid(np.array([0.0]), basis.x1)[0]
-    a1 = spec.A[1].eval_grid(np.array([0.0]), basis.x1)[0]
-    b = spec.B.eval_grid(np.array([0.0]), basis.x1)[0]
-    mult_a0 = np.zeros((nx * N, nx * N), dtype=complex)
-    mult_b = np.zeros_like(mult_a0)
-    deriv = np.zeros_like(mult_a0)
-    for m in range(nx):
-        mult_a0[m * N:(m + 1) * N, m * N:(m + 1) * N] = a0[m]
-        mult_b[m * N:(m + 1) * N, m * N:(m + 1) * N] = b[m]
-        for mm in range(nx):
-            deriv[m * N:(m + 1) * N, mm * N:(mm + 1) * N] = basis.d1[m, mm] * a1[m]
+    grid = (np.array([0.0]), basis.x1)
+    a0, a1, b = (coeff.eval_grid(*grid) for coeff in (spec.A[0], spec.A[1], spec.B))
+    mult_a0 = _block_diag_multiplier(a0)
+    mult_b = _block_diag_multiplier(b)
+    deriv = np.einsum("mk,mab->makb", basis.d1, a1[0]).reshape(mult_a0.shape)
     base = np.stack([1j * q * mult_a0 + deriv + mult_b for q in basis.modes])
     return base, mult_a0
-
-
-def mode_blocks(spec: OperatorSpec, basis: SpectralBasis, z: complex) -> list[np.ndarray]:
-    """Per-mode blocks of the shifted operator for periodic-coefficient-free specs."""
-    base, a0 = mode_operator_parts(spec, basis)
-    return [base[j] + z * a0 for j in range(base.shape[0])]

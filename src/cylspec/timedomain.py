@@ -41,10 +41,6 @@ class FieldOnCover:
         w = self.basis.w1[None, :, None]
         return np.sqrt(np.sum(w * np.abs(self.values) ** 2, axis=(1, 2)).real)
 
-    def restrict(self, t0: float, t1: float) -> "FieldOnCover":
-        mask = (self.times >= t0 - 1e-12) & (self.times <= t1 + 1e-12)
-        return FieldOnCover(self.times[mask], self.values[mask], self.basis)
-
     def at_time(self, t: float) -> np.ndarray:
         k = int(np.argmin(np.abs(self.times - t)))
         if abs(self.times[k] - t) > 1e-9 + 1e-9 * abs(t):

@@ -122,6 +122,19 @@ def test_determinism_bit_identical(tmp_path):
         assert read(out1 / name) == read(out2 / name)
 
 
+def test_manifest_hash_covers_every_parameter(tmp_path):
+    # runs that differ only in --re-max write different outputs, so different hashes
+    outputs = {}
+    for re_max in ("1.0", "-0.3"):
+        out = tmp_path / re_max
+        assert run(["spectrum", "--fixture", "EX1", "--qmax", "0", "--m", "2",
+                    "--re-min", "-1.2", "--re-max", re_max, "--out", str(out)]) == 0
+        manifest = json.loads(read(out / "manifest.json"))
+        outputs[manifest["hash"]] = read(out / "spectrum.csv")
+    assert len(outputs) == 2
+    assert len(set(outputs.values())) == 2
+
+
 def test_config_round_trip_through_cli(tmp_path):
     cfg = tmp_path / "op.json"
     cfg.write_text(json.dumps(spec_to_json(fixture("EX1"))))

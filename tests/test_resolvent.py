@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from cylspec.operator_model import stability_constants
+from cylspec.operator_model import SpecError, fixture, stability_constants
 from cylspec.resolvent import (
+    ORDER_TOL,
+    RANK_TOL,
     NearPoleError,
+    _pencil_eigenpairs,
+    _projection_family,
     apply_resolvent,
     find_poles,
     resolvent_matrix_for,
@@ -13,7 +18,12 @@ from cylspec.resolvent import (
     triple_norm_bound_check,
     verify_resolvent_identities,
 )
-from cylspec.spectral import assemble_operator, build_basis, multiplier_matrix
+from cylspec.spectral import (
+    assemble_operator,
+    build_basis,
+    mode_operator_parts,
+    multiplier_matrix,
+)
 
 
 # -- direct solves --------------------------------------------------------------
@@ -92,6 +102,37 @@ def test_no_eigenvalues_off_the_half_lattice(poles_ex1):
         assert np.abs(lattice - z).min() < 1e-4
 
 
+@pytest.mark.parametrize("name, q_max, m", [("EX1", 8, 16), ("EX1S", 4, 16)])
+def test_real_poles_reduce_to_zero_imaginary_part(name, q_max, m):
+    # sources at Im = -1e-15 must not wrap to Im = 1 - 1e-15 in the strip
+    ps = find_poles(fixture(name), build_basis(q_max, m), window=(-2.2, 1.0),
+                    compute_projections=False)
+    assert ps.poles and all(p.lam.imag == 0.0 for p in ps.poles)
+
+
+def test_pencil_mode_shift_matches_per_mode_eigensolves(ex1s):
+    # one mode-0 eigensolve shifted by -i*q reproduces each mode's own pencil
+    basis = build_basis(2, 16)
+    base, a0 = mode_operator_parts(ex1s, basis)
+    pairs = _pencil_eigenpairs(ex1s, basis)
+    for j, q in enumerate(basis.modes):
+        got = np.array([z for z, _v, mode, _r in pairs if mode == q])
+        ref = scipy.linalg.eigvals(base[j], -a0)
+        assert got.size == ref.size
+        for z in ref[np.abs(ref.real) <= 2.5]:
+            assert np.abs(got - z).min() < 1e-8
+
+
+def test_grid_engine_rejects_multidimensional_specs():
+    ex2 = fixture("EX2")
+    basis = build_basis(1, 4)
+    f = np.ones((basis.n_time, basis.n_space, ex2.N), dtype=complex)
+    with pytest.raises(SpecError, match="n=1 only"):
+        apply_resolvent(ex2, basis, 1.0, f)
+    with pytest.raises(SpecError, match="n=1 only"):
+        find_poles(ex2, basis, compute_projections=False)
+
+
 def test_window_rank_accounting(poles_ex1):
     # summed projection ranks match the strip eigenvalue count in the window
     raw = np.array(poles_ex1.raw_eigenvalues)
@@ -158,6 +199,36 @@ def test_projection_node_doubling(ex1, basis_q4m32, poles_ex1):
     p32 = spectral_projection(ex1, basis_q4m32, 0.0, 0, pole_set=poles_ex1, n_nodes=32)
     p64 = spectral_projection(ex1, basis_q4m32, 0.0, 0, pole_set=poles_ex1, n_nodes=64)
     assert np.abs(p32.matrix - p64.matrix).max() < 1e-9
+
+
+def _dense_order_and_rank(spec, basis, pole, pole_set):
+    """Order and rank from the dense value-space loop projections."""
+    def proj(ell):
+        return spectral_projection(spec, basis, pole.source, ell, pole_set=pole_set).matrix
+
+    p0 = proj(0)
+    order = 1
+    while order <= 8 and np.linalg.norm(proj(order)) > ORDER_TOL * np.linalg.norm(p0):
+        order += 1
+    sv = np.linalg.svd(p0 @ multiplier_matrix(spec, basis), compute_uv=False)
+    return order, int(np.sum(sv > RANK_TOL * sv[0]))
+
+
+@pytest.mark.parametrize("name, q_max, m", [("EX1", 4, 24), ("EX1S", 4, 16)])
+def test_order_and_rank_match_dense_projections(name, q_max, m):
+    spec = fixture(name)
+    basis = build_basis(q_max, m)
+    ps = find_poles(spec, basis, window=(-2.2, 1.0))
+    assert ps.poles
+    for pole in ps.poles:
+        assert (pole.order, pole.rank) == _dense_order_and_rank(spec, basis, pole, ps)
+
+
+def test_projection_family_raises_on_node_at_pole(ex1):
+    # the node at angle 0 of the loop |z + 0.2| = 0.2 is the pencil eigenvalue 0
+    with pytest.raises(NearPoleError) as err:
+        _projection_family(ex1, build_basis(4, 16), -0.2, 0.2, 32)
+    assert err.value.z == 0.0
 
 
 def test_contour_separation_guard(ex1, basis_q4m32, poles_ex1):
