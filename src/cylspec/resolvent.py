@@ -99,8 +99,7 @@ def resolvent_matrix_for(spec: OperatorSpec, basis: SpectralBasis, z: complex,
         return resolvent_matrix(assemble_operator(spec, basis, z))
     if parts is None:
         parts = mode_operator_parts(spec, basis)
-    base, a0 = parts
-    inv = _mode_inverses(base[None] + z * a0, np.array([z]))[0]
+    inv = _mode_inverses(parts, np.array([z]), basis.modes)[0]
     V = np.exp(1j * np.outer(basis.x0, basis.modes))
     n_t = basis.n_time
     big = np.einsum("jq,kq,qab->jakb", V, V.conj() / n_t, inv, optimize=True)
@@ -108,22 +107,28 @@ def resolvent_matrix_for(spec: OperatorSpec, basis: SpectralBasis, z: complex,
     return big.reshape(size, size)
 
 
-def _mode_inverses(blocks: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Inverses of per-mode blocks (shifts, modes, n, n), refined by one Newton step.
+def _mode_inverses(parts: tuple[np.ndarray, np.ndarray], shifts: np.ndarray,
+                   modes: np.ndarray) -> np.ndarray:
+    """Inverses of the mode blocks base[q] + z*a0 per shift, shape (shifts, modes, n, n),
+    refined by one Newton step.
 
     Raises NearPoleError at the shift whose blocks are numerically singular.
     """
+    base, a0 = parts
+    blocks = base[None] + shifts[:, None, None, None] * a0
     try:
         inv = np.linalg.inv(blocks)
     except np.linalg.LinAlgError:
         k = int(np.argmin(np.abs(np.linalg.slogdet(blocks)[0]).min(axis=1)))
-        raise NearPoleError(complex(shifts[k]), None, np.inf) from None
+        z = complex(shifts[k])
+        raise NearPoleError(z, _nearest_mode_pole(parts, modes, z), np.inf) from None
     ident = np.eye(blocks.shape[-1], dtype=complex)
     inv = inv + inv @ (ident - blocks @ inv)
     residual = np.linalg.norm(ident - blocks @ inv, axis=(-2, -1)).max(axis=1)
     k = int(np.argmax(residual))
     if not residual[k] <= 1e-6 * math.sqrt(blocks.shape[-1]):
-        raise NearPoleError(complex(shifts[k]), None, float(residual[k]))
+        z = complex(shifts[k])
+        raise NearPoleError(z, _nearest_mode_pole(parts, modes, z), float(residual[k]))
     return inv
 
 
@@ -145,11 +150,11 @@ def apply_resolvent(spec: OperatorSpec, basis: SpectralBasis, z: complex, f: np.
         sol = np.linalg.solve(blocks, rhs)
         sol = sol + np.linalg.solve(blocks, rhs - blocks @ sol)
     except np.linalg.LinAlgError:
-        raise NearPoleError(z, None, np.inf) from None
+        raise NearPoleError(z, _nearest_mode_pole(parts, basis.modes, z), np.inf) from None
     res = float(np.linalg.norm(rhs - blocks @ sol))
     scale = max(float(np.linalg.norm(rhs)), 1e-300)
     if res / scale > 1e-8:
-        raise NearPoleError(z, None, res / scale)
+        raise NearPoleError(z, _nearest_mode_pole(parts, basis.modes, z), res / scale)
     modes = sol.reshape(basis.n_time, basis.n_space, -1)
     return (np.fft.ifft(modes, axis=0) * basis.n_time).reshape(shape)
 
@@ -189,6 +194,18 @@ def _nearest_eigenvalue(assembly: ResolventAssembly) -> complex | None:
     if deltas.size == 0:
         return None
     return complex(assembly.z + deltas[np.argmin(np.abs(deltas))])
+
+
+def _nearest_mode_pole(parts: tuple[np.ndarray, np.ndarray], modes: np.ndarray,
+                       z: complex) -> complex | None:
+    """Pencil eigenvalue nearest to z over all modes: the mode-0 pencil's, shifted by -i*q."""
+    base, a0 = parts
+    vals = scipy.linalg.eigvals(base[0], -a0)
+    vals = vals[np.isfinite(vals)]
+    if vals.size == 0:
+        return None
+    candidates = (vals[None, :] - 1j * np.asarray(modes)[:, None]).ravel()
+    return complex(candidates[np.argmin(np.abs(candidates - z))])
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +446,9 @@ def _projection_family(spec: OperatorSpec, basis: SpectralBasis, center: complex
     """
     nodes, phases = _loop_nodes(center, radius, n_nodes)
     if spec.x0_independent():
-        base, a0 = mode_operator_parts(spec, basis)
-        resolvents = _mode_inverses(base[None] + nodes[:, None, None, None] * a0, nodes)
+        parts = mode_operator_parts(spec, basis)
+        resolvents = _mode_inverses(parts, nodes, basis.modes)
+        a0 = parts[1]
     else:
         a0 = multiplier_matrix(spec, basis)
         resolvents = [r[None] for r in _resolvents_on_loop(spec, basis, center, radius, n_nodes)]

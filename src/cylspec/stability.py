@@ -28,6 +28,14 @@ from .timedomain import FieldOnCover, fit_log_slope
 
 EPS = float(np.finfo(float).eps)
 
+# decompose fits only slices whose difference norm clears the noise floor
+#   GHOST_FLOOR_FACTOR * ghost + CANCEL_FLOOR_REL * cancellation scale
+# (the two sources are described where it is computed).  Both factors are
+# margins set by hand: the ghost is only estimated, from a second node set,
+# and the rounding of the exp(c X)-sized terms gets three orders above eps.
+GHOST_FLOOR_FACTOR = 30.0
+CANCEL_FLOOR_REL = 1e3 * EPS
+
 
 # ---------------------------------------------------------------------------
 # forcing profiles
@@ -577,7 +585,7 @@ def decompose(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverForcing,
     diff_norms = difference.slice_norms()
     cancel_scale = np.exp(c * times) * node_scale + \
         np.maximum(u_ret.slice_norms(), f_field.slice_norms())
-    floor = 30.0 * ghost + 1e3 * EPS * np.maximum(cancel_scale, 1e-300)
+    floor = GHOST_FLOOR_FACTOR * ghost + CANCEL_FLOOR_REL * np.maximum(cancel_scale, 1e-300)
     usable = diff_norms >= floor
     if not np.any(usable):
         raise SpecError("difference is below the noise floor everywhere")

@@ -4,6 +4,23 @@ The first-order system A^0 d_0 u + A^1 d_1 u + (B + z A^0) u = f is integrated
 with classical four-stage Runge-Kutta on the Chebyshev grid.  No boundary
 closure is applied: admissible operators are outflow at the boundary, so the
 collocated spatial operator is used as-is, including characteristic points.
+
+On the flattened (n_space * N) grid state the collocated system is linear and
+autonomous apart from the forcing, dv/dt = L v + g(t), with the generator
+L = -A0^{-1} (A^1 d_1 + B + z A^0) (block-diagonal A0^{-1} and B) and
+g = A0^{-1} f.  So one RK4 step of size h is a fixed matrix polynomial in
+H = h L, built once per (spec, basis, z, h) and applied with two matvecs:
+
+    v <- v + h/6 (g0 + 4 gh + g1) + H (Q v + R0 g0 + Rh gh)
+    Q  = I + H/2 + H^2/6 + H^3/24
+    R0 = h/6 (I + H/2 + H^2/4),   Rh = h/6 (2I + H/2)
+
+where g0, gh, g1 are the forcing at the start, middle and end of the step.
+This is the classical four-stage update regrouped.  The step is kept in
+increment form on purpose: a stored step matrix P = I + H Q rounds the terms
+of size h against the identity.  On EX1's constant mode at half the stable step
+that doubles the error (1.3e-14 against 7e-15 from exp(-t)), and the error
+ratio between two step sizes drops from 14.2 to 7.8, off fourth order.
 """
 
 from __future__ import annotations
@@ -15,9 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator_model import OperatorSpec, SpecError
-from .spectral import SpectralBasis
+from .spectral import SpectralBasis, _block_diag_multiplier, fourier_coefficients
 
 DUMP_MAGIC = b"CYLF"
+
+# growth_rate's fit skips slices below FIT_FLOOR_REL times the run's largest
+# slice norm: a decaying run bottoms out at roundoff there, not at its rate
+FIT_FLOOR_REL = 1e3 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -126,6 +147,75 @@ def stable_time_step(spec: OperatorSpec, basis: SpectralBasis, z: complex = 0.0,
     return min(dt, cfl / (zero_order + 1.0))
 
 
+def _step_plan(span: float, dt_max: float, store_stride: int) -> tuple[int, int]:
+    """(n_steps, stride) covering span with steps <= dt_max, n_steps a multiple of stride."""
+    n_steps = max(1, int(math.ceil(span / dt_max - 1e-9)))
+    stride = max(1, min(store_stride, n_steps))
+    if stride > 1:
+        # stored samples stay uniformly spaced
+        n_steps = stride * int(math.ceil(n_steps / stride))
+    return n_steps, stride
+
+
+@dataclass(frozen=True)
+class _Propagator:
+    """One RK4 step of dv/dt = L v + A0^{-1} f on flattened (n_space * N) states."""
+
+    h: float
+    H: np.ndarray          # h * L
+    Q: np.ndarray          # I + H/2 + H^2/6 + H^3/24
+    W: np.ndarray          # [Q | R0 | Rh], applied to the stacked (v, g0, gh)
+    inv_a0: np.ndarray     # block-diagonal A0^{-1}
+    coeff_scale: float     # largest coefficient entry, sizes the growth cap
+
+
+def _propagator(spec: OperatorSpec, basis: SpectralBasis, z: complex, h: float) -> _Propagator:
+    inv_a0, a1, bz = _pointwise_operators(spec, basis, z)
+    n = basis.n_space * spec.N
+    transport = np.einsum("mac,mcb,ms->masb", inv_a0, a1, basis.d1).reshape(n, n)
+    H = -h * (transport + _block_diag_multiplier((inv_a0 @ bz)[None]))
+    ident = np.eye(n)
+    H2 = H @ H
+    Q = ident + H / 2 + H2 / 6 + H2 @ H / 24
+    R0 = h / 6 * (ident + H / 2 + H2 / 4)
+    Rh = h / 6 * (2 * ident + H / 2)
+    coeff_scale = max(float(np.abs(a1).max()), float(np.abs(bz).max()), 1.0)
+    return _Propagator(h, H, Q, np.hstack([Q, R0, Rh]),
+                       _block_diag_multiplier(inv_a0[None]), coeff_scale)
+
+
+def _march(prop: _Propagator, v: np.ndarray, t0: float, n_steps: int, stride: int,
+           g=None) -> np.ndarray:
+    """States after every stride-th of n_steps steps from v at t0, v first
+    (n_steps must be a multiple of stride, as _step_plan makes it).
+
+    v holds one state per column, shape (n, k).  g(j) is A0^{-1} f at time
+    t0 + j*h/2 as an (n, 1) column, or None for the homogeneous system; forced
+    marches carry one column.  Each step checks every column against blow-up.
+    """
+    h, H, Q, W = prop.h, prop.H, prop.Q, prop.W
+    cap = math.exp(min(10.0 * n_steps * h * prop.coeff_scale, 700.0)) \
+        * np.maximum(np.linalg.norm(v, axis=0), 1.0)
+    stored = np.empty((n_steps // stride + 1, *v.shape), dtype=complex)
+    stored[0] = v
+    g0 = None if g is None else g(0)
+    for step in range(1, n_steps + 1):
+        if g is None:
+            v = v + H @ (Q @ v)
+        else:
+            gh, g1 = g(2 * step - 1), g(2 * step)
+            # the forcing and operator increments cancel near a steady state:
+            # sum them before they meet v
+            v = v + (h / 6 * (g0 + 4 * gh + g1) + H @ (W @ np.concatenate((v, g0, gh))))
+            g0 = g1
+        # a non-finite state has a non-finite norm, which fails the comparison
+        if not (np.linalg.norm(v, axis=0) <= cap).all():
+            raise InstabilityError(f"evolution diverged at t = {t0 + step * h:.4g}")
+        if step % stride == 0:
+            stored[step // stride] = v
+    return stored
+
+
 def evolve(spec: OperatorSpec, basis: SpectralBasis, *,
            initial: np.ndarray | None = None,
            forcing=None,
@@ -135,53 +225,30 @@ def evolve(spec: OperatorSpec, basis: SpectralBasis, *,
            dt: float | None = None) -> FieldOnCover:
     """Integrate the forced system from `initial` over t_range with RK4.
 
-    `forcing` is None or a callable t -> (n_space, N) slice.  The returned field
-    stores every store_stride-th step (endpoints always included).
+    `forcing` is None or a callable t -> (n_space, N) slice, evaluated twice
+    per step.  `dt` bounds the step (default: the stable step).  The returned
+    field stores every store_stride-th step (endpoints always included).
     """
-    inv_a0, a1, bz = _pointwise_operators(spec, basis, z)
     t0, t1 = t_range
     if t1 <= t0:
         raise ValueError("empty time range")
-    dt_max = dt or stable_time_step(spec, basis, z)
-    n_steps = max(1, int(math.ceil((t1 - t0) / dt_max - 1e-9)))
-    store_stride = max(1, min(store_stride, n_steps))
-    if store_stride > 1:
-        # stored samples stay uniformly spaced
-        n_steps = store_stride * int(math.ceil(n_steps / store_stride))
-    dt = (t1 - t0) / n_steps
+    if dt is None:
+        dt = stable_time_step(spec, basis, z)
+    elif not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"time step must be positive and finite, got {dt}")
+    n_steps, stride = _step_plan(t1 - t0, dt, store_stride)
+    prop = _propagator(spec, basis, z, (t1 - t0) / n_steps)
 
-    d1 = basis.d1
-    N = spec.N
-
-    def rhs(t: float, u: np.ndarray) -> np.ndarray:
-        du = np.einsum("ms,sc->mc", d1, u)
-        flux = np.einsum("mab,mb->ma", a1, du) + np.einsum("mab,mb->ma", bz, u)
-        if forcing is not None:
-            flux = flux - forcing(t)
-        return -np.einsum("mab,mb->ma", inv_a0, flux)
-
-    u = np.zeros((basis.n_space, N), dtype=complex) if initial is None \
-        else np.asarray(initial, dtype=complex).reshape(basis.n_space, N).copy()
-    coeff_scale = max(float(np.abs(a1).max()), float(np.abs(bz).max()), 1.0)
-    growth_cap = math.exp(min(10.0 * (t1 - t0) * coeff_scale, 700.0))
-    base_norm = max(float(np.linalg.norm(u)), 1.0)
-
-    times = [t0]
-    stored = [u.copy()]
-    t = t0
-    for step in range(1, n_steps + 1):
-        k1 = rhs(t, u)
-        k2 = rhs(t + dt / 2, u + dt / 2 * k1)
-        k3 = rhs(t + dt / 2, u + dt / 2 * k2)
-        k4 = rhs(t + dt, u + dt * k3)
-        u = u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t0 + step * dt
-        if not np.all(np.isfinite(u)) or np.linalg.norm(u) > growth_cap * base_norm:
-            raise InstabilityError(f"evolution diverged at t = {t:.4g}")
-        if step % store_stride == 0 or step == n_steps:
-            times.append(t)
-            stored.append(u.copy())
-    return FieldOnCover(np.array(times), np.array(stored), basis)
+    n = basis.n_space * spec.N
+    v = np.zeros((n, 1), dtype=complex) if initial is None \
+        else np.asarray(initial, dtype=complex).reshape(n, 1)
+    g = None
+    if forcing is not None:
+        def g(j: int) -> np.ndarray:
+            return prop.inv_a0 @ np.asarray(forcing(t0 + j * prop.h / 2)).reshape(n, 1)
+    states = _march(prop, v, t0, n_steps, stride, g)
+    times = t0 + prop.h * np.arange(0, n_steps + 1, stride)
+    return FieldOnCover(times, states.reshape(len(times), basis.n_space, spec.N), basis)
 
 
 def energy_series(field: FieldOnCover, ell: int, spec: OperatorSpec) -> EnergySeries:
@@ -248,28 +315,25 @@ def periodize(spec: OperatorSpec, basis: SpectralBasis, f: np.ndarray, z: comple
     expected = (basis.n_time, basis.n_space, spec.N)
     if f.shape != expected:
         raise ValueError(f"periodic forcing must have shape {expected}")
-    from .spectral import fourier_coefficients
-
-    f_modes = fourier_coefficients(f, basis)
-
-    def forcing(t: float) -> np.ndarray:
-        phases = np.exp(1j * basis.modes * t)
-        return np.tensordot(phases, f_modes, axes=(0, 0))
-
     # step count per period divisible by the node count: snapshots land on grid times
-    dt_max = stable_time_step(spec, basis, z)
-    per = int(math.ceil(period / dt_max))
+    per = int(math.ceil(period / stable_time_step(spec, basis, z)))
     per = basis.n_time * int(math.ceil(per / basis.n_time))
-    dt = period / per
     stride = per // basis.n_time
+    prop = _propagator(spec, basis, z, period / per)
 
-    u = np.zeros((basis.n_space, spec.N), dtype=complex)
+    # f has integer Fourier modes, so A0^{-1} f at the 2*per + 1 half-step times
+    # of one period serves every period
+    half_steps = np.arange(2 * per + 1) * (prop.h / 2)
+    phases = np.exp(1j * np.outer(half_steps, basis.modes))
+    f_modes = fourier_coefficients(f, basis).reshape(basis.n_time, -1)
+    g_table = ((phases @ f_modes) @ prop.inv_a0.T)[:, :, None]
+
+    u = np.zeros((basis.n_space * spec.N, 1), dtype=complex)
     prev_snapshot = None
     for p in range(max_periods):
-        run = evolve(spec, basis, initial=u, forcing=forcing, z=z,
-                     t_range=(p * period, (p + 1) * period), store_stride=stride, dt=dt)
-        u = run.values[-1]
-        snapshot = run.values[:-1]  # node times p*2pi + x0_j
+        states = _march(prop, u, p * period, per, stride, g_table.__getitem__)
+        u = states[-1]
+        snapshot = states[:-1].reshape(expected)  # node times p*2pi + x0_j
         if prev_snapshot is not None:
             delta = float(np.abs(snapshot - prev_snapshot).max())
             scale = max(float(np.abs(snapshot).max()), 1e-300)
@@ -305,21 +369,26 @@ def growth_rate(spec: OperatorSpec, basis: SpectralBasis, *, periods: int = 12,
     if periods < 10:
         raise ValueError("growth rate needs a window of at least 10 periods")
     rng = np.random.default_rng(seed)
-    period = 2.0 * np.pi
-    rates, profiles = [], []
+    span = periods * 2.0 * np.pi
+    inits = []
     for _ in range(n_runs):
         coeff = rng.standard_normal((basis.M // 2, spec.N)) + \
             1j * rng.standard_normal((basis.M // 2, spec.N))
         coeff /= (1.0 + np.arange(basis.M // 2))[:, None] ** 2
-        init = np.polynomial.chebyshev.chebval(basis.x1, coeff).T
-        run = evolve(spec, basis, initial=init, z=0.0,
-                     t_range=(0.0, periods * period), store_stride=16)
-        norms = run.slice_norms()
-        half = run.times >= periods * period / 2
-        rate = fit_log_slope(run.times[half], norms[half],
-                             floor=1e3 * np.finfo(float).eps * norms.max())
-        rates.append(rate)
-        final = run.values[-1]
+        inits.append(np.polynomial.chebyshev.chebval(basis.x1, coeff).T.reshape(-1))
+    # the runs march together, one column each
+    n_steps, stride = _step_plan(span, stable_time_step(spec, basis, 0.0), 16)
+    prop = _propagator(spec, basis, 0.0, span / n_steps)
+    states = _march(prop, np.stack(inits, axis=1), 0.0, n_steps, stride)
+    times = prop.h * np.arange(0, n_steps + 1, stride)
+    half = times >= span / 2
+    rates, profiles = [], []
+    for k in range(n_runs):
+        values = states[:, :, k].reshape(len(times), basis.n_space, spec.N)
+        norms = FieldOnCover(times, values, basis).slice_norms()
+        rates.append(fit_log_slope(times[half], norms[half],
+                                   floor=FIT_FLOOR_REL * norms.max()))
+        final = values[-1]
         nrm = np.linalg.norm(final)
         profiles.append(final / nrm if nrm > 0 else final)
     rate = float(np.median(rates))

@@ -229,6 +229,15 @@ def test_projection_family_raises_on_node_at_pole(ex1):
     with pytest.raises(NearPoleError) as err:
         _projection_family(ex1, build_basis(4, 16), -0.2, 0.2, 32)
     assert err.value.z == 0.0
+    assert abs(err.value.nearest) < 1e-8
+
+
+def test_apply_resolvent_at_pole_reports_nearest(ex1, basis_q4m32):
+    # the per-mode path estimates the pole from the mode-0 pencil, like the dense solve
+    with pytest.raises(NearPoleError) as err:
+        apply_resolvent(ex1, basis_q4m32, 0.0, np.ones((9, 33, 1), dtype=complex))
+    assert err.value.z == 0.0
+    assert abs(err.value.nearest) < 1e-8
 
 
 def test_contour_separation_guard(ex1, basis_q4m32, poles_ex1):

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from cylspec.operator_model import fixture, stability_constants
+from cylspec.operator_model import OperatorSpec, WeightSequence, fixture, stability_constants
+from cylspec.polynomial import MatrixPolynomial
 from cylspec.resolvent import apply_resolvent
 from cylspec.stability import make_forcing, solve_on_segment
+from cylspec.spectral import build_basis
 from cylspec.timedomain import (
+    FIT_FLOOR_REL,
     FieldOnCover,
     energy_series,
     evolve,
@@ -25,6 +28,51 @@ def chebyshev_data(basis, seed=1, n=10, N=1):
     coeff = (rng.standard_normal((n, N)) + 1j * rng.standard_normal((n, N)))
     coeff /= (1.0 + np.arange(n))[:, None] ** 2
     return np.polynomial.chebyshev.chebval(basis.x1, coeff).T
+
+
+def two_component_spec(seed=7):
+    """n=1, N=2: constant A^0 > 0, A^1 = x1*H with H > 0 (outflow), Hermitian B."""
+    rng = np.random.default_rng(seed)
+
+    def hermitian():
+        m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        return (m + m.conj().T) / 2
+
+    a0 = hermitian() + 3.0 * np.eye(2)
+    h = hermitian() + 3.0 * np.eye(2)
+    assert np.linalg.eigvalsh(a0).min() > 0 and np.linalg.eigvalsh(h).min() > 0
+    return OperatorSpec(
+        n=1, N=2,
+        A=(MatrixPolynomial.constant(a0, 2), MatrixPolynomial(2, (2, 2), {(0, 1): h})),
+        B=MatrixPolynomial.constant(hermitian(), 2),
+        weights=WeightSequence.geometric(0.024, 16), Q=1.0, name="two-component",
+    )
+
+
+def reference_rk4(spec, basis, initial, forcing, z, times):
+    """Classical RK4 one stage at a time with pointwise einsums, on the given step times."""
+    pt0 = np.array([0.0])
+    a0, a1, b = (c.eval_grid(pt0, basis.x1)[0] for c in (spec.A[0], spec.A[1], spec.B))
+    inv_a0, bz = np.linalg.inv(a0), b + z * a0
+
+    def rhs(t, u):
+        du = np.einsum("ms,sc->mc", basis.d1, u)
+        flux = np.einsum("mab,mb->ma", a1, du) + np.einsum("mab,mb->ma", bz, u)
+        if forcing is not None:
+            flux = flux - forcing(t)
+        return -np.einsum("mab,mb->ma", inv_a0, flux)
+
+    u = np.asarray(initial, dtype=complex)
+    states = [u]
+    for t, t_next in zip(times[:-1], times[1:]):
+        dt = t_next - t
+        k1 = rhs(t, u)
+        k2 = rhs(t + dt / 2, u + dt / 2 * k1)
+        k3 = rhs(t + dt / 2, u + dt / 2 * k2)
+        k4 = rhs(t + dt, u + dt * k3)
+        u = u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        states.append(u)
+    return np.array(states)
 
 
 # -- evolution ----------------------------------------------------------------
@@ -68,6 +116,31 @@ def test_instability_detector():
     with pytest.raises(InstabilityError):
         evolve(spec, basis_small, initial=np.ones((9, 1)), z=0.0,
                t_range=(0.0, 200.0), dt=1.5)  # far beyond the stable step
+
+
+def test_evolve_rejects_bad_time_step(ex1, basis_q4m32):
+    # a negative step used to take one step across the range; zero meant "stable step"
+    for dt in (-0.1, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="time step"):
+            evolve(ex1, basis_q4m32, initial=np.ones((33, 1)), z=1.0,
+                   t_range=(0.0, 2.0), dt=dt)
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_two_component_evolve_matches_stagewise_rk4(forced):
+    # block-diagonal A0^{-1} and B with N > 1 against the stage-by-stage stepper
+    spec = two_component_spec()
+    basis = build_basis(0, 16)
+    profile = chebyshev_data(basis, seed=12, n=6, N=2)
+    forcing = (lambda t: math.exp(-4.0 * (t - 0.5) ** 2) * profile) if forced else None
+    initial = None if forced else chebyshev_data(basis, seed=13, n=8, N=2)
+    z = 0.2 + 0.3j
+    run = evolve(spec, basis, initial=initial, forcing=forcing, z=z,
+                 t_range=(0.0, 1.5), store_stride=1)
+    start = np.zeros((basis.n_space, 2)) if initial is None else initial
+    ref = reference_rk4(spec, basis, start, forcing, z, run.times)
+    assert len(run.times) > 50
+    assert np.abs(run.values - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 # -- energies ------------------------------------------------------------------
@@ -174,6 +247,33 @@ def test_growth_rate_flat_counterexample(basis_q4m32):
     assert abs(report.rate) <= 0.05
     assert report.plateau and not report.modal
     assert report.nonmodal_plateau
+
+
+def test_batched_growth_rates_match_separate_runs(ex1s, basis_q4m32):
+    # the runs march as columns of one array; each column is the run evolve makes alone
+    periods, seed, basis = 10, 5, basis_q4m32
+    report = growth_rate(ex1s, basis, periods=periods, seed=seed)
+    rng = np.random.default_rng(seed)
+    span = periods * PERIOD
+    half = basis.M // 2
+    assert len(report.per_run_rates) == 3
+    for rate in report.per_run_rates:
+        coeff = rng.standard_normal((half, 1)) + 1j * rng.standard_normal((half, 1))
+        coeff /= (1.0 + np.arange(half))[:, None] ** 2
+        init = np.polynomial.chebyshev.chebval(basis.x1, coeff).T
+        run = evolve(ex1s, basis, initial=init, z=0.0, t_range=(0.0, span), store_stride=16)
+        norms = run.slice_norms()
+        late = run.times >= span / 2
+        expected = fit_log_slope(run.times[late], norms[late], floor=FIT_FLOOR_REL * norms.max())
+        assert abs(rate - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("name, modal, plateau", [
+    ("EX1", True, True), ("EX1S", True, False), ("CE-FLAT", False, True),
+])
+def test_growth_verdicts(basis_q4m32, name, modal, plateau):
+    report = growth_rate(fixture(name), basis_q4m32)
+    assert (report.modal, report.plateau) == (modal, plateau)
 
 
 # -- cross-engine agreement ------------------------------------------------------------
