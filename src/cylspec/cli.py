@@ -30,13 +30,14 @@ class RunManifest:
     command: str
     source: str                       # fixture name or config path
     params: dict = field(default_factory=dict)
+    digests: dict = field(default_factory=dict)   # input file -> SHA-256 of its bytes
     version: str = __version__
     outputs: list = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {
             "command": self.command, "source": self.source,
-            "params": self.params, "version": self.version,
+            "params": self.params, "digests": self.digests, "version": self.version,
             "outputs": sorted(self.outputs),
         }
 
@@ -86,10 +87,22 @@ def _source(args) -> str:
     return args.config if args.config else args.fixture
 
 
+def _file_sha256(path: str) -> str | None:
+    """SHA-256 of a file's bytes; None when it cannot be read (the load then fails)."""
+    try:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    except OSError:
+        return None
+
+
 def _manifest(args) -> RunManifest:
-    """Manifest over every parsed argument except the output directory and dispatch."""
+    """Manifest over every parsed argument except the output directory and dispatch,
+    plus the contents of the config and forcing files."""
     params = {k: v for k, v in vars(args).items() if k not in ("out", "command", "func")}
-    return RunManifest(args.command, _source(args), params)
+    digests = {k: _file_sha256(params[k]) for k in ("config", "forcing")
+               if params.get(k) not in (None, "default")}
+    return RunManifest(args.command, _source(args), params, digests)
 
 
 def _forcing_doc(arg: str):

@@ -14,6 +14,8 @@ four conditions:
 
 All checks are grid-sampled; coefficients are exact polynomials, so derivative
 norms terminate at the coefficient degree and the condition-(4) sums are finite.
+Samples are taken in fixed-size blocks of points with stacked eigenvalue and
+singular value solves; the first sample attaining a minimum is its witness.
 """
 
 from __future__ import annotations
@@ -160,6 +162,11 @@ class OperatorSpec:
                     raise SpecError("certificate matrices have wrong shape")
             if len(self.certificate.Xi) != self.n + 1:
                 raise SpecError(f"need {self.n + 1} certificate matrices")
+            if not math.isfinite(self.certificate.xi):
+                raise SpecError("certificate constant xi is not finite")
+        polys = list(self.A) + [self.B] + list(self.certificate.Xi if self.certificate else ())
+        if not all(np.isfinite(m).all() for p in polys for m in p.terms.values()):
+            raise SpecError("coefficients of A, B and the certificate must be finite")
         if not self.Q > 0:
             raise SpecError("Q must be positive")
 
@@ -250,15 +257,18 @@ def _interior_points(n: int, density: int) -> np.ndarray:
     t = np.linspace(0.0, 2 * np.pi, max(4, min(density, 16)), endpoint=False)
     if n == 1:
         x = np.unique(np.concatenate([np.linspace(-1.0, 1.0, density), [-1.0, 0.0, 1.0]]))
-        pts = [(ti, xi) for ti in t for xi in x]
-        return np.array(pts)
-    per_axis = max(4, density if n == 1 else min(density, 12))
-    axes = [np.linspace(-1.0, 1.0, per_axis) for _ in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = np.stack([m.ravel() for m in mesh], axis=1)
-    flat = flat[np.sum(flat**2, axis=1) <= 1.0 + 1e-12]
-    pts = [(ti, *xs) for ti in t for xs in flat]
-    return np.array(pts)
+        flat = x[:, None]
+    else:
+        axes = [np.linspace(-1.0, 1.0, max(4, min(density, 12))) for _ in range(n)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        flat = np.stack([m.ravel() for m in mesh], axis=1)
+        flat = flat[np.sum(flat**2, axis=1) <= 1.0 + 1e-12]
+    return _times_slices(t, flat)
+
+
+def _times_slices(t: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Rows (t_i, *flat_j), time-major: every spatial row for t_0, then for t_1, ..."""
+    return np.column_stack([np.repeat(t, len(flat)), np.tile(flat, (len(t), 1))])
 
 
 def _boundary_points(n: int, density: int) -> tuple[np.ndarray, np.ndarray]:
@@ -284,12 +294,49 @@ def _boundary_points(n: int, density: int) -> tuple[np.ndarray, np.ndarray]:
             rng = np.random.default_rng(0)
             dirs = rng.standard_normal((m, n))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    pts, normals = [], []
-    for ti in t:
-        for d in dirs:
-            pts.append((ti, *d))
-            normals.append((0.0, *d))
-    return np.array(pts), np.array(normals)
+    pts = _times_slices(t, dirs)
+    normals = pts.copy()
+    normals[:, 0] = 0.0
+    return pts, normals
+
+
+# Points per evaluated block: the stacks of coefficient values and eigenvalue
+# problems stay a few MB however dense the grid is.
+_BLOCK = 256
+
+
+def _blocks(n_points: int):
+    return (slice(start, start + _BLOCK) for start in range(0, n_points, _BLOCK))
+
+
+def _min_eig(n_points: int, hermitian_block) -> tuple[float, int | None]:
+    """Smallest eigenvalue over all points and the first point index attaining it.
+
+    ``hermitian_block(sl)`` returns the stacked Hermitian matrices of the points
+    in slice ``sl``; a later block replaces the witness only when strictly smaller.
+    """
+    best, where = np.inf, None
+    for sl in _blocks(n_points):
+        ev = np.linalg.eigvalsh(hermitian_block(sl)).min(axis=-1)
+        k = int(np.argmin(ev))
+        if ev[k] < best:
+            best, where = float(ev[k]), sl.start + k
+    return best, where
+
+
+def _sup_norm(pts: np.ndarray, polys: list[MatrixPolynomial]) -> float:
+    """Max over the points of the spectral norm of the row [p_1(x), p_2(x), ...]."""
+    if all(p.is_zero for p in polys):
+        return 0.0
+    best = 0.0
+    for sl in _blocks(len(pts)):
+        rows = np.concatenate([p.eval_points(pts[sl]) for p in polys], axis=-1)
+        best = max(best, float(np.linalg.svd(rows, compute_uv=False).max()))
+    return best
+
+
+def _hermitian_part(mats: np.ndarray) -> np.ndarray:
+    return 0.5 * (mats + mats.conj().swapaxes(-1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -329,26 +376,11 @@ def derivative_norms(spec: OperatorSpec, k: int, density: int = 64) -> tuple[flo
     pts = _interior_points(spec.n, density)
     table = multi_indices(spec.n + 1, k)
 
-    def sup_norm(polys: list[MatrixPolynomial], stack_over_i: bool) -> float:
-        blocks = []
-        for alpha, weight in zip(table.indices, table.weights):
-            w = math.sqrt(weight)
-            if stack_over_i:
-                blocks.extend(w * p.derivative_multi(alpha) for p in polys)
-            else:
-                blocks.append(w * polys[0].derivative_multi(alpha))
-        if all(b.is_zero for b in blocks):
-            return 0.0
-        best = 0.0
-        for pt in pts:
-            row = np.hstack([b(pt) for b in blocks])
-            best = max(best, float(np.linalg.norm(row, 2)))
-        return best
+    def sup_norm(polys: list[MatrixPolynomial]) -> float:
+        return _sup_norm(pts, [math.sqrt(w) * p.derivative_multi(alpha)
+                               for alpha, w in zip(table.indices, table.weights) for p in polys])
 
-    norm_a = sup_norm(list(spec.A), stack_over_i=True)
-    norm_b = sup_norm([spec.B], stack_over_i=False)
-    norm_a0 = sup_norm([spec.A0], stack_over_i=False)
-    return norm_a, norm_b, norm_a0
+    return sup_norm(list(spec.A)), sup_norm([spec.B]), sup_norm([spec.A0])
 
 
 def _summability_sums(spec: OperatorSpec, norms: dict[str, list[float]], K: int) -> dict[str, float]:
@@ -394,16 +426,12 @@ def check_assumptions(spec: OperatorSpec, sample_density: int = 64) -> Assumptio
     # (1) Hermitian coefficients, positive definite A^0
     witnesses = []
     herm_ok = all(a.is_hermitian(tol=1e-14) for a in spec.A)
-    min_eig_a0 = np.inf
-    for pt in _interior_points(spec.n, sample_density):
-        ev = float(np.linalg.eigvalsh(spec.A0(pt)).min())
-        if ev < min_eig_a0:
-            min_eig_a0 = ev
-            worst_pt = pt
+    pts = _interior_points(spec.n, sample_density)
+    min_eig_a0, k = _min_eig(len(pts), lambda sl: spec.A0.eval_points(pts[sl]))
     if not herm_ok:
         witnesses.append({"reason": "non-Hermitian coefficient matrix"})
     if min_eig_a0 <= TOL_PSD:
-        witnesses.append({"point": list(worst_pt), "min_eig": min_eig_a0})
+        witnesses.append({"point": list(pts[k]), "min_eig": min_eig_a0})
     checks["i"] = CheckResult(
         "pass" if herm_ok and min_eig_a0 > TOL_PSD else "fail",
         witnesses,
@@ -412,18 +440,16 @@ def check_assumptions(spec: OperatorSpec, sample_density: int = 64) -> Assumptio
 
     # (2) outflow: A^i w_i psd along the boundary
     witnesses = []
-    worst = np.inf
-    pts, normals = _boundary_points(spec.n, sample_density)
-    for pt, w in zip(pts, normals):
-        mat = sum(wi * a(pt) for wi, a in zip(w, spec.A) if wi != 0.0)
-        mat = np.atleast_2d(mat) if not isinstance(mat, np.ndarray) else mat
-        ev = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min())
-        if ev < worst:
-            worst, worst_pt = ev, (pt, w, ev)
+    bpts, normals = _boundary_points(spec.n, sample_density)
+
+    def outflow(sl):
+        mat = sum(normals[sl, i, None, None] * spec.A[i].eval_points(bpts[sl])
+                  for i in range(1, spec.n + 1))
+        return _hermitian_part(mat)
+
+    worst, k = _min_eig(len(bpts), outflow)
     if worst < -TOL_PSD:
-        witnesses.append({
-            "point": list(worst_pt[0]), "normal": list(worst_pt[1]), "min_eig": worst_pt[2],
-        })
+        witnesses.append({"point": list(bpts[k]), "normal": list(normals[k]), "min_eig": worst})
     checks["ii"] = CheckResult(
         "pass" if worst >= -TOL_PSD else "fail", witnesses, f"min eig A.w = {worst:.6g}"
     )
@@ -433,16 +459,11 @@ def check_assumptions(spec: OperatorSpec, sample_density: int = 64) -> Assumptio
         checks["iii"] = CheckResult("unverifiable", [], "no certificate supplied")
     else:
         M = _certificate_blocks(spec)
-        worst = np.inf
+        worst, k = _min_eig(len(pts), lambda sl: _hermitian_part(
+            np.block([[blk.eval_points(pts[sl]) for blk in row] for row in M])))
         witnesses = []
-        for pt in _interior_points(spec.n, sample_density):
-            big = np.block([[blk(pt) for blk in row] for row in M])
-            big = 0.5 * (big + big.conj().T)
-            ev = float(np.linalg.eigvalsh(big).min())
-            if ev < worst:
-                worst, worst_pt = ev, pt
         if worst < 1.0 - TOL_PSD:
-            witnesses.append({"point": list(worst_pt), "min_eig": worst})
+            witnesses.append({"point": list(pts[k]), "min_eig": worst})
         checks["iii"] = CheckResult(
             "pass" if worst >= 1.0 - TOL_PSD else "fail",
             witnesses,
@@ -486,11 +507,7 @@ def certificate_norm(spec: OperatorSpec, density: int = 64) -> float:
     """Sup over the domain of the stacked-row norm of the certificate matrices."""
     if spec.certificate is None:
         raise SpecError("no certificate")
-    best = 0.0
-    for pt in _interior_points(spec.n, density):
-        row = np.hstack([x(pt) for x in spec.certificate.Xi])
-        best = max(best, float(np.linalg.norm(row, 2)))
-    return best
+    return _sup_norm(_interior_points(spec.n, density), list(spec.certificate.Xi))
 
 
 def q_effective(spec: OperatorSpec, density: int = 64) -> float:
@@ -525,29 +542,21 @@ def stability_constants(spec: OperatorSpec, density: int = 64,
     pts = _interior_points(spec.n, density)
     from scipy.linalg import eigh
 
-    z_star = -np.inf
-    k0_vals, a0_vals = [], []
-    for pt in pts:
-        k0 = k0_poly(pt)
-        a0 = spec.A0(pt)
-        k0 = 0.5 * (k0 + k0.conj().T)
-        k0_vals.append(k0)
-        a0_vals.append(a0)
-        # smallest s with k0 + s*a0 - a0/2 >= 0
-        lam = eigh(0.5 * a0 - k0, a0, eigvals_only=True)
-        z_star = max(z_star, float(lam.max()))
-
-    def min_ratio(s: float) -> float:
-        worst = np.inf
-        for k0, a0 in zip(k0_vals, a0_vals):
-            ev = float(np.linalg.eigvalsh(k0 + s * a0).min())
-            worst = min(worst, ev / (1.0 + abs(s)))
-        return worst
+    k0_vals = _hermitian_part(k0_poly.eval_points(pts))
+    a0_vals = spec.A0.eval_points(pts)
+    # smallest s with k0 + s*a0 - a0/2 >= 0
+    z_star = max(float(eigh(0.5 * a0 - k0, a0, eigvals_only=True).max())
+                 for k0, a0 in zip(k0_vals, a0_vals))
 
     s_grid = np.concatenate([[z_star], z_star + np.linspace(0.0, s_span, s_samples)[1:]])
-    R = min(min_ratio(float(s)) for s in s_grid)
+    # min over points and s of min-eig(K_s)/(1 + |s|), one (s, point) stack per block
+    R = np.inf
+    for sl in _blocks(len(pts)):
+        k_s = k0_vals[sl] + s_grid[:, None, None, None] * a0_vals[sl]
+        ratios = np.linalg.eigvalsh(k_s).min(axis=-1) / (1.0 + np.abs(s_grid))[:, None]
+        R = min(R, float(ratios.min()))
     # ratio tends to min-eig(A0) as s -> +infinity
-    a0_floor = min(float(np.linalg.eigvalsh(a0).min()) for a0 in a0_vals)
+    a0_floor = float(np.linalg.eigvalsh(a0_vals).min())
     R = min(R, a0_floor)
     if R <= 0:
         raise SpecError("coercivity constant R is nonpositive; conditions (1)-(3) violated?")
@@ -617,14 +626,19 @@ def load_spec(config) -> OperatorSpec:
 
 def _spec_from_document(doc: dict) -> OperatorSpec:
     import jsonschema
+    from jsonschema.exceptions import best_match
 
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-        for poly_doc in list(doc["A"]) + [doc["B"]]:
-            for entry in poly_doc:
-                jsonschema.validate(entry, POLY_ENTRY_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise SpecError(f"config schema violation: {exc.message}") from exc
+    def validate(instance, schema):
+        # jsonschema.validate without its check of the (constant) schema against
+        # the meta-schema, which was over 90% of the time of a load
+        error = best_match(jsonschema.Draft202012Validator(schema).iter_errors(instance))
+        if error is not None:
+            raise SpecError(f"config schema violation: {error.message}") from error
+
+    validate(doc, CONFIG_SCHEMA)
+    for poly_doc in list(doc["A"]) + [doc["B"]]:
+        for entry in poly_doc:
+            validate(entry, POLY_ENTRY_SCHEMA)
 
     n, N = int(doc["n"]), int(doc["N"])
     if len(doc["A"]) != n + 1:

@@ -126,17 +126,28 @@ class MatrixPolynomial:
             out += mono * mat
         return out
 
+    def eval_points(self, pts) -> np.ndarray:
+        """Evaluate at the rows of a (P, n_vars) array; returns shape (P,) + self.shape.
+
+        Equals ``self(pts[p])`` bit for bit: ``float_power`` is the scalar ``**``.
+        """
+        x = np.asarray(pts, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.n_vars:
+            raise ValueError(f"points must have {self.n_vars} coordinates")
+        out = np.zeros((len(x),) + self.shape, dtype=complex)
+        for alpha, mat in self.terms.items():
+            mono = np.ones(len(x))
+            for col, ai in zip(x.T, alpha):
+                if ai:
+                    mono = mono * np.float_power(col, ai)
+            out += mono[:, None, None] * mat
+        return out
+
     def eval_grid(self, *coords) -> np.ndarray:
         """Evaluate on a tensor grid; returns array of shape grid + self.shape."""
         grids = np.meshgrid(*coords, indexing="ij")
-        out = np.zeros(grids[0].shape + self.shape, dtype=complex)
-        for alpha, mat in self.terms.items():
-            mono = np.ones_like(grids[0], dtype=float)
-            for g, ai in zip(grids, alpha):
-                if ai:
-                    mono = mono * g**ai
-            out += mono[..., None, None] * mat
-        return out
+        pts = np.stack([g.ravel() for g in grids], axis=1)
+        return self.eval_points(pts).reshape(grids[0].shape + self.shape)
 
     @property
     def degree(self) -> int:

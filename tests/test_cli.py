@@ -149,3 +149,28 @@ def test_kappa_override(tmp_path, capsys):
                 "--qmax", "0", "--m", "2", "--re-min", "-1.2",
                 "--re-max", "1.0", "--out", str(tmp_path)])
     assert code == 0
+
+
+def test_manifest_hash_covers_file_contents(tmp_path):
+    # same paths, rewritten contents: the config and the forcing each change the hash
+    cfg, forcing = tmp_path / "op.json", tmp_path / "forcing.json"
+
+    def hashes(cfg_spec, center):
+        cfg.write_text(json.dumps(spec_to_json(fixture(cfg_spec))))
+        forcing.write_text(json.dumps({"time_bump": {"center": center, "width": 3.0}}))
+        out = {}
+        for args in (["check", "--config", str(cfg), "--density", "8"],
+                     ["green", "--fixture", "EX1", "--qmax", "1", "--m", "4",
+                      "--forcing", str(forcing)]):
+            assert run(args + ["--out", str(tmp_path / "out")]) == 0
+            out[args[0]] = json.loads(read(tmp_path / "out" / "manifest.json"))["hash"]
+        return out
+
+    base = hashes("EX1", 9.0)
+    assert hashes("EX1", 9.0) == base
+    config_changed = hashes("EX1S", 9.0)
+    assert config_changed["check"] != base["check"]
+    assert config_changed["green"] == base["green"]
+    forcing_changed = hashes("EX1", 10.0)
+    assert forcing_changed["green"] != base["green"]
+    assert forcing_changed["check"] == base["check"]

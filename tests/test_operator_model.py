@@ -3,9 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from cylspec import operator_model
+from cylspec.norms import multi_indices
 from cylspec.operator_model import (
+    TOL_PSD,
+    AssumptionReport,
+    Certificate,
+    CheckResult,
+    OperatorSpec,
     SpecError,
+    StabilityConstants,
     WeightSequence,
+    _certificate_blocks,
+    _scalar_affine_operator,
+    _summability_sums,
     check_assumptions,
     derivative_norms,
     eval_coefficients,
@@ -16,6 +27,7 @@ from cylspec.operator_model import (
     spec_to_json,
     stability_constants,
 )
+from cylspec.polynomial import MatrixPolynomial
 
 
 # -- loading and validation --------------------------------------------------
@@ -63,6 +75,11 @@ def test_r0_must_be_one():
 
 
 def test_json_round_trip_and_schema():
+    from jsonschema import Draft202012Validator
+
+    # load_spec validates documents against these without re-checking them
+    Draft202012Validator.check_schema(operator_model.CONFIG_SCHEMA)
+    Draft202012Validator.check_schema(operator_model.POLY_ENTRY_SCHEMA)
     doc = spec_to_json(fixture("EX1"))
     spec = load_spec(doc)
     assert spec.n == 1 and spec.N == 1
@@ -201,3 +218,226 @@ def test_certificate_search_recovers_feasible_multiplier():
     candidate = dataclasses.replace(ex1, certificate=cert)
     report = check_assumptions(candidate, sample_density=17)
     assert report.checks["iii"].status == "pass"
+
+
+def test_non_finite_coefficients_rejected():
+    for bad in (float("nan"), float("inf")):
+        doc = spec_to_json(fixture("EX1"))
+        doc["A"][0][0]["matrix"][0][0][0] = bad
+        with pytest.raises(SpecError, match="finite"):
+            load_spec(doc)
+        doc = spec_to_json(fixture("EX1"))
+        doc["certificate"]["Xi"][0][0]["matrix"][0][0][1] = bad
+        with pytest.raises(SpecError, match="finite"):
+            load_spec(doc)
+    doc = spec_to_json(fixture("EX1"))
+    doc["B"] = [{"alpha": [0, 1], "matrix": [[[0.0, float("-inf")]]]}]
+    with pytest.raises(SpecError, match="finite"):
+        load_spec(doc)
+
+
+# -- batched sampling against the per-point reference ----------------------------
+#
+# The reference below is the per-point sampling the checks used before they were
+# batched: one polynomial evaluation and one dense eigensolve or SVD per sample,
+# on grids built from tuple lists.  The batched checks must reproduce it bit for bit.
+
+
+def _reference_interior_points(n, density):
+    t = np.linspace(0.0, 2 * np.pi, max(4, min(density, 16)), endpoint=False)
+    if n == 1:
+        x = np.unique(np.concatenate([np.linspace(-1.0, 1.0, density), [-1.0, 0.0, 1.0]]))
+        return np.array([(ti, xi) for ti in t for xi in x])
+    axes = [np.linspace(-1.0, 1.0, max(4, min(density, 12))) for _ in range(n)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    flat = np.stack([m.ravel() for m in mesh], axis=1)
+    flat = flat[np.sum(flat**2, axis=1) <= 1.0 + 1e-12]
+    return np.array([(ti, *xs) for ti in t for xs in flat])
+
+
+def _reference_boundary_points(n, density):
+    t = np.linspace(0.0, 2 * np.pi, max(4, min(density, 16)), endpoint=False)
+    if n == 1:
+        dirs = np.array([[1.0], [-1.0]])
+    else:
+        assert n == 3
+        m = max(32, 8 * density)
+        k = np.arange(m) + 0.5
+        phi, theta = np.arccos(1 - 2 * k / m), np.pi * (1 + 5**0.5) * k
+        dirs = np.stack([np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta),
+                         np.cos(phi)], axis=1)
+    return (np.array([(ti, *d) for ti in t for d in dirs]),
+            np.array([(0.0, *d) for ti in t for d in dirs]))
+
+
+def _reference_sup_norm(pts, polys):
+    best = 0.0
+    for pt in pts:
+        row = np.hstack([p(pt) for p in polys])
+        best = max(best, float(np.linalg.norm(row, 2)))
+    return best
+
+
+def _reference_norm_table(spec, density):
+    pts = _reference_interior_points(spec.n, density)
+    k_max = max(p.degree for p in list(spec.A) + [spec.B]) + 1
+    table = {"A": [], "B": [], "A0": []}
+    for k in range(k_max + 1):
+        idx = multi_indices(spec.n + 1, k)
+        for key, polys in (("A", list(spec.A)), ("B", [spec.B]), ("A0", [spec.A0])):
+            blocks = [math.sqrt(w) * p.derivative_multi(alpha)
+                      for alpha, w in zip(idx.indices, idx.weights) for p in polys]
+            zero = all(b.is_zero for b in blocks)
+            table[key].append(0.0 if zero else _reference_sup_norm(pts, blocks))
+    return table
+
+
+def _reference_check(spec, density):
+    checks = {}
+    pts = _reference_interior_points(spec.n, density)
+    witnesses = []
+    herm_ok = all(a.is_hermitian(tol=1e-14) for a in spec.A)
+    min_eig_a0 = np.inf
+    for pt in pts:
+        ev = float(np.linalg.eigvalsh(spec.A0(pt)).min())
+        if ev < min_eig_a0:
+            min_eig_a0, worst_pt = ev, pt
+    if not herm_ok:
+        witnesses.append({"reason": "non-Hermitian coefficient matrix"})
+    if min_eig_a0 <= TOL_PSD:
+        witnesses.append({"point": list(worst_pt), "min_eig": min_eig_a0})
+    checks["i"] = CheckResult("pass" if herm_ok and min_eig_a0 > TOL_PSD else "fail",
+                              witnesses, f"min eig A0 = {min_eig_a0:.6g}")
+
+    witnesses = []
+    worst = np.inf
+    for pt, w in zip(*_reference_boundary_points(spec.n, density)):
+        mat = sum(wi * a(pt) for wi, a in zip(w, spec.A) if wi != 0.0)
+        ev = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min())
+        if ev < worst:
+            worst, worst_pt = ev, (pt, w, ev)
+    if worst < -TOL_PSD:
+        witnesses.append({"point": list(worst_pt[0]), "normal": list(worst_pt[1]),
+                          "min_eig": worst_pt[2]})
+    checks["ii"] = CheckResult("pass" if worst >= -TOL_PSD else "fail", witnesses,
+                               f"min eig A.w = {worst:.6g}")
+
+    M = _certificate_blocks(spec)
+    worst = np.inf
+    witnesses = []
+    for pt in pts:
+        big = np.block([[blk(pt) for blk in row] for row in M])
+        ev = float(np.linalg.eigvalsh(0.5 * (big + big.conj().T)).min())
+        if ev < worst:
+            worst, worst_pt = ev, pt
+    if worst < 1.0 - TOL_PSD:
+        witnesses.append({"point": list(worst_pt), "min_eig": worst})
+    checks["iii"] = CheckResult("pass" if worst >= 1.0 - TOL_PSD else "fail", witnesses,
+                                f"min eig of certificate form = {worst:.6g} (need >= 1)")
+
+    table = _reference_norm_table(spec, density)
+    witnesses = []
+    for K in (0, 1):
+        rK = spec.weights.r(K)
+        for key, s in _summability_sums(spec, table, K).items():
+            if s > spec.Q * rK * (1 + 1e-12):
+                witnesses.append({"K": K, "part": key, "sum": s, "bound": spec.Q * rK})
+    checks["iv"] = CheckResult("fail" if witnesses else "pass", witnesses)
+    return AssumptionReport(spec.name, checks, table)
+
+
+def _reference_constants(spec, density, s_span=50.0, s_samples=200):
+    from scipy.linalg import eigh
+
+    div_a = spec.A[0].derivative(0)
+    for i in range(1, spec.n + 1):
+        div_a = div_a + spec.A[i].derivative(i)
+    k0_poly = 0.5 * ((-1.0) * div_a + spec.B + spec.B.adjoint())
+    pts = _reference_interior_points(spec.n, density)
+    z_star = -np.inf
+    k0_vals, a0_vals = [], []
+    for pt in pts:
+        k0, a0 = k0_poly(pt), spec.A0(pt)
+        k0 = 0.5 * (k0 + k0.conj().T)
+        k0_vals.append(k0)
+        a0_vals.append(a0)
+        z_star = max(z_star, float(eigh(0.5 * a0 - k0, a0, eigvals_only=True).max()))
+    s_grid = np.concatenate([[z_star], z_star + np.linspace(0.0, s_span, s_samples)[1:]])
+    R = min(min(float(np.linalg.eigvalsh(k0 + float(s) * a0).min()) / (1.0 + abs(float(s)))
+                for k0, a0 in zip(k0_vals, a0_vals)) for s in s_grid)
+    R = min(R, min(float(np.linalg.eigvalsh(a0).min()) for a0 in a0_vals))
+    xi = spec.certificate.xi
+    xi_norm = _reference_sup_norm(pts, list(spec.certificate.Xi))
+    rho_star = 0.5 / (spec.Q * (xi + 3.0 / R + xi_norm + 2.0 * xi_norm / (R * xi)))
+    table = _reference_norm_table(spec, density)
+    q_eff = max(max(_summability_sums(spec, table, K).values()) / spec.weights.r(K)
+                for K in (0, 1))
+    return StabilityConstants(z_star=z_star, R=R, rho_star=rho_star, q_effective=q_eff)
+
+
+def _recentred_spec():
+    rng = np.random.default_rng(4)
+    x_star = float(rng.choice([-1.0, 1.0]) * rng.uniform(1.05, 1.8))
+    return _scalar_affine_operator(0.5, x_star, kappa=0.024, name=f"recentred {x_star:+.4f}")
+
+
+def _random_hermitian_spec():
+    """Seeded N=2, n=1 operator with x1^2 and x0 terms and a non-constant certificate."""
+    rng = np.random.default_rng(11)
+
+    def herm(scale):
+        m = scale * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        return 0.5 * (m + m.conj().T)
+
+    def poly(terms):
+        return MatrixPolynomial(2, (2, 2), terms)
+
+    eye = np.eye(2)
+    a0 = poly({(0, 0): 2.0 * eye + herm(0.2), (0, 1): herm(0.3)})
+    a1 = poly({(0, 0): herm(0.1), (0, 1): 0.5 * eye + herm(0.1), (0, 2): herm(0.2)})
+    b = poly({(0, 0): rng.standard_normal((2, 2)), (1, 0): 0.05 * herm(1.0),
+              (0, 2): 0.1 * rng.standard_normal((2, 2))})
+    xi = (poly({(0, 0): 2.0 * eye + herm(0.2), (0, 1): herm(0.1)}),
+          poly({(0, 0): herm(0.2)}))
+    return OperatorSpec(n=1, N=2, A=(a0, a1), B=b,
+                        weights=WeightSequence.geometric(0.024, 16), Q=1.0,
+                        certificate=Certificate(xi=6.0, Xi=xi), name="random N=2")
+
+
+CHECK_CASES = [
+    *[(fixture(name), density) for name in ("EX1", "EX1S", "CE-BDY", "CE-FLAT")
+      for density in (8, 17, 64)],
+    *[(_recentred_spec(), density) for density in (8, 17, 64)],
+    (fixture("EX2"), 8),
+    (_random_hermitian_spec(), 17),
+]
+
+
+@pytest.mark.parametrize("spec, density", CHECK_CASES,
+                         ids=[f"{s.name}-{d}" for s, d in CHECK_CASES])
+def test_batched_check_matches_per_point_reference(spec, density):
+    got = repr(check_assumptions(spec, sample_density=density).to_json())
+    assert got == repr(_reference_check(spec, density).to_json())
+
+
+@pytest.mark.parametrize("name, density", [("EX1", 64), ("EX1S", 17), ("EX2", 6),
+                                           ("random N=2", 17)])
+def test_batched_constants_match_per_point_reference(name, density):
+    spec = _random_hermitian_spec() if name == "random N=2" else fixture(name)
+    got = stability_constants(spec, density=density)
+    ref = _reference_constants(spec, density)
+    for field_name in ("z_star", "R", "rho_star", "q_effective"):
+        assert getattr(got, field_name) == getattr(ref, field_name)
+
+
+def test_block_boundaries_do_not_move_witnesses(monkeypatch):
+    # CE-FLAT's certificate form is 0 at every sample and CE-BDY's outflow minimum
+    # repeats at every time slice, so the first-occurrence witness must survive
+    # blocks that split these ties; the random spec's (iii) witness is sample 16,
+    # in the third block of 7
+    specs = [fixture("CE-BDY"), fixture("CE-FLAT"), _recentred_spec(), _random_hermitian_spec()]
+    before = [repr(check_assumptions(s, sample_density=17).to_json()) for s in specs]
+    monkeypatch.setattr(operator_model, "_BLOCK", 7)
+    after = [repr(check_assumptions(s, sample_density=17).to_json()) for s in specs]
+    assert after == before
+    assert [repr(_reference_check(s, 17).to_json()) for s in specs] == before

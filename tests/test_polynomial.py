@@ -40,6 +40,17 @@ def test_grid_evaluation_matches_pointwise():
     for i, ti in enumerate(t):
         for j, xj in enumerate(x):
             assert grid[i, j, 0, 0] == p((ti, xj))[0, 0]
+    # higher powers too, bit for bit, in the batched and the gridded evaluator
+    rng = np.random.default_rng(3)
+    q = MatrixPolynomial(2, (2, 2), {
+        alpha: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        for alpha in ((0, 0), (1, 0), (0, 2), (2, 3), (0, 5))
+    })
+    t, x = rng.uniform(0.0, 2 * np.pi, 7), rng.uniform(-1.0, 1.0, 9)
+    pts = np.stack(np.meshgrid(t, x, indexing="ij"), axis=-1).reshape(-1, 2)
+    pointwise = np.array([q(pt) for pt in pts])
+    assert np.array_equal(q.eval_points(pts), pointwise)
+    assert np.array_equal(q.eval_grid(t, x).reshape(-1, 2, 2), pointwise)
 
 
 def test_json_round_trip():
