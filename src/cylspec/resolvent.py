@@ -132,54 +132,88 @@ def _mode_inverses(parts: tuple[np.ndarray, np.ndarray], shifts: np.ndarray,
     return inv
 
 
-def apply_resolvent(spec: OperatorSpec, basis: SpectralBasis, z: complex, f: np.ndarray,
-                    parts: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """u = (D + z*A^0)^{-1} f without forming the inverse (batched per-mode solves)."""
-    if not spec.x0_independent():
-        return solve_resolvent(assemble_operator(spec, basis, z), f)
-    if parts is None:
-        parts = mode_operator_parts(spec, basis)
-    base, a0 = parts
-    blocks = base + z * a0[None, :, :]
-    from .spectral import fourier_coefficients
+def _mode_batched(spec: OperatorSpec, basis: SpectralBasis, z, f: np.ndarray,
+                  dense, modal) -> np.ndarray:
+    """Shift batching for apply_resolvent and apply_operator: z is a shift (a batch
+    of one) or a 1-D array of shifts, f one grid function per shift or one for all.
 
+    Coupled coefficients run dense(z_k, f_k) per shift; otherwise modal(base0,
+    a0, w, cols) gets one column of Fourier coefficients per block base0 + w*a0,
+    w = z_k + i*q of shape (shifts, modes), FFT order (so w[:, 0] are the shifts).
+    """
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    shape = (basis.n_time, basis.n_space, spec.N)
     f = np.asarray(f, dtype=complex)
-    shape = f.shape
-    rhs = fourier_coefficients(f, basis).reshape(basis.n_time, -1, 1)
-    try:
-        sol = np.linalg.solve(blocks, rhs)
-        sol = sol + np.linalg.solve(blocks, rhs - blocks @ sol)
-    except np.linalg.LinAlgError:
-        raise NearPoleError(z, _nearest_mode_pole(parts, basis.modes, z), np.inf) from None
-    res = float(np.linalg.norm(rhs - blocks @ sol))
-    scale = max(float(np.linalg.norm(rhs)), 1e-300)
-    if res / scale > 1e-8:
-        raise NearPoleError(z, _nearest_mode_pole(parts, basis.modes, z), res / scale)
-    modes = sol.reshape(basis.n_time, basis.n_space, -1)
-    return (np.fft.ifft(modes, axis=0) * basis.n_time).reshape(shape)
+    if zs.ndim != 1 or f.shape[-3:] != shape:
+        raise ValueError(f"need a shift or 1-D shifts and grid functions of shape {shape}")
+    fs = np.broadcast_to(f, zs.shape + shape)
+    if spec.x0_independent():
+        base, a0 = mode_operator_parts(spec, basis)
+        w = zs[:, None] + 1j * basis.modes
+        cols = np.fft.fft(fs, axis=1).reshape(w.size, len(a0)).T
+        out = np.fft.ifft(modal(base[0], a0, w, cols).T.reshape(fs.shape), axis=1)
+    else:
+        out = np.array([dense(zk, fk) for zk, fk in zip(zs, fs)], dtype=complex).reshape(fs.shape)
+    return out if np.ndim(z) else out[0]
 
 
-def apply_operator(spec: OperatorSpec, basis: SpectralBasis, z: complex, u: np.ndarray,
-                   parts: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """(D + z*A^0) u via per-mode blocks (dense assembly for coupled coefficients)."""
-    if not spec.x0_independent():
-        asm = assemble_operator(spec, basis, z)
-        return (asm.matrix @ u.reshape(-1)).reshape(u.shape)
-    if parts is None:
-        parts = mode_operator_parts(spec, basis)
-    base, a0 = parts
-    blocks = base + z * a0[None, :, :]
-    from .spectral import fourier_coefficients
+def _schur_solve(base0: np.ndarray, a0: np.ndarray, w: np.ndarray,
+                 rhs: np.ndarray) -> np.ndarray:
+    """Solve (base0 + w_j*a0) u_j = rhs_j for every column j from one Schur form
+    a0^{-1} base0 = U S U^H: a back-substitution with S + w_j I per column, then
+    one refinement step against the true blocks.  The first shift whose relative
+    residual exceeds 1e-8, or is NaN, raises NearPoleError; its nearest pole
+    -S_kk - i*q is the shift minus the smallest pivot S_kk + w.
+    """
+    tri, U = scipy.linalg.schur(np.linalg.solve(a0, base0), output="complex")
+    left = np.linalg.solve(a0.T, U.conj()).T  # U^H a0^{-1}
+    flat = w.reshape(-1)
 
-    modes = fourier_coefficients(u, basis).reshape(basis.n_time, -1, 1)
-    out = (blocks @ modes).reshape(basis.n_time, basis.n_space, -1)
-    return (np.fft.ifft(out, axis=0) * basis.n_time).reshape(u.shape)
+    def solve(r):
+        y = left @ r
+        for k in range(len(tri) - 1, -1, -1):
+            y[k] -= tri[k, k + 1:] @ y[k + 1:]
+            y[k] /= tri[k, k] + flat
+        return U @ y
+
+    def residual(u):
+        return rhs - base0 @ u - (a0 @ u) * flat
+
+    with np.errstate(all="ignore"):
+        u = solve(rhs)
+        u += solve(residual(u))
+        by_shift = (len(tri),) + w.shape
+        rel = np.linalg.norm(residual(u).reshape(by_shift), axis=(0, 2)) \
+            / np.maximum(np.linalg.norm(rhs.reshape(by_shift), axis=(0, 2)), 1e-300)
+    bad = np.flatnonzero(~(rel <= 1e-8))
+    if bad.size:
+        z = w[bad[0], 0]
+        pivots = (np.diag(tri) + w[bad[0], :, None]).ravel()
+        raise NearPoleError(complex(z), complex(z - pivots[np.argmin(np.abs(pivots))]),
+                            float(rel[bad[0]]))
+    return u
+
+
+def apply_resolvent(spec: OperatorSpec, basis: SpectralBasis, z, f: np.ndarray) -> np.ndarray:
+    """u = (D + z*A^0)^{-1} f without forming the inverse, batched over shifts
+    (_mode_batched); x0-independent coefficients use _schur_solve."""
+    return _mode_batched(spec, basis, z, f,
+                         lambda zk, fk: solve_resolvent(assemble_operator(spec, basis, zk), fk),
+                         _schur_solve)
+
+
+def apply_operator(spec: OperatorSpec, basis: SpectralBasis, z, u: np.ndarray) -> np.ndarray:
+    """(D + z*A^0) u, batched over shifts like apply_resolvent (dense assembly
+    for coupled coefficients)."""
+    return _mode_batched(spec, basis, z, u,
+                         lambda zk, uk: assemble_operator(spec, basis, zk).matrix @ uk.reshape(-1),
+                         lambda base0, a0, w, c: base0 @ c + (a0 @ c) * w.reshape(-1))
 
 
 def apply_multiplier(spec: OperatorSpec, basis: SpectralBasis, u: np.ndarray) -> np.ndarray:
-    """Pointwise multiplication by A^0 on a grid function."""
+    """Pointwise multiplication by A^0 on grid functions (leading axes are a batch)."""
     a0 = spec.A[0].eval_grid(basis.x0, basis.x1)
-    return np.einsum("jmab,jmb->jma", a0, u)
+    return np.einsum("jmab,...jmb->...jma", a0, u)
 
 
 def _nearest_eigenvalue(assembly: ResolventAssembly) -> complex | None:

@@ -150,8 +150,8 @@ def apply_derivative(u: np.ndarray, alpha, basis: SpectralBasis) -> np.ndarray:
 
 
 def fourier_coefficients(u: np.ndarray, basis: SpectralBasis) -> np.ndarray:
-    """Mode coefficients along the periodic axis, FFT mode order."""
-    return np.fft.fft(u, axis=0) / basis.n_time
+    """Mode coefficients along the periodic axis of (..., n_time, n_space, N), FFT order."""
+    return np.fft.fft(u, axis=-3) / basis.n_time
 
 
 def chebyshev_coefficients(values: np.ndarray) -> np.ndarray:

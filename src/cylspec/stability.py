@@ -11,6 +11,11 @@ decay at the fastest rate allowed by the remaining (decaying) poles.
 Vertical segments use trapezoid nodes in the segment parameter: the integrand
 is periodic there, so the rule is spectrally accurate, and with enough nodes
 the cover aliasing (period translates folding back) is driven below roundoff.
+
+Shifts are batched: each segment and each loop is one `forward_transform` and
+one `apply_resolvent` call over its array of shifts (one Schur form of the
+mode-0 pencil serves them all), and every cover evaluation is one contraction,
+`_segment_sum`, of (times, shifts) weights with Fourier coefficients.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 from .operator_model import OperatorSpec, SpecError
 from .resolvent import PoleSet, _loop_nodes, _loop_radius, _strip_distance, \
     apply_multiplier, apply_operator, apply_resolvent
-from .spectral import SpectralBasis, fourier_coefficients, mode_operator_parts
+from .spectral import SpectralBasis, fourier_coefficients
 from .timedomain import FieldOnCover, fit_log_slope
 
 EPS = float(np.finfo(float).eps)
@@ -120,6 +125,13 @@ class CoverForcing:
         return bool(np.all(self.space == 0))
 
 
+def _positive(doc: dict, key: str, default: float | None = None) -> float:
+    value = float(doc[key] if default is None else doc.get(key, default))
+    if not (math.isfinite(value) and value > 0):
+        raise SpecError(f"forcing {key} must be positive and finite, got {value}")
+    return value
+
+
 def make_forcing(basis: SpectralBasis, doc: dict | str = "default", N: int = 1) -> CoverForcing:
     """Forcing from its JSON description (or the named default bump x gaussian)."""
     if doc == "default":
@@ -127,15 +139,17 @@ def make_forcing(basis: SpectralBasis, doc: dict | str = "default", N: int = 1) 
                "space": {"type": "gaussian", "sigma": 0.4}}
     if "time_gaussian" in doc:
         g = doc["time_gaussian"]
-        bump = GaussianPulseProfile(center=float(g["center"]), sigma=float(g["sigma"]),
-                                    cut=float(g.get("cut", 8.0)))
+        bump = GaussianPulseProfile(center=float(g["center"]), sigma=_positive(g, "sigma"),
+                                    cut=_positive(g, "cut", 8.0))
     else:
         bump = BumpProfile(center=float(doc["time_bump"]["center"]),
-                           width=float(doc["time_bump"]["width"]))
+                           width=_positive(doc["time_bump"], "width"))
     space_doc = doc.get("space", {"type": "gaussian", "sigma": 0.4})
     component = int(space_doc.get("component", 0))
+    if not 0 <= component < N:
+        raise SpecError(f"forcing component {component} is outside [0, {N})")
     if space_doc["type"] == "gaussian":
-        prof = np.exp(-basis.x1**2 / (2.0 * float(space_doc["sigma"]) ** 2))
+        prof = np.exp(-basis.x1**2 / (2.0 * _positive(space_doc, "sigma") ** 2))
     elif space_doc["type"] == "polynomial":
         prof = np.polynomial.polynomial.polyval(basis.x1, np.asarray(space_doc["coeffs"], dtype=float))
     else:
@@ -150,43 +164,34 @@ def make_forcing(basis: SpectralBasis, doc: dict | str = "default", N: int = 1) 
 # ---------------------------------------------------------------------------
 
 
-def forward_transform(forcing: CoverForcing, z: complex, basis: SpectralBasis) -> np.ndarray:
+def forward_transform(forcing: CoverForcing, z, basis: SpectralBasis) -> np.ndarray:
     """Quotient function f_z: exponentially weighted sum of period translates.
 
     The sum is finite (compact support), evaluated exactly at the tensor grid:
     f_z(x) = sum_p exp(-z*(x0 + 2*pi*p)) * forcing(x0 + 2*pi*p, x1).
+    z may be a 1-D array of shifts (leading shift axis on the result).
+    """
+    return forward_transform_derivative(forcing, z, basis, 0)
+
+
+def forward_transform_derivative(forcing: CoverForcing, z, basis: SpectralBasis,
+                                 order: int) -> np.ndarray:
+    """Exact z-derivative of the translate sum (each translate carries (-t)^order).
+
+    One table of the translates inside the support (grid slot, time, profile
+    value) serves every shift of z, a shift or a 1-D array of shifts.
     """
     t0, t1 = forcing.support
     period = 2.0 * math.pi
-    out = np.zeros((basis.n_time, basis.n_space, forcing.N), dtype=complex)
-    for j, x0 in enumerate(basis.x0):
-        p_min = math.floor((t0 - x0) / period)
-        p_max = math.ceil((t1 - x0) / period)
-        for p in range(p_min, p_max + 1):
-            t = x0 + period * p
-            chi = float(forcing.time(t))
-            if chi == 0.0:
-                continue
-            out[j] += np.exp(-z * t) * chi * forcing.space
-    return out
-
-
-def forward_transform_derivative(forcing: CoverForcing, z: complex, basis: SpectralBasis,
-                                 order: int) -> np.ndarray:
-    """Exact z-derivative of the translate sum (each translate carries (-t)^order)."""
-    t0, t1 = forcing.support
-    period = 2.0 * math.pi
-    out = np.zeros((basis.n_time, basis.n_space, forcing.N), dtype=complex)
-    for j, x0 in enumerate(basis.x0):
-        p_min = math.floor((t0 - x0) / period)
-        p_max = math.ceil((t1 - x0) / period)
-        for p in range(p_min, p_max + 1):
-            t = x0 + period * p
-            chi = float(forcing.time(t))
-            if chi == 0.0:
-                continue
-            out[j] += (-t) ** order * np.exp(-z * t) * chi * forcing.space
-    return out
+    p = np.arange(math.floor(t0 / period) - 1, math.ceil(t1 / period) + 1)
+    times = basis.x0[:, None] + period * p[None, :]
+    values = forcing.time(times)
+    slot, col = np.nonzero(values)
+    t = times[slot, col]
+    terms = (-t) ** order * np.exp(-np.multiply.outer(np.atleast_1d(z), t)) * values[slot, col]
+    weights = terms @ (slot[:, None] == np.arange(basis.n_time))
+    out = weights[:, :, None, None] * forcing.space
+    return out if np.ndim(z) else out[0]
 
 
 @dataclass(frozen=True)
@@ -195,7 +200,7 @@ class TransformPair:
 
     c: float
     nodes: np.ndarray              # (n_nodes,) points t_k in [0, 1)
-    samples: tuple[np.ndarray, ...]  # f at z = c + i t_k, grid functions
+    samples: np.ndarray            # (n_nodes, n_time, n_space, N): f at z = c + i t_k
     forcing: CoverForcing
     basis: SpectralBasis
 
@@ -205,41 +210,40 @@ class TransformPair:
 
     def conjugation_defect(self) -> float:
         """Max deviation of f_{z+i} from exp(-i*x0) f_z over the nodes."""
-        worst = 0.0
+        shifted = forward_transform(self.forcing, self.shifts + 1j, self.basis)
         phase = np.exp(-1j * self.basis.x0)[:, None, None]
-        for t, f in zip(self.nodes, self.samples):
-            shifted = forward_transform(self.forcing, self.c + 1j * (t + 1.0), self.basis)
-            worst = max(worst, float(np.abs(shifted - phase * f).max()))
-        return worst
+        return float(np.abs(shifted - phase * self.samples).max())
 
 
 def transform_segment(forcing: CoverForcing, c: float, n_nodes: int,
                       basis: SpectralBasis) -> TransformPair:
     nodes = np.arange(n_nodes) / n_nodes
-    samples = tuple(forward_transform(forcing, c + 1j * t, basis) for t in nodes)
+    samples = forward_transform(forcing, c + 1j * nodes, basis)
     return TransformPair(c=c, nodes=nodes, samples=samples, forcing=forcing, basis=basis)
 
 
 def inverse_transform(pair: TransformPair, times: np.ndarray) -> FieldOnCover:
     """Trapezoid rule for the vertical-segment integral, evaluated at cover times."""
-    return _segment_sum(pair.shifts, pair.samples, pair.basis, times)
+    return _segment_sum(_segment_weights(pair.shifts, times), pair.samples, pair.basis, times)
 
 
-def _segment_sum(shifts: np.ndarray, fields, basis: SpectralBasis,
+def _segment_weights(shifts: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Trapezoid weights exp(z_k X_i) / n of a vertical segment, (times, shifts)."""
+    return np.exp(np.outer(times, shifts)) / len(shifts)
+
+
+def _segment_sum(weights: np.ndarray, fields: np.ndarray, basis: SpectralBasis,
                  times: np.ndarray) -> FieldOnCover:
-    """(1/n) sum_k exp(z_k X) * field_k(X mod 2pi) over cover times X."""
+    """sum_k weights[i, k] * field_k(X_i mod 2pi) over cover times X_i.
+
+    The one contraction behind every cover evaluation (segment integrals, loop
+    sums, modal fields): the (times, fields) weights act on the fields' Fourier
+    coefficients, then the modes are summed with their phases exp(i q X).
+    """
     times = np.asarray(times, dtype=float)
-    n = len(shifts)
-    coeffs = [fourier_coefficients(f, basis) for f in fields]
-    out = np.zeros((len(times), basis.n_space, fields[0].shape[2]), dtype=complex)
-    for i, X in enumerate(times):
-        acc = 0
-        phases_t = np.exp(1j * basis.modes * X)
-        for z, coeff in zip(shifts, coeffs):
-            val = np.tensordot(phases_t, coeff, axes=(0, 0))
-            acc = acc + np.exp(z * X) * val
-        out[i] = acc / n
-    return FieldOnCover(times, out, basis)
+    per_mode = np.tensordot(weights, fourier_coefficients(fields, basis), axes=(1, 0))
+    phases = np.exp(1j * np.outer(times, basis.modes))
+    return FieldOnCover(times, np.einsum("iq,iq...->i...", phases, per_mode), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +259,7 @@ class VerticalPathSolution:
     basis: SpectralBasis
     c: float
     nodes: np.ndarray
-    solutions: tuple[np.ndarray, ...]   # u_k = resolvent at c + i t_k applied to f_k
-    transformed: tuple[np.ndarray, ...]  # f_k themselves
+    solutions: np.ndarray   # (n_nodes, ...): u_k = resolvent at c + i t_k applied to f_k
     forcing: CoverForcing
 
     @property
@@ -264,7 +267,8 @@ class VerticalPathSolution:
         return self.c + 1j * self.nodes
 
     def evaluate(self, times: np.ndarray) -> FieldOnCover:
-        return _segment_sum(self.shifts, self.solutions, self.basis, times)
+        return _segment_sum(_segment_weights(self.shifts, times), self.solutions,
+                            self.basis, times)
 
     def operator_applied(self, times: np.ndarray) -> FieldOnCover:
         """The cover operator applied to the evaluated field, node by node.
@@ -272,13 +276,8 @@ class VerticalPathSolution:
         Differentiating under the integral, each node contributes
         exp(z X) * ((D + z A^0) u_z)(X mod 2pi), computed spectrally.
         """
-        parts = mode_operator_parts(self.spec, self.basis) \
-            if self.spec.x0_independent() else None
-        applied = [
-            apply_operator(self.spec, self.basis, z, u, parts=parts)
-            for z, u in zip(self.shifts, self.solutions)
-        ]
-        return _segment_sum(self.shifts, applied, self.basis, times)
+        applied = apply_operator(self.spec, self.basis, self.shifts, self.solutions)
+        return _segment_sum(_segment_weights(self.shifts, times), applied, self.basis, times)
 
     def residual(self, times: np.ndarray) -> float:
         """Sup norm of (cover operator applied to the field) minus the forcing."""
@@ -290,14 +289,9 @@ class VerticalPathSolution:
 def solve_on_segment(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverForcing,
                      c: float, n_nodes: int) -> VerticalPathSolution:
     pair = transform_segment(forcing, c, n_nodes, basis)
-    parts = mode_operator_parts(spec, basis) if spec.x0_independent() else None
-    sols = tuple(
-        apply_resolvent(spec, basis, z, f, parts=parts)
-        for z, f in zip(pair.shifts, pair.samples)
-    )
     return VerticalPathSolution(
         spec=spec, basis=basis, c=c, nodes=pair.nodes,
-        solutions=sols, transformed=pair.samples, forcing=forcing,
+        solutions=apply_resolvent(spec, basis, pair.shifts, pair.samples), forcing=forcing,
     )
 
 
@@ -368,16 +362,17 @@ class ModalField:
     basis: SpectralBasis
     N: int
 
+    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The terms' lam, power and profiles as arrays, profiles with a leading term axis."""
+        shape = (len(self.terms), self.basis.n_time, self.basis.n_space, self.N)
+        return (np.array([t.lam for t in self.terms], dtype=complex),
+                np.array([t.power for t in self.terms], dtype=int),
+                np.array([t.profile for t in self.terms], dtype=complex).reshape(shape))
+
     def evaluate(self, times: np.ndarray) -> FieldOnCover:
-        times = np.asarray(times, dtype=float)
-        out = np.zeros((len(times), self.basis.n_space, self.N), dtype=complex)
-        for term in self.terms:
-            coeff = fourier_coefficients(term.profile, self.basis)
-            for i, X in enumerate(times):
-                phases = np.exp(1j * self.basis.modes * X)
-                val = np.tensordot(phases, coeff, axes=(0, 0))
-                out[i] += X ** term.power * np.exp(term.lam * X) * val
-        return FieldOnCover(times, out, self.basis)
+        lam, power, profiles = self.stacked()
+        X = np.asarray(times, dtype=float)[:, None]
+        return _segment_sum(X ** power * np.exp(lam * X), profiles, self.basis, times)
 
 
 @dataclass(frozen=True)
@@ -389,26 +384,16 @@ class FiniteRankPart:
     basis: SpectralBasis
     rank: int
     pole_data: tuple[dict, ...]
-    loop_solutions: tuple[tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]], ...]
-    # each entry: (shifts, quadrature weights, resolvent-applied fields)
+    loop_solutions: tuple[np.ndarray, np.ndarray, np.ndarray]
+    # (shifts, quadrature weights, resolvent-applied fields) over every loop node
 
     def evaluate(self, times: np.ndarray) -> FieldOnCover:
         return self.modal.evaluate(times)
 
     def evaluate_loops(self, times: np.ndarray) -> FieldOnCover:
         """Direct loop-sum evaluation (independent of the modal/series route)."""
-        times = np.asarray(times, dtype=float)
-        out = np.zeros((len(times), self.basis.n_space, self.modal.N), dtype=complex)
-        for shifts, weights, fields in self.loop_solutions:
-            coeffs = [fourier_coefficients(f, self.basis) for f in fields]
-            for i, X in enumerate(times):
-                phases = np.exp(1j * self.basis.modes * X)
-                acc = 0
-                for z, w, coeff in zip(shifts, weights, coeffs):
-                    val = np.tensordot(phases, coeff, axes=(0, 0))
-                    acc = acc + w * np.exp(z * X) * val
-                out[i] += acc
-        return FieldOnCover(times, out, self.basis)
+        shifts, weights, fields = self.loop_solutions
+        return _segment_sum(weights * np.exp(np.outer(times, shifts)), fields, self.basis, times)
 
     def agreement_error(self, times: np.ndarray) -> float:
         """Relative deviation between the loop-sum and modal evaluations."""
@@ -423,23 +408,14 @@ class FiniteRankPart:
         D((x0)^k e^{l x0} w) = (x0)^k e^{l x0} (D + l A^0) w
                                + k (x0)^{k-1} e^{l x0} A^0 w.
         """
-        times = np.asarray(times, dtype=float)
-        out = np.zeros((len(times), self.basis.n_space, self.modal.N), dtype=complex)
-        for term in self.modal.terms:
-            main = apply_operator(self.spec, self.basis, term.lam, term.profile)
-            main_c = fourier_coefficients(main, self.basis)
-            extra_c = None
-            if term.power > 0:
-                extra = apply_multiplier(self.spec, self.basis, term.profile)
-                extra_c = fourier_coefficients(extra, self.basis)
-            for i, X in enumerate(times):
-                phases = np.exp(1j * self.basis.modes * X)
-                val = np.tensordot(phases, main_c, axes=(0, 0))
-                out[i] += X ** term.power * np.exp(term.lam * X) * val
-                if extra_c is not None:
-                    val2 = np.tensordot(phases, extra_c, axes=(0, 0))
-                    out[i] += term.power * X ** (term.power - 1) * np.exp(term.lam * X) * val2
-        return FieldOnCover(times, out, self.basis)
+        lam, power, profiles = self.modal.stacked()
+        X = np.asarray(times, dtype=float)[:, None]
+        grow = np.exp(lam * X)
+        hi = power > 0
+        weights = np.hstack([X ** power * grow, power[hi] * X ** (power[hi] - 1) * grow[:, hi]])
+        fields = np.concatenate([apply_operator(self.spec, self.basis, lam, profiles),
+                                 apply_multiplier(self.spec, self.basis, profiles[hi])])
+        return _segment_sum(weights, fields, self.basis, times)
 
     def kernel_defect(self, times: np.ndarray) -> float:
         """Sup of the cover operator applied to the correction, relative to the field.
@@ -460,55 +436,40 @@ def build_finite_rank_part(spec: OperatorSpec, basis: SpectralBasis, pole_set: P
     exp(z x0) D_z^{-1} f_z, kept for cross-validation, and (b) the modal series
     combining loop projections with Cauchy-integral derivatives of f_z at each
     pole; the modal form is the primary representation (exact in cover time).
-    All resolvent applications are vector solves; pole orders and operator
-    ranks come from the supplied pole set.
+    Both routes solve on the same loop nodes, in one batched resolvent call per
+    pole; pole orders and operator ranks come from the supplied pole set.
     """
-    parts = mode_operator_parts(spec, basis) if spec.x0_independent() else None
+    n = n_loop_nodes
     terms: list[ModalTerm] = []
-    loop_solutions = []
+    loops = [(np.zeros(0, dtype=complex), np.zeros(0, dtype=complex),
+              np.zeros((0, basis.n_time, basis.n_space, forcing.N), dtype=complex))]
     pole_data = []
     rank = 0
     all_locs = [p.lam for p in pole_set.poles]
     for pole in pole_set.nonneg:
         others = [o for o in all_locs if _strip_distance(o, pole.lam) > 1e-8]
         radius = _loop_radius(pole.lam, others)
-        shifts, phases = _loop_nodes(pole.source, radius, n_loop_nodes)
-        f_samples = [forward_transform(forcing, z, basis) for z in shifts]
-        applied = tuple(
-            apply_resolvent(spec, basis, z, f, parts=parts)
-            for z, f in zip(shifts, f_samples)
-        )
-        # route (a): (1/i) * loop integral -> weights 2*pi*radius*phase/n
-        weights = 2.0 * math.pi * radius * phases / n_loop_nodes
-        loop_solutions.append((shifts, weights, applied))
-
-        # route (b): Cauchy derivatives of the family, then loop projections of those
+        shifts, phases = _loop_nodes(pole.source, radius, n)
         order = pole.order
-        derivs = []
-        for m in range(order):
-            g = np.zeros_like(f_samples[0])
-            for f, ph in zip(f_samples, phases):
-                g = g + f * ph ** (-m)
-            g *= math.factorial(m) / (n_loop_nodes * radius**m)
-            derivs.append(g)
-        proj_applied: dict[tuple[int, int], np.ndarray] = {}
-        for ell in range(order):
-            solved = tuple(
-                apply_resolvent(spec, basis, z, derivs[ell], parts=parts)
-                for z in shifts
-            )
-            for m in range(order - ell):
-                p_g = np.zeros_like(derivs[ell])
-                for u, ph in zip(solved, phases):
-                    p_g = p_g + u * ph ** (m + ell + 1)
-                proj_applied[(m + ell, ell)] = p_g * radius ** (m + ell + 1) / n_loop_nodes
+        f_samples = forward_transform(forcing, shifts, basis)
+        # Cauchy derivatives g_m of the family at the pole, for route (b)
+        derivs = [np.broadcast_to(math.factorial(m) / (n * radius**m)
+                                  * np.tensordot(phases ** (-m), f_samples, axes=1),
+                                  f_samples.shape) for m in range(order)]
+        solved = apply_resolvent(spec, basis, np.tile(shifts, order + 1),
+                                 np.concatenate([f_samples, *derivs]))
+        solved = solved.reshape((order + 1,) + f_samples.shape)
+        # route (a): (1/i) * loop integral -> weights 2*pi*radius*phase/n
+        loops.append((shifts, 2.0 * math.pi * radius * phases / n, solved[0]))
+
+        # route (b): loop projections P_{j,l} g_l = r^{j+1}/n sum_k ph_k^{j+1} D_{z_k}^{-1} g_l
+        def projected(j: int, ell: int) -> np.ndarray:
+            return np.tensordot(phases ** (j + 1), solved[1 + ell], axes=1) * radius ** (j + 1) / n
+
         for k in range(order):
-            profile = np.zeros_like(f_samples[0])
-            for ell in range(order - k):
-                profile += proj_applied[(k + ell, ell)] \
-                    / (math.factorial(ell) * math.factorial(k))
-            profile *= 2.0 * math.pi
-            terms.append(ModalTerm(lam=pole.source, power=k, profile=profile))
+            profile = sum(projected(k + ell, ell) / (math.factorial(ell) * math.factorial(k))
+                          for ell in range(order - k))
+            terms.append(ModalTerm(lam=pole.source, power=k, profile=2.0 * math.pi * profile))
         rank += pole.rank
         pole_data.append({
             "lam": pole.lam, "source": pole.source, "order": order,
@@ -516,8 +477,8 @@ def build_finite_rank_part(spec: OperatorSpec, basis: SpectralBasis, pole_set: P
         })
     modal = ModalField(terms=tuple(terms), basis=basis, N=forcing.N)
     return FiniteRankPart(
-        modal=modal, spec=spec, basis=basis, rank=rank,
-        pole_data=tuple(pole_data), loop_solutions=tuple(loop_solutions),
+        modal=modal, spec=spec, basis=basis, rank=rank, pole_data=tuple(pole_data),
+        loop_solutions=tuple(np.concatenate(x) for x in zip(*loops)),
     )
 
 
@@ -581,7 +542,7 @@ def decompose(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverForcing,
     ghost = FieldOnCover(
         times, u_ret.values - check.evaluate(times).values, basis
     ).slice_norms()
-    node_scale = max(float(np.abs(u).max()) for u in sol.solutions)
+    node_scale = float(np.abs(sol.solutions).max())
     diff_norms = difference.slice_norms()
     cancel_scale = np.exp(c * times) * node_scale + \
         np.maximum(u_ret.slice_norms(), f_field.slice_norms())

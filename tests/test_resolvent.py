@@ -2,11 +2,19 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cylspec.operator_model import SpecError, fixture, stability_constants
+from cylspec.operator_model import (
+    OperatorSpec,
+    SpecError,
+    WeightSequence,
+    fixture,
+    stability_constants,
+)
+from cylspec.polynomial import MatrixPolynomial
 from cylspec.resolvent import (
     ORDER_TOL,
     RANK_TOL,
     NearPoleError,
+    _loop_nodes,
     _pencil_eigenpairs,
     _projection_family,
     apply_resolvent,
@@ -21,6 +29,7 @@ from cylspec.resolvent import (
 from cylspec.spectral import (
     assemble_operator,
     build_basis,
+    fourier_coefficients,
     mode_operator_parts,
     multiplier_matrix,
 )
@@ -58,6 +67,89 @@ def test_apply_resolvent_matches_dense(ex1, basis_q4m32):
     direct = solve_resolvent(assemble_operator(ex1, basis_q4m32, z), f)
     fast = apply_resolvent(ex1, basis_q4m32, z, f)
     assert np.abs(direct - fast).max() < 1e-10 * np.abs(direct).max()
+
+
+def _hermitian_a0_spec(seed=3):
+    """n=1, N=2 with a non-diagonal constant A^0 > 0, A^1 = x1*H (H > 0) and Hermitian B."""
+    rng = np.random.default_rng(seed)
+
+    def hermitian():
+        m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        return (m + m.conj().T) / 2
+
+    a0 = hermitian() + 3.0 * np.eye(2)
+    h = hermitian() + 3.0 * np.eye(2)
+    assert abs(a0[0, 1]) > 0.1 and np.linalg.eigvalsh(a0).min() > 0
+    return OperatorSpec(
+        n=1, N=2,
+        A=(MatrixPolynomial.constant(a0, 2), MatrixPolynomial(2, (2, 2), {(0, 1): h})),
+        B=MatrixPolynomial.constant(hermitian(), 2),
+        weights=WeightSequence.geometric(0.024, 16), Q=1.0, name="hermitian A0",
+    )
+
+
+def _reference_resolvent(spec, basis, z, f):
+    """Per-shift LU solves of the mode blocks with one refinement step."""
+    base, a0 = mode_operator_parts(spec, basis)
+    blocks = base + z * a0
+    rhs = fourier_coefficients(f, basis).reshape(basis.n_time, -1, 1)
+    sol = np.linalg.solve(blocks, rhs)
+    sol = sol + np.linalg.solve(blocks, rhs - blocks @ sol)
+    return np.fft.ifft(sol.reshape(f.shape), axis=0) * basis.n_time
+
+
+@pytest.mark.parametrize("name", ["EX1", "EX1S", "CE-FLAT", "hermitian A0"])
+def test_batched_resolvent_matches_per_shift_solves(name):
+    # a segment right of the rightmost pencil eigenvalue and a loop about it,
+    # as decompose uses them
+    spec = _hermitian_a0_spec() if name == "hermitian A0" else fixture(name)
+    basis = build_basis(4, 32)
+    base, a0 = mode_operator_parts(spec, basis)
+    vals = scipy.linalg.eigvals(base[0], -a0)
+    top = vals[np.isfinite(vals)][np.argmax(vals[np.isfinite(vals)].real)]
+    others = vals[np.isfinite(vals) & (np.abs(vals - top) > 1e-8)]
+    radius = min(0.2, 0.5 * np.min(np.abs(others - top), initial=0.4))
+    shifts = np.concatenate([top.real + 0.3 + 1j * np.arange(17) / 17,
+                             _loop_nodes(top, radius, 16)[0]])
+    rng = np.random.default_rng(0)
+    shape = (len(shifts), basis.n_time, basis.n_space, spec.N)
+    f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    batched = apply_resolvent(spec, basis, shifts, f)
+    assert batched.shape == shape
+    errs = []
+    for z, u, fk in zip(shifts, batched, f):
+        ref = _reference_resolvent(spec, basis, z, fk)
+        errs.append(np.abs(u - ref).max() / np.abs(ref).max())
+    assert max(errs) <= 1e-12
+    # the refinement step takes the typical shift from about 3e-14 to a few ulps
+    assert np.median(errs) <= 5e-15
+    # a scalar shift is a batch of one; one grid function serves every shift
+    single = apply_resolvent(spec, basis, shifts[3], f[3])
+    assert single.shape == shape[1:]
+    assert np.abs(single - batched[3]).max() <= 1e-12 * np.abs(single).max()
+    shared = apply_resolvent(spec, basis, shifts[:3], f[0])
+    assert np.abs(shared[2] - _reference_resolvent(spec, basis, shifts[2], f[0])).max() \
+        <= 1e-12 * np.abs(shared[2]).max()
+
+
+def test_batched_resolvent_names_first_shift_at_a_pole(ex1, basis_q4m32):
+    f = np.ones((9, 33, 1), dtype=complex)
+    with pytest.raises(NearPoleError) as err:
+        apply_resolvent(ex1, basis_q4m32, np.array([0.0]), f[None])
+    assert err.value.z == 0.0
+    assert abs(err.value.nearest) < 1e-8
+    # 0 and -0.5 are both poles: the first in order is named
+    with pytest.raises(NearPoleError) as err:
+        apply_resolvent(ex1, basis_q4m32, np.array([1.0, 0.0, -0.5]), f)
+    assert err.value.z == 0.0
+
+
+def test_batched_resolvent_rejects_nan_forcing(ex1, basis_q4m32):
+    f = np.ones((2, 9, 33, 1), dtype=complex)
+    f[1, 4, 7, 0] = np.nan
+    with pytest.raises(NearPoleError) as err:
+        apply_resolvent(ex1, basis_q4m32, np.array([1.0, 1.5]), f)
+    assert err.value.z == 1.5 and np.isnan(err.value.residual)
 
 
 # -- pole location ----------------------------------------------------------------

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from cylspec.operator_model import SpecError
+from cylspec.spectral import assemble_operator, fourier_coefficients
 from cylspec.stability import (
     BumpProfile,
+    FiniteRankPart,
+    ModalField,
+    ModalTerm,
+    VerticalPathSolution,
+    _segment_sum,
     decompose,
     build_finite_rank_part,
     default_slice_times,
@@ -125,6 +131,134 @@ def test_cauchy_derivatives_match_exact_translate_sums(ex1, basis_q4m32, poles_e
         cauchy *= math.factorial(order) / (48 * radius**order)
         exact = forward_transform_derivative(forcing, lam, basis_q4m32, order)
         assert np.abs(cauchy - exact).max() < 1e-9 * max(np.abs(exact).max(), 1.0)
+
+
+@pytest.mark.parametrize("doc", [
+    {"time_bump": {"center": 3.0, "width": 0.0}},
+    {"time_gaussian": {"center": 3.0, "sigma": -1.0}},
+    {"time_gaussian": {"center": 3.0, "sigma": 1.0, "cut": math.inf}},
+    {"time_bump": {"center": 3.0, "width": 1.0}, "space": {"type": "gaussian", "sigma": 0.0}},
+    {"time_bump": {"center": 3.0, "width": 1.0},
+     "space": {"type": "gaussian", "sigma": 0.4, "component": 1}},
+    {"time_bump": {"center": 3.0, "width": 1.0},
+     "space": {"type": "gaussian", "sigma": 0.4, "component": -1}},
+], ids=["bump width 0", "gaussian sigma -1", "gaussian cut inf", "space sigma 0",
+        "component 1 of 1", "component -1"])
+def test_make_forcing_rejects_bad_documents(basis_q4m32, doc):
+    with pytest.raises(SpecError):
+        make_forcing(basis_q4m32, doc, N=1)
+
+
+def _translate_loop(forcing, z, basis, order=0):
+    """The translate sum one grid time and one translate at a time."""
+    t0, t1 = forcing.support
+    out = np.zeros((basis.n_time, basis.n_space, forcing.N), dtype=complex)
+    for j, x0 in enumerate(basis.x0):
+        for p in range(math.floor((t0 - x0) / PERIOD), math.ceil((t1 - x0) / PERIOD) + 1):
+            t = x0 + PERIOD * p
+            chi = float(forcing.time(t))
+            if chi != 0.0:
+                out[j] += (-t) ** order * np.exp(-z * t) * chi * forcing.space
+    return out
+
+
+@pytest.mark.parametrize("name", ["default", "pulse"])
+def test_batched_transform_matches_translate_loop(basis_q4m32, name):
+    doc = "default" if name == "default" else {
+        "time_gaussian": {"center": 2.0, "sigma": 0.7},
+        "space": {"type": "polynomial", "coeffs": [1.0, 0.3]}}
+    forcing = make_forcing(basis_q4m32, doc)
+    shifts = np.array([0.3 - 0.6j, 1.05 + 0.25j, -0.2 + 0.9j, 0.75 + 0.2j])
+    for order in (0, 1, 2):
+        batched = forward_transform_derivative(forcing, shifts, basis_q4m32, order)
+        assert batched.shape == (4, 9, 33, 1)
+        for z, f in zip(shifts, batched):
+            ref = _translate_loop(forcing, z, basis_q4m32, order)
+            assert np.abs(f - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.array_equal(forward_transform(forcing, shifts, basis_q4m32),
+                          forward_transform_derivative(forcing, shifts, basis_q4m32, 0))
+
+
+def _cover_loop(weight, fields, basis, times):
+    """sum_k weight(k, X) field_k(X mod 2pi), one cover time at a time."""
+    coeffs = [fourier_coefficients(f, basis) for f in fields]
+    out = np.zeros((len(times), basis.n_space, fields[0].shape[-1]), dtype=complex)
+    for i, X in enumerate(times):
+        phases = np.exp(1j * basis.modes * X)
+        for k, coeff in enumerate(coeffs):
+            out[i] += weight(k, X) * np.tensordot(phases, coeff, axes=(0, 0))
+    return out
+
+
+def _random_fields(basis, count, N=1, seed=0):
+    rng = np.random.default_rng(seed)
+    shape = (count, basis.n_time, basis.n_space, N)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _close(got, ref):
+    return np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_segment_sum_matches_time_loop(basis_q4m32):
+    times = np.linspace(-3.0, 25.0, 13)
+    shifts = 0.4 + 1j * np.arange(7) / 7
+    fields = _random_fields(basis_q4m32, 7)
+    weights = np.exp(np.outer(times, shifts)) / 7
+    got = _segment_sum(weights, fields, basis_q4m32, times)
+    ref = _cover_loop(lambda k, X: np.exp(shifts[k] * X) / 7, fields, basis_q4m32, times)
+    assert np.array_equal(got.times, times) and _close(got.values, ref)
+
+
+def _modal_part(ex1, basis):
+    profiles = _random_fields(basis, 3, seed=1)
+    terms = (ModalTerm(0.25 + 0.1j, 0, profiles[0]), ModalTerm(0.25 + 0.1j, 1, profiles[1]),
+             ModalTerm(-0.3, 2, profiles[2]))
+    modal = ModalField(terms=terms, basis=basis, N=1)
+    loop_shifts = 0.25 + 0.2 * np.exp(2j * np.pi * np.arange(5) / 5)
+    loops = (loop_shifts, np.linspace(0.5, 1.5, 5) * 1j, _random_fields(basis, 5, seed=3))
+    return FiniteRankPart(modal=modal, spec=ex1, basis=basis, rank=0, pole_data=(),
+                          loop_solutions=loops)
+
+
+def test_modal_and_loop_evaluations_match_time_loop(ex1, basis_q4m32):
+    part = _modal_part(ex1, basis_q4m32)
+    terms = part.modal.terms
+    times = np.linspace(0.0, 20.0, 11)
+    ref = _cover_loop(lambda k, X: X ** terms[k].power * np.exp(terms[k].lam * X),
+                      [t.profile for t in terms], basis_q4m32, times)
+    assert _close(part.evaluate(times).values, ref)
+    shifts, weights, fields = part.loop_solutions
+    ref = _cover_loop(lambda k, X: weights[k] * np.exp(shifts[k] * X), fields, basis_q4m32, times)
+    assert _close(part.evaluate_loops(times).values, ref)
+
+
+def test_operator_applied_matches_time_loop(ex1, basis_q4m32):
+    # dense collocation matrices as the reference for D + z A^0; A^0 = 1 for EX1
+    basis = basis_q4m32
+    times = np.linspace(0.5, 20.0, 11)
+
+    def dense(z, u):
+        return (assemble_operator(ex1, basis, z).matrix @ u.reshape(-1)).reshape(u.shape)
+
+    part = _modal_part(ex1, basis)
+    terms = part.modal.terms
+    fields = [dense(t.lam, t.profile) for t in terms] + [t.profile for t in terms]
+    weights = [lambda X, t=t: X ** t.power * np.exp(t.lam * X) for t in terms] + \
+        [lambda X, t=t: t.power * X ** max(t.power - 1, 0) * np.exp(t.lam * X) for t in terms]
+    ref = _cover_loop(lambda k, X: weights[k](X), fields, basis, times)
+    assert _close(part.operator_applied(times).values, ref)
+
+    # random node fields: no cancellation between the nodes hides a wrong weight
+    nodes = np.arange(9) / 9
+    sol = VerticalPathSolution(spec=ex1, basis=basis, c=0.4, nodes=nodes,
+                               solutions=_random_fields(basis, 9, seed=2),
+                               forcing=make_forcing(basis, "default"))
+    for method, fields in ((sol.evaluate, sol.solutions),
+                           (sol.operator_applied,
+                            [dense(z, u) for z, u in zip(sol.shifts, sol.solutions)])):
+        ref = _cover_loop(lambda k, X: np.exp(sol.shifts[k] * X) / 9, fields, basis, times)
+        assert _close(method(times).values, ref)
 
 
 # -- retarded solution -------------------------------------------------------------
