@@ -79,16 +79,6 @@ class PolyEigenpair:
                 exprs[c] += vec[c] * term
         return [sp.expand(e) for e in exprs]
 
-    def numeric_coefficients(self) -> dict[tuple[int, ...], np.ndarray]:
-        out: dict[tuple[int, ...], np.ndarray] = {}
-        for (_deg, mono), vec in self.components.items():
-            arr = np.array([complex(v) for v in vec], dtype=complex)
-            if mono in out:
-                out[mono] = out[mono] + arr
-            else:
-                out[mono] = arr
-        return out
-
 
 def _affine_parts(spec: OperatorSpec):
     """Split coefficients into (A0_const, B_const, drift_const, drift_linear) exactly.

@@ -167,9 +167,6 @@ class MatrixPolynomial:
         """Exact Hermiticity check on the monomial coefficients."""
         return all(np.max(np.abs(m - m.conj().T)) <= tol for m in self.terms.values())
 
-    def max_coeff(self) -> float:
-        return max((np.max(np.abs(m)) for m in self.terms.values()), default=0.0)
-
     def _check_compatible(self, other: "MatrixPolynomial"):
         if self.n_vars != other.n_vars or self.shape != other.shape:
             raise ValueError("incompatible polynomials")

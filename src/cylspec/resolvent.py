@@ -6,6 +6,14 @@ z ~ z + i.  Poles are located as generalized eigenvalues of the collocation
 pencil (D, -A^0), filtered against discretization artifacts by persistence
 under resolution doubling, and reduced to the fundamental strip 0 <= Im z < 1.
 Spectral projections are trapezoid loop integrals of (z - lam)^l D_z^{-1}.
+
+Every routine works on one block pencil, `spectral.mode_operator_parts`: block q
+of D + z*A^0 is base0 + (z + i*q)*A^0, one block per Fourier mode when the
+coefficients do not depend on the periodic coordinate and one value-space block
+otherwise.  Each job has one routine on it: `_schur_solve` solves from one Schur
+form of the mode-0 pencil A^0^{-1} base0, `_mode_inverses` inverts the blocks,
+`_nearest_mode_pole` and `_pencil_eigenpairs` shift the eigenvalues of
+(base0, -A^0) by -i*q.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import scipy.linalg
 
 from .operator_model import OperatorSpec, SpecError
 from .spectral import (
-    ResolventAssembly,
+    ModePencil,
     SpectralBasis,
     assemble_operator,
     build_basis,
@@ -46,114 +54,61 @@ class NearPoleError(ValueError):
         super().__init__(msg)
 
 
-def _solve_refined(mat: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """LU solve with one step of iterative refinement; returns solution and residual."""
-    lu_piv = scipy.linalg.lu_factor(mat, check_finite=False)
-    x = scipy.linalg.lu_solve(lu_piv, rhs, check_finite=False)
-    r = rhs - mat @ x
-    x = x + scipy.linalg.lu_solve(lu_piv, r, check_finite=False)
-    r = rhs - mat @ x
-    scale = max(float(np.linalg.norm(rhs)), 1e-300)
-    return x, float(np.linalg.norm(r)) / scale
-
-
-def solve_resolvent(assembly: ResolventAssembly, f: np.ndarray) -> np.ndarray:
-    """Solve (D + z*A^0) u = f on the grid; residual-checked direct solve."""
-    shape = (assembly.basis.n_time, assembly.basis.n_space, assembly.N)
-    f = np.asarray(f, dtype=complex)
-    if f.shape != shape:
-        raise ValueError(f"forcing must have shape {shape}")
-    rhs = f.reshape(-1)
-    if np.linalg.norm(rhs) == 0.0:
-        return np.zeros(shape, dtype=complex)
-    try:
-        u, residual = _solve_refined(assembly.matrix, rhs)
-    except (np.linalg.LinAlgError, ValueError):
-        raise NearPoleError(assembly.z, _nearest_eigenvalue(assembly), np.inf) from None
-    if residual > 1e-10:
-        raise NearPoleError(assembly.z, _nearest_eigenvalue(assembly), residual)
-    return u.reshape(shape)
-
-
-def resolvent_matrix(assembly: ResolventAssembly) -> np.ndarray:
-    """Dense inverse of the assembled operator (sizes are desk-scale)."""
-    ident = np.eye(assembly.size, dtype=complex)
-    try:
-        inv, residual = _solve_refined(assembly.matrix, ident)
-    except (np.linalg.LinAlgError, ValueError):
-        raise NearPoleError(assembly.z, _nearest_eigenvalue(assembly), np.inf) from None
-    if residual > 1e-6:
-        raise NearPoleError(assembly.z, _nearest_eigenvalue(assembly), residual)
-    return inv
-
-
-def resolvent_matrix_for(spec: OperatorSpec, basis: SpectralBasis, z: complex,
-                         parts: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Dense value-space resolvent at shift z, via per-mode blocks when they decouple.
-
-    The mode blocks act on Fourier coefficients, so the value-space inverse is
-    the block-diagonal inverse conjugated by the DFT synthesis matrix.  `parts`
-    may carry precomputed mode_operator_parts to amortize coefficient setup.
-    """
-    if not spec.x0_independent():
-        return resolvent_matrix(assemble_operator(spec, basis, z))
-    if parts is None:
-        parts = mode_operator_parts(spec, basis)
-    inv = _mode_inverses(parts, np.array([z]), basis.modes)[0]
-    V = np.exp(1j * np.outer(basis.x0, basis.modes))
-    n_t = basis.n_time
-    big = np.einsum("jq,kq,qab->jakb", V, V.conj() / n_t, inv, optimize=True)
-    size = n_t * inv.shape[1]
+def resolvent_matrix_for(spec: OperatorSpec, basis: SpectralBasis, z: complex) -> np.ndarray:
+    """Dense value-space resolvent at shift z: the block inverses conjugated by
+    the pencil's synthesis matrix (the DFT for mode blocks)."""
+    pencil = mode_operator_parts(spec, basis)
+    inv = _mode_inverses(pencil, np.array([z]))[0]
+    V = pencil.synthesis()
+    big = np.einsum("jq,kq,qab->jakb", V, V.conj() / len(V), inv, optimize=True)
+    size = big.shape[0] * big.shape[1]
     return big.reshape(size, size)
 
 
-def _mode_inverses(parts: tuple[np.ndarray, np.ndarray], shifts: np.ndarray,
-                   modes: np.ndarray) -> np.ndarray:
-    """Inverses of the mode blocks base[q] + z*a0 per shift, shape (shifts, modes, n, n),
-    refined by one Newton step.
+def _mode_inverses(pencil: ModePencil, shifts: np.ndarray) -> np.ndarray:
+    """Inverses of the blocks base0 + (z + i*q)*a0 per shift, shape (shifts, blocks,
+    n, n), refined by one Newton step.
 
     Raises NearPoleError at the shift whose blocks are numerically singular.
     """
-    base, a0 = parts
-    blocks = base[None] + shifts[:, None, None, None] * a0
+    # one product per mode and one per shift, not one per (shift, mode) block
+    mode_blocks = pencil.base0 + (1j * pencil.modes)[:, None, None] * pencil.a0
+    blocks = mode_blocks + shifts[:, None, None, None] * pencil.a0
     try:
         inv = np.linalg.inv(blocks)
     except np.linalg.LinAlgError:
         k = int(np.argmin(np.abs(np.linalg.slogdet(blocks)[0]).min(axis=1)))
         z = complex(shifts[k])
-        raise NearPoleError(z, _nearest_mode_pole(parts, modes, z), np.inf) from None
+        raise NearPoleError(z, _nearest_mode_pole(pencil, z), np.inf) from None
     ident = np.eye(blocks.shape[-1], dtype=complex)
     inv = inv + inv @ (ident - blocks @ inv)
     residual = np.linalg.norm(ident - blocks @ inv, axis=(-2, -1)).max(axis=1)
     k = int(np.argmax(residual))
     if not residual[k] <= 1e-6 * math.sqrt(blocks.shape[-1]):
         z = complex(shifts[k])
-        raise NearPoleError(z, _nearest_mode_pole(parts, modes, z), float(residual[k]))
+        raise NearPoleError(z, _nearest_mode_pole(pencil, z), float(residual[k]))
     return inv
 
 
 def _mode_batched(spec: OperatorSpec, basis: SpectralBasis, z, f: np.ndarray,
-                  dense, modal) -> np.ndarray:
+                  modal) -> np.ndarray:
     """Shift batching for apply_resolvent and apply_operator: z is a shift (a batch
     of one) or a 1-D array of shifts, f one grid function per shift or one for all.
 
-    Coupled coefficients run dense(z_k, f_k) per shift; otherwise modal(base0,
-    a0, w, cols) gets one column of Fourier coefficients per block base0 + w*a0,
-    w = z_k + i*q of shape (shifts, modes), FFT order (so w[:, 0] are the shifts).
+    modal(base0, a0, w, cols) gets one block column per block base0 + w*a0,
+    w = z_k + i*q of shape (shifts, blocks) (so w[:, 0] are the shifts).
     """
+    pencil = mode_operator_parts(spec, basis)
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    shape = (basis.n_time, basis.n_space, spec.N)
+    shape = pencil.grid_shape
     f = np.asarray(f, dtype=complex)
     if zs.ndim != 1 or f.shape[-3:] != shape:
         raise ValueError(f"need a shift or 1-D shifts and grid functions of shape {shape}")
     fs = np.broadcast_to(f, zs.shape + shape)
-    if spec.x0_independent():
-        base, a0 = mode_operator_parts(spec, basis)
-        w = zs[:, None] + 1j * basis.modes
-        cols = np.fft.fft(fs, axis=1).reshape(w.size, len(a0)).T
-        out = np.fft.ifft(modal(base[0], a0, w, cols).T.reshape(fs.shape), axis=1)
-    else:
-        out = np.array([dense(zk, fk) for zk, fk in zip(zs, fs)], dtype=complex).reshape(fs.shape)
+    w = zs[:, None] + 1j * pencil.modes
+    n = len(pencil.a0)
+    cols = pencil.columns(fs).reshape(w.size, n).T
+    out = pencil.grid(modal(pencil.base0, pencil.a0, w, cols).T.reshape(w.shape + (n,)))
     return out if np.ndim(z) else out[0]
 
 
@@ -162,7 +117,7 @@ def _schur_solve(base0: np.ndarray, a0: np.ndarray, w: np.ndarray,
     """Solve (base0 + w_j*a0) u_j = rhs_j for every column j from one Schur form
     a0^{-1} base0 = U S U^H: a back-substitution with S + w_j I per column, then
     one refinement step against the true blocks.  The first shift whose relative
-    residual exceeds 1e-8, or is NaN, raises NearPoleError; its nearest pole
+    residual exceeds 1e-10, or is NaN, raises NearPoleError; its nearest pole
     -S_kk - i*q is the shift minus the smallest pivot S_kk + w.
     """
     tri, U = scipy.linalg.schur(np.linalg.solve(a0, base0), output="complex")
@@ -185,7 +140,7 @@ def _schur_solve(base0: np.ndarray, a0: np.ndarray, w: np.ndarray,
         by_shift = (len(tri),) + w.shape
         rel = np.linalg.norm(residual(u).reshape(by_shift), axis=(0, 2)) \
             / np.maximum(np.linalg.norm(rhs.reshape(by_shift), axis=(0, 2)), 1e-300)
-    bad = np.flatnonzero(~(rel <= 1e-8))
+    bad = np.flatnonzero(~(rel <= 1e-10))
     if bad.size:
         z = w[bad[0], 0]
         pivots = (np.diag(tri) + w[bad[0], :, None]).ravel()
@@ -196,17 +151,13 @@ def _schur_solve(base0: np.ndarray, a0: np.ndarray, w: np.ndarray,
 
 def apply_resolvent(spec: OperatorSpec, basis: SpectralBasis, z, f: np.ndarray) -> np.ndarray:
     """u = (D + z*A^0)^{-1} f without forming the inverse, batched over shifts
-    (_mode_batched); x0-independent coefficients use _schur_solve."""
-    return _mode_batched(spec, basis, z, f,
-                         lambda zk, fk: solve_resolvent(assemble_operator(spec, basis, zk), fk),
-                         _schur_solve)
+    (_mode_batched) and solved by _schur_solve."""
+    return _mode_batched(spec, basis, z, f, _schur_solve)
 
 
 def apply_operator(spec: OperatorSpec, basis: SpectralBasis, z, u: np.ndarray) -> np.ndarray:
-    """(D + z*A^0) u, batched over shifts like apply_resolvent (dense assembly
-    for coupled coefficients)."""
+    """(D + z*A^0) u, batched over shifts like apply_resolvent."""
     return _mode_batched(spec, basis, z, u,
-                         lambda zk, uk: assemble_operator(spec, basis, zk).matrix @ uk.reshape(-1),
                          lambda base0, a0, w, c: base0 @ c + (a0 @ c) * w.reshape(-1))
 
 
@@ -216,29 +167,14 @@ def apply_multiplier(spec: OperatorSpec, basis: SpectralBasis, u: np.ndarray) ->
     return np.einsum("jmab,...jmb->...jma", a0, u)
 
 
-def _nearest_eigenvalue(assembly: ResolventAssembly) -> complex | None:
-    """Pole estimate nearest to the assembly shift, from the local pencil."""
-    if assembly.a0_matrix is None:
-        return None
-    try:
-        deltas = scipy.linalg.eigvals(assembly.matrix, -assembly.a0_matrix)
-    except Exception:  # pragma: no cover - LAPACK failure on degenerate input
-        return None
-    deltas = deltas[np.isfinite(deltas)]
-    if deltas.size == 0:
-        return None
-    return complex(assembly.z + deltas[np.argmin(np.abs(deltas))])
-
-
-def _nearest_mode_pole(parts: tuple[np.ndarray, np.ndarray], modes: np.ndarray,
-                       z: complex) -> complex | None:
-    """Pencil eigenvalue nearest to z over all modes: the mode-0 pencil's, shifted by -i*q."""
-    base, a0 = parts
-    vals = scipy.linalg.eigvals(base[0], -a0)
+def _nearest_mode_pole(pencil: ModePencil, z: complex) -> complex | None:
+    """Pencil eigenvalue nearest to z over all blocks: the eigenvalues of
+    (base0, -a0), shifted by -i*q."""
+    vals = scipy.linalg.eigvals(pencil.base0, -pencil.a0)
     vals = vals[np.isfinite(vals)]
     if vals.size == 0:
         return None
-    candidates = (vals[None, :] - 1j * np.asarray(modes)[:, None]).ravel()
+    candidates = (vals[None, :] - 1j * pencil.modes[:, None]).ravel()
     return complex(candidates[np.argmin(np.abs(candidates - z))])
 
 
@@ -254,7 +190,6 @@ class Pole:
     rank: int
     residual: float
     source: complex       # detected (unreduced) location used for the loop integral
-    mode: int | None = None
 
     def to_json(self) -> dict:
         return {
@@ -299,23 +234,19 @@ def _json_float(x: float):
 def _pencil_eigenpairs(spec: OperatorSpec, basis: SpectralBasis):
     """Generalized eigenvalues z of (D + z*A^0) v = 0, with eigenvectors and mode tags.
 
-    Mode blocks decouple as block_q = block_0 + i*q*A^0, so the mode-0 pencil
-    gives every mode: same eigenvectors, eigenvalues shifted by -i*q.
+    Block q is base0 + (z + i*q)*A^0, so one eigensolve of (base0, -A^0) gives
+    every block: same eigenvectors, eigenvalues shifted by -i*q.
     """
-    if spec.x0_independent():
-        base, a0 = mode_operator_parts(spec, basis)
-        matrix, modes = base[0], [int(q) for q in basis.modes]  # FFT order: modes[0] == 0
-    else:
-        matrix = assemble_operator(spec, basis, 0.0).matrix
-        a0, modes = multiplier_matrix(spec, basis), [None]
-    vals, vecs = scipy.linalg.eig(matrix, -a0)
+    pencil = mode_operator_parts(spec, basis)
+    base0, a0 = pencil.base0, pencil.a0
+    vals, vecs = scipy.linalg.eig(base0, -a0)
     pairs = []
     for idx in np.flatnonzero(np.isfinite(vals)):
         z, v = vals[idx], vecs[:, idx]
-        res = np.linalg.norm((matrix + z * a0) @ v) / max(np.linalg.norm(v), 1e-300)
+        res = np.linalg.norm((base0 + z * a0) @ v) / max(np.linalg.norm(v), 1e-300)
         pairs.append((complex(z), v, float(res)))
-    return [(complex(z.real, z.imag - (q or 0)), v, q, res)
-            for q in modes for z, v, res in pairs]
+    return [(complex(z.real, z.imag - q), v, q, res)
+            for q in pencil.modes.tolist() for z, v, res in pairs]
 
 
 def _chebyshev_tail_clean(v: np.ndarray, basis: SpectralBasis, N: int) -> bool:
@@ -353,7 +284,7 @@ def find_poles(spec: OperatorSpec, basis: SpectralBasis,
     fine = build_basis(basis.Q_max + 2, 2 * basis.M)
     fine_vals = np.array([z for z, _v, _q, _r in _pencil_eigenpairs(spec, fine)])
 
-    kept: list[tuple[complex, int | None, float]] = []
+    kept: list[tuple[complex, float]] = []
     edge_flag = False
     for z, v, q, res in _pencil_eigenpairs(spec, basis):
         if not (re_min - pad <= z.real <= re_max + pad):
@@ -362,47 +293,47 @@ def find_poles(spec: OperatorSpec, basis: SpectralBasis,
             continue
         if not _chebyshev_tail_clean(v, basis, spec.N):
             continue
-        if q is not None and basis.Q_max > 0 and abs(q) == basis.Q_max:
+        if basis.Q_max > 0 and abs(q) == basis.Q_max:
             edge_flag = True
             continue
-        kept.append((z, q, res))
+        kept.append((z, res))
 
     kept.sort(key=lambda t: (-t[0].real, t[0].imag))
-    raw = tuple(z for z, _q, _r in kept)
+    raw = tuple(z for z, _r in kept)
 
     # reduce modulo i into 0 <= Im < 1 and cluster
-    clusters: list[list[tuple[complex, int | None, float]]] = []
-    for z, q, res in kept:
+    clusters: list[list[tuple[complex, float]]] = []
+    for z, res in kept:
         lam = complex(z.real, z.imag - math.floor(z.imag))
         placed = False
         for cl in clusters:
             if _strip_distance(cl[0][0], lam) <= max(1e-5, 10 * persist_tol):
-                cl.append((z, q, res))
+                cl.append((z, res))
                 placed = True
                 break
         if not placed:
-            clusters.append([(z, q, res)])
+            clusters.append([(z, res)])
 
     poles = []
     reps = []
     for cl in clusters:
         # interior-most member (smallest |Im|) anchors the loop integral
-        src, q, res = min(cl, key=lambda t: abs(t[0].imag))
+        src, _res = min(cl, key=lambda t: abs(t[0].imag))
         lam = complex(src.real, src.imag - math.floor(src.imag))
         if min(lam.imag, 1.0 - lam.imag) < 1e-12:
             lam = complex(lam.real, 0.0)
-        reps.append((lam, src, q, min(r for _z, _q, r in cl)))
+        reps.append((lam, src, min(r for _z, r in cl)))
 
     # pairwise strip distances fix the loop radii
-    for lam, src, q, res in reps:
-        others = [o for o, _s, _q2, _r2 in reps if o != lam]
+    for lam, src, res in reps:
+        others = [o for o, _s, _r in reps if o != lam]
         radius = _loop_radius(lam, others)
         order, rank = 1, 0
         if compute_projections:
             projs = _projection_family(spec, basis, src, radius, contour_nodes)
             order = projs["order"]
             rank = projs["rank"]
-        poles.append(Pole(lam=lam, order=order, rank=rank, residual=res, source=src, mode=q))
+        poles.append(Pole(lam=lam, order=order, rank=rank, residual=res, source=src))
 
     poles.sort(key=lambda p: (-p.lam.real, p.lam.imag))
     pole_res = [p.lam.real for p in poles]
@@ -449,17 +380,13 @@ def _loop_nodes(center: complex, radius: float, n_nodes: int):
 
 def _resolvents_on_loop(spec: OperatorSpec, basis: SpectralBasis, center: complex,
                         radius: float, n_nodes: int) -> list[np.ndarray]:
-    parts = mode_operator_parts(spec, basis) if spec.x0_independent() else None
-    return [
-        resolvent_matrix_for(spec, basis, z, parts=parts)
-        for z in _loop_nodes(center, radius, n_nodes)[0]
-    ]
+    return [resolvent_matrix_for(spec, basis, z) for z in _loop_nodes(center, radius, n_nodes)[0]]
 
 
 def _loop_projection(resolvents, phases: np.ndarray, radius: float, ell: int) -> np.ndarray:
     """Trapezoid rule for (2*pi*i)^{-1} x loop integral of (z-center)^l D_z^{-1}.
 
-    `resolvents` holds one resolvent (dense or per-mode blocks) per loop node.
+    `resolvents` holds one resolvent (dense or per-block inverses) per loop node.
     """
     n = len(resolvents)
     out = np.zeros_like(resolvents[0])
@@ -472,20 +399,15 @@ def _projection_family(spec: OperatorSpec, basis: SpectralBasis, center: complex
                        radius: float, n_nodes: int) -> dict:
     """Order and rank of the loop projections at one pole.
 
-    For mode-decoupled operators the loop resolvents are block-diagonal in the
-    Fourier mode and A^0 commutes with the DFT, so the projections stay per
-    mode: the Frobenius norms (the DFT scaled by 1/sqrt(nt) is unitary) and the
-    pooled singular values of the blocks of P_0 A^0 equal the value-space ones.
-    Coupled operators use the dense value-space resolvents as one block.
+    The loop resolvents stay per block of the pencil.  When the blocks are
+    Fourier modes, A^0 commutes with the DFT, so the Frobenius norms (the DFT
+    scaled by 1/sqrt(nt) is unitary) and the pooled singular values of the
+    blocks of P_0 A^0 equal the value-space ones.
     """
     nodes, phases = _loop_nodes(center, radius, n_nodes)
-    if spec.x0_independent():
-        parts = mode_operator_parts(spec, basis)
-        resolvents = _mode_inverses(parts, nodes, basis.modes)
-        a0 = parts[1]
-    else:
-        a0 = multiplier_matrix(spec, basis)
-        resolvents = [r[None] for r in _resolvents_on_loop(spec, basis, center, radius, n_nodes)]
+    pencil = mode_operator_parts(spec, basis)
+    resolvents = _mode_inverses(pencil, nodes)
+    a0 = pencil.a0
     p0 = _loop_projection(resolvents, phases, radius, 0)
     scale = np.linalg.norm(p0)
     order = 1

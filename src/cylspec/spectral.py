@@ -82,12 +82,6 @@ class SpectralBasis:
     def n_space(self) -> int:
         return self.M + 1
 
-    def grid_size(self, N: int) -> int:
-        return self.n_time * self.n_space * N
-
-    def flat_index(self, j: int, m: int, c: int, N: int) -> int:
-        return (j * self.n_space + m) * N + c
-
 
 def build_basis(Q_max: int, M: int) -> SpectralBasis:
     if Q_max < 0 or M < 2:
@@ -109,24 +103,10 @@ def build_basis(Q_max: int, M: int) -> SpectralBasis:
 # ---------------------------------------------------------------------------
 
 
-def as_grid_function(u: np.ndarray, basis: SpectralBasis, N: int = 1) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    expected = (basis.n_time, basis.n_space, N)
-    if u.shape == expected[:2]:
-        u = u[..., None]
-    if u.shape != expected:
-        raise ValueError(f"grid function must have shape {expected}, got {u.shape}")
-    return u
-
-
 def inner_product(u: np.ndarray, v: np.ndarray, basis: SpectralBasis) -> complex:
     """Quadrature realization of the L2 inner product over the cylinder."""
     weights = basis.w0 * basis.w1[None, :, None]
     return complex(np.sum(weights * np.conj(u) * v))
-
-
-def l2_norm(u: np.ndarray, basis: SpectralBasis) -> float:
-    return math.sqrt(max(inner_product(u, u, basis).real, 0.0))
 
 
 def apply_derivative(u: np.ndarray, alpha, basis: SpectralBasis) -> np.ndarray:
@@ -211,19 +191,6 @@ class ResolventAssembly:
     matrix: np.ndarray
     basis: SpectralBasis
     N: int
-    mode_decoupled: bool
-    a0_matrix: np.ndarray | None = None
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-    def to_csv(self, path: str, manifest_hash: str = "") -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            if manifest_hash:
-                fh.write(f"# manifest: {manifest_hash}\n")
-            for row in self.matrix:
-                fh.write(",".join(f"{v.real!r},{v.imag!r}" for v in row) + "\n")
 
 
 def _require_one_space_dim(spec: OperatorSpec) -> None:
@@ -272,10 +239,7 @@ def assemble_operator(spec: OperatorSpec, basis: SpectralBasis, z: complex) -> R
 
     matrix = apply_coeff(a0, K0) + apply_coeff(a1, K1)
     matrix += _block_diag_multiplier(bz)
-    return ResolventAssembly(
-        z=z, matrix=matrix, basis=basis, N=N, mode_decoupled=spec.x0_independent(),
-        a0_matrix=_block_diag_multiplier(a0),
-    )
+    return ResolventAssembly(z=z, matrix=matrix, basis=basis, N=N)
 
 
 def _block_diag_multiplier(coeff: np.ndarray) -> np.ndarray:
@@ -293,19 +257,57 @@ def multiplier_matrix(spec: OperatorSpec, basis: SpectralBasis) -> np.ndarray:
     return _block_diag_multiplier(a0)
 
 
-def mode_operator_parts(spec: OperatorSpec, basis: SpectralBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked per-mode pieces (base, a0) with block q of D + z*A^0 = base[q] + z*a0.
+@dataclass(frozen=True)
+class ModePencil:
+    """D + z*A^0 as one block base0 + (z + i*q)*a0 per mode q in `modes`, acting on
+    block columns of grid functions (`columns`, `grid`).
 
-    Block q acts on Chebyshev slices as i*q*A^0 + A^1 d1 + B + z*A^0; valid only
-    when the coefficients are independent of the periodic coordinate.
+    With coefficients independent of the periodic coordinate the blocks decouple
+    over Fourier modes (FFT order) and a column is one mode's Chebyshev slice;
+    otherwise there is one value-space block at mode 0, whose column is the whole
+    flattened grid function.
+    """
+
+    base0: np.ndarray
+    a0: np.ndarray
+    modes: np.ndarray
+    grid_shape: tuple[int, int, int]   # (n_time, n_space, N)
+
+    def columns(self, f: np.ndarray) -> np.ndarray:
+        """Block columns (..., blocks, n) of grid functions f (..., n_time, n_space, N)."""
+        # one block: the column is the flattened grid function, which for n_time = 1
+        # is also its mode-0 coefficient
+        if len(self.modes) > 1:
+            f = np.fft.fft(f, axis=-3)
+        return f.reshape(f.shape[:-3] + (len(self.modes), len(self.a0)))
+
+    def grid(self, cols: np.ndarray) -> np.ndarray:
+        """Grid functions of block columns (..., blocks, n); inverse of `columns`."""
+        u = cols.reshape(cols.shape[:-2] + self.grid_shape)
+        return np.fft.ifft(u, axis=-3) if len(self.modes) > 1 else u
+
+    def synthesis(self) -> np.ndarray:
+        """`grid` as a (blocks, blocks) matrix on the block axis, times the block
+        count: exp(i*q*x0) on the uniform nodes x0, or 1 for one block."""
+        n = len(self.modes)
+        return np.exp(1j * np.outer(2.0 * np.pi * np.arange(n) / n, self.modes))
+
+
+def mode_operator_parts(spec: OperatorSpec, basis: SpectralBasis) -> ModePencil:
+    """The pencil of D + z*A^0 on this basis: the only place that asks whether the
+    coefficients depend on the periodic coordinate.
+
+    Independent coefficients give the mode-0 block A^1 d1 + B on Chebyshev slices,
+    so block q is base0 + (z + i*q)*A^0; dependent ones give the dense collocation
+    matrix at z = 0 as one block.
     """
     _require_one_space_dim(spec)
+    shape = (basis.n_time, basis.n_space, spec.N)
     if not spec.x0_independent():
-        raise SpecError("mode decoupling requires coefficients independent of x0")
+        return ModePencil(assemble_operator(spec, basis, 0.0).matrix,
+                          multiplier_matrix(spec, basis), np.zeros(1, dtype=int), shape)
     grid = (np.array([0.0]), basis.x1)
     a0, a1, b = (coeff.eval_grid(*grid) for coeff in (spec.A[0], spec.A[1], spec.B))
     mult_a0 = _block_diag_multiplier(a0)
-    mult_b = _block_diag_multiplier(b)
     deriv = np.einsum("mk,mab->makb", basis.d1, a1[0]).reshape(mult_a0.shape)
-    base = np.stack([1j * q * mult_a0 + deriv + mult_b for q in basis.modes])
-    return base, mult_a0
+    return ModePencil(deriv + _block_diag_multiplier(b), mult_a0, basis.modes, shape)

@@ -14,7 +14,8 @@ the cover aliasing (period translates folding back) is driven below roundoff.
 
 Shifts are batched: each segment and each loop is one `forward_transform` and
 one `apply_resolvent` call over its array of shifts (one Schur form of the
-mode-0 pencil serves them all), and every cover evaluation is one contraction,
+mode-0 pencil serves them all, whether or not the coefficients depend on the
+periodic coordinate), and every cover evaluation is one contraction,
 `_segment_sum`, of (times, shifts) weights with Fourier coefficients.
 """
 

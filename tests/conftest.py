@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cylspec.operator_model import fixture
+from cylspec.operator_model import OperatorSpec, WeightSequence, fixture
+from cylspec.polynomial import MatrixPolynomial
 from cylspec.resolvent import find_poles
 from cylspec.spectral import build_basis
 from cylspec.stability import make_forcing
@@ -15,6 +16,17 @@ def ex1():
 @pytest.fixture(scope="session")
 def ex1s():
     return fixture("EX1S")
+
+
+@pytest.fixture(scope="session")
+def wobble():
+    """d0 + (0.1 x0 + 0.5 x1) d1: coefficients that depend on the periodic coordinate."""
+    one = MatrixPolynomial.constant([[1.0]], 2)
+    a1 = MatrixPolynomial(2, (1, 1), {(1, 0): [[0.1]], (0, 1): [[0.5]]})
+    return OperatorSpec(
+        n=1, N=1, A=(one, a1), B=MatrixPolynomial.zero(2, (1, 1)),
+        weights=WeightSequence.geometric(0.5, 8), Q=5.0, name="wobble",
+    )
 
 
 @pytest.fixture(scope="session")

@@ -17,11 +17,11 @@ from cylspec.resolvent import (
     _loop_nodes,
     _pencil_eigenpairs,
     _projection_family,
+    apply_operator,
     apply_resolvent,
     find_poles,
     resolvent_matrix_for,
     singular_value_decay,
-    solve_resolvent,
     spectral_projection,
     triple_norm_bound_check,
     verify_resolvent_identities,
@@ -38,35 +38,80 @@ from cylspec.spectral import (
 # -- direct solves --------------------------------------------------------------
 
 
+def _lu_solve(spec, basis, z, f):
+    """Dense LU solve of the assembled D + z*A^0 with one refinement step."""
+    mat = assemble_operator(spec, basis, z).matrix
+    lu_piv = scipy.linalg.lu_factor(mat)
+    rhs = f.reshape(-1)
+    u = scipy.linalg.lu_solve(lu_piv, rhs)
+    u = u + scipy.linalg.lu_solve(lu_piv, rhs - mat @ u)
+    return u.reshape(f.shape)
+
+
+def _rel(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
 def test_solve_constant_forcing(ex1, basis_q4m32):
-    asm = assemble_operator(ex1, basis_q4m32, 1.0)
     one = np.ones((9, 33, 1), dtype=complex)
-    u = solve_resolvent(asm, one)
+    u = apply_resolvent(ex1, basis_q4m32, 1.0, one)
     assert np.abs(u - 1.0).max() < 1e-11
 
 
 def test_solve_coordinate_forcing(ex1, basis_q4m32):
-    asm = assemble_operator(ex1, basis_q4m32, 1.0)
     f = (basis_q4m32.x1[None, :, None] * np.ones((9, 1, 1))).astype(complex)
-    u = solve_resolvent(asm, f)
+    u = apply_resolvent(ex1, basis_q4m32, 1.0, f)
     assert np.abs(u - f / 1.5).max() < 1e-10
 
 
-def test_solve_at_pole_raises(ex1, basis_q4m32):
-    asm = assemble_operator(ex1, basis_q4m32, 0.0)
-    one = np.ones((9, 33, 1), dtype=complex)
-    with pytest.raises(NearPoleError) as err:
-        solve_resolvent(asm, one)
-    assert abs(err.value.nearest) < 1e-6
+def _at_pole_cases(ex1, wobble):
+    """0 is a pole of EX1 at q4m32 and of the x0-dependent wobble at q4m8."""
+    return [(ex1, build_basis(4, 32)), (wobble, build_basis(4, 8))]
+
+
+def test_solve_at_pole_raises(ex1, wobble):
+    # the dense inverse names the pole it hit
+    for spec, basis in _at_pole_cases(ex1, wobble):
+        with pytest.raises(NearPoleError) as err:
+            resolvent_matrix_for(spec, basis, 0.0)
+        assert err.value.z == 0.0
+        assert abs(err.value.nearest) < 1e-8
 
 
 def test_apply_resolvent_matches_dense(ex1, basis_q4m32):
     rng = np.random.default_rng(0)
     f = rng.standard_normal((9, 33, 1)) + 1j * rng.standard_normal((9, 33, 1))
     z = 1.2 + 0.4j
-    direct = solve_resolvent(assemble_operator(ex1, basis_q4m32, z), f)
+    direct = _lu_solve(ex1, basis_q4m32, z, f)
     fast = apply_resolvent(ex1, basis_q4m32, z, f)
     assert np.abs(direct - fast).max() < 1e-10 * np.abs(direct).max()
+
+
+def test_x0_dependent_resolvent_matches_dense(wobble):
+    # one value-space block: batched solves, products and the dense inverse
+    # against LAPACK on the assembled matrix at each shift
+    basis = build_basis(4, 8)
+    shifts = np.array([1.2 + 0.4j, 0.7 - 0.2j, 2.0 + 1.5j])
+    rng = np.random.default_rng(5)
+    shape = (len(shifts), basis.n_time, basis.n_space, 1)
+    f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    solved = apply_resolvent(wobble, basis, shifts, f)
+    applied = apply_operator(wobble, basis, shifts, f)
+    for z, fk, u, du in zip(shifts, f, solved, applied):
+        mat = assemble_operator(wobble, basis, z).matrix
+        assert _rel(u, np.linalg.solve(mat, fk.reshape(-1)).reshape(fk.shape)) <= 1e-12
+        assert _rel(du, (mat @ fk.reshape(-1)).reshape(fk.shape)) <= 1e-12
+        inv = np.linalg.solve(mat, np.eye(len(mat)))
+        assert _rel(resolvent_matrix_for(wobble, basis, z), inv) <= 1e-12
+    # an empty batch of shifts is an empty batch of solutions
+    assert apply_resolvent(wobble, basis, shifts[:0], f[0]).shape == (0,) + f.shape[1:]
+
+
+def test_x0_dependent_poles(wobble):
+    ps = find_poles(wobble, build_basis(4, 8), window=(-2.2, 1.0))
+    got = np.array([p.lam for p in ps.poles])
+    assert np.abs(got - np.array([0.0, -0.5, -1.0, -1.5, -2.0])).max() < 1e-9
+    assert all(p.order == 1 and p.rank == 1 for p in ps.poles)
 
 
 def _hermitian_a0_spec(seed=3):
@@ -90,8 +135,8 @@ def _hermitian_a0_spec(seed=3):
 
 def _reference_resolvent(spec, basis, z, f):
     """Per-shift LU solves of the mode blocks with one refinement step."""
-    base, a0 = mode_operator_parts(spec, basis)
-    blocks = base + z * a0
+    pencil = mode_operator_parts(spec, basis)
+    blocks = pencil.base0 + (z + 1j * basis.modes)[:, None, None] * pencil.a0
     rhs = fourier_coefficients(f, basis).reshape(basis.n_time, -1, 1)
     sol = np.linalg.solve(blocks, rhs)
     sol = sol + np.linalg.solve(blocks, rhs - blocks @ sol)
@@ -104,8 +149,8 @@ def test_batched_resolvent_matches_per_shift_solves(name):
     # as decompose uses them
     spec = _hermitian_a0_spec() if name == "hermitian A0" else fixture(name)
     basis = build_basis(4, 32)
-    base, a0 = mode_operator_parts(spec, basis)
-    vals = scipy.linalg.eigvals(base[0], -a0)
+    pencil = mode_operator_parts(spec, basis)
+    vals = scipy.linalg.eigvals(pencil.base0, -pencil.a0)
     top = vals[np.isfinite(vals)][np.argmax(vals[np.isfinite(vals)].real)]
     others = vals[np.isfinite(vals) & (np.abs(vals - top) > 1e-8)]
     radius = min(0.2, 0.5 * np.min(np.abs(others - top), initial=0.4))
@@ -202,14 +247,22 @@ def test_real_poles_reduce_to_zero_imaginary_part(name, q_max, m):
     assert ps.poles and all(p.lam.imag == 0.0 for p in ps.poles)
 
 
+def _dense_mode_blocks(spec, basis):
+    """Diagonal blocks of the dense collocation matrix at z = 0 in the Fourier basis."""
+    n = basis.n_space * spec.N
+    V = np.kron(np.exp(1j * np.outer(basis.x0, basis.modes)), np.eye(n))
+    modal = V.conj().T @ assemble_operator(spec, basis, 0.0).matrix @ V / basis.n_time
+    return [modal[j * n:(j + 1) * n, j * n:(j + 1) * n] for j in range(basis.n_time)]
+
+
 def test_pencil_mode_shift_matches_per_mode_eigensolves(ex1s):
     # one mode-0 eigensolve shifted by -i*q reproduces each mode's own pencil
     basis = build_basis(2, 16)
-    base, a0 = mode_operator_parts(ex1s, basis)
+    a0 = mode_operator_parts(ex1s, basis).a0
     pairs = _pencil_eigenpairs(ex1s, basis)
-    for j, q in enumerate(basis.modes):
+    for q, block in zip(basis.modes, _dense_mode_blocks(ex1s, basis)):
         got = np.array([z for z, _v, mode, _r in pairs if mode == q])
-        ref = scipy.linalg.eigvals(base[j], -a0)
+        ref = scipy.linalg.eigvals(block, -a0)
         assert got.size == ref.size
         for z in ref[np.abs(ref.real) <= 2.5]:
             assert np.abs(got - z).min() < 1e-8
@@ -316,20 +369,23 @@ def test_order_and_rank_match_dense_projections(name, q_max, m):
         assert (pole.order, pole.rank) == _dense_order_and_rank(spec, basis, pole, ps)
 
 
-def test_projection_family_raises_on_node_at_pole(ex1):
+def test_projection_family_raises_on_node_at_pole(ex1, wobble):
     # the node at angle 0 of the loop |z + 0.2| = 0.2 is the pencil eigenvalue 0
-    with pytest.raises(NearPoleError) as err:
-        _projection_family(ex1, build_basis(4, 16), -0.2, 0.2, 32)
-    assert err.value.z == 0.0
-    assert abs(err.value.nearest) < 1e-8
+    for spec, basis in _at_pole_cases(ex1, wobble):
+        with pytest.raises(NearPoleError) as err:
+            _projection_family(spec, basis, -0.2, 0.2, 32)
+        assert err.value.z == 0.0
+        assert abs(err.value.nearest) < 1e-8
 
 
-def test_apply_resolvent_at_pole_reports_nearest(ex1, basis_q4m32):
-    # the per-mode path estimates the pole from the mode-0 pencil, like the dense solve
-    with pytest.raises(NearPoleError) as err:
-        apply_resolvent(ex1, basis_q4m32, 0.0, np.ones((9, 33, 1), dtype=complex))
-    assert err.value.z == 0.0
-    assert abs(err.value.nearest) < 1e-8
+def test_apply_resolvent_at_pole_reports_nearest(ex1, wobble):
+    # the Schur solve estimates the pole from its own pivots
+    for spec, basis in _at_pole_cases(ex1, wobble):
+        with pytest.raises(NearPoleError) as err:
+            apply_resolvent(spec, basis, 0.0,
+                            np.ones((basis.n_time, basis.n_space, 1), dtype=complex))
+        assert err.value.z == 0.0
+        assert abs(err.value.nearest) < 1e-8
 
 
 def test_contour_separation_guard(ex1, basis_q4m32, poles_ex1):

@@ -135,26 +135,8 @@ def test_commutator_structure(ex1, basis_q4m32):
     assert np.abs(comm - target).max() < 1e-8 * max(np.abs(target).max(), 1.0)
 
 
-def test_dealiasing_bound_enforced():
+def test_dealiasing_bound_enforced(wobble):
     # a coefficient linear in the periodic coordinate needs band headroom
-    from cylspec.operator_model import OperatorSpec, WeightSequence
-    from cylspec.polynomial import MatrixPolynomial
-
-    one = MatrixPolynomial.constant([[1.0]], 2)
-    a1 = MatrixPolynomial(2, (1, 1), {(1, 0): [[0.1]], (0, 1): [[0.5]]})
-    spec = OperatorSpec(
-        n=1, N=1, A=(one, a1), B=MatrixPolynomial.zero(2, (1, 1)),
-        weights=WeightSequence.geometric(0.5, 8), Q=5.0, name="wobble",
-    )
     with pytest.raises(SpecError, match="dealiasing"):
-        assemble_operator(spec, build_basis(1, 8), 0.0)
-    assemble_operator(spec, build_basis(4, 8), 0.0)  # enough headroom
-
-
-def test_csv_export(tmp_path, ex1, basis_q0m2):
-    asm = assemble_operator(ex1, basis_q0m2, 1.0)
-    path = tmp_path / "matrix.csv"
-    asm.to_csv(str(path), manifest_hash="abc")
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "# manifest: abc"
-    assert len(lines) == 1 + asm.size
+        assemble_operator(wobble, build_basis(1, 8), 0.0)
+    assemble_operator(wobble, build_basis(4, 8), 0.0)  # enough headroom
