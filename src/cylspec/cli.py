@@ -19,9 +19,10 @@ import numpy as np
 
 from . import __version__
 from .operator_model import check_assumptions, fixture, load_spec
-from .resolvent import find_poles
+from .resolvent import apply_resolvent, find_poles
 from .spectral import build_basis
-from .stability import decompose, make_forcing, solve_on_segment
+from .stability import decompose, make_forcing, segment_abscissa, segment_node_count, \
+    solve_on_segment
 from .timedomain import energy_series, evolve, growth_rate, periodize
 
 
@@ -74,7 +75,7 @@ def _error_json(out_dir: str, manifest: RunManifest, exc: Exception) -> None:
 
 def _load(args):
     spec = load_spec(args.config) if args.config else fixture(args.fixture)
-    if getattr(args, "kappa", None) is not None:
+    if args.kappa is not None:
         from .operator_model import WeightSequence
         import dataclasses
         spec = dataclasses.replace(
@@ -234,7 +235,8 @@ def cmd_evolve(args) -> int:
     spec = _load(args)
     manifest = _manifest(args)
     os.makedirs(args.out, exist_ok=True)
-    basis = build_basis(max(args.qmax, 1), args.m)
+    # the engine steps Chebyshev slices: the Fourier band is never read
+    basis = build_basis(0, args.m)
     rng = np.random.default_rng(args.seed)
     coeff = rng.standard_normal((args.m // 2, spec.N)) \
         + 1j * rng.standard_normal((args.m // 2, spec.N))
@@ -278,9 +280,8 @@ def cmd_compare(args) -> int:
     period = 2 * math.pi
 
     # time-domain evolution against the vertical-segment solution
-    margin = 0.3
-    c = (pole_set.z_star_star if np.isfinite(pole_set.z_star_star) else 0.0) + margin
-    sol = solve_on_segment(spec, basis, forcing, c, max(basis.n_time, 33))
+    c = segment_abscissa(pole_set)
+    sol = solve_on_segment(spec, basis, forcing, c, segment_node_count(basis))
     t1 = forcing.support[1]
     run = evolve(spec, basis, forcing=lambda t: forcing.slice_at(t), z=0.0,
                  t_range=(forcing.support[0] - period, t1 + 4 * period + 0.1),
@@ -297,8 +298,6 @@ def cmd_compare(args) -> int:
                          / max(np.sqrt(np.sum(w1 * np.abs(ret) ** 2)), 1e-300))
 
     # periodization against the direct quotient solve
-    from .resolvent import apply_resolvent
-
     z = max(c, 1.0)
     f_per = np.ones((basis.n_time, basis.n_space, spec.N), dtype=complex) \
         * (1.0 + 0.3 * basis.x1[None, :, None])
@@ -328,49 +327,48 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, qmax=4, m=32):
+    def command(name, func, help):
+        """A subcommand with the flags every one takes: the operator and the output."""
+        p = sub.add_parser(name, help=help)
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--fixture", help="built-in operator name")
         group.add_argument("--config", help="path to an operator JSON document")
-        p.add_argument("--qmax", type=int, default=qmax)
-        p.add_argument("--m", type=int, default=m)
-        p.add_argument("--re-min", type=float, default=-2.2, dest="re_min")
-        p.add_argument("--re-max", type=float, default=2.2, dest="re_max")
-        p.add_argument("--contour-nodes", type=int, default=32, dest="contour_nodes")
-        p.add_argument("--lmax", type=int, default=2)
         p.add_argument("--kappa", type=float, default=None)
         p.add_argument("--out", default="out")
-        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("check", help="verify the admissibility conditions")
-    common(p)
+    def pole_window(p, qmax=4):
+        """The basis and real-part window of the subcommands that locate poles."""
+        p.add_argument("--qmax", type=int, default=qmax)
+        p.add_argument("--m", type=int, default=32)
+        p.add_argument("--re-min", type=float, default=-2.2, dest="re_min")
+        p.add_argument("--re-max", type=float, default=2.2, dest="re_max")
+        return p
+
+    p = command("check", cmd_check, "verify the admissibility conditions")
     p.add_argument("--density", type=int, default=64)
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("spectrum", help="locate resolvent poles in a window")
-    common(p)
-    p.set_defaults(func=cmd_spectrum)
+    p = pole_window(command("spectrum", cmd_spectrum, "locate resolvent poles in a window"))
+    p.add_argument("--contour-nodes", type=int, default=32, dest="contour_nodes")
 
-    p = sub.add_parser("codim", help="codimension summary of the nonneg strip poles")
-    common(p)
-    p.set_defaults(func=cmd_codim)
+    pole_window(command("codim", cmd_codim, "codimension summary of the nonneg strip poles"))
 
-    p = sub.add_parser("green", help="retarded solution and decaying decomposition")
-    common(p, qmax=16)
+    p = pole_window(command("green", cmd_green,
+                            "retarded solution and decaying decomposition"), qmax=16)
+    p.add_argument("--contour-nodes", type=int, default=32, dest="contour_nodes")
     p.add_argument("--forcing", default="default")
     p.add_argument("--svg", action="store_true")
-    p.set_defaults(func=cmd_green)
 
-    p = sub.add_parser("evolve", help="time-domain evolution and energies")
-    common(p)
+    p = command("evolve", cmd_evolve, "time-domain evolution and energies")
+    p.add_argument("--m", type=int, default=32)
+    p.add_argument("--lmax", type=int, default=2)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--periods", type=int, default=10)
     p.add_argument("--shift", type=float, default=0.0)
-    p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser("compare", help="cross-engine agreement checks")
-    common(p, qmax=16)
+    p = pole_window(command("compare", cmd_compare, "cross-engine agreement checks"), qmax=16)
     p.add_argument("--forcing", default="default")
-    p.set_defaults(func=cmd_compare)
     return parser
 
 
@@ -380,9 +378,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # numeric failures -> machine-readable error report
-        out = getattr(args, "out", "out")
-        os.makedirs(out, exist_ok=True)
-        _error_json(out, _manifest(args), exc)
+        os.makedirs(args.out, exist_ok=True)
+        _error_json(args.out, _manifest(args), exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,9 +21,6 @@ class MultiIndexTable:
     indices: tuple[tuple[int, ...], ...]
     weights: tuple[int, ...]
 
-    def weight_sum(self) -> int:
-        return sum(self.weights)
-
 
 def _compositions(n_vars: int, total: int):
     """All tuples of n_vars nonnegative integers summing to total, lexicographic."""
@@ -46,8 +43,12 @@ def multi_indices(n_vars: int, ell: int) -> MultiIndexTable:
     return MultiIndexTable(n_vars, ell, tuple(indices), tuple(weights))
 
 
-def check_combinatorial_identity(n_vars: int, ell: int, c: dict[tuple[int, ...], complex],
-                                 tol: float = 1e-12) -> bool:
+# relative tolerance of check_combinatorial_identity
+IDENTITY_TOL = 1e-12
+
+
+def check_combinatorial_identity(n_vars: int, ell: int,
+                                 c: dict[tuple[int, ...], complex]) -> bool:
     """Whether the neighbor-sum identity holds for the collection c on |alpha| = ell.
 
     Summing c over the n_vars successors of every |beta| = ell-1 with weights
@@ -55,19 +56,15 @@ def check_combinatorial_identity(n_vars: int, ell: int, c: dict[tuple[int, ...],
     """
     if ell < 1:
         raise ValueError("identity needs ell >= 1")
+    lower, upper = multi_indices(n_vars, ell - 1), multi_indices(n_vars, ell)
     lhs = 0.0 + 0.0j
-    for beta, w in zip(*_table_pairs(n_vars, ell - 1)):
+    for beta, w in zip(lower.indices, lower.weights):
         for i in range(n_vars):
             alpha = tuple(b + (1 if j == i else 0) for j, b in enumerate(beta))
             lhs += w * c.get(alpha, 0.0)
-    rhs = sum(w * c.get(alpha, 0.0) for alpha, w in zip(*_table_pairs(n_vars, ell)))
+    rhs = sum(w * c.get(alpha, 0.0) for alpha, w in zip(upper.indices, upper.weights))
     scale = max(abs(lhs), abs(rhs), 1.0)
-    return abs(lhs - rhs) <= tol * scale
-
-
-def _table_pairs(n_vars: int, ell: int):
-    t = multi_indices(n_vars, ell)
-    return t.indices, t.weights
+    return abs(lhs - rhs) <= IDENTITY_TOL * scale
 
 
 def resummation_coefficient(n: int, ell: int, k: int, gamma: tuple[int, ...]) -> Fraction:
@@ -137,10 +134,6 @@ class TripleNorm:
     tail_bound: float
     terms: tuple[float, ...]
 
-    @property
-    def tail_flagged(self) -> bool:
-        return self.tail_bound > 1e-10 * max(self.value, 1e-300)
-
 
 def triple_norm(u: np.ndarray, h: int, spec: OperatorSpec, basis: SpectralBasis) -> TripleNorm:
     """Weighted sum over ell of r_ell * ||u||_ell / (ell+h)!, truncated at L_max.
@@ -169,25 +162,3 @@ def triple_norm(u: np.ndarray, h: int, spec: OperatorSpec, basis: SpectralBasis)
         raise ValueError("triple norm truncation not decaying; raise L_max or lower the band")
     return TripleNorm(value=value, tail_bound=tail, terms=tuple(terms))
 
-
-@dataclass(frozen=True)
-class NormProfile:
-    seminorms: tuple[float, ...]
-    triple0: TripleNorm
-    triple1: TripleNorm
-
-    def to_json(self) -> dict:
-        return {
-            "seminorms": list(self.seminorms),
-            "triple0": {"value": self.triple0.value, "tail_bound": self.triple0.tail_bound},
-            "triple1": {"value": self.triple1.value, "tail_bound": self.triple1.tail_bound},
-        }
-
-
-def norm_profile(u: np.ndarray, spec: OperatorSpec, basis: SpectralBasis) -> NormProfile:
-    semis = tuple(sobolev_seminorm(u, ell, basis) for ell in range(spec.L_max + 1))
-    return NormProfile(
-        seminorms=semis,
-        triple0=triple_norm(u, 0, spec, basis),
-        triple1=triple_norm(u, 1, spec, basis),
-    )

@@ -30,6 +30,14 @@ from .polynomial import MatrixPolynomial
 
 TOL_PSD = 1e-10
 
+# stability_constants takes R over R_SHIFT_SAMPLES shifts on [z*, z* + R_SHIFT_SPAN]
+R_SHIFT_SPAN = 50.0
+R_SHIFT_SAMPLES = 200
+# search_certificate fits the diagonal blocks to CERT_TARGET * identity on a
+# sample grid of density CERT_DENSITY
+CERT_TARGET = 2.0
+CERT_DENSITY = 16
+
 CONFIG_SCHEMA = {
     "type": "object",
     "required": ["n", "N", "A", "B"],
@@ -128,9 +136,6 @@ class WeightSequence:
             tuple(kappa**l * v for l, v in enumerate(self.values)),
             kappa=None if self.kappa is None else self.kappa * kappa,
         )
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -523,8 +528,7 @@ def q_effective(spec: OperatorSpec, density: int = 64) -> float:
     return best
 
 
-def stability_constants(spec: OperatorSpec, density: int = 64,
-                        s_span: float = 50.0, s_samples: int = 200) -> StabilityConstants:
+def stability_constants(spec: OperatorSpec, density: int = 64) -> StabilityConstants:
     """Compute the energy threshold z_star, coercivity R, and smallness threshold rho_star.
 
     With K_z = (-(d_i A^i) + B + B^†)/2 + Re(z) A^0, z_star is the smallest shift
@@ -548,7 +552,8 @@ def stability_constants(spec: OperatorSpec, density: int = 64,
     z_star = max(float(eigh(0.5 * a0 - k0, a0, eigvals_only=True).max())
                  for k0, a0 in zip(k0_vals, a0_vals))
 
-    s_grid = np.concatenate([[z_star], z_star + np.linspace(0.0, s_span, s_samples)[1:]])
+    s_grid = np.concatenate([[z_star],
+                             z_star + np.linspace(0.0, R_SHIFT_SPAN, R_SHIFT_SAMPLES)[1:]])
     # min over points and s of min-eig(K_s)/(1 + |s|), one (s, point) stack per block
     R = np.inf
     for sl in _blocks(len(pts)):
@@ -568,16 +573,15 @@ def stability_constants(spec: OperatorSpec, density: int = 64,
                               q_effective=q_effective(spec, density))
 
 
-def search_certificate(spec: OperatorSpec, xi: float, target: float = 2.0,
-                       density: int = 16) -> Certificate:
+def search_certificate(spec: OperatorSpec, xi: float) -> Certificate:
     """Least-squares search for constant multiplier matrices; convenience, no guarantee.
 
-    Fits constant Xi^i so that the certificate blocks approximate target*identity
+    Fits constant Xi^i so that the certificate blocks approximate CERT_TARGET*identity
     on the diagonal and zero off the diagonal, in Frobenius norm over a sample
     grid.  The result must still be validated by check_assumptions.
     """
     n1, N = spec.n + 1, spec.N
-    pts = _interior_points(spec.n, density)
+    pts = _interior_points(spec.n, CERT_DENSITY)
     n_unknown = n1 * N * N
     rows, rhs = [], []
     for pt in pts:
@@ -585,7 +589,7 @@ def search_certificate(spec: OperatorSpec, xi: float, target: float = 2.0,
         for i in range(n1):
             for j in range(n1):
                 a_ij = 0.5 * (spec.A[j].derivative(i) + spec.A[i].derivative(j))(pt)
-                base = xi * a_ij - (target if i == j else 0.0) * np.eye(N)
+                base = xi * a_ij - (CERT_TARGET if i == j else 0.0) * np.eye(N)
                 # entry (r, c) of block (i, j) is linear in Xi^j and Xi^i
                 for r in range(N):
                     for c in range(N):

@@ -23,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 import sympy as sp
 
+from .norms import _compositions
 from .operator_model import OperatorSpec
 
 
@@ -41,16 +42,6 @@ def _exact(value: complex) -> sp.Expr:
 
 def _exact_matrix(mat: np.ndarray) -> sp.Matrix:
     return sp.Matrix([[_exact(v) for v in row] for row in mat])
-
-
-def _monomials(n: int, degree: int) -> list[tuple[int, ...]]:
-    """Exponent tuples of total degree `degree` in n variables, lexicographic."""
-    if n == 1:
-        return [(degree,)]
-    out = []
-    for head in range(degree, -1, -1):
-        out.extend((head,) + rest for rest in _monomials(n - 1, degree - head))
-    return out
 
 
 @dataclass(frozen=True)
@@ -112,7 +103,7 @@ def _affine_parts(spec: OperatorSpec):
 def _degree_block(spec_parts, q: int, degree: int, n: int, N: int) -> sp.Matrix:
     """Matrix of the degree-preserving operator part on homogeneous degree-d vectors."""
     a0, b, _dc, dl = spec_parts
-    monos = _monomials(n, degree)
+    monos = list(_compositions(n, degree))
     index = {m: k for k, m in enumerate(monos)}
     dim = len(monos) * N
     block = sp.zeros(dim, dim)
@@ -169,7 +160,7 @@ def poly_eigenpairs(spec: OperatorSpec, q: int, p_max: int) -> dict[int, list[Po
     a0, _b, _dc, _dl = parts
 
     def a0_on(degree: int) -> sp.Matrix:
-        dim = len(_monomials(n, degree))
+        dim = len(list(_compositions(n, degree)))
         return sp.Matrix(sp.BlockDiagMatrix(*([a0] * dim)))
 
     scalars: list[sp.Expr] = []
@@ -189,8 +180,7 @@ def poly_eigenpairs(spec: OperatorSpec, q: int, p_max: int) -> dict[int, list[Po
     for p in range(p_max + 1):
         z_exact = sp.simplify(-scalars[p])
         pairs = []
-        top_monos = _monomials(n, p)
-        for mono_idx, mono in enumerate(top_monos):
+        for mono in _compositions(n, p):
             for comp in range(N):
                 components: dict[tuple[int, tuple[int, ...]], sp.Matrix] = {}
                 vec = sp.zeros(N, 1)
@@ -209,7 +199,7 @@ def poly_eigenpairs(spec: OperatorSpec, q: int, p_max: int) -> dict[int, list[Po
                         current = {}
                         continue
                     current = {}
-                    for m in _monomials(n, d):
+                    for m in _compositions(n, d):
                         r = rhs.get(m, sp.zeros(N, 1))
                         if r == sp.zeros(N, 1):
                             continue

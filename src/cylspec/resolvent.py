@@ -28,7 +28,6 @@ from .operator_model import OperatorSpec, SpecError
 from .spectral import (
     ModePencil,
     SpectralBasis,
-    assemble_operator,
     build_basis,
     chebyshev_coefficients,
     interior_mode_projector,
@@ -267,20 +266,19 @@ def _chebyshev_tail_clean(v: np.ndarray, basis: SpectralBasis, N: int) -> bool:
 
 def find_poles(spec: OperatorSpec, basis: SpectralBasis,
                window: tuple[float, float] = (-2.2, 2.2),
-               *, persist_tol: float = PERSIST_TOL,
-               contour_nodes: int = 32,
+               *, contour_nodes: int = 32,
                compute_projections: bool = True) -> PoleSet:
     """Locate poles of the resolvent in a real-part window, reduced to the strip.
 
     Candidates are generalized eigenvalues of the collocation pencil; spurious
-    ones are removed by requiring persistence (within persist_tol) under a
+    ones are removed by requiring persistence (within PERSIST_TOL) under a
     resolution doubling M -> 2M, Q_max -> Q_max + 2 and a clean Chebyshev tail.
     Survivors are deduplicated modulo z ~ z + i using interior modes, and each
     strip pole gets an order (loop-integral nilpotency) and a rank (numerical
     rank of P A^0).
     """
     re_min, re_max = window
-    pad = 10 * persist_tol
+    pad = 10 * PERSIST_TOL
     fine = build_basis(basis.Q_max + 2, 2 * basis.M)
     fine_vals = np.array([z for z, _v, _q, _r in _pencil_eigenpairs(spec, fine)])
 
@@ -289,7 +287,7 @@ def find_poles(spec: OperatorSpec, basis: SpectralBasis,
     for z, v, q, res in _pencil_eigenpairs(spec, basis):
         if not (re_min - pad <= z.real <= re_max + pad):
             continue
-        if fine_vals.size == 0 or np.abs(fine_vals - z).min() > persist_tol:
+        if fine_vals.size == 0 or np.abs(fine_vals - z).min() > PERSIST_TOL:
             continue
         if not _chebyshev_tail_clean(v, basis, spec.N):
             continue
@@ -307,7 +305,7 @@ def find_poles(spec: OperatorSpec, basis: SpectralBasis,
         lam = complex(z.real, z.imag - math.floor(z.imag))
         placed = False
         for cl in clusters:
-            if _strip_distance(cl[0][0], lam) <= max(1e-5, 10 * persist_tol):
+            if _strip_distance(cl[0][0], lam) <= max(1e-5, 10 * PERSIST_TOL):
                 cl.append((z, res))
                 placed = True
                 break
@@ -378,11 +376,6 @@ def _loop_nodes(center: complex, radius: float, n_nodes: int):
     return center + radius * np.exp(1j * theta), np.exp(1j * theta)
 
 
-def _resolvents_on_loop(spec: OperatorSpec, basis: SpectralBasis, center: complex,
-                        radius: float, n_nodes: int) -> list[np.ndarray]:
-    return [resolvent_matrix_for(spec, basis, z) for z in _loop_nodes(center, radius, n_nodes)[0]]
-
-
 def _loop_projection(resolvents, phases: np.ndarray, radius: float, ell: int) -> np.ndarray:
     """Trapezoid rule for (2*pi*i)^{-1} x loop integral of (z-center)^l D_z^{-1}.
 
@@ -435,8 +428,8 @@ def spectral_projection(spec: OperatorSpec, basis: SpectralBasis, lam: complex, 
                 raise SpecError(
                     f"loop of radius {radius} about {lam} too close to pole {p.lam}"
                 )
-    resolvents = _resolvents_on_loop(spec, basis, lam, radius, n_nodes)
-    phases = _loop_nodes(lam, radius, n_nodes)[1]
+    nodes, phases = _loop_nodes(lam, radius, n_nodes)
+    resolvents = [resolvent_matrix_for(spec, basis, z) for z in nodes]
     mat = _loop_projection(resolvents, phases, radius, ell)
     return ProjectionMatrix(
         lam=lam, ell=ell, matrix=mat,
@@ -543,13 +536,12 @@ def triple_norm_bound_check(spec: OperatorSpec, basis: SpectralBasis,
     const = 2.0 * math.exp(2.0 * r1 * abs(z.imag)) * (xi + 1.0 / consts.R + xi_norm * r1)
 
     rng = np.random.default_rng(seed)
-    asm = assemble_operator(spec, basis, z)
     worst = 0.0
     failures = 0
     for _ in range(samples):
         u = random_band_limited(basis, rng, spec.N)
         lhs = triple_norm(u, 0, spec, basis)
-        du = (asm.matrix @ u.reshape(-1)).reshape(u.shape)
+        du = apply_operator(spec, basis, z, u)
         rhs = triple_norm(du, 1, spec, basis)
         slack = lhs.tail_bound + const * rhs.tail_bound + 1e-12
         bound = const * rhs.value + slack

@@ -162,11 +162,15 @@ def interior_mode_projector(basis: SpectralBasis, N: int, drop: int = 1) -> np.n
     return np.kron(P_t, np.eye(basis.n_space * N))
 
 
+# random_band_limited keeps Chebyshev degrees below this fraction of M
+BAND_DEGREE_FRAC = 0.5
+
+
 def random_band_limited(basis: SpectralBasis, rng: np.random.Generator, N: int = 1,
-                        mode_frac: float = 0.5, degree_frac: float = 0.5) -> np.ndarray:
+                        mode_frac: float = 0.5) -> np.ndarray:
     """Random smooth grid function supported on an interior band and low Chebyshev degree."""
     q_lim = max(0, int(basis.Q_max * mode_frac))
-    d_lim = max(2, int(basis.M * degree_frac) - 1)
+    d_lim = max(2, int(basis.M * BAND_DEGREE_FRAC) - 1)
     u = np.zeros((basis.n_time, basis.n_space, N), dtype=complex)
     x = basis.x1
     for q in range(-q_lim, q_lim + 1):
@@ -183,16 +187,6 @@ def random_band_limited(basis: SpectralBasis, rng: np.random.Generator, N: int =
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResolventAssembly:
-    """Dense collocation matrix of the shifted operator at a fixed complex shift z."""
-
-    z: complex
-    matrix: np.ndarray
-    basis: SpectralBasis
-    N: int
-
-
 def _require_one_space_dim(spec: OperatorSpec) -> None:
     if spec.n != 1:
         raise SpecError("grid engine supports n=1 only; use the polynomial eigentable for n >= 2")
@@ -207,7 +201,7 @@ def coefficient_values(spec: OperatorSpec, basis: SpectralBasis):
     return a0, a1, b
 
 
-def assemble_operator(spec: OperatorSpec, basis: SpectralBasis, z: complex) -> ResolventAssembly:
+def assemble_operator(spec: OperatorSpec, basis: SpectralBasis, z: complex) -> np.ndarray:
     """Dense collocation matrix of D + z*A^0 with no boundary rows.
 
     Admissibility (1)-(2) is a precondition: the outflow property is what makes
@@ -239,7 +233,7 @@ def assemble_operator(spec: OperatorSpec, basis: SpectralBasis, z: complex) -> R
 
     matrix = apply_coeff(a0, K0) + apply_coeff(a1, K1)
     matrix += _block_diag_multiplier(bz)
-    return ResolventAssembly(z=z, matrix=matrix, basis=basis, N=N)
+    return matrix
 
 
 def _block_diag_multiplier(coeff: np.ndarray) -> np.ndarray:
@@ -304,7 +298,7 @@ def mode_operator_parts(spec: OperatorSpec, basis: SpectralBasis) -> ModePencil:
     _require_one_space_dim(spec)
     shape = (basis.n_time, basis.n_space, spec.N)
     if not spec.x0_independent():
-        return ModePencil(assemble_operator(spec, basis, 0.0).matrix,
+        return ModePencil(assemble_operator(spec, basis, 0.0),
                           multiplier_matrix(spec, basis), np.zeros(1, dtype=int), shape)
     grid = (np.array([0.0]), basis.x1)
     a0, a1, b = (coeff.eval_grid(*grid) for coeff in (spec.A[0], spec.A[1], spec.B))

@@ -42,6 +42,19 @@ EPS = float(np.finfo(float).eps)
 GHOST_FLOOR_FACTOR = 30.0
 CANCEL_FLOOR_REL = 1e3 * EPS
 
+# the retarded solution's vertical segment sits SEGMENT_MARGIN right of the
+# pole supremum z**, on at least MIN_SEGMENT_NODES trapezoid nodes
+SEGMENT_MARGIN = 0.3
+MIN_SEGMENT_NODES = 33
+
+# cover slices per period; default_slice_times spans SLICE_PERIODS periods on
+# each side of the forcing support, decompose DECAY_PERIODS periods after it
+# and fits the rate over the last FIT_PERIODS of them
+SLICES_PER_PERIOD = 8
+SLICE_PERIODS = 8
+DECAY_PERIODS = 6
+FIT_PERIODS = 4
+
 
 # ---------------------------------------------------------------------------
 # forcing profiles
@@ -165,22 +178,16 @@ def make_forcing(basis: SpectralBasis, doc: dict | str = "default", N: int = 1) 
 # ---------------------------------------------------------------------------
 
 
-def forward_transform(forcing: CoverForcing, z, basis: SpectralBasis) -> np.ndarray:
-    """Quotient function f_z: exponentially weighted sum of period translates.
+def forward_transform(forcing: CoverForcing, z, basis: SpectralBasis,
+                      order: int = 0) -> np.ndarray:
+    """Quotient function f_z: exponentially weighted sum of period translates,
+    or its exact z-derivative of the given order (each translate carries (-t)^order).
 
     The sum is finite (compact support), evaluated exactly at the tensor grid:
     f_z(x) = sum_p exp(-z*(x0 + 2*pi*p)) * forcing(x0 + 2*pi*p, x1).
-    z may be a 1-D array of shifts (leading shift axis on the result).
-    """
-    return forward_transform_derivative(forcing, z, basis, 0)
-
-
-def forward_transform_derivative(forcing: CoverForcing, z, basis: SpectralBasis,
-                                 order: int) -> np.ndarray:
-    """Exact z-derivative of the translate sum (each translate carries (-t)^order).
-
     One table of the translates inside the support (grid slot, time, profile
-    value) serves every shift of z, a shift or a 1-D array of shifts.
+    value) serves every shift; z may be a 1-D array of shifts (leading shift
+    axis on the result).
     """
     t0, t1 = forcing.support
     period = 2.0 * math.pi
@@ -296,35 +303,41 @@ def solve_on_segment(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverFor
     )
 
 
-def default_slice_times(forcing: CoverForcing, periods_before: int = 8,
-                        periods_after: int = 8, per_period: int = 8) -> np.ndarray:
+def default_slice_times(forcing: CoverForcing) -> np.ndarray:
     period = 2.0 * math.pi
     t0, t1 = forcing.support
-    start = t0 - periods_before * period
-    stop = t1 + periods_after * period
-    n = int(round((stop - start) / period * per_period))
+    start = t0 - SLICE_PERIODS * period
+    stop = t1 + SLICE_PERIODS * period
+    n = int(round((stop - start) / period * SLICES_PER_PERIOD))
     return start + (stop - start) * np.arange(n + 1) / n
 
 
-def segment_node_count(basis: SpectralBasis, minimum: int = 33) -> int:
+def segment_node_count(basis: SpectralBasis) -> int:
     """Enough trapezoid nodes to push cover aliasing below the double noise floor."""
-    return max(2 * basis.Q_max + 1, minimum)
+    return max(2 * basis.Q_max + 1, MIN_SEGMENT_NODES)
+
+
+def segment_abscissa(pole_set: PoleSet) -> float:
+    """Re z of the retarded solution's segment: SEGMENT_MARGIN right of z**
+    (of 0 when there is no pole)."""
+    z_ss = pole_set.z_star_star
+    return (z_ss if np.isfinite(z_ss) else 0.0) + SEGMENT_MARGIN
 
 
 def retarded_solution(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverForcing,
-                      pole_set: PoleSet, *, c: float | None = None, margin: float = 0.3,
+                      pole_set: PoleSet, *, c: float | None = None,
                       n_nodes: int | None = None,
                       slice_times: np.ndarray | None = None) -> FieldOnCover:
     """The solution vanishing in the past, as a vertical-segment integral.
 
-    The segment sits at Re z = c, strictly right of every pole; by default
-    margin above the pole supremum.  Node count defaults to the alias-safe
-    count for the basis; slice times default to eight periods on both sides of
-    the forcing support.
+    The segment sits at Re z = c, strictly right of every pole; by default at
+    segment_abscissa.  Node count defaults to the alias-safe count for the
+    basis; slice times default to SLICE_PERIODS periods on both sides of the
+    forcing support.
     """
     z_ss = pole_set.z_star_star
     if c is None:
-        c = (z_ss if np.isfinite(z_ss) else 0.0) + margin
+        c = segment_abscissa(pole_set)
     if np.isfinite(z_ss) and c <= z_ss:
         raise SpecError(f"segment at Re z = {c} is not right of the poles (sup = {z_ss})")
     if n_nodes is None:
@@ -332,14 +345,6 @@ def retarded_solution(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverFo
     if slice_times is None:
         slice_times = default_slice_times(forcing)
     sol = solve_on_segment(spec, basis, forcing, c, n_nodes)
-    return sol.evaluate(slice_times)
-
-
-def left_path_solution(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverForcing,
-                       c_prime: float, *, n_nodes: int = 64,
-                       slice_times: np.ndarray) -> FieldOnCover:
-    """Vertical-segment integral left of the nonnegative poles (for consistency checks)."""
-    sol = solve_on_segment(spec, basis, forcing, c_prime, n_nodes)
     return sol.evaluate(slice_times)
 
 
@@ -505,13 +510,10 @@ class StabilityDecomposition:
 
 
 def decompose(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverForcing,
-              pole_set: PoleSet, *, margin: float = 0.3,
-              n_nodes: int | None = None, n_loop_nodes: int = 32,
-              per_period: int = 8, periods: int = 6,
-              fit_periods: int = 4) -> StabilityDecomposition:
+              pole_set: PoleSet, *, n_loop_nodes: int = 32) -> StabilityDecomposition:
     """Retarded solution minus the finite-rank correction, with a fitted decay rate.
 
-    The difference is evaluated on [support end, support end + periods] and its
+    The difference is evaluated on DECAY_PERIODS periods after the support and its
     per-slice norms are fitted log-linearly over the trailing window of clean
     slices.  A slice is excluded when its difference sits below the estimated
     noise floor: eps-level cancellation of the quadrature terms plus the
@@ -519,13 +521,11 @@ def decompose(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverForcing,
     """
     period = 2.0 * math.pi
     t1 = forcing.support[1]
-    n_slices = periods * per_period
-    times = t1 + periods * period * np.arange(n_slices + 1) / n_slices
+    n_slices = DECAY_PERIODS * SLICES_PER_PERIOD
+    times = t1 + DECAY_PERIODS * period * np.arange(n_slices + 1) / n_slices
 
-    if n_nodes is None:
-        n_nodes = segment_node_count(basis)
-    z_ss = pole_set.z_star_star
-    c = (z_ss if np.isfinite(z_ss) else 0.0) + margin
+    n_nodes = segment_node_count(basis)
+    c = segment_abscissa(pole_set)
     sol = solve_on_segment(spec, basis, forcing, c, n_nodes)
     u_ret = sol.evaluate(times)
     part = build_finite_rank_part(spec, basis, pole_set, forcing,
@@ -554,7 +554,7 @@ def decompose(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverForcing,
 
     # fit the trailing window of clean slices
     t_last = times[usable].max()
-    mask = usable & (times >= max(t1, t_last - fit_periods * period)) & (diff_norms > 0)
+    mask = usable & (times >= max(t1, t_last - FIT_PERIODS * period)) & (diff_norms > 0)
     if mask.sum() < 3:
         raise SpecError("segment too short for a rate fit; extend it or refine slices")
     rate = fit_log_slope(times[mask], diff_norms[mask])

@@ -40,6 +40,14 @@ DUMP_MAGIC = b"CYLF"
 # slice norm: a decaying run bottoms out at roundoff there, not at its rate
 FIT_FLOOR_REL = 1e3 * np.finfo(float).eps
 
+# stable_time_step's fraction of the explicit step bound
+CFL = 0.25
+# periodize stops when consecutive periods agree to PERIODIZE_TOL (relative,
+# absolute below unit scale)
+PERIODIZE_TOL = 1e-9
+# random initial conditions per growth_rate
+GROWTH_RUNS = 3
+
 
 @dataclass(frozen=True)
 class FieldOnCover:
@@ -97,14 +105,6 @@ class EnergySeries:
     times: np.ndarray
     values: np.ndarray  # (n_times,)
 
-    def to_csv(self, path: str, manifest_hash: str = "") -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            if manifest_hash:
-                fh.write(f"# manifest: {manifest_hash}\n")
-            fh.write("x0,energy\n")
-            for t, e in zip(self.times, self.values):
-                fh.write(f"{t!r},{e!r}\n")
-
 
 class InstabilityError(RuntimeError):
     pass
@@ -132,19 +132,18 @@ def _pointwise_operators(spec: OperatorSpec, basis: SpectralBasis, z: complex):
     return inv_a0, a1, b + z * a0
 
 
-def stable_time_step(spec: OperatorSpec, basis: SpectralBasis, z: complex = 0.0,
-                     cfl: float = 0.25) -> float:
-    """Explicit-step bound: cfl * (min grid spacing) / (max wave speed), capped
-    by cfl / (norm of the zero-order term + 1)."""
+def stable_time_step(spec: OperatorSpec, basis: SpectralBasis, z: complex = 0.0) -> float:
+    """Explicit-step bound: CFL * (min grid spacing) / (max wave speed), capped
+    by CFL / (norm of the zero-order term + 1)."""
     inv_a0, a1, bz = _pointwise_operators(spec, basis, z)
     speeds = np.abs(np.linalg.eigvals(np.einsum("mab,mbc->mac", inv_a0, a1)))
     vmax = float(speeds.max())
     spacing = float(np.min(np.abs(np.diff(basis.x1))))
-    dt = cfl * spacing / max(vmax, 1e-12)
+    dt = CFL * spacing / max(vmax, 1e-12)
     zero_order = float(max(
         np.linalg.norm(np.einsum("mab,mbc->mac", inv_a0, bz), axis=(1, 2)).max(), 0.0
     ))
-    return min(dt, cfl / (zero_order + 1.0))
+    return min(dt, CFL / (zero_order + 1.0))
 
 
 def _step_plan(span: float, dt_max: float, store_stride: int) -> tuple[int, int]:
@@ -302,7 +301,7 @@ def fit_log_slope(times: np.ndarray, values: np.ndarray, floor: float = 0.0) -> 
 
 
 def periodize(spec: OperatorSpec, basis: SpectralBasis, f: np.ndarray, z: complex,
-              *, tol: float = 1e-9, max_periods: int = 200) -> np.ndarray:
+              *, max_periods: int = 200) -> np.ndarray:
     """Solve (D + z*A^0) u = f for periodic f by marching the cover until snapshots settle.
 
     The forced cover solution from zero data converges period by period when the
@@ -337,7 +336,7 @@ def periodize(spec: OperatorSpec, basis: SpectralBasis, f: np.ndarray, z: comple
         if prev_snapshot is not None:
             delta = float(np.abs(snapshot - prev_snapshot).max())
             scale = max(float(np.abs(snapshot).max()), 1e-300)
-            if delta <= tol * max(scale, 1.0):
+            if delta <= PERIODIZE_TOL * max(scale, 1.0):
                 return snapshot
         prev_snapshot = snapshot
     raise PeriodizationError(
@@ -358,7 +357,7 @@ class GrowthReport:
 
 
 def growth_rate(spec: OperatorSpec, basis: SpectralBasis, *, periods: int = 12,
-                seed: int = 0, n_runs: int = 3) -> GrowthReport:
+                seed: int = 0) -> GrowthReport:
     """Dominant growth rate of the homogeneous evolution, from random smooth data.
 
     Runs several random initial conditions; the rate is the median fitted slope
@@ -371,7 +370,7 @@ def growth_rate(spec: OperatorSpec, basis: SpectralBasis, *, periods: int = 12,
     rng = np.random.default_rng(seed)
     span = periods * 2.0 * np.pi
     inits = []
-    for _ in range(n_runs):
+    for _ in range(GROWTH_RUNS):
         coeff = rng.standard_normal((basis.M // 2, spec.N)) + \
             1j * rng.standard_normal((basis.M // 2, spec.N))
         coeff /= (1.0 + np.arange(basis.M // 2))[:, None] ** 2
@@ -383,7 +382,7 @@ def growth_rate(spec: OperatorSpec, basis: SpectralBasis, *, periods: int = 12,
     times = prop.h * np.arange(0, n_steps + 1, stride)
     half = times >= span / 2
     rates, profiles = [], []
-    for k in range(n_runs):
+    for k in range(GROWTH_RUNS):
         values = states[:, :, k].reshape(len(times), basis.n_space, spec.N)
         norms = FieldOnCover(times, values, basis).slice_norms()
         rates.append(fit_log_slope(times[half], norms[half],

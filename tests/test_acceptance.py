@@ -169,12 +169,12 @@ def test_criterion_08_energy_inequality(ex1):
     z_star, R = 0.75, 2.0 / 7.0
     z = z_star + 0.1
     rz = R * (1.0 + abs(z))
-    asm = assemble_operator(ex1, basis, z)
+    mat = assemble_operator(ex1, basis, z)
     rng = np.random.default_rng(3)
     worst = -np.inf
     for _ in range(100):
         u = random_band_limited(basis, rng)
-        du = (asm.matrix @ u.reshape(-1)).reshape(u.shape)
+        du = (mat @ u.reshape(-1)).reshape(u.shape)
         lhs = inner_product(u, u, basis).real
         rhs = inner_product(u, du, basis).real / rz
         worst = max(worst, lhs - rhs)

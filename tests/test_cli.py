@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cylspec.cli import main
 from cylspec.operator_model import fixture, spec_to_json
 
@@ -174,3 +176,23 @@ def test_manifest_hash_covers_file_contents(tmp_path):
     forcing_changed = hashes("EX1", 10.0)
     assert forcing_changed["green"] != base["green"]
     assert forcing_changed["check"] == base["check"]
+
+
+# flags each subcommand does not read, so does not accept
+UNREAD_FLAGS = {
+    "check": ("--qmax", "--m", "--re-min", "--re-max", "--contour-nodes", "--lmax", "--seed"),
+    "spectrum": ("--lmax", "--seed"),
+    "green": ("--lmax", "--seed"),
+    "codim": ("--contour-nodes", "--lmax", "--seed"),
+    "compare": ("--contour-nodes", "--lmax", "--seed"),
+    "evolve": ("--re-min", "--re-max", "--contour-nodes", "--qmax"),
+}
+
+
+@pytest.mark.parametrize("command,flag", [(c, f) for c, flags in UNREAD_FLAGS.items()
+                                          for f in flags])
+def test_unread_flag_rejected(tmp_path, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--fixture", "EX1", flag, "1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())

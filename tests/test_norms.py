@@ -1,13 +1,11 @@
 import math
 
 import numpy as np
-import pytest
 
 from cylspec.norms import (
     check_combinatorial_identity,
     check_resummation_coefficient,
     multi_indices,
-    norm_profile,
     resummation_coefficient,
     sobolev_seminorm,
     triple_norm,
@@ -31,7 +29,7 @@ def test_table_order_zero():
 def test_weight_sums_are_powers():
     for n_vars in (1, 2, 3, 5):
         for ell in range(5):
-            assert multi_indices(n_vars, ell).weight_sum() == n_vars**ell
+            assert sum(multi_indices(n_vars, ell).weights) == n_vars**ell
 
 
 def test_neighbor_sum_identity_by_hand():
@@ -95,7 +93,7 @@ def test_triple_norm_of_constant(ex1, basis_q4m32):
     for h in (0, 1):
         tn = triple_norm(one, h, ex1, basis_q4m32)
         assert abs(tn.value - math.sqrt(4 * math.pi)) < 1e-10
-        assert not tn.tail_flagged
+        assert tn.tail_bound <= 1e-10 * max(tn.value, 1e-300)
     zero = grid_constant(basis_q4m32, 0.0)
     assert triple_norm(zero, 0, ex1, basis_q4m32).value == 0.0
 
@@ -133,10 +131,3 @@ def test_phase_multiplier_bound(ex1, basis_q4m32):
         slack = left.tail_bound + math.e**r1 * right.tail_bound + 1e-12
         assert left.value <= math.exp(r1) * right.value + slack
 
-
-def test_norm_profile_serializes(ex1, basis_q4m32):
-    u = grid_constant(basis_q4m32)
-    prof = norm_profile(u, ex1, basis_q4m32)
-    doc = prof.to_json()
-    assert len(prof.seminorms) == ex1.L_max + 1
-    assert doc["triple0"]["value"] == pytest.approx(math.sqrt(4 * math.pi))

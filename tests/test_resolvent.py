@@ -40,7 +40,7 @@ from cylspec.spectral import (
 
 def _lu_solve(spec, basis, z, f):
     """Dense LU solve of the assembled D + z*A^0 with one refinement step."""
-    mat = assemble_operator(spec, basis, z).matrix
+    mat = assemble_operator(spec, basis, z)
     lu_piv = scipy.linalg.lu_factor(mat)
     rhs = f.reshape(-1)
     u = scipy.linalg.lu_solve(lu_piv, rhs)
@@ -98,7 +98,7 @@ def test_x0_dependent_resolvent_matches_dense(wobble):
     solved = apply_resolvent(wobble, basis, shifts, f)
     applied = apply_operator(wobble, basis, shifts, f)
     for z, fk, u, du in zip(shifts, f, solved, applied):
-        mat = assemble_operator(wobble, basis, z).matrix
+        mat = assemble_operator(wobble, basis, z)
         assert _rel(u, np.linalg.solve(mat, fk.reshape(-1)).reshape(fk.shape)) <= 1e-12
         assert _rel(du, (mat @ fk.reshape(-1)).reshape(fk.shape)) <= 1e-12
         inv = np.linalg.solve(mat, np.eye(len(mat)))
@@ -251,7 +251,7 @@ def _dense_mode_blocks(spec, basis):
     """Diagonal blocks of the dense collocation matrix at z = 0 in the Fourier basis."""
     n = basis.n_space * spec.N
     V = np.kron(np.exp(1j * np.outer(basis.x0, basis.modes)), np.eye(n))
-    modal = V.conj().T @ assemble_operator(spec, basis, 0.0).matrix @ V / basis.n_time
+    modal = V.conj().T @ assemble_operator(spec, basis, 0.0) @ V / basis.n_time
     return [modal[j * n:(j + 1) * n, j * n:(j + 1) * n] for j in range(basis.n_time)]
 
 
@@ -437,8 +437,7 @@ def test_triple_norm_bound_trivial_cases(ex1, basis_q4m32):
     sc = stability_constants(ex1)
     z = sc.z_star + 0.1
     one = np.ones((9, 33, 1), dtype=complex)
-    asm = assemble_operator(ex1, basis_q4m32, z)
-    du = (asm.matrix @ one.reshape(-1)).reshape(one.shape)
+    du = (assemble_operator(ex1, basis_q4m32, z) @ one.reshape(-1)).reshape(one.shape)
     lhs = triple_norm(one, 0, ex1, basis_q4m32).value
     rhs = triple_norm(du, 1, ex1, basis_q4m32).value
     const = 2.0 * (6.0 + 1.0 / sc.R + 2.0 * ex1.weights.r(1))

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cylspec.operator_model import OperatorSpec, WeightSequence, fixture, stability_constants
+from cylspec.operator_model import OperatorSpec, SpecError, WeightSequence, fixture, \
+    stability_constants
 from cylspec.polynomial import MatrixPolynomial
 from cylspec.resolvent import apply_resolvent
 from cylspec.stability import make_forcing, solve_on_segment
@@ -307,3 +308,14 @@ def test_field_dump_round_trip(tmp_path, ex1, basis_q4m32):
     assert np.allclose(loaded.times, run.times)
     # dumps are single precision
     assert np.abs(loaded.values - run.values).max() < 1e-6
+
+
+@pytest.mark.parametrize("run", [
+    lambda spec, b: evolve(spec, b, initial=np.ones((b.n_space, 1)), t_range=(0.0, 1.0)),
+    lambda spec, b: growth_rate(spec, b),
+    lambda spec, b: periodize(spec, b, np.ones((b.n_time, b.n_space, 1)), 1.0),
+], ids=["evolve", "growth_rate", "periodize"])
+def test_x0_dependent_coefficients_rejected(wobble, basis_q4m32, run):
+    # the stepper freezes the coefficients at x0 = 0, so it refuses ones that vary with x0
+    with pytest.raises(SpecError, match="independent of x0"):
+        run(wobble, basis_q4m32)
