@@ -13,12 +13,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
-from .operator_model import check_assumptions, fixture, load_spec
+from .operator_model import WeightSequence, check_assumptions, fixture, load_spec
 from .resolvent import apply_resolvent, find_poles
 from .spectral import build_basis
 from .stability import decompose, make_forcing, segment_abscissa, segment_node_count, \
@@ -74,14 +74,7 @@ def _error_json(out_dir: str, manifest: RunManifest, exc: Exception) -> None:
 
 
 def _load(args):
-    spec = load_spec(args.config) if args.config else fixture(args.fixture)
-    if args.kappa is not None:
-        from .operator_model import WeightSequence
-        import dataclasses
-        spec = dataclasses.replace(
-            spec, weights=WeightSequence.geometric(args.kappa, spec.L_max)
-        )
-    return spec
+    return load_spec(args.config) if args.config else fixture(args.fixture)
 
 
 def _source(args) -> str:
@@ -146,6 +139,9 @@ def _decay_svg(path: str, times, norms, rate: float, manifest: RunManifest) -> N
 
 def cmd_check(args) -> int:
     spec = _load(args)
+    if args.kappa is not None:
+        # condition (iv) is the only reader of the weights
+        spec = replace(spec, weights=WeightSequence.geometric(args.kappa, spec.L_max))
     manifest = _manifest(args)
     os.makedirs(args.out, exist_ok=True)
     report = check_assumptions(spec, sample_density=args.density)
@@ -164,8 +160,7 @@ def cmd_spectrum(args) -> int:
     manifest = _manifest(args)
     os.makedirs(args.out, exist_ok=True)
     basis = build_basis(args.qmax, args.m)
-    pole_set = find_poles(spec, basis, window=(args.re_min, args.re_max),
-                          contour_nodes=args.contour_nodes)
+    pole_set = find_poles(spec, basis, window=(args.re_min, args.re_max))
     pole_set.to_csv(os.path.join(args.out, "spectrum.csv"), manifest.hash)
     manifest.outputs.append("spectrum.csv")
     _write_json(os.path.join(args.out, "poles.json"), pole_set.to_json(), manifest)
@@ -259,7 +254,8 @@ def cmd_evolve(args) -> int:
     manifest.outputs.append("energy.csv")
     run.dump(os.path.join(args.out, "field.bin"), manifest.hash)
     manifest.outputs.append("field.bin")
-    growth = growth_rate(spec, basis, periods=max(args.periods, 10), seed=args.seed)
+    growth = growth_rate(spec, basis, periods=max(args.periods, 10), seed=args.seed,
+                         z=args.shift)
     _write_json(os.path.join(args.out, "evolve.json"), {
         "growth_rate": growth.rate, "modal": growth.modal,
         "nonmodal_plateau": growth.nonmodal_plateau,
@@ -333,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--fixture", help="built-in operator name")
         group.add_argument("--config", help="path to an operator JSON document")
-        p.add_argument("--kappa", type=float, default=None)
         p.add_argument("--out", default="out")
         p.set_defaults(func=func)
         return p
@@ -347,10 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("check", cmd_check, "verify the admissibility conditions")
+    p.add_argument("--kappa", type=float, default=None)
     p.add_argument("--density", type=int, default=64)
 
-    p = pole_window(command("spectrum", cmd_spectrum, "locate resolvent poles in a window"))
-    p.add_argument("--contour-nodes", type=int, default=32, dest="contour_nodes")
+    pole_window(command("spectrum", cmd_spectrum, "locate resolvent poles in a window"))
 
     pole_window(command("codim", cmd_codim, "codimension summary of the nonneg strip poles"))
 

@@ -330,14 +330,16 @@ def _min_eig(n_points: int, hermitian_block) -> tuple[float, int | None]:
 
 
 def _sup_norm(pts: np.ndarray, polys: list[MatrixPolynomial]) -> float:
-    """Max over the points of the spectral norm of the row [p_1(x), p_2(x), ...]."""
+    """Max over the points of the spectral norm of the row [p_1(x), p_2(x), ...]:
+    the square root of the largest eigenvalue of its N-by-N Gram matrix."""
     if all(p.is_zero for p in polys):
         return 0.0
     best = 0.0
     for sl in _blocks(len(pts)):
         rows = np.concatenate([p.eval_points(pts[sl]) for p in polys], axis=-1)
-        best = max(best, float(np.linalg.svd(rows, compute_uv=False).max()))
-    return best
+        gram = rows @ rows.conj().swapaxes(-1, -2)
+        best = max(best, float(np.linalg.eigvalsh(gram).max()))
+    return math.sqrt(best)
 
 
 def _hermitian_part(mats: np.ndarray) -> np.ndarray:

@@ -5,15 +5,17 @@ inverse, as a function of z, extends meromorphically with poles periodic under
 z ~ z + i.  Poles are located as generalized eigenvalues of the collocation
 pencil (D, -A^0), filtered against discretization artifacts by persistence
 under resolution doubling, and reduced to the fundamental strip 0 <= Im z < 1.
-Spectral projections are trapezoid loop integrals of (z - lam)^l D_z^{-1}.
+Spectral projections are loop integrals of (z - lam)^l D_z^{-1}.  A pole's order
+and rank come from ordered Schur forms of A^0^{-1} base0 (`_projection_family`);
+the dense trapezoid loop integrals of `spectral_projection` cross-check them.
 
 Every routine works on one block pencil, `spectral.mode_operator_parts`: block q
 of D + z*A^0 is base0 + (z + i*q)*A^0, one block per Fourier mode when the
 coefficients do not depend on the periodic coordinate and one value-space block
-otherwise.  Each job has one routine on it: `_schur_solve` solves from one Schur
-form of the mode-0 pencil A^0^{-1} base0, `_mode_inverses` inverts the blocks,
-`_nearest_mode_pole` and `_pencil_eigenpairs` shift the eigenvalues of
-(base0, -A^0) by -i*q.
+otherwise.  Each job has one routine on it: `_schur_solve` solves and
+`_projection_family` orders from Schur forms of A^0^{-1} base0,
+`resolvent_matrix_for` inverts the blocks, `_nearest_mode_pole` and
+`_pencil_eigenpairs` shift the eigenvalues of (base0, -A^0) by -i*q.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .spectral import (
     random_band_limited,
 )
 
-RANK_TOL = 1e-8
 ORDER_TOL = 1e-9
 PERSIST_TOL = 1e-6
 
@@ -54,39 +55,27 @@ class NearPoleError(ValueError):
 
 
 def resolvent_matrix_for(spec: OperatorSpec, basis: SpectralBasis, z: complex) -> np.ndarray:
-    """Dense value-space resolvent at shift z: the block inverses conjugated by
-    the pencil's synthesis matrix (the DFT for mode blocks)."""
+    """Dense value-space resolvent at shift z: the inverses of the blocks
+    base0 + (z + i*q)*a0, refined by one Newton step and conjugated by the pencil's
+    synthesis matrix (the DFT for mode blocks).
+
+    Raises NearPoleError when the blocks are numerically singular.
+    """
     pencil = mode_operator_parts(spec, basis)
-    inv = _mode_inverses(pencil, np.array([z]))[0]
+    blocks = pencil.base0 + (1j * pencil.modes)[:, None, None] * pencil.a0 + z * pencil.a0
+    try:
+        inv = np.linalg.inv(blocks)
+    except np.linalg.LinAlgError:
+        raise NearPoleError(complex(z), _nearest_mode_pole(pencil, z), np.inf) from None
+    ident = np.eye(blocks.shape[-1], dtype=complex)
+    inv = inv + inv @ (ident - blocks @ inv)
+    residual = np.linalg.norm(ident - blocks @ inv, axis=(-2, -1)).max()
+    if not residual <= 1e-6 * math.sqrt(blocks.shape[-1]):
+        raise NearPoleError(complex(z), _nearest_mode_pole(pencil, z), float(residual))
     V = pencil.synthesis()
     big = np.einsum("jq,kq,qab->jakb", V, V.conj() / len(V), inv, optimize=True)
     size = big.shape[0] * big.shape[1]
     return big.reshape(size, size)
-
-
-def _mode_inverses(pencil: ModePencil, shifts: np.ndarray) -> np.ndarray:
-    """Inverses of the blocks base0 + (z + i*q)*a0 per shift, shape (shifts, blocks,
-    n, n), refined by one Newton step.
-
-    Raises NearPoleError at the shift whose blocks are numerically singular.
-    """
-    # one product per mode and one per shift, not one per (shift, mode) block
-    mode_blocks = pencil.base0 + (1j * pencil.modes)[:, None, None] * pencil.a0
-    blocks = mode_blocks + shifts[:, None, None, None] * pencil.a0
-    try:
-        inv = np.linalg.inv(blocks)
-    except np.linalg.LinAlgError:
-        k = int(np.argmin(np.abs(np.linalg.slogdet(blocks)[0]).min(axis=1)))
-        z = complex(shifts[k])
-        raise NearPoleError(z, _nearest_mode_pole(pencil, z), np.inf) from None
-    ident = np.eye(blocks.shape[-1], dtype=complex)
-    inv = inv + inv @ (ident - blocks @ inv)
-    residual = np.linalg.norm(ident - blocks @ inv, axis=(-2, -1)).max(axis=1)
-    k = int(np.argmax(residual))
-    if not residual[k] <= 1e-6 * math.sqrt(blocks.shape[-1]):
-        z = complex(shifts[k])
-        raise NearPoleError(z, _nearest_mode_pole(pencil, z), float(residual[k]))
-    return inv
 
 
 def _mode_batched(spec: OperatorSpec, basis: SpectralBasis, z, f: np.ndarray,
@@ -266,16 +255,14 @@ def _chebyshev_tail_clean(v: np.ndarray, basis: SpectralBasis, N: int) -> bool:
 
 def find_poles(spec: OperatorSpec, basis: SpectralBasis,
                window: tuple[float, float] = (-2.2, 2.2),
-               *, contour_nodes: int = 32,
-               compute_projections: bool = True) -> PoleSet:
+               *, compute_projections: bool = True) -> PoleSet:
     """Locate poles of the resolvent in a real-part window, reduced to the strip.
 
     Candidates are generalized eigenvalues of the collocation pencil; spurious
     ones are removed by requiring persistence (within PERSIST_TOL) under a
     resolution doubling M -> 2M, Q_max -> Q_max + 2 and a clean Chebyshev tail.
     Survivors are deduplicated modulo z ~ z + i using interior modes, and each
-    strip pole gets an order (loop-integral nilpotency) and a rank (numerical
-    rank of P A^0).
+    strip pole gets the order and rank of its loop projection (_projection_family).
     """
     re_min, re_max = window
     pad = 10 * PERSIST_TOL
@@ -323,14 +310,11 @@ def find_poles(spec: OperatorSpec, basis: SpectralBasis,
         reps.append((lam, src, min(r for _z, r in cl)))
 
     # pairwise strip distances fix the loop radii
+    pencil = mode_operator_parts(spec, basis)
     for lam, src, res in reps:
         others = [o for o, _s, _r in reps if o != lam]
         radius = _loop_radius(lam, others)
-        order, rank = 1, 0
-        if compute_projections:
-            projs = _projection_family(spec, basis, src, radius, contour_nodes)
-            order = projs["order"]
-            rank = projs["rank"]
+        order, rank = _projection_family(pencil, src, radius) if compute_projections else (1, 0)
         poles.append(Pole(lam=lam, order=order, rank=rank, residual=res, source=src))
 
     poles.sort(key=lambda p: (-p.lam.real, p.lam.imag))
@@ -376,40 +360,34 @@ def _loop_nodes(center: complex, radius: float, n_nodes: int):
     return center + radius * np.exp(1j * theta), np.exp(1j * theta)
 
 
-def _loop_projection(resolvents, phases: np.ndarray, radius: float, ell: int) -> np.ndarray:
-    """Trapezoid rule for (2*pi*i)^{-1} x loop integral of (z-center)^l D_z^{-1}.
+def _projection_family(pencil: ModePencil, center: complex, radius: float) -> tuple[int, int]:
+    """Order and rank of the loop projections about a pole, from ordered Schur forms.
 
-    `resolvents` holds one resolvent (dense or per-block inverses) per loop node.
+    Block q of the pencil is a0 (T + (z + i*q) I) with T = a0^{-1} base0, so the
+    projection about `center` is T's spectral projector on the eigenvalues t with
+    -t - i*q inside the loop.  Per block with k such eigenvalues, a Schur form of T
+    ordered to put them first adds k to the rank; the order is the smallest l with
+    ||N^l|| <= ORDER_TOL * radius^l for N = S_kk minus the mean of its diagonal
+    (the cluster mean, not one eigenvalue: a split defective eigenvalue then
+    leaves N^2 at roundoff), the largest over the blocks.
     """
-    n = len(resolvents)
-    out = np.zeros_like(resolvents[0])
-    for r_mat, ph in zip(resolvents, phases):
-        out += r_mat * ph ** (ell + 1)
-    return out * (radius ** (ell + 1) / n)
+    T = np.linalg.solve(pencil.a0, pencil.base0)
+    vals = np.linalg.eigvals(T)
+    order, rank = 1, 0
+    for q in pencil.modes.tolist():
+        def inside(t):
+            return abs(-t - 1j * q - center) < radius
 
-
-def _projection_family(spec: OperatorSpec, basis: SpectralBasis, center: complex,
-                       radius: float, n_nodes: int) -> dict:
-    """Order and rank of the loop projections at one pole.
-
-    The loop resolvents stay per block of the pencil.  When the blocks are
-    Fourier modes, A^0 commutes with the DFT, so the Frobenius norms (the DFT
-    scaled by 1/sqrt(nt) is unitary) and the pooled singular values of the
-    blocks of P_0 A^0 equal the value-space ones.
-    """
-    nodes, phases = _loop_nodes(center, radius, n_nodes)
-    pencil = mode_operator_parts(spec, basis)
-    resolvents = _mode_inverses(pencil, nodes)
-    a0 = pencil.a0
-    p0 = _loop_projection(resolvents, phases, radius, 0)
-    scale = np.linalg.norm(p0)
-    order = 1
-    while order <= 8 and np.linalg.norm(
-            _loop_projection(resolvents, phases, radius, order)) > ORDER_TOL * scale:
-        order += 1
-    sv = np.linalg.svd(p0 @ a0, compute_uv=False)
-    rank = int(np.sum(sv > RANK_TOL * max(sv.max(), 1e-300)))
-    return {"order": order, "rank": rank, "radius": radius}
+        if not np.any(inside(vals)):
+            continue
+        tri, _U, k = scipy.linalg.schur(T, output="complex", sort=inside)
+        lead = tri[:k, :k]
+        nil = lead - np.trace(lead) / k * np.eye(k)
+        ell, power = 1, nil
+        while ell <= 8 and np.linalg.norm(power) > ORDER_TOL * radius ** ell:
+            ell, power = ell + 1, power @ nil
+        order, rank = max(order, ell), rank + k
+    return order, rank
 
 
 def spectral_projection(spec: OperatorSpec, basis: SpectralBasis, lam: complex, ell: int,
@@ -428,9 +406,10 @@ def spectral_projection(spec: OperatorSpec, basis: SpectralBasis, lam: complex, 
                 raise SpecError(
                     f"loop of radius {radius} about {lam} too close to pole {p.lam}"
                 )
+    # trapezoid rule on the circle |z - lam| = radius
     nodes, phases = _loop_nodes(lam, radius, n_nodes)
-    resolvents = [resolvent_matrix_for(spec, basis, z) for z in nodes]
-    mat = _loop_projection(resolvents, phases, radius, ell)
+    mat = sum(resolvent_matrix_for(spec, basis, z) * ph ** (ell + 1)
+              for z, ph in zip(nodes, phases)) * (radius ** (ell + 1) / n_nodes)
     return ProjectionMatrix(
         lam=lam, ell=ell, matrix=mat,
         contour={"center": lam, "radius": radius, "nodes": n_nodes},

@@ -357,8 +357,9 @@ class GrowthReport:
 
 
 def growth_rate(spec: OperatorSpec, basis: SpectralBasis, *, periods: int = 12,
-                seed: int = 0) -> GrowthReport:
-    """Dominant growth rate of the homogeneous evolution, from random smooth data.
+                seed: int = 0, z: float = 0.0) -> GrowthReport:
+    """Dominant growth rate of the homogeneous evolution of the operator shifted by
+    z*A^0, from random smooth data.
 
     Runs several random initial conditions; the rate is the median fitted slope
     of the log slice norm over the last half of the window.  The evolution is
@@ -376,8 +377,8 @@ def growth_rate(spec: OperatorSpec, basis: SpectralBasis, *, periods: int = 12,
         coeff /= (1.0 + np.arange(basis.M // 2))[:, None] ** 2
         inits.append(np.polynomial.chebyshev.chebval(basis.x1, coeff).T.reshape(-1))
     # the runs march together, one column each
-    n_steps, stride = _step_plan(span, stable_time_step(spec, basis, 0.0), 16)
-    prop = _propagator(spec, basis, 0.0, span / n_steps)
+    n_steps, stride = _step_plan(span, stable_time_step(spec, basis, z), 16)
+    prop = _propagator(spec, basis, z, span / n_steps)
     states = _march(prop, np.stack(inits, axis=1), 0.0, n_steps, stride)
     times = prop.h * np.arange(0, n_steps + 1, stride)
     half = times >= span / 2

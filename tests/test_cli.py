@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
 from cylspec.cli import main
 from cylspec.operator_model import fixture, spec_to_json
+from cylspec.polynomial import MatrixPolynomial
 
 
 def run(args):
@@ -96,6 +98,15 @@ def test_evolve_artifacts(tmp_path):
     assert header == "x0,E0,E1"
 
 
+def test_evolve_shift_reaches_growth_rate(tmp_path):
+    # EX1's leading pole is 0, so the operator shifted by 0.5 decays at rate -0.5
+    code = run(["evolve", "--fixture", "EX1", "--m", "8", "--shift", "0.5",
+                "--out", str(tmp_path)])
+    assert code == 0
+    doc = json.loads(read(tmp_path / "evolve.json"))
+    assert abs(doc["growth_rate"] + 0.5) < 1e-6
+
+
 def test_compare_passes(tmp_path):
     code = run(["compare", "--fixture", "EX1", "--qmax", "16", "--m", "32",
                 "--out", str(tmp_path)])
@@ -146,11 +157,22 @@ def test_config_round_trip_through_cli(tmp_path):
     assert code == 0
 
 
-def test_kappa_override(tmp_path, capsys):
-    code = run(["codim", "--fixture", "EX1", "--kappa", "0.01",
-                "--qmax", "0", "--m", "2", "--re-min", "-1.2",
-                "--re-max", "1.0", "--out", str(tmp_path)])
-    assert code == 0
+def test_kappa_override(tmp_path):
+    # EX1 with B = 0.5 x1^2: condition (iv) fails at K = 1 against the weight kappa
+    spec = dataclasses.replace(fixture("EX1"), B=MatrixPolynomial(2, (1, 1), {(0, 2): [[0.5]]}))
+    cfg = tmp_path / "op.json"
+    cfg.write_text(json.dumps(spec_to_json(spec)))
+    witnesses = {}
+    for kappa in ("0.024", "1"):
+        out = tmp_path / kappa
+        assert run(["check", "--config", str(cfg), "--kappa", kappa, "--density", "17",
+                    "--out", str(out)]) == 2
+        doc = json.loads(read(out / "check.json"))
+        witnesses[kappa] = next(w for w in doc["checks"]["iv"]["witnesses"] if w["K"] == 1)
+    assert witnesses["0.024"]["bound"] == 0.024
+    assert abs(witnesses["0.024"]["sum"] - 0.0344) < 1e-4
+    assert witnesses["1"]["bound"] == 1.0
+    assert abs(witnesses["1"]["sum"] - 2.2802) < 1e-4
 
 
 def test_manifest_hash_covers_file_contents(tmp_path):
@@ -181,11 +203,11 @@ def test_manifest_hash_covers_file_contents(tmp_path):
 # flags each subcommand does not read, so does not accept
 UNREAD_FLAGS = {
     "check": ("--qmax", "--m", "--re-min", "--re-max", "--contour-nodes", "--lmax", "--seed"),
-    "spectrum": ("--lmax", "--seed"),
-    "green": ("--lmax", "--seed"),
-    "codim": ("--contour-nodes", "--lmax", "--seed"),
-    "compare": ("--contour-nodes", "--lmax", "--seed"),
-    "evolve": ("--re-min", "--re-max", "--contour-nodes", "--qmax"),
+    "spectrum": ("--lmax", "--seed", "--contour-nodes", "--kappa"),
+    "green": ("--lmax", "--seed", "--kappa"),
+    "codim": ("--contour-nodes", "--lmax", "--seed", "--kappa"),
+    "compare": ("--contour-nodes", "--lmax", "--seed", "--kappa"),
+    "evolve": ("--re-min", "--re-max", "--contour-nodes", "--qmax", "--kappa"),
 }
 
 

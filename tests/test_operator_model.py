@@ -271,11 +271,16 @@ def _reference_boundary_points(n, density):
 
 
 def _reference_sup_norm(pts, polys):
+    """Per-point sup norm in the library's arithmetic, the square root of the largest
+    eigenvalue of the Gram matrix row @ row^H, checked against the SVD norm."""
     best = 0.0
     for pt in pts:
         row = np.hstack([p(pt) for p in polys])
-        best = max(best, float(np.linalg.norm(row, 2)))
-    return best
+        gram = float(np.linalg.eigvalsh(row @ row.conj().T).max())
+        svd = float(np.linalg.norm(row, 2))
+        assert abs(math.sqrt(gram) - svd) <= 8 * np.finfo(float).eps * svd
+        best = max(best, gram)
+    return math.sqrt(best)
 
 
 def _reference_norm_table(spec, density):

@@ -12,11 +12,9 @@ from cylspec.operator_model import (
 from cylspec.polynomial import MatrixPolynomial
 from cylspec.resolvent import (
     ORDER_TOL,
-    RANK_TOL,
     NearPoleError,
     _loop_nodes,
     _pencil_eigenpairs,
-    _projection_family,
     apply_operator,
     apply_resolvent,
     find_poles,
@@ -347,7 +345,8 @@ def test_projection_node_doubling(ex1, basis_q4m32, poles_ex1):
 
 
 def _dense_order_and_rank(spec, basis, pole, pole_set):
-    """Order and rank from the dense value-space loop projections."""
+    """Order and rank from the dense value-space loop projections: the rank counts
+    the singular values of P_0 A^0 above 1e-8 of the largest."""
     def proj(ell):
         return spectral_projection(spec, basis, pole.source, ell, pole_set=pole_set).matrix
 
@@ -356,26 +355,37 @@ def _dense_order_and_rank(spec, basis, pole, pole_set):
     while order <= 8 and np.linalg.norm(proj(order)) > ORDER_TOL * np.linalg.norm(p0):
         order += 1
     sv = np.linalg.svd(p0 @ multiplier_matrix(spec, basis), compute_uv=False)
-    return order, int(np.sum(sv > RANK_TOL * sv[0]))
+    return order, int(np.sum(sv > 1e-8 * sv[0]))
 
 
-@pytest.mark.parametrize("name, q_max, m", [("EX1", 4, 24), ("EX1S", 4, 16)])
-def test_order_and_rank_match_dense_projections(name, q_max, m):
-    spec = fixture(name)
+def _jordan_spec():
+    """EX1 tensored with a constant 2x2 Jordan block in B: every pole has order 2, rank 2."""
+    eye = np.eye(2)
+    return OperatorSpec(
+        n=1, N=2,
+        A=(MatrixPolynomial.constant(eye, 2), MatrixPolynomial(2, (2, 2), {(0, 1): 0.5 * eye})),
+        B=MatrixPolynomial.constant([[0.0, 1.0], [0.0, 0.0]], 2),
+        weights=WeightSequence.geometric(0.024, 16), Q=1.0, name="EX1 x Jordan",
+    )
+
+
+@pytest.mark.parametrize("name, q_max, m", [
+    ("EX1", 4, 24), ("EX1S", 4, 16), ("EX1 x Jordan", 2, 16), ("hermitian A0", 4, 16),
+    ("wobble", 4, 8),
+])
+def test_order_and_rank_match_dense_projections(name, q_max, m, request):
+    spec = {"EX1 x Jordan": _jordan_spec, "hermitian A0": _hermitian_a0_spec,
+            "wobble": lambda: request.getfixturevalue("wobble")}.get(name, lambda: fixture(name))()
     basis = build_basis(q_max, m)
-    ps = find_poles(spec, basis, window=(-2.2, 1.0))
+    # the hermitian A0 pole near -2.07 has a filtered eigenvalue 0.005 outside its
+    # loop, where the 32-node trapezoid rule of the dense reference does not converge
+    window = (-1.0, 1.0) if name == "hermitian A0" else (-2.2, 1.0)
+    ps = find_poles(spec, basis, window=window)
     assert ps.poles
     for pole in ps.poles:
         assert (pole.order, pole.rank) == _dense_order_and_rank(spec, basis, pole, ps)
-
-
-def test_projection_family_raises_on_node_at_pole(ex1, wobble):
-    # the node at angle 0 of the loop |z + 0.2| = 0.2 is the pencil eigenvalue 0
-    for spec, basis in _at_pole_cases(ex1, wobble):
-        with pytest.raises(NearPoleError) as err:
-            _projection_family(spec, basis, -0.2, 0.2, 32)
-        assert err.value.z == 0.0
-        assert abs(err.value.nearest) < 1e-8
+    if name == "EX1 x Jordan":
+        assert all((p.order, p.rank) == (2, 2) for p in ps.poles)
 
 
 def test_apply_resolvent_at_pole_reports_nearest(ex1, wobble):
