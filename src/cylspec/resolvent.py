@@ -6,16 +6,19 @@ z ~ z + i.  Poles are located as generalized eigenvalues of the collocation
 pencil (D, -A^0), filtered against discretization artifacts by persistence
 under resolution doubling, and reduced to the fundamental strip 0 <= Im z < 1.
 Spectral projections are loop integrals of (z - lam)^l D_z^{-1}.  A pole's order
-and rank come from ordered Schur forms of A^0^{-1} base0 (`_projection_family`);
+and rank come from an ordered Schur form of A^0^{-1} base0 (`_projection_family`);
 the dense trapezoid loop integrals of `spectral_projection` cross-check them.
 
 Every routine works on one block pencil, `spectral.mode_operator_parts`: block q
 of D + z*A^0 is base0 + (z + i*q)*A^0, one block per Fourier mode when the
 coefficients do not depend on the periodic coordinate and one value-space block
-otherwise.  Each job has one routine on it: `_schur_solve` solves and
-`_projection_family` orders from Schur forms of A^0^{-1} base0,
-`resolvent_matrix_for` inverts the blocks, `_nearest_mode_pole` and
-`_pencil_eigenpairs` shift the eigenvalues of (base0, -A^0) by -i*q.
+otherwise.  Each pencil is factored once: its complex Schur form of
+A^0^{-1} base0 (`ModePencil.schur`, taken on first use) serves `_schur_solve`
+for every shift and `_projection_family` for every pole, which reorders it per
+pole.  `resolvent_matrix_for` inverts the blocks; `_pencil_eigenpairs` (with
+eigenvectors, for the tail filter) and `_pencil_eigenvalues` (without, for the
+persistence test and `NearPoleError.nearest`) shift the eigenvalues of
+(base0, -A^0) by -i*q.
 """
 
 from __future__ import annotations
@@ -41,16 +44,26 @@ from .spectral import (
 
 ORDER_TOL = 1e-9
 PERSIST_TOL = 1e-6
+# eigenvalues this close (on the cylinder) belong to one pole
+CLUSTER_TOL = max(1e-5, 10 * PERSIST_TOL)
 
 
 class NearPoleError(ValueError):
+    """A resolvent solve at shift z failed its residual check.
+
+    A pole at z is one cause; an ill-conditioned (non-normal) operator far from
+    any pole is another.  `nearest` is the nearest pencil eigenvalue and
+    `distance` = |z - nearest| tells the two apart.
+    """
+
     def __init__(self, z: complex, nearest: complex | None, residual: float):
         self.z = z
         self.nearest = nearest
         self.residual = residual
-        msg = f"shift z={z} is numerically at a pole (solve residual {residual:.3g})"
+        self.distance = None if nearest is None else abs(z - nearest)
+        msg = f"resolvent solve at z={z} failed its residual check (residual {residual:.3g})"
         if nearest is not None:
-            msg += f"; nearest eigenvalue estimate {nearest}"
+            msg += f"; nearest pencil eigenvalue {nearest} at distance {self.distance:.3g}"
         super().__init__(msg)
 
 
@@ -79,14 +92,16 @@ def resolvent_matrix_for(spec: OperatorSpec, basis: SpectralBasis, z: complex) -
 
 
 def _mode_batched(spec: OperatorSpec, basis: SpectralBasis, z, f: np.ndarray,
-                  modal) -> np.ndarray:
+                  modal, pencil: ModePencil | None = None) -> np.ndarray:
     """Shift batching for apply_resolvent and apply_operator: z is a shift (a batch
     of one) or a 1-D array of shifts, f one grid function per shift or one for all.
 
-    modal(base0, a0, w, cols) gets one block column per block base0 + w*a0,
-    w = z_k + i*q of shape (shifts, blocks) (so w[:, 0] are the shifts).
+    modal(pencil, w, cols) gets one block column per block base0 + w*a0,
+    w = z_k + i*q of shape (shifts, blocks) (so w[:, 0] are the shifts).  The
+    pencil of (spec, basis) is built unless the caller passes it.
     """
-    pencil = mode_operator_parts(spec, basis)
+    if pencil is None:
+        pencil = mode_operator_parts(spec, basis)
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     shape = pencil.grid_shape
     f = np.asarray(f, dtype=complex)
@@ -96,20 +111,19 @@ def _mode_batched(spec: OperatorSpec, basis: SpectralBasis, z, f: np.ndarray,
     w = zs[:, None] + 1j * pencil.modes
     n = len(pencil.a0)
     cols = pencil.columns(fs).reshape(w.size, n).T
-    out = pencil.grid(modal(pencil.base0, pencil.a0, w, cols).T.reshape(w.shape + (n,)))
+    out = pencil.grid(modal(pencil, w, cols).T.reshape(w.shape + (n,)))
     return out if np.ndim(z) else out[0]
 
 
-def _schur_solve(base0: np.ndarray, a0: np.ndarray, w: np.ndarray,
-                 rhs: np.ndarray) -> np.ndarray:
-    """Solve (base0 + w_j*a0) u_j = rhs_j for every column j from one Schur form
-    a0^{-1} base0 = U S U^H: a back-substitution with S + w_j I per column, then
-    one refinement step against the true blocks.  The first shift whose relative
-    residual exceeds 1e-10, or is NaN, raises NearPoleError; its nearest pole
-    -S_kk - i*q is the shift minus the smallest pivot S_kk + w.
+def _schur_solve(pencil: ModePencil, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (base0 + w_j*a0) u_j = rhs_j for every column j from the pencil's Schur
+    form a0^{-1} base0 = U S U^H: a back-substitution with S + w_j I per column,
+    then one refinement step against the true blocks.  The first shift whose
+    relative residual exceeds 1e-10, or is NaN, raises NearPoleError; its nearest
+    pole -S_kk - i*q is the shift minus the smallest pivot S_kk + w.
     """
-    tri, U = scipy.linalg.schur(np.linalg.solve(a0, base0), output="complex")
-    left = np.linalg.solve(a0.T, U.conj()).T  # U^H a0^{-1}
+    tri, U, left = pencil.schur
+    base0, a0 = pencil.base0, pencil.a0
     flat = w.reshape(-1)
 
     def solve(r):
@@ -137,16 +151,18 @@ def _schur_solve(base0: np.ndarray, a0: np.ndarray, w: np.ndarray,
     return u
 
 
-def apply_resolvent(spec: OperatorSpec, basis: SpectralBasis, z, f: np.ndarray) -> np.ndarray:
+def apply_resolvent(spec: OperatorSpec, basis: SpectralBasis, z, f: np.ndarray, *,
+                    pencil: ModePencil | None = None) -> np.ndarray:
     """u = (D + z*A^0)^{-1} f without forming the inverse, batched over shifts
-    (_mode_batched) and solved by _schur_solve."""
-    return _mode_batched(spec, basis, z, f, _schur_solve)
+    (_mode_batched) and solved by _schur_solve.  Callers that solve more than once
+    pass the pencil of (spec, basis), so its Schur form is taken once."""
+    return _mode_batched(spec, basis, z, f, _schur_solve, pencil)
 
 
 def apply_operator(spec: OperatorSpec, basis: SpectralBasis, z, u: np.ndarray) -> np.ndarray:
     """(D + z*A^0) u, batched over shifts like apply_resolvent."""
     return _mode_batched(spec, basis, z, u,
-                         lambda base0, a0, w, c: base0 @ c + (a0 @ c) * w.reshape(-1))
+                         lambda p, w, c: p.base0 @ c + (p.a0 @ c) * w.reshape(-1))
 
 
 def apply_multiplier(spec: OperatorSpec, basis: SpectralBasis, u: np.ndarray) -> np.ndarray:
@@ -155,14 +171,22 @@ def apply_multiplier(spec: OperatorSpec, basis: SpectralBasis, u: np.ndarray) ->
     return np.einsum("jmab,...jmb->...jma", a0, u)
 
 
-def _nearest_mode_pole(pencil: ModePencil, z: complex) -> complex | None:
-    """Pencil eigenvalue nearest to z over all blocks: the eigenvalues of
-    (base0, -a0), shifted by -i*q."""
-    vals = scipy.linalg.eigvals(pencil.base0, -pencil.a0)
+def _pencil_eigenvalues(pencil: ModePencil) -> np.ndarray:
+    """Every finite pencil eigenvalue, without eigenvectors: those of (base0, -a0)
+    shifted by -i*q, mode by mode, in `_pencil_eigenpairs`' order."""
+    vals = scipy.linalg.eig(pencil.base0, -pencil.a0, right=False)
     vals = vals[np.isfinite(vals)]
-    if vals.size == 0:
+    out = np.empty((len(pencil.modes), vals.size), dtype=complex)
+    out.real = vals.real
+    out.imag = vals.imag - pencil.modes[:, None]
+    return out.reshape(-1)
+
+
+def _nearest_mode_pole(pencil: ModePencil, z: complex) -> complex | None:
+    """Pencil eigenvalue nearest to z over all blocks."""
+    candidates = _pencil_eigenvalues(pencil)
+    if candidates.size == 0:
         return None
-    candidates = (vals[None, :] - 1j * pencil.modes[:, None]).ravel()
     return complex(candidates[np.argmin(np.abs(candidates - z))])
 
 
@@ -178,6 +202,7 @@ class Pole:
     rank: int
     residual: float
     source: complex       # detected (unreduced) location used for the loop integral
+    radius: float         # loop radius about source (_loop_radius)
 
     def to_json(self) -> dict:
         return {
@@ -260,18 +285,20 @@ def find_poles(spec: OperatorSpec, basis: SpectralBasis,
 
     Candidates are generalized eigenvalues of the collocation pencil; spurious
     ones are removed by requiring persistence (within PERSIST_TOL) under a
-    resolution doubling M -> 2M, Q_max -> Q_max + 2 and a clean Chebyshev tail.
-    Survivors are deduplicated modulo z ~ z + i using interior modes, and each
-    strip pole gets the order and rank of its loop projection (_projection_family).
+    resolution doubling M -> 2M, Q_max -> Q_max + 2 (eigenvalues only) and a clean
+    Chebyshev tail.  Survivors are deduplicated modulo z ~ z + i using interior
+    modes; each strip pole gets a loop radius (_loop_radius) and the order and
+    rank of its loop projection (_projection_family).
     """
     re_min, re_max = window
     pad = 10 * PERSIST_TOL
-    fine = build_basis(basis.Q_max + 2, 2 * basis.M)
-    fine_vals = np.array([z for z, _v, _q, _r in _pencil_eigenpairs(spec, fine)])
+    fine_vals = _pencil_eigenvalues(
+        mode_operator_parts(spec, build_basis(basis.Q_max + 2, 2 * basis.M)))
 
     kept: list[tuple[complex, float]] = []
     edge_flag = False
-    for z, v, q, res in _pencil_eigenpairs(spec, basis):
+    pairs = _pencil_eigenpairs(spec, basis)
+    for z, v, q, res in pairs:
         if not (re_min - pad <= z.real <= re_max + pad):
             continue
         if fine_vals.size == 0 or np.abs(fine_vals - z).min() > PERSIST_TOL:
@@ -292,7 +319,7 @@ def find_poles(spec: OperatorSpec, basis: SpectralBasis,
         lam = complex(z.real, z.imag - math.floor(z.imag))
         placed = False
         for cl in clusters:
-            if _strip_distance(cl[0][0], lam) <= max(1e-5, 10 * PERSIST_TOL):
+            if _strip_distance(cl[0][0], lam) <= CLUSTER_TOL:
                 cl.append((z, res))
                 placed = True
                 break
@@ -309,13 +336,14 @@ def find_poles(spec: OperatorSpec, basis: SpectralBasis,
             lam = complex(lam.real, 0.0)
         reps.append((lam, src, min(r for _z, r in cl)))
 
-    # pairwise strip distances fix the loop radii
+    eigenvalues = np.array([z for z, _v, _q, _r in pairs])
     pencil = mode_operator_parts(spec, basis)
     for lam, src, res in reps:
         others = [o for o, _s, _r in reps if o != lam]
-        radius = _loop_radius(lam, others)
+        radius = _loop_radius(lam, src, others, eigenvalues)
         order, rank = _projection_family(pencil, src, radius) if compute_projections else (1, 0)
-        poles.append(Pole(lam=lam, order=order, rank=rank, residual=res, source=src))
+        poles.append(Pole(lam=lam, order=order, rank=rank, residual=res, source=src,
+                          radius=radius))
 
     poles.sort(key=lambda p: (-p.lam.real, p.lam.imag))
     pole_res = [p.lam.real for p in poles]
@@ -335,11 +363,14 @@ def _strip_distance(a: complex, b: complex) -> float:
     return math.hypot(a.real - b.real, d_im)
 
 
-def _loop_radius(lam: complex, others: list[complex]) -> float:
-    if not others:
-        return 0.2
-    dist = min(_strip_distance(lam, o) for o in others)
-    return min(0.2, 0.5 * dist)
+def _loop_radius(lam: complex, source: complex, others: list[complex],
+                 eigenvalues: np.ndarray) -> float:
+    """min(0.2, half the distance to the nearest other strip pole or pencil
+    eigenvalue): the loop about `source` keeps clear of every eigenvalue outside
+    its cluster, whether the filter kept it or not."""
+    gaps = np.abs(eigenvalues - source)
+    dist = [_strip_distance(lam, o) for o in others] + gaps[gaps > CLUSTER_TOL].tolist()
+    return min(0.2, 0.5 * min(dist, default=math.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -365,23 +396,22 @@ def _projection_family(pencil: ModePencil, center: complex, radius: float) -> tu
 
     Block q of the pencil is a0 (T + (z + i*q) I) with T = a0^{-1} base0, so the
     projection about `center` is T's spectral projector on the eigenvalues t with
-    -t - i*q inside the loop.  Per block with k such eigenvalues, a Schur form of T
-    ordered to put them first adds k to the rank; the order is the smallest l with
-    ||N^l|| <= ORDER_TOL * radius^l for N = S_kk minus the mean of its diagonal
-    (the cluster mean, not one eigenvalue: a split defective eigenvalue then
-    leaves N^2 at roundoff), the largest over the blocks.
+    -t - i*q inside the loop.  Per block with k such eigenvalues, the pencil's
+    Schur form of T, reordered to put them first, adds k to the rank; the order
+    is the smallest l with ||N^l|| <= ORDER_TOL * radius^l for N = S_kk minus the
+    mean of its diagonal (the cluster mean, not one eigenvalue: a split defective
+    eigenvalue then leaves N^2 at roundoff), the largest over the blocks.
     """
-    T = np.linalg.solve(pencil.a0, pencil.base0)
-    vals = np.linalg.eigvals(T)
+    tri, U, _left = pencil.schur
+    vals = np.diag(tri)
     order, rank = 1, 0
     for q in pencil.modes.tolist():
-        def inside(t):
-            return abs(-t - 1j * q - center) < radius
-
-        if not np.any(inside(vals)):
+        select = np.abs(-vals - 1j * q - center) < radius
+        k = int(select.sum())
+        if not k:
             continue
-        tri, _U, k = scipy.linalg.schur(T, output="complex", sort=inside)
-        lead = tri[:k, :k]
+        # LAPACK's reorder, the step schur(T, sort=) takes after this same factorization
+        lead = scipy.linalg.lapack.ztrsen(select, tri, U, job="N", wantq=0)[0][:k, :k]
         nil = lead - np.trace(lead) / k * np.eye(k)
         ell, power = 1, nil
         while ell <= 8 and np.linalg.norm(power) > ORDER_TOL * radius ** ell:
@@ -393,12 +423,14 @@ def _projection_family(pencil: ModePencil, center: complex, radius: float) -> tu
 def spectral_projection(spec: OperatorSpec, basis: SpectralBasis, lam: complex, ell: int,
                         *, pole_set: PoleSet | None = None, radius: float | None = None,
                         n_nodes: int = 32) -> ProjectionMatrix:
-    """Loop-integral projection (2*pi*i)^{-1} x integral of (z-lam)^l D_z^{-1} about lam."""
+    """Loop-integral projection (2*pi*i)^{-1} x integral of (z-lam)^l D_z^{-1} about lam.
+
+    The radius defaults to find_poles' loop radius when lam is a pole of pole_set,
+    and to 0.2 otherwise.
+    """
     if radius is None:
-        others = []
-        if pole_set is not None:
-            others = [p.lam for p in pole_set.poles if _strip_distance(p.lam, lam) > 1e-8]
-        radius = _loop_radius(lam, others)
+        poles = pole_set.poles if pole_set is not None else ()
+        radius = next((p.radius for p in poles if _strip_distance(p.lam, lam) <= 1e-8), 0.2)
     if pole_set is not None:
         for p in pole_set.poles:
             d = _strip_distance(p.lam, lam)

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .operator_model import OperatorSpec, SpecError
 
@@ -260,6 +262,10 @@ class ModePencil:
     over Fourier modes (FFT order) and a column is one mode's Chebyshev slice;
     otherwise there is one value-space block at mode 0, whose column is the whole
     flattened grid function.
+
+    Block q is a0 (T + (z + i*q) I) with T = a0^{-1} base0 for every q, so one
+    complex Schur form of T (`schur`, taken on first use and kept) serves every
+    block, shift and pole of the pencil.
     """
 
     base0: np.ndarray
@@ -285,6 +291,13 @@ class ModePencil:
         count: exp(i*q*x0) on the uniform nodes x0, or 1 for one block."""
         n = len(self.modes)
         return np.exp(1j * np.outer(2.0 * np.pi * np.arange(n) / n, self.modes))
+
+    @cached_property
+    def schur(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(S, U, left): the complex Schur form a0^{-1} base0 = U S U^H, unsorted,
+        and left = U^H a0^{-1}."""
+        tri, U = scipy.linalg.schur(np.linalg.solve(self.a0, self.base0), output="complex")
+        return tri, U, np.linalg.solve(self.a0.T, U.conj()).T
 
 
 def mode_operator_parts(spec: OperatorSpec, basis: SpectralBasis) -> ModePencil:

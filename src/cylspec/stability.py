@@ -13,10 +13,11 @@ is periodic there, so the rule is spectrally accurate, and with enough nodes
 the cover aliasing (period translates folding back) is driven below roundoff.
 
 Shifts are batched: each segment and each loop is one `forward_transform` and
-one `apply_resolvent` call over its array of shifts (one Schur form of the
-mode-0 pencil serves them all, whether or not the coefficients depend on the
-periodic coordinate), and every cover evaluation is one contraction,
-`_segment_sum`, of (times, shifts) weights with Fourier coefficients.
+one `apply_resolvent` call over its array of shifts, and every cover
+evaluation is one contraction, `_segment_sum`, of (times, shifts) weights with
+Fourier coefficients.  `decompose` builds the pencil once and passes it to its
+segment and loop solves, so one Schur form serves all of them, whether or not
+the coefficients depend on the periodic coordinate.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator_model import OperatorSpec, SpecError
-from .resolvent import PoleSet, _loop_nodes, _loop_radius, _strip_distance, \
-    apply_multiplier, apply_operator, apply_resolvent
-from .spectral import SpectralBasis, fourier_coefficients
+from .resolvent import PoleSet, _loop_nodes, apply_multiplier, apply_operator, apply_resolvent
+from .spectral import ModePencil, SpectralBasis, fourier_coefficients, mode_operator_parts
 from .timedomain import FieldOnCover, fit_log_slope
 
 EPS = float(np.finfo(float).eps)
@@ -295,11 +295,13 @@ class VerticalPathSolution:
 
 
 def solve_on_segment(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverForcing,
-                     c: float, n_nodes: int) -> VerticalPathSolution:
+                     c: float, n_nodes: int, *,
+                     pencil: ModePencil | None = None) -> VerticalPathSolution:
     pair = transform_segment(forcing, c, n_nodes, basis)
     return VerticalPathSolution(
         spec=spec, basis=basis, c=c, nodes=pair.nodes,
-        solutions=apply_resolvent(spec, basis, pair.shifts, pair.samples), forcing=forcing,
+        solutions=apply_resolvent(spec, basis, pair.shifts, pair.samples, pencil=pencil),
+        forcing=forcing,
     )
 
 
@@ -435,7 +437,8 @@ class FiniteRankPart:
 
 
 def build_finite_rank_part(spec: OperatorSpec, basis: SpectralBasis, pole_set: PoleSet,
-                           forcing: CoverForcing, *, n_loop_nodes: int = 32) -> FiniteRankPart:
+                           forcing: CoverForcing, *, n_loop_nodes: int = 32,
+                           pencil: ModePencil | None = None) -> FiniteRankPart:
     """Loop integrals about the nonnegative strip poles applied to the forcing family.
 
     Two routes are assembled: (a) direct trapezoid loop sums of
@@ -443,7 +446,8 @@ def build_finite_rank_part(spec: OperatorSpec, basis: SpectralBasis, pole_set: P
     combining loop projections with Cauchy-integral derivatives of f_z at each
     pole; the modal form is the primary representation (exact in cover time).
     Both routes solve on the same loop nodes, in one batched resolvent call per
-    pole; pole orders and operator ranks come from the supplied pole set.
+    pole; pole orders, operator ranks and loop radii come from the supplied pole
+    set.
     """
     n = n_loop_nodes
     terms: list[ModalTerm] = []
@@ -451,10 +455,8 @@ def build_finite_rank_part(spec: OperatorSpec, basis: SpectralBasis, pole_set: P
               np.zeros((0, basis.n_time, basis.n_space, forcing.N), dtype=complex))]
     pole_data = []
     rank = 0
-    all_locs = [p.lam for p in pole_set.poles]
     for pole in pole_set.nonneg:
-        others = [o for o in all_locs if _strip_distance(o, pole.lam) > 1e-8]
-        radius = _loop_radius(pole.lam, others)
+        radius = pole.radius
         shifts, phases = _loop_nodes(pole.source, radius, n)
         order = pole.order
         f_samples = forward_transform(forcing, shifts, basis)
@@ -463,7 +465,7 @@ def build_finite_rank_part(spec: OperatorSpec, basis: SpectralBasis, pole_set: P
                                   * np.tensordot(phases ** (-m), f_samples, axes=1),
                                   f_samples.shape) for m in range(order)]
         solved = apply_resolvent(spec, basis, np.tile(shifts, order + 1),
-                                 np.concatenate([f_samples, *derivs]))
+                                 np.concatenate([f_samples, *derivs]), pencil=pencil)
         solved = solved.reshape((order + 1,) + f_samples.shape)
         # route (a): (1/i) * loop integral -> weights 2*pi*radius*phase/n
         loops.append((shifts, 2.0 * math.pi * radius * phases / n, solved[0]))
@@ -526,10 +528,11 @@ def decompose(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverForcing,
 
     n_nodes = segment_node_count(basis)
     c = segment_abscissa(pole_set)
-    sol = solve_on_segment(spec, basis, forcing, c, n_nodes)
+    pencil = mode_operator_parts(spec, basis)
+    sol = solve_on_segment(spec, basis, forcing, c, n_nodes, pencil=pencil)
     u_ret = sol.evaluate(times)
     part = build_finite_rank_part(spec, basis, pole_set, forcing,
-                                  n_loop_nodes=n_loop_nodes)
+                                  n_loop_nodes=n_loop_nodes, pencil=pencil)
     f_field = part.evaluate(times)
     diff_values = u_ret.values - f_field.values
     difference = FieldOnCover(times, diff_values, basis)
@@ -539,7 +542,7 @@ def decompose(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverForcing,
     # content beyond the Fourier band, which also grows like exp(c X).  The
     # ghost is estimated empirically by re-running the segment with a different
     # node count: it does not reproduce between node sets.
-    check = solve_on_segment(spec, basis, forcing, c, n_nodes + 16)
+    check = solve_on_segment(spec, basis, forcing, c, n_nodes + 16, pencil=pencil)
     ghost = FieldOnCover(
         times, u_ret.values - check.evaluate(times).values, basis
     ).slice_norms()

@@ -15,6 +15,8 @@ from cylspec.resolvent import (
     NearPoleError,
     _loop_nodes,
     _pencil_eigenpairs,
+    _pencil_eigenvalues,
+    _projection_family,
     apply_operator,
     apply_resolvent,
     find_poles,
@@ -345,10 +347,11 @@ def test_projection_node_doubling(ex1, basis_q4m32, poles_ex1):
 
 
 def _dense_order_and_rank(spec, basis, pole, pole_set):
-    """Order and rank from the dense value-space loop projections: the rank counts
-    the singular values of P_0 A^0 above 1e-8 of the largest."""
+    """Order and rank from the dense value-space loop projections on 64 nodes: the
+    rank counts the singular values of P_0 A^0 above 1e-8 of the largest."""
     def proj(ell):
-        return spectral_projection(spec, basis, pole.source, ell, pole_set=pole_set).matrix
+        return spectral_projection(spec, basis, pole.source, ell, pole_set=pole_set,
+                                   n_nodes=64).matrix
 
     p0 = proj(0)
     order = 1
@@ -369,18 +372,20 @@ def _jordan_spec():
     )
 
 
+def _named_spec(name, request):
+    return {"EX1 x Jordan": _jordan_spec, "hermitian A0": _hermitian_a0_spec,
+            "wobble": lambda: request.getfixturevalue("wobble")}.get(
+        name, lambda: fixture(name))()
+
+
 @pytest.mark.parametrize("name, q_max, m", [
     ("EX1", 4, 24), ("EX1S", 4, 16), ("EX1 x Jordan", 2, 16), ("hermitian A0", 4, 16),
     ("wobble", 4, 8),
 ])
 def test_order_and_rank_match_dense_projections(name, q_max, m, request):
-    spec = {"EX1 x Jordan": _jordan_spec, "hermitian A0": _hermitian_a0_spec,
-            "wobble": lambda: request.getfixturevalue("wobble")}.get(name, lambda: fixture(name))()
+    spec = _named_spec(name, request)
     basis = build_basis(q_max, m)
-    # the hermitian A0 pole near -2.07 has a filtered eigenvalue 0.005 outside its
-    # loop, where the 32-node trapezoid rule of the dense reference does not converge
-    window = (-1.0, 1.0) if name == "hermitian A0" else (-2.2, 1.0)
-    ps = find_poles(spec, basis, window=window)
+    ps = find_poles(spec, basis, window=(-2.2, 1.0))
     assert ps.poles
     for pole in ps.poles:
         assert (pole.order, pole.rank) == _dense_order_and_rank(spec, basis, pole, ps)
@@ -396,6 +401,89 @@ def test_apply_resolvent_at_pole_reports_nearest(ex1, wobble):
                             np.ones((basis.n_time, basis.n_space, 1), dtype=complex))
         assert err.value.z == 0.0
         assert abs(err.value.nearest) < 1e-8
+
+
+def test_near_pole_error_reports_distance():
+    # CE-BDY is ill-conditioned far from its poles: both solvers fail their residual
+    # checks at a shift 1.3 from the nearest pencil eigenvalue, and say so
+    spec, basis = fixture("CE-BDY"), build_basis(4, 32)
+    z = 1.3 - 0.78j
+    f = np.random.default_rng(0).standard_normal((basis.n_time, basis.n_space, 1)) + 0j
+    for solve in (lambda: apply_resolvent(spec, basis, z, f),
+                  lambda: resolvent_matrix_for(spec, basis, z)):
+        with pytest.raises(NearPoleError, match="failed its residual check") as err:
+            solve()
+        e = err.value
+        assert e.residual > 1e-10
+        assert e.distance == abs(z - e.nearest) and 1.2 < e.distance < 1.5
+        assert f"at distance {e.distance:.3g}" in str(e) and f"{e.residual:.3g}" in str(e)
+
+
+def _sorted_schur_family(pencil, center, radius):
+    """Order and rank from a fresh schur(T, sort=inside) per block with eigenvalues
+    inside the loop."""
+    T = np.linalg.solve(pencil.a0, pencil.base0)
+    vals = np.linalg.eigvals(T)
+    order, rank = 1, 0
+    for q in pencil.modes.tolist():
+        def inside(t):
+            return abs(-t - 1j * q - center) < radius
+
+        if not np.any(inside(vals)):
+            continue
+        tri, _U, k = scipy.linalg.schur(T, output="complex", sort=inside)
+        lead = tri[:k, :k]
+        nil = lead - np.trace(lead) / k * np.eye(k)
+        ell, power = 1, nil
+        while ell <= 8 and np.linalg.norm(power) > ORDER_TOL * radius ** ell:
+            ell, power = ell + 1, power @ nil
+        order, rank = max(order, ell), rank + k
+    return order, rank
+
+
+@pytest.mark.parametrize("name, q_max, m", [
+    ("EX1", 4, 32), ("EX1S", 16, 32), ("EX1 x Jordan", 2, 16), ("hermitian A0", 4, 16),
+    ("wobble", 4, 8),
+])
+def test_projection_family_matches_sorted_schur(name, q_max, m, request):
+    # one Schur form reordered per pole gives what a sorted Schur form per pole gave
+    spec = _named_spec(name, request)
+    basis = build_basis(q_max, m)
+    ps = find_poles(spec, basis, window=(-2.2, 1.0))
+    pencil = mode_operator_parts(spec, basis)
+    assert ps.poles
+    for pole in ps.poles:
+        ref = _sorted_schur_family(pencil, pole.source, pole.radius)
+        assert _projection_family(pencil, pole.source, pole.radius) == ref
+        assert (pole.order, pole.rank) == ref
+
+
+@pytest.mark.parametrize("name, q_max, m", [
+    ("EX1", 6, 64), ("EX1S", 6, 32), ("EX1 x Jordan", 4, 32), ("hermitian A0", 6, 32),
+    ("wobble", 6, 16),
+])
+def test_persistence_eigenvalues_match_eigenpairs(name, q_max, m, request):
+    # the eigenvalue-only solve of the doubled pencil is bit-identical to the
+    # eigenvalues solved with eigenvectors
+    spec = _named_spec(name, request)
+    basis = build_basis(q_max, m)
+    got = _pencil_eigenvalues(mode_operator_parts(spec, basis))
+    ref = np.array([z for z, _v, _q, _r in _pencil_eigenpairs(spec, basis)])
+    assert got.size and np.array_equal(got, ref)
+
+
+def test_loop_radii_clear_filtered_eigenvalues():
+    # every loop keeps at least its radius between itself and every pencil
+    # eigenvalue outside its pole, kept by the filter or not
+    spec, basis = _hermitian_a0_spec(), build_basis(4, 16)
+    ps = find_poles(spec, basis, window=(-2.2, 1.0))
+    every = np.array([z for z, _v, _q, _r in _pencil_eigenpairs(spec, basis)])
+    for pole in ps.poles:
+        gaps = np.abs(every - pole.source)
+        assert pole.radius <= 0.2 and 2 * pole.radius <= gaps[gaps > 1e-5].min()
+    # the pole near -2.07 has a filtered eigenvalue 0.2049 away
+    far = min(ps.poles, key=lambda p: p.lam.real)
+    assert abs(far.lam + 2.072) < 1e-3 and abs(far.radius - 0.2049 / 2) < 1e-3
 
 
 def test_contour_separation_guard(ex1, basis_q4m32, poles_ex1):

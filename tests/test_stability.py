@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from cylspec.operator_model import SpecError
-from cylspec.spectral import assemble_operator, fourier_coefficients
+from cylspec.operator_model import SpecError, fixture
+from cylspec.resolvent import find_poles
+from cylspec.spectral import assemble_operator, build_basis, fourier_coefficients
 from cylspec.stability import (
     BumpProfile,
     FiniteRankPart,
@@ -432,3 +434,23 @@ def test_default_slice_grid_covers_both_sides(basis_q4m32):
     times = default_slice_times(forcing)
     assert times[0] <= forcing.support[0] - 7 * PERIOD
     assert times[-1] >= forcing.support[1] + 7 * PERIOD
+
+
+def test_one_schur_form_per_pole_search_and_decomposition(monkeypatch, ex1s, basis_q16m32,
+                                                          poles_ex1s_q16, default_forcing_q16):
+    # find_poles reorders one Schur form of A0^-1 base0 for all its poles (none
+    # without poles); decompose shares one among its two segments and its loops
+    calls = []
+    schur = scipy.linalg.schur
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("sort"))
+        return schur(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counted)
+    assert len(find_poles(ex1s, build_basis(4, 32), window=(-2.2, 1.0)).poles) == 6
+    assert calls == [None]
+    assert not find_poles(fixture("CE-FLAT"), build_basis(4, 16)).poles
+    assert calls == [None]
+    dec = decompose(ex1s, basis_q16m32, default_forcing_q16, poles_ex1s_q16)
+    assert dec.rank == 2 and calls == [None, None]
