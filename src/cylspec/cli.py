@@ -2,7 +2,10 @@
 
 Every run is described by a manifest (command, inputs, numeric parameters,
 tool version); its hash is embedded in all output files, and rerunning the
-same manifest reproduces the outputs bit for bit.
+same manifest reproduces the outputs bit for bit.  `main` owns the run: it
+builds the manifest, creates `--out`, loads the operator and calls the
+subcommand with a `RunOutput`, the one writer of every output file; then it
+writes `manifest.json`, or `error.json` (and no manifest) if the run raised.
 """
 
 from __future__ import annotations
@@ -19,11 +22,11 @@ import numpy as np
 
 from . import __version__
 from .operator_model import WeightSequence, check_assumptions, fixture, load_spec
-from .resolvent import apply_resolvent, find_poles
+from .resolvent import find_poles
 from .spectral import build_basis
-from .stability import decompose, make_forcing, segment_abscissa, segment_node_count, \
-    solve_on_segment
-from .timedomain import energy_series, evolve, growth_rate, periodize
+from .stability import CROSS_ENGINE_TOL, cross_engine_deltas, decompose, make_forcing, \
+    segment_abscissa
+from .timedomain import energy_series, evolve, growth_rate, random_smooth_slice
 
 
 @dataclass
@@ -50,35 +53,49 @@ class RunManifest:
         )
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
-    def write(self, out_dir: str) -> None:
-        path = os.path.join(out_dir, "manifest.json")
-        doc = self.to_json()
-        doc["hash"] = self.hash
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _write_json(path: str, doc: dict, manifest: RunManifest) -> None:
-    doc = dict(doc)
-    doc["manifest_hash"] = manifest.hash
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    manifest.outputs.append(os.path.basename(path))
+def _cell(x) -> str:
+    """A CSV cell: floats (numpy or not) as their shortest repr, ints and bools as ints."""
+    return repr(float(x)) if isinstance(x, (float, np.floating)) else str(int(x))
 
 
-def _error_json(out_dir: str, manifest: RunManifest, exc: Exception) -> None:
-    doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-    _write_json(os.path.join(out_dir, "error.json"), doc, manifest)
+@dataclass
+class RunOutput:
+    """A run's output directory: every file carries the manifest hash and is
+    recorded in the manifest's outputs."""
 
+    dir: str
+    manifest: RunManifest
 
-def _load(args):
-    return load_spec(args.config) if args.config else fixture(args.fixture)
+    def write(self, name: str, content) -> None:
+        """Write `name` by its extension: .json a dict, .csv a (column names, rows)
+        pair, .svg the markup, .bin a `FieldOnCover` (its own binary dump)."""
+        path, h = os.path.join(self.dir, name), self.manifest.hash
+        kind = os.path.splitext(name)[1]
+        if kind == ".bin":
+            content.dump(path, h)
+        else:
+            if kind == ".json":
+                text = _json_text({**content, "manifest_hash": h})
+            elif kind == ".csv":
+                columns, rows = content
+                lines = [f"# manifest: {h}", ",".join(columns)]
+                lines += [",".join(map(_cell, row)) for row in rows]
+                text = "\n".join(lines) + "\n"
+            else:  # .svg
+                text = f"<!-- manifest: {h} -->\n{content}"
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        self.manifest.outputs.append(name)
 
-
-def _source(args) -> str:
-    return args.config if args.config else args.fixture
+    def close(self) -> None:
+        """Write manifest.json, which lists every file written."""
+        with open(os.path.join(self.dir, "manifest.json"), "w", encoding="utf-8") as fh:
+            fh.write(_json_text({**self.manifest.to_json(), "hash": self.manifest.hash}))
 
 
 def _file_sha256(path: str) -> str | None:
@@ -96,17 +113,25 @@ def _manifest(args) -> RunManifest:
     params = {k: v for k, v in vars(args).items() if k not in ("out", "command", "func")}
     digests = {k: _file_sha256(params[k]) for k in ("config", "forcing")
                if params.get(k) not in (None, "default")}
-    return RunManifest(args.command, _source(args), params, digests)
+    return RunManifest(args.command, args.config or args.fixture, params, digests)
 
 
-def _forcing_doc(arg: str):
-    if arg == "default":
-        return "default"
-    with open(arg, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _forcing(args, spec, basis):
+    """The `--forcing` document (a JSON file or "default") as a forcing on the basis."""
+    doc = "default"
+    if args.forcing != "default":
+        with open(args.forcing, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    return make_forcing(basis, doc, N=spec.N)
 
 
-def _decay_svg(path: str, times, norms, rate: float, manifest: RunManifest) -> None:
+def _poles(args, spec):
+    """The basis and the poles in the window of the pole-window subcommands."""
+    basis = build_basis(args.qmax, args.m)
+    return basis, find_poles(spec, basis, window=(args.re_min, args.re_max))
+
+
+def _decay_svg(times, norms, rate: float) -> str:
     """Minimal hand-rolled SVG of log slice norms and the fitted rate line."""
     w, h, pad = 640, 400, 50
     mask = norms > 0
@@ -119,34 +144,27 @@ def _decay_svg(path: str, times, norms, rate: float, manifest: RunManifest) -> N
     fit = v[0] + (t - t[0]) * rate / math.log(10.0)
     yf = h - pad - (h - 2 * pad) * (fit - v.min()) / max(v.max() - v.min(), 1e-300)
     fpts = " ".join(f"{xi:.2f},{yi:.2f}" for xi, yi in zip(x, yf))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"<!-- manifest: {manifest.hash} -->\n")
-        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}">\n')
-        fh.write(f'<rect width="{w}" height="{h}" fill="white"/>\n')
-        fh.write(f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="1.5"/>\n')
-        fh.write(f'<polyline points="{fpts}" fill="none" stroke="red" stroke-width="1" '
-                 'stroke-dasharray="4,3"/>\n')
-        fh.write(f'<text x="{pad}" y="{pad - 18}" font-size="13">log10 slice norm; '
-                 f'fitted rate {rate:.4f}</text>\n')
-        fh.write("</svg>\n")
-    manifest.outputs.append(os.path.basename(path))
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}">\n'
+            f'<rect width="{w}" height="{h}" fill="white"/>\n'
+            f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="1.5"/>\n'
+            f'<polyline points="{fpts}" fill="none" stroke="red" stroke-width="1" '
+            'stroke-dasharray="4,3"/>\n'
+            f'<text x="{pad}" y="{pad - 18}" font-size="13">log10 slice norm; '
+            f'fitted rate {rate:.4f}</text>\n'
+            "</svg>\n")
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each computes, hands its files to `out` and returns the exit code
 # ---------------------------------------------------------------------------
 
 
-def cmd_check(args) -> int:
-    spec = _load(args)
+def cmd_check(args, spec, out: RunOutput) -> int:
     if args.kappa is not None:
         # condition (iv) is the only reader of the weights
         spec = replace(spec, weights=WeightSequence.geometric(args.kappa, spec.L_max))
-    manifest = _manifest(args)
-    os.makedirs(args.out, exist_ok=True)
     report = check_assumptions(spec, sample_density=args.density)
-    _write_json(os.path.join(args.out, "check.json"), report.to_json(), manifest)
-    manifest.write(args.out)
+    out.write("check.json", report.to_json())
     print(report.pretty())
     if report.any_fail:
         return 2
@@ -155,32 +173,20 @@ def cmd_check(args) -> int:
     return 0
 
 
-def cmd_spectrum(args) -> int:
-    spec = _load(args)
-    manifest = _manifest(args)
-    os.makedirs(args.out, exist_ok=True)
-    basis = build_basis(args.qmax, args.m)
-    pole_set = find_poles(spec, basis, window=(args.re_min, args.re_max))
-    pole_set.to_csv(os.path.join(args.out, "spectrum.csv"), manifest.hash)
-    manifest.outputs.append("spectrum.csv")
-    _write_json(os.path.join(args.out, "poles.json"), pole_set.to_json(), manifest)
-    manifest.write(args.out)
+def cmd_spectrum(args, spec, out: RunOutput) -> int:
+    _, pole_set = _poles(args, spec)
+    out.write("spectrum.csv", (("re", "im", "order", "rank", "residual"), [
+        (p.lam.real, p.lam.imag, p.order, p.rank, p.residual) for p in pole_set.poles]))
+    out.write("poles.json", pole_set.to_json())
     for p in pole_set.poles:
         print(f"pole {p.lam.real:+.6f} {p.lam.imag:+.6f}i  order {p.order}  rank {p.rank}")
     return 0
 
 
-def cmd_codim(args) -> int:
-    spec = _load(args)
-    manifest = _manifest(args)
-    os.makedirs(args.out, exist_ok=True)
-    basis = build_basis(args.qmax, args.m)
-    pole_set = find_poles(spec, basis, window=(args.re_min, args.re_max))
+def cmd_codim(args, spec, out: RunOutput) -> int:
+    _, pole_set = _poles(args, spec)
     rank = sum(p.rank for p in pole_set.nonneg)
-    doc = pole_set.to_json()
-    doc["rank_F"] = rank
-    _write_json(os.path.join(args.out, "codim.json"), doc, manifest)
-    manifest.write(args.out)
+    out.write("codim.json", {**pole_set.to_json(), "rank_F": rank})
 
     def fmt(x):
         return "-inf" if not np.isfinite(x) else f"{x:g}"
@@ -191,125 +197,58 @@ def cmd_codim(args) -> int:
     return 0
 
 
-def cmd_green(args) -> int:
-    spec = _load(args)
-    manifest = _manifest(args)
-    os.makedirs(args.out, exist_ok=True)
-    basis = build_basis(args.qmax, args.m)
-    forcing = make_forcing(basis, _forcing_doc(args.forcing), N=spec.N)
-    pole_set = find_poles(spec, basis, window=(args.re_min, args.re_max))
-    dec = decompose(spec, basis, forcing, pole_set,
+def cmd_green(args, spec, out: RunOutput) -> int:
+    basis, pole_set = _poles(args, spec)
+    dec = decompose(spec, basis, _forcing(args, spec, basis), pole_set,
                     n_loop_nodes=args.contour_nodes)
-    norms = dec.difference.slice_norms()
-    csv_path = os.path.join(args.out, "decay.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(f"# manifest: {manifest.hash}\n")
-        fh.write("x0,difference_norm,retarded_norm,used_in_fit\n")
-        for t, d, r, u in zip(dec.difference.times, norms,
-                              dec.retarded.slice_norms(), dec.used_slices):
-            fh.write(f"{t!r},{d!r},{r!r},{int(u)}\n")
-    manifest.outputs.append("decay.csv")
-    dec.retarded.dump(os.path.join(args.out, "retarded.bin"), manifest.hash)
-    manifest.outputs.append("retarded.bin")
+    times, norms = dec.difference.times, dec.difference.slice_norms()
+    out.write("decay.csv", (("x0", "difference_norm", "retarded_norm", "used_in_fit"),
+                            zip(times, norms, dec.retarded.slice_norms(), dec.used_slices)))
+    out.write("retarded.bin", dec.retarded)
     if args.svg:
-        _decay_svg(os.path.join(args.out, "decay.svg"),
-                   dec.difference.times, norms, dec.fitted_rate, manifest)
-    _write_json(os.path.join(args.out, "green.json"), {
+        out.write("decay.svg", _decay_svg(times, norms, dec.fitted_rate))
+    out.write("green.json", {
         "fitted_rate": dec.fitted_rate, "rank_F": dec.rank,
         "n_nonneg": dec.n_nonneg, "kernel_defect": dec.kernel_defect,
         "z_star_star": dec.pole_set.z_star_star,
         "z_star_star_star": dec.pole_set.z_star_star_star,
-    }, manifest)
-    manifest.write(args.out)
+    })
     print(f"fitted decay rate {dec.fitted_rate:.4f}, rank F = {dec.rank}, "
           f"|Λ| = {dec.n_nonneg}")
     return 0
 
 
-def cmd_evolve(args) -> int:
-    spec = _load(args)
-    manifest = _manifest(args)
-    os.makedirs(args.out, exist_ok=True)
+def cmd_evolve(args, spec, out: RunOutput) -> int:
     # the engine steps Chebyshev slices: the Fourier band is never read
     basis = build_basis(0, args.m)
-    rng = np.random.default_rng(args.seed)
-    coeff = rng.standard_normal((args.m // 2, spec.N)) \
-        + 1j * rng.standard_normal((args.m // 2, spec.N))
-    coeff /= (1.0 + np.arange(args.m // 2))[:, None] ** 2
-    init = np.polynomial.chebyshev.chebval(basis.x1, coeff).T
+    init = random_smooth_slice(np.random.default_rng(args.seed), basis, spec.N)
     run = evolve(spec, basis, initial=init, z=args.shift,
                  t_range=(0.0, args.periods * 2 * math.pi), store_stride=16)
-    ells = list(range(args.lmax + 1))
-    series = [energy_series(run, ell, spec) for ell in ells]
+    series = [energy_series(run, ell, spec) for ell in range(args.lmax + 1)]
     # higher orders lose finite-difference margin slices; align on the shortest
-    shortest = min(series, key=lambda s: len(s.times))
-    offsets = [(len(s.times) - len(shortest.times)) // 2 for s in series]
-    csv_path = os.path.join(args.out, "energy.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(f"# manifest: {manifest.hash}\n")
-        fh.write("x0," + ",".join(f"E{ell}" for ell in ells) + "\n")
-        for k, t in enumerate(shortest.times):
-            row = ",".join(f"{s.values[k + off]!r}" for s, off in zip(series, offsets))
-            fh.write(f"{t!r},{row}\n")
-    manifest.outputs.append("energy.csv")
-    run.dump(os.path.join(args.out, "field.bin"), manifest.hash)
-    manifest.outputs.append("field.bin")
+    times = min((s.times for s in series), key=len)
+    columns = [s.values[(len(s.times) - len(times)) // 2:][:len(times)] for s in series]
+    out.write("energy.csv", (["x0", *(f"E{s.ell}" for s in series)], zip(times, *columns)))
+    out.write("field.bin", run)
     growth = growth_rate(spec, basis, periods=max(args.periods, 10), seed=args.seed,
                          z=args.shift)
-    _write_json(os.path.join(args.out, "evolve.json"), {
+    out.write("evolve.json", {
         "growth_rate": growth.rate, "modal": growth.modal,
         "nonmodal_plateau": growth.nonmodal_plateau,
-    }, manifest)
-    manifest.write(args.out)
+    })
     print(f"growth rate {growth.rate:+.4f}  modal={growth.modal}  "
           f"nonmodal_plateau={growth.nonmodal_plateau}")
     return 0
 
 
-def cmd_compare(args) -> int:
-    spec = _load(args)
-    manifest = _manifest(args)
-    os.makedirs(args.out, exist_ok=True)
-    basis = build_basis(args.qmax, args.m)
-    forcing = make_forcing(basis, _forcing_doc(args.forcing), N=spec.N)
-    pole_set = find_poles(spec, basis, window=(args.re_min, args.re_max))
-    period = 2 * math.pi
-
-    # time-domain evolution against the vertical-segment solution
-    c = segment_abscissa(pole_set)
-    sol = solve_on_segment(spec, basis, forcing, c, segment_node_count(basis))
-    t1 = forcing.support[1]
-    run = evolve(spec, basis, forcing=lambda t: forcing.slice_at(t), z=0.0,
-                 t_range=(forcing.support[0] - period, t1 + 4 * period + 0.1),
-                 store_stride=1)
-    targets = np.sort(np.concatenate(
-        [basis.x0 + period * p for p in range(-1, 6)]
-    ))
-    targets = targets[(targets >= t1 - 1e-9) & (targets <= t1 + 4 * period + 1e-9)]
-    snapped = np.array([run.times[np.argmin(np.abs(run.times - t))] for t in targets])
-    ev = np.stack([run.at_time(t) for t in snapped])
-    ret = sol.evaluate(snapped).values
-    w1 = basis.w1[None, :, None]
-    evolve_delta = float(np.sqrt(np.sum(w1 * np.abs(ev - ret) ** 2))
-                         / max(np.sqrt(np.sum(w1 * np.abs(ret) ** 2)), 1e-300))
-
-    # periodization against the direct quotient solve
-    z = max(c, 1.0)
-    f_per = np.ones((basis.n_time, basis.n_space, spec.N), dtype=complex) \
-        * (1.0 + 0.3 * basis.x1[None, :, None])
-    u_march = periodize(spec, basis, f_per, z)
-    u_direct = apply_resolvent(spec, basis, z, f_per)
-    periodize_delta = float(np.abs(u_march - u_direct).max()
-                            / max(np.abs(u_direct).max(), 1e-300))
-
-    thresholds = {"evolve_vs_retarded": 1e-3, "periodize_vs_solve": 1e-5}
-    deltas = {"evolve_vs_retarded": evolve_delta, "periodize_vs_solve": periodize_delta}
-    _write_json(os.path.join(args.out, "compare.json"),
-                {"deltas": deltas, "thresholds": thresholds}, manifest)
-    manifest.write(args.out)
-    ok = all(deltas[k] <= thresholds[k] for k in deltas)
+def cmd_compare(args, spec, out: RunOutput) -> int:
+    basis, pole_set = _poles(args, spec)
+    deltas = cross_engine_deltas(spec, basis, _forcing(args, spec, basis),
+                                 segment_abscissa(pole_set))
+    out.write("compare.json", {"deltas": deltas, "thresholds": CROSS_ENGINE_TOL})
+    ok = all(deltas[k] <= CROSS_ENGINE_TOL[k] for k in deltas)
     for k in sorted(deltas):
-        print(f"{k}: {deltas[k]:.3e} (threshold {thresholds[k]:g})")
+        print(f"{k}: {deltas[k]:.3e} (threshold {CROSS_ENGINE_TOL[k]:g})")
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -368,15 +307,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    out = RunOutput(args.out, _manifest(args))
+    os.makedirs(args.out, exist_ok=True)
     try:
-        return args.func(args)
+        spec = load_spec(args.config) if args.config else fixture(args.fixture)
+        code = args.func(args, spec, out)
     except Exception as exc:  # numeric failures -> machine-readable error report
-        os.makedirs(args.out, exist_ok=True)
-        _error_json(args.out, _manifest(args), exc)
+        out.write("error.json", {"error": {"type": type(exc).__name__, "message": str(exc)}})
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    out.close()
+    return code
 
 
 if __name__ == "__main__":

@@ -231,14 +231,6 @@ class PoleSet:
             "poles": [p.to_json() for p in self.poles],
         }
 
-    def to_csv(self, path: str, manifest_hash: str = "") -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            if manifest_hash:
-                fh.write(f"# manifest: {manifest_hash}\n")
-            fh.write("re,im,order,rank,residual\n")
-            for p in self.poles:
-                fh.write(f"{p.lam.real!r},{p.lam.imag!r},{p.order},{p.rank},{p.residual!r}\n")
-
 
 def _json_float(x: float):
     return None if not np.isfinite(x) else x

@@ -30,7 +30,7 @@ import numpy as np
 from .operator_model import OperatorSpec, SpecError
 from .resolvent import PoleSet, _loop_nodes, apply_multiplier, apply_operator, apply_resolvent
 from .spectral import ModePencil, SpectralBasis, fourier_coefficients, mode_operator_parts
-from .timedomain import FieldOnCover, fit_log_slope
+from .timedomain import FieldOnCover, evolve, fit_log_slope, periodize
 
 EPS = float(np.finfo(float).eps)
 
@@ -54,6 +54,9 @@ SLICES_PER_PERIOD = 8
 SLICE_PERIODS = 8
 DECAY_PERIODS = 6
 FIT_PERIODS = 4
+
+# the bound on each relative delta of cross_engine_deltas
+CROSS_ENGINE_TOL = {"evolve_vs_retarded": 1e-3, "periodize_vs_solve": 1e-5}
 
 
 # ---------------------------------------------------------------------------
@@ -567,3 +570,41 @@ def decompose(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverForcing,
         fitted_rate=rate, rank=part.rank, pole_set=pole_set,
         used_slices=mask, kernel_defect=defect,
     )
+
+
+def cross_engine_deltas(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverForcing,
+                        c: float) -> dict[str, float]:
+    """Relative deltas between the time-domain and frequency-domain engines.
+
+    evolve_vs_retarded: RK4 evolution of the forced cover problem from zero data
+    one period before the support against the segment solution at Re z = c,
+    weighted L2 over every grid-aligned time (an x0 node plus a whole number of
+    periods) in [t1, t1 + 4 periods], t1 the end of the support.
+    periodize_vs_solve: `periodize` against `apply_resolvent` at z = max(c, 1)
+    for a smooth periodic forcing, in the sup norm.
+    """
+    period = 2 * math.pi
+    t0, t1 = forcing.support
+    t_end = t1 + 4 * period
+    sol = solve_on_segment(spec, basis, forcing, c, segment_node_count(basis))
+    run = evolve(spec, basis, forcing=forcing.slice_at, z=0.0,
+                 t_range=(t0 - period, t_end + 0.1), store_stride=1)
+    # x0 nodes lie in [0, period): these p cover [t1, t_end] with a period to spare
+    targets = np.sort(np.concatenate([
+        basis.x0 + period * p
+        for p in range(math.floor(t1 / period) - 1, math.floor(t_end / period) + 2)]))
+    targets = targets[(targets >= t1 - 1e-9) & (targets <= t_end + 1e-9)]
+    # the stored step nearest each target
+    k = np.abs(run.times[:, None] - targets).argmin(axis=0)
+    ev, ret = run.values[k], sol.evaluate(run.times[k]).values
+    w1 = basis.w1[None, :, None]
+    evolve_delta = float(np.sqrt(np.sum(w1 * np.abs(ev - ret) ** 2))
+                         / max(np.sqrt(np.sum(w1 * np.abs(ret) ** 2)), 1e-300))
+
+    z = max(c, 1.0)
+    f = np.ones((basis.n_time, basis.n_space, spec.N), dtype=complex) \
+        * (1.0 + 0.3 * basis.x1[None, :, None])
+    u_march, u_direct = periodize(spec, basis, f, z), apply_resolvent(spec, basis, z, f)
+    periodize_delta = float(np.abs(u_march - u_direct).max()
+                            / max(np.abs(u_direct).max(), 1e-300))
+    return {"evolve_vs_retarded": evolve_delta, "periodize_vs_solve": periodize_delta}

@@ -344,6 +344,14 @@ def periodize(spec: OperatorSpec, basis: SpectralBasis, f: np.ndarray, z: comple
     )
 
 
+def random_smooth_slice(rng: np.random.Generator, basis: SpectralBasis, N: int) -> np.ndarray:
+    """A random complex (n_space, N) slice whose Chebyshev coefficient k has
+    standard normal real and imaginary parts scaled by 1/(1 + k)^2, k < M/2."""
+    coeff = rng.standard_normal((basis.M // 2, N)) + 1j * rng.standard_normal((basis.M // 2, N))
+    coeff /= (1.0 + np.arange(basis.M // 2))[:, None] ** 2
+    return np.polynomial.chebyshev.chebval(basis.x1, coeff).T
+
+
 @dataclass(frozen=True)
 class GrowthReport:
     rate: float
@@ -370,12 +378,7 @@ def growth_rate(spec: OperatorSpec, basis: SpectralBasis, *, periods: int = 12,
         raise ValueError("growth rate needs a window of at least 10 periods")
     rng = np.random.default_rng(seed)
     span = periods * 2.0 * np.pi
-    inits = []
-    for _ in range(GROWTH_RUNS):
-        coeff = rng.standard_normal((basis.M // 2, spec.N)) + \
-            1j * rng.standard_normal((basis.M // 2, spec.N))
-        coeff /= (1.0 + np.arange(basis.M // 2))[:, None] ** 2
-        inits.append(np.polynomial.chebyshev.chebval(basis.x1, coeff).T.reshape(-1))
+    inits = [random_smooth_slice(rng, basis, spec.N).reshape(-1) for _ in range(GROWTH_RUNS)]
     # the runs march together, one column each
     n_steps, stride = _step_plan(span, stable_time_step(spec, basis, z), 16)
     prop = _propagator(spec, basis, z, span / n_steps)

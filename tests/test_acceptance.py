@@ -14,7 +14,6 @@ from cylspec.norms import multi_indices, resummation_coefficient
 from cylspec.operator_model import check_assumptions, fixture, stability_constants
 from cylspec.oracle import poly_eigenpairs
 from cylspec.resolvent import (
-    apply_resolvent,
     find_poles,
     spectral_projection,
     triple_norm_bound_check,
@@ -27,10 +26,8 @@ from cylspec.spectral import (
     multiplier_matrix,
     random_band_limited,
 )
-from cylspec.stability import decompose, make_forcing, solve_on_segment
-from cylspec.timedomain import evolve, growth_rate, periodize
-
-PERIOD = 2 * math.pi
+from cylspec.stability import cross_engine_deltas, decompose, make_forcing
+from cylspec.timedomain import growth_rate
 
 
 def report(number, passed, detail=""):
@@ -103,27 +100,8 @@ def test_criterion_04_finite_codimension_stability(ex1s):
 
 def test_criterion_05_cross_engine_agreement(ex1):
     basis = build_basis(16, 32)
-    forcing = make_forcing(basis, "default")
-    t1 = forcing.support[1]
-    sol = solve_on_segment(ex1, basis, forcing, 0.3, 33)
-    run = evolve(ex1, basis, forcing=lambda t: forcing.slice_at(t), z=0.0,
-                 t_range=(forcing.support[0] - PERIOD, t1 + 4 * PERIOD + 0.1),
-                 store_stride=1)
-    targets = np.sort(np.concatenate([basis.x0 + PERIOD * p for p in range(1, 7)]))
-    targets = targets[(targets >= t1 - 1e-9) & (targets <= t1 + 4 * PERIOD + 1e-9)]
-    snapped = np.array([run.times[np.argmin(np.abs(run.times - t))] for t in targets])
-    ev = np.stack([run.at_time(t) for t in snapped])
-    ret = sol.evaluate(snapped).values
-    w1 = basis.w1[None, :, None]
-    evolve_delta = math.sqrt(float(np.sum(w1 * np.abs(ev - ret) ** 2))) \
-        / math.sqrt(float(np.sum(w1 * np.abs(ret) ** 2)))
-
-    f = np.ones((basis.n_time, basis.n_space, 1), dtype=complex) \
-        * (1.0 + 0.3 * basis.x1[None, :, None])
-    u_march = periodize(ex1, basis, f, 1.0)
-    u_direct = apply_resolvent(ex1, basis, 1.0, f)
-    periodize_delta = float(np.abs(u_march - u_direct).max()
-                            / np.abs(u_direct).max())
+    deltas = cross_engine_deltas(ex1, basis, make_forcing(basis, "default"), 0.3)
+    evolve_delta, periodize_delta = deltas["evolve_vs_retarded"], deltas["periodize_vs_solve"]
     report(5, evolve_delta <= 1e-3 and periodize_delta <= 1e-5,
            f"evolve vs segment {evolve_delta:.2e} (<=1e-3), "
            f"periodize vs solve {periodize_delta:.2e} (<=1e-5)")

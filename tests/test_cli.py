@@ -117,22 +117,58 @@ def test_compare_passes(tmp_path):
 
 
 def test_numeric_failure_emits_error_json(tmp_path):
-    # a window that puts the segment on a pole: green at a shift left of the poles
-    code = run(["green", "--fixture", "EX1S", "--qmax", "4", "--m", "16",
-                "--re-max", "0.1", "--out", str(tmp_path)])
-    # nonneg poles outside the window make the segment invalid or the fit fail
-    if code != 0:
-        doc = json.loads(read(tmp_path / "error.json"))
-        assert "error" in doc and doc["error"]["message"]
+    # one failure inside the command, after --out exists, and one while loading
+    cases = (
+        (["green", "--fixture", "EX2"], "SpecError", "n=1 only"),
+        (["spectrum", "--config", str(tmp_path / "missing.json")],
+         "FileNotFoundError", "missing.json"),
+    )
+    for k, (args, kind, message) in enumerate(cases):
+        out = tmp_path / str(k)
+        assert run(args + ["--out", str(out)]) == 1
+        doc = json.loads(read(out / "error.json"))
+        assert doc["error"]["type"] == kind and message in doc["error"]["message"]
+        assert len(doc["manifest_hash"]) == 16
+        assert not (out / "manifest.json").exists()
+
+
+# every subcommand at a small basis
+SMALL_RUNS = (
+    ["check", "--fixture", "EX1", "--density", "9"],
+    ["spectrum", "--fixture", "EX1", "--qmax", "4", "--m", "16"],
+    ["codim", "--fixture", "EX1S", "--qmax", "4", "--m", "16"],
+    ["green", "--fixture", "EX1S", "--qmax", "4", "--m", "16", "--svg"],
+    ["evolve", "--fixture", "EX1", "--m", "8"],
+    ["compare", "--fixture", "EX1", "--qmax", "4", "--m", "16"],
+)
 
 
 def test_determinism_bit_identical(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    for out in (out1, out2):
-        assert run(["spectrum", "--fixture", "EX1", "--qmax", "0", "--m", "2",
-                    "--re-min", "-1.2", "--re-max", "1.0", "--out", str(out)]) == 0
-    for name in ("spectrum.csv", "poles.json", "manifest.json"):
-        assert read(out1 / name) == read(out2 / name)
+    # two runs write the same bytes, and --out holds the manifest and what it lists
+    for args in SMALL_RUNS:
+        out1, out2 = tmp_path / args[0] / "a", tmp_path / args[0] / "b"
+        codes = [run(args + ["--out", str(out)]) for out in (out1, out2)]
+        assert codes[0] == codes[1]
+        manifest = json.loads(read(out1 / "manifest.json"))
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == sorted(manifest["outputs"] + ["manifest.json"])
+        assert names == sorted(p.name for p in out2.iterdir())
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_csv_cells_are_numbers(tmp_path):
+    for args in (SMALL_RUNS[3], SMALL_RUNS[4]):
+        out = tmp_path / args[0]
+        assert run(args + ["--out", str(out)]) == 0
+        for path in out.glob("*.csv"):
+            comment, header, *rows = read(path).splitlines()
+            assert comment.startswith("# manifest: ") and rows
+            for row in rows:
+                cells = row.split(",")
+                assert len(cells) == len(header.split(","))
+                for cell in cells:
+                    float(cell)
 
 
 def test_manifest_hash_covers_every_parameter(tmp_path):
