@@ -168,9 +168,7 @@ def cmd_check(args, spec, out: RunOutput) -> int:
     print(report.pretty())
     if report.any_fail:
         return 2
-    if any(c.status == "unverifiable" for c in report.checks.values()):
-        return 3
-    return 0
+    return 0 if report.all_pass else 3
 
 
 def cmd_spectrum(args, spec, out: RunOutput) -> int:

@@ -14,8 +14,10 @@ four conditions:
 
 All checks are grid-sampled; coefficients are exact polynomials, so derivative
 norms terminate at the coefficient degree and the condition-(4) sums are finite.
-Samples are taken in fixed-size blocks of points with stacked eigenvalue and
-singular value solves; the first sample attaining a minimum is its witness.
+Samples are taken in fixed-size blocks of points with stacked eigenvalue
+solves, and each form only on the rows where it varies: one time slice when it
+has no x0 term, one point when it is constant.  The first sample attaining a
+minimum is its witness.
 """
 
 from __future__ import annotations
@@ -33,10 +35,6 @@ TOL_PSD = 1e-10
 # stability_constants takes R over R_SHIFT_SAMPLES shifts on [z*, z* + R_SHIFT_SPAN]
 R_SHIFT_SPAN = 50.0
 R_SHIFT_SAMPLES = 200
-# search_certificate fits the diagonal blocks to CERT_TARGET * identity on a
-# sample grid of density CERT_DENSITY
-CERT_TARGET = 2.0
-CERT_DENSITY = 16
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -130,12 +128,6 @@ class WeightSequence:
         if self.kappa is not None:
             return self.kappa**ell
         return 0.0
-
-    def rescaled(self, kappa: float) -> "WeightSequence":
-        return WeightSequence(
-            tuple(kappa**l * v for l, v in enumerate(self.values)),
-            kappa=None if self.kappa is None else self.kappa * kappa,
-        )
 
 
 @dataclass(frozen=True)
@@ -276,8 +268,8 @@ def _times_slices(t: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return np.column_stack([np.repeat(t, len(flat)), np.tile(flat, (len(t), 1))])
 
 
-def _boundary_points(n: int, density: int) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary samples and their outward normals (0, x1, ..., xn)."""
+def _boundary_points(n: int, density: int) -> np.ndarray:
+    """Boundary samples; the outward normal at (t, x1, ..., xn) is (0, x1, ..., xn)."""
     t = np.linspace(0.0, 2 * np.pi, max(4, min(density, 16)), endpoint=False)
     if n == 1:
         dirs = np.array([[1.0], [-1.0]])
@@ -299,10 +291,7 @@ def _boundary_points(n: int, density: int) -> tuple[np.ndarray, np.ndarray]:
             rng = np.random.default_rng(0)
             dirs = rng.standard_normal((m, n))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    pts = _times_slices(t, dirs)
-    normals = pts.copy()
-    normals[:, 0] = 0.0
-    return pts, normals
+    return _times_slices(t, dirs)
 
 
 # Points per evaluated block: the stacks of coefficient values and eigenvalue
@@ -314,15 +303,32 @@ def _blocks(n_points: int):
     return (slice(start, start + _BLOCK) for start in range(0, n_points, _BLOCK))
 
 
-def _min_eig(n_points: int, hermitian_block) -> tuple[float, int | None]:
-    """Smallest eigenvalue over all points and the first point index attaining it.
+def _varying_rows(pts: np.ndarray, polys: list[MatrixPolynomial]) -> np.ndarray:
+    """The leading rows of a time-major grid on which the polynomials take all their values.
 
-    ``hermitian_block(sl)`` returns the stacked Hermitian matrices of the points
-    in slice ``sl``; a later block replaces the witness only when strictly smaller.
+    Every row if some polynomial has an x0 term.  Otherwise the first time slice:
+    ``eval_points`` never reads a coordinate whose exponent is 0, so the other
+    slices repeat its values bit for bit.  One row if every polynomial is constant.
     """
+    if any(p.var_degree(0) for p in polys):
+        return pts
+    if all(p.is_constant() for p in polys):
+        return pts[:1]
+    return pts[:np.count_nonzero(pts[:, 0] == pts[0, 0])]
+
+
+def _min_eig(pts: np.ndarray, polys: list[MatrixPolynomial], form) -> tuple[float, int | None]:
+    """Smallest eigenvalue of a Hermitian form over the grid and the first point index attaining it.
+
+    ``form(values)`` maps the polynomials' values at a block of points to the
+    stacked Hermitian matrices there.  Only the rows where the polynomials vary
+    are sampled; the first sample attaining the minimum lies among them, and a
+    later block replaces the witness only when strictly smaller.
+    """
+    rows = _varying_rows(pts, polys)
     best, where = np.inf, None
-    for sl in _blocks(n_points):
-        ev = np.linalg.eigvalsh(hermitian_block(sl)).min(axis=-1)
+    for sl in _blocks(len(rows)):
+        ev = np.linalg.eigvalsh(form([p.eval_points(rows[sl]) for p in polys])).min(axis=-1)
         k = int(np.argmin(ev))
         if ev[k] < best:
             best, where = float(ev[k]), sl.start + k
@@ -334,10 +340,11 @@ def _sup_norm(pts: np.ndarray, polys: list[MatrixPolynomial]) -> float:
     the square root of the largest eigenvalue of its N-by-N Gram matrix."""
     if all(p.is_zero for p in polys):
         return 0.0
+    rows = _varying_rows(pts, polys)
     best = 0.0
-    for sl in _blocks(len(pts)):
-        rows = np.concatenate([p.eval_points(pts[sl]) for p in polys], axis=-1)
-        gram = rows @ rows.conj().swapaxes(-1, -2)
+    for sl in _blocks(len(rows)):
+        row = np.concatenate([p.eval_points(rows[sl]) for p in polys], axis=-1)
+        gram = row @ row.conj().swapaxes(-1, -2)
         best = max(best, float(np.linalg.eigvalsh(gram).max()))
     return math.sqrt(best)
 
@@ -349,23 +356,6 @@ def _hermitian_part(mats: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-
-def eval_coefficients(spec: OperatorSpec, point) -> tuple[list[np.ndarray], np.ndarray]:
-    """Evaluate (A^0..A^n, B) at a point of the cylinder.
-
-    The time coordinate is reduced modulo 2*pi; the spatial part must lie in the
-    closed unit ball.
-    """
-    pt = np.asarray(point, dtype=float)
-    if pt.shape != (spec.n + 1,):
-        raise SpecError(f"point needs {spec.n + 1} coordinates")
-    r2 = float(np.sum(pt[1:] ** 2))
-    if r2 > 1.0 + 1e-12:
-        raise SpecError(f"point outside domain: |x_spatial| = {math.sqrt(r2):.6g} > 1")
-    pt = pt.copy()
-    pt[0] = pt[0] % (2 * np.pi)
-    return [a(pt) for a in spec.A], spec.B(pt)
 
 
 def derivative_norms(spec: OperatorSpec, k: int, density: int = 64) -> tuple[float, float, float]:
@@ -434,29 +424,28 @@ def check_assumptions(spec: OperatorSpec, sample_density: int = 64) -> Assumptio
     witnesses = []
     herm_ok = all(a.is_hermitian(tol=1e-14) for a in spec.A)
     pts = _interior_points(spec.n, sample_density)
-    min_eig_a0, k = _min_eig(len(pts), lambda sl: spec.A0.eval_points(pts[sl]))
+    min_eig_a0, k = _min_eig(pts, [spec.A0], lambda v: v[0])
     if not herm_ok:
         witnesses.append({"reason": "non-Hermitian coefficient matrix"})
     if min_eig_a0 <= TOL_PSD:
-        witnesses.append({"point": list(pts[k]), "min_eig": min_eig_a0})
+        witnesses.append({"point": pts[k].tolist(), "min_eig": min_eig_a0})
     checks["i"] = CheckResult(
         "pass" if herm_ok and min_eig_a0 > TOL_PSD else "fail",
         witnesses,
         f"min eig A0 = {min_eig_a0:.6g}",
     )
 
-    # (2) outflow: A^i w_i psd along the boundary
+    # (2) outflow: A^i w_i psd along the boundary, where the normal w_i is the
+    # coordinate x_i, so the form is the polynomial x_i A^i
     witnesses = []
-    bpts, normals = _boundary_points(spec.n, sample_density)
-
-    def outflow(sl):
-        mat = sum(normals[sl, i, None, None] * spec.A[i].eval_points(bpts[sl])
-                  for i in range(1, spec.n + 1))
-        return _hermitian_part(mat)
-
-    worst, k = _min_eig(len(bpts), outflow)
+    bpts = _boundary_points(spec.n, sample_density)
+    n = spec.n
+    coords = [MatrixPolynomial.coordinate(i, n + 1) for i in range(1, n + 1)]
+    worst, k = _min_eig(bpts, coords + list(spec.A[1:]), lambda v: _hermitian_part(
+        sum(x * a for x, a in zip(v[:n], v[n:]))))
     if worst < -TOL_PSD:
-        witnesses.append({"point": list(bpts[k]), "normal": list(normals[k]), "min_eig": worst})
+        witnesses.append({"point": bpts[k].tolist(), "normal": [0.0, *bpts[k, 1:].tolist()],
+                          "min_eig": worst})
     checks["ii"] = CheckResult(
         "pass" if worst >= -TOL_PSD else "fail", witnesses, f"min eig A.w = {worst:.6g}"
     )
@@ -465,12 +454,13 @@ def check_assumptions(spec: OperatorSpec, sample_density: int = 64) -> Assumptio
     if spec.certificate is None:
         checks["iii"] = CheckResult("unverifiable", [], "no certificate supplied")
     else:
-        M = _certificate_blocks(spec)
-        worst, k = _min_eig(len(pts), lambda sl: _hermitian_part(
-            np.block([[blk.eval_points(pts[sl]) for blk in row] for row in M])))
+        n1 = spec.n + 1
+        blocks = [blk for row in _certificate_blocks(spec) for blk in row]
+        worst, k = _min_eig(pts, blocks, lambda v: _hermitian_part(
+            np.block([v[i:i + n1] for i in range(0, n1 * n1, n1)])))
         witnesses = []
         if worst < 1.0 - TOL_PSD:
-            witnesses.append({"point": list(pts[k]), "min_eig": worst})
+            witnesses.append({"point": pts[k].tolist(), "min_eig": worst})
         checks["iii"] = CheckResult(
             "pass" if worst >= 1.0 - TOL_PSD else "fail",
             witnesses,
@@ -545,11 +535,11 @@ def stability_constants(spec: OperatorSpec, density: int = 64) -> StabilityConst
         div_a = div_a + spec.A[i].derivative(i)
     k0_poly = 0.5 * ((-1.0) * div_a + spec.B + spec.B.adjoint())
 
-    pts = _interior_points(spec.n, density)
+    rows = _varying_rows(_interior_points(spec.n, density), [k0_poly, spec.A0])
     from scipy.linalg import eigh
 
-    k0_vals = _hermitian_part(k0_poly.eval_points(pts))
-    a0_vals = spec.A0.eval_points(pts)
+    k0_vals = _hermitian_part(k0_poly.eval_points(rows))
+    a0_vals = spec.A0.eval_points(rows)
     # smallest s with k0 + s*a0 - a0/2 >= 0
     z_star = max(float(eigh(0.5 * a0 - k0, a0, eigvals_only=True).max())
                  for k0, a0 in zip(k0_vals, a0_vals))
@@ -558,7 +548,7 @@ def stability_constants(spec: OperatorSpec, density: int = 64) -> StabilityConst
                              z_star + np.linspace(0.0, R_SHIFT_SPAN, R_SHIFT_SAMPLES)[1:]])
     # min over points and s of min-eig(K_s)/(1 + |s|), one (s, point) stack per block
     R = np.inf
-    for sl in _blocks(len(pts)):
+    for sl in _blocks(len(rows)):
         k_s = k0_vals[sl] + s_grid[:, None, None, None] * a0_vals[sl]
         ratios = np.linalg.eigvalsh(k_s).min(axis=-1) / (1.0 + np.abs(s_grid))[:, None]
         R = min(R, float(ratios.min()))
@@ -573,46 +563,6 @@ def stability_constants(spec: OperatorSpec, density: int = 64) -> StabilityConst
     rho_star = 0.5 / (spec.Q * (xi + 3.0 / R + xi_norm + 2.0 * xi_norm / (R * xi)))
     return StabilityConstants(z_star=z_star, R=R, rho_star=rho_star,
                               q_effective=q_effective(spec, density))
-
-
-def search_certificate(spec: OperatorSpec, xi: float) -> Certificate:
-    """Least-squares search for constant multiplier matrices; convenience, no guarantee.
-
-    Fits constant Xi^i so that the certificate blocks approximate CERT_TARGET*identity
-    on the diagonal and zero off the diagonal, in Frobenius norm over a sample
-    grid.  The result must still be validated by check_assumptions.
-    """
-    n1, N = spec.n + 1, spec.N
-    pts = _interior_points(spec.n, CERT_DENSITY)
-    n_unknown = n1 * N * N
-    rows, rhs = [], []
-    for pt in pts:
-        a_vals = [a(pt) for a in spec.A]
-        for i in range(n1):
-            for j in range(n1):
-                a_ij = 0.5 * (spec.A[j].derivative(i) + spec.A[i].derivative(j))(pt)
-                base = xi * a_ij - (CERT_TARGET if i == j else 0.0) * np.eye(N)
-                # entry (r, c) of block (i, j) is linear in Xi^j and Xi^i
-                for r in range(N):
-                    for c in range(N):
-                        row = np.zeros(n_unknown, dtype=complex)
-                        for k in range(N):
-                            row[(j * N + k) * N + c] += 0.5 * a_vals[i][r, k]
-                            # (Xi^i)^† A^j term: conj(Xi^i[k, r]) * A^j[k, c]
-                            row[(i * N + k) * N + r] += 0.5 * np.conj(a_vals[j][k, c])
-                        rows.append(row)
-                        rhs.append(-base[r, c])
-    # solve in real arithmetic, treating conjugated unknowns as real pairs
-    A_mat = np.array(rows)
-    b_vec = np.array(rhs)
-    big = np.block([[A_mat.real, -A_mat.imag], [A_mat.imag, A_mat.real]])
-    sol, *_ = np.linalg.lstsq(big, np.concatenate([b_vec.real, b_vec.imag]), rcond=None)
-    x = sol[:n_unknown] + 1j * sol[n_unknown:]
-    Xi = tuple(
-        MatrixPolynomial.constant(x[i * N * N:(i + 1) * N * N].reshape(N, N), n1)
-        for i in range(n1)
-    )
-    return Certificate(xi=xi, Xi=Xi)
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,9 @@ from cylspec.operator_model import (
     _summability_sums,
     check_assumptions,
     derivative_norms,
-    eval_coefficients,
     fixture,
     load_spec,
     q_effective,
-    search_certificate,
     spec_to_json,
     stability_constants,
 )
@@ -42,26 +40,20 @@ def test_fixture_names_resolve():
 def test_ex1_shape():
     ex1 = fixture("EX1")
     assert (ex1.n, ex1.N) == (1, 1)
-    a, b = eval_coefficients(ex1, (0.0, 0.5))
-    assert a[0][0, 0] == 1.0 and a[1][0, 0] == 0.25 and b[0, 0] == 0.0
-    a, _ = eval_coefficients(ex1, (math.pi, -1.0))
-    assert a[1][0, 0] == -0.5
+    pt = (0.0, 0.5)
+    assert ex1.A[0](pt)[0, 0] == 1.0 and ex1.A[1](pt)[0, 0] == 0.25 and ex1.B(pt)[0, 0] == 0.0
+    assert ex1.A[1]((math.pi, -1.0))[0, 0] == -0.5
 
 
 def test_ex2_origin_blocks():
     ex2 = fixture("EX2")
-    a, b = eval_coefficients(ex2, (0.0, 0.0, 0.0, 0.0))
+    pt = (0.0, 0.0, 0.0, 0.0)
     mu = 0.5
-    assert np.allclose(a[0], np.eye(2))
-    assert np.allclose(a[1], mu * np.array([[0, 1], [1, 0]]))
-    assert np.allclose(a[2], mu * np.array([[0, 1j], [-1j, 0]]))
-    assert np.allclose(a[3], mu * np.array([[1, 0], [0, -1]]))
-    assert np.allclose(b, 0.0)
-
-
-def test_point_outside_domain_rejected():
-    with pytest.raises(SpecError):
-        eval_coefficients(fixture("EX1"), (0.0, 1.5))
+    assert np.allclose(ex2.A[0](pt), np.eye(2))
+    assert np.allclose(ex2.A[1](pt), mu * np.array([[0, 1], [1, 0]]))
+    assert np.allclose(ex2.A[2](pt), mu * np.array([[0, 1j], [-1j, 0]]))
+    assert np.allclose(ex2.A[3](pt), mu * np.array([[1, 0], [0, -1]]))
+    assert np.allclose(ex2.B(pt), 0.0)
 
 
 def test_submultiplicativity_violation():
@@ -115,6 +107,10 @@ def test_ce_bdy_fails_exactly_outflow():
     witness = report.checks["ii"].witnesses[0]
     assert witness["point"][1] == -1.0
     assert abs(witness["min_eig"] + 0.25) < 1e-12
+    # witnesses hold Python floats, so the console report prints plain numbers
+    assert all(type(x) is float for x in witness["point"] + witness["normal"])
+    assert "witness {'point': [0.0, -1.0], 'normal': [0.0, -1.0], 'min_eig': -0.25}" \
+        in report.pretty()
 
 
 def test_ce_flat_fails_exactly_certificate():
@@ -164,7 +160,8 @@ def test_condition_iv_survives_geometric_rescale():
     ex1 = fixture("EX1")
     report = check_assumptions(ex1, sample_density=17)
     assert report.checks["iv"].status == "pass"
-    rescaled = dataclasses.replace(ex1, weights=ex1.weights.rescaled(0.5))
+    rescaled = dataclasses.replace(
+        ex1, weights=WeightSequence.geometric(0.5 * ex1.weights.kappa, ex1.L_max))
     report2 = check_assumptions(rescaled, sample_density=17)
     assert report2.checks["iv"].status == "pass"
     assert q_effective(rescaled, density=17) <= q_effective(ex1, density=17) + 1e-12
@@ -208,16 +205,6 @@ def test_coercivity_inequality_on_grid():
                 kz = k0 + s * spec.A[0](pt)
                 bound = sc.R * (1.0 + abs(s)) * np.eye(spec.N)
                 assert np.linalg.eigvalsh(kz - bound).min() >= -1e-10
-
-
-def test_certificate_search_recovers_feasible_multiplier():
-    ex1 = fixture("EX1")
-    import dataclasses
-
-    cert = search_certificate(ex1, xi=6.0)
-    candidate = dataclasses.replace(ex1, certificate=cert)
-    report = check_assumptions(candidate, sample_density=17)
-    assert report.checks["iii"].status == "pass"
 
 
 def test_non_finite_coefficients_rejected():
@@ -310,7 +297,7 @@ def _reference_check(spec, density):
     if not herm_ok:
         witnesses.append({"reason": "non-Hermitian coefficient matrix"})
     if min_eig_a0 <= TOL_PSD:
-        witnesses.append({"point": list(worst_pt), "min_eig": min_eig_a0})
+        witnesses.append({"point": worst_pt.tolist(), "min_eig": min_eig_a0})
     checks["i"] = CheckResult("pass" if herm_ok and min_eig_a0 > TOL_PSD else "fail",
                               witnesses, f"min eig A0 = {min_eig_a0:.6g}")
 
@@ -322,7 +309,7 @@ def _reference_check(spec, density):
         if ev < worst:
             worst, worst_pt = ev, (pt, w, ev)
     if worst < -TOL_PSD:
-        witnesses.append({"point": list(worst_pt[0]), "normal": list(worst_pt[1]),
+        witnesses.append({"point": worst_pt[0].tolist(), "normal": worst_pt[1].tolist(),
                           "min_eig": worst_pt[2]})
     checks["ii"] = CheckResult("pass" if worst >= -TOL_PSD else "fail", witnesses,
                                f"min eig A.w = {worst:.6g}")
@@ -336,7 +323,7 @@ def _reference_check(spec, density):
         if ev < worst:
             worst, worst_pt = ev, pt
     if worst < 1.0 - TOL_PSD:
-        witnesses.append({"point": list(worst_pt), "min_eig": worst})
+        witnesses.append({"point": worst_pt.tolist(), "min_eig": worst})
     checks["iii"] = CheckResult("pass" if worst >= 1.0 - TOL_PSD else "fail", witnesses,
                                 f"min eig of certificate form = {worst:.6g} (need >= 1)")
 
@@ -409,12 +396,33 @@ def _random_hermitian_spec():
                         certificate=Certificate(xi=6.0, Xi=xi), name="random N=2")
 
 
+def _x0_dependent_spec(in_a):
+    """The seeded N=2 operator with x0 terms in its certificate's Xi and, if in_a, in
+    A^0 and A^1: conditions (i)-(iii), the norm table and the constants then sample
+    every time slice for those forms and one slice for the others."""
+    rng = np.random.default_rng(12)
+    spec = _random_hermitian_spec()
+
+    def x0_term(p):
+        m = 0.04 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        return p + MatrixPolynomial(2, (2, 2), {(1, 0): m + m.conj().T})
+
+    A = tuple(x0_term(a) for a in spec.A) if in_a else spec.A
+    Xi = tuple(x0_term(x) for x in spec.certificate.Xi) if in_a else \
+        (x0_term(spec.certificate.Xi[0]), spec.certificate.Xi[1])
+    return OperatorSpec(n=1, N=2, A=A, B=spec.B, weights=spec.weights, Q=spec.Q,
+                        certificate=Certificate(xi=spec.certificate.xi, Xi=Xi),
+                        name="x0 in A and Xi" if in_a else "x0 in Xi only")
+
+
 CHECK_CASES = [
     *[(fixture(name), density) for name in ("EX1", "EX1S", "CE-BDY", "CE-FLAT")
       for density in (8, 17, 64)],
     *[(_recentred_spec(), density) for density in (8, 17, 64)],
     (fixture("EX2"), 8),
     (_random_hermitian_spec(), 17),
+    (_x0_dependent_spec(in_a=True), 17),
+    (_x0_dependent_spec(in_a=False), 17),
 ]
 
 
@@ -425,10 +433,14 @@ def test_batched_check_matches_per_point_reference(spec, density):
     assert got == repr(_reference_check(spec, density).to_json())
 
 
-@pytest.mark.parametrize("name, density", [("EX1", 64), ("EX1S", 17), ("EX2", 6),
-                                           ("random N=2", 17)])
-def test_batched_constants_match_per_point_reference(name, density):
-    spec = _random_hermitian_spec() if name == "random N=2" else fixture(name)
+CONSTANTS_CASES = [(fixture("EX1"), 64), (fixture("EX1S"), 17), (fixture("EX2"), 6),
+                   (_random_hermitian_spec(), 17), (_x0_dependent_spec(in_a=True), 17),
+                   (_x0_dependent_spec(in_a=False), 17)]
+
+
+@pytest.mark.parametrize("spec, density", CONSTANTS_CASES,
+                         ids=[f"{s.name}-{d}" for s, d in CONSTANTS_CASES])
+def test_batched_constants_match_per_point_reference(spec, density):
     got = stability_constants(spec, density=density)
     ref = _reference_constants(spec, density)
     for field_name in ("z_star", "R", "rho_star", "q_effective"):
@@ -436,11 +448,13 @@ def test_batched_constants_match_per_point_reference(name, density):
 
 
 def test_block_boundaries_do_not_move_witnesses(monkeypatch):
-    # CE-FLAT's certificate form is 0 at every sample and CE-BDY's outflow minimum
-    # repeats at every time slice, so the first-occurrence witness must survive
-    # blocks that split these ties; the random spec's (iii) witness is sample 16,
-    # in the third block of 7
-    specs = [fixture("CE-BDY"), fixture("CE-FLAT"), _recentred_spec(), _random_hermitian_spec()]
+    # CE-FLAT's certificate form is constant and CE-BDY's outflow form repeats at
+    # every time slice, so each is sampled on one point or one slice; the random
+    # spec's (iii) witness is sample 16, in the third block of 7; the x0-dependent
+    # specs sample every slice, and their (ii) and (iii) witnesses lie in the last
+    # one, many blocks in
+    specs = [fixture("CE-BDY"), fixture("CE-FLAT"), _recentred_spec(), _random_hermitian_spec(),
+             _x0_dependent_spec(in_a=True), _x0_dependent_spec(in_a=False)]
     before = [repr(check_assumptions(s, sample_density=17).to_json()) for s in specs]
     monkeypatch.setattr(operator_model, "_BLOCK", 7)
     after = [repr(check_assumptions(s, sample_density=17).to_json()) for s in specs]
