@@ -183,6 +183,8 @@ def cmd_spectrum(args, spec, out: RunOutput) -> int:
 
 def cmd_codim(args, spec, out: RunOutput) -> int:
     _, pole_set = _poles(args, spec)
+    # rank F and z** count every nonnegative pole only when none lies right of the window
+    segment_abscissa(pole_set)
     rank = sum(p.rank for p in pole_set.nonneg)
     out.write("codim.json", {**pole_set.to_json(), "rank_F": rank})
 
@@ -197,8 +199,7 @@ def cmd_codim(args, spec, out: RunOutput) -> int:
 
 def cmd_green(args, spec, out: RunOutput) -> int:
     basis, pole_set = _poles(args, spec)
-    dec = decompose(spec, basis, _forcing(args, spec, basis), pole_set,
-                    n_loop_nodes=args.contour_nodes)
+    dec = decompose(spec, basis, _forcing(args, spec, basis), pole_set)
     times, norms = dec.difference.times, dec.difference.slice_norms()
     out.write("decay.csv", (("x0", "difference_norm", "retarded_norm", "used_in_fit"),
                             zip(times, norms, dec.retarded.slice_norms(), dec.used_slices)))
@@ -288,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = pole_window(command("green", cmd_green,
                             "retarded solution and decaying decomposition"), qmax=16)
-    p.add_argument("--contour-nodes", type=int, default=32, dest="contour_nodes")
     p.add_argument("--forcing", default="default")
     p.add_argument("--svg", action="store_true")
 

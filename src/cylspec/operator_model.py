@@ -22,6 +22,7 @@ minimum is its witness.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -249,8 +250,10 @@ class AssumptionReport:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
 def _interior_points(n: int, density: int) -> np.ndarray:
-    """Deterministic sample points of the solid cylinder, including extreme slices."""
+    """Deterministic sample points of the solid cylinder, including extreme slices;
+    built once per (n, density) and shared, so read-only."""
     t = np.linspace(0.0, 2 * np.pi, max(4, min(density, 16)), endpoint=False)
     if n == 1:
         x = np.unique(np.concatenate([np.linspace(-1.0, 1.0, density), [-1.0, 0.0, 1.0]]))
@@ -260,7 +263,9 @@ def _interior_points(n: int, density: int) -> np.ndarray:
         mesh = np.meshgrid(*axes, indexing="ij")
         flat = np.stack([m.ravel() for m in mesh], axis=1)
         flat = flat[np.sum(flat**2, axis=1) <= 1.0 + 1e-12]
-    return _times_slices(t, flat)
+    pts = _times_slices(t, flat)
+    pts.setflags(write=False)
+    return pts
 
 
 def _times_slices(t: np.ndarray, flat: np.ndarray) -> np.ndarray:

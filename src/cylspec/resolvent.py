@@ -6,15 +6,16 @@ z ~ z + i.  Poles are located as generalized eigenvalues of the collocation
 pencil (D, -A^0), filtered against discretization artifacts by persistence
 under resolution doubling, and reduced to the fundamental strip 0 <= Im z < 1.
 Spectral projections are loop integrals of (z - lam)^l D_z^{-1}.  A pole's order
-and rank come from an ordered Schur form of A^0^{-1} base0 (`_projection_family`);
-the dense trapezoid loop integrals of `spectral_projection` cross-check them.
+and rank (`_projection_family`) and the projections themselves, exactly
+(`loop_projections`), come from an ordered Schur form of A^0^{-1} base0; the
+dense trapezoid loop integrals of `spectral_projection` cross-check them.
 
 Every routine works on one block pencil, `spectral.mode_operator_parts`: block q
 of D + z*A^0 is base0 + (z + i*q)*A^0, one block per Fourier mode when the
 coefficients do not depend on the periodic coordinate and one value-space block
 otherwise.  Each pencil is factored once: its complex Schur form of
 A^0^{-1} base0 (`ModePencil.schur`, taken on first use) serves `_schur_solve`
-for every shift and `_projection_family` for every pole, which reorders it per
+for every shift and `loop_projections` for every pole, which reorders it per
 pole.  `resolvent_matrix_for` inverts the blocks; `_pencil_eigenpairs` (with
 eigenvectors, for the tail filter) and `_pencil_eigenvalues` (without, for the
 persistence test and `NearPoleError.nearest`) shift the eigenvalues of
@@ -220,6 +221,9 @@ class PoleSet:
     nonneg: tuple[Pole, ...]          # strip poles with Re >= 0 (drives the finite-rank part)
     raw_eigenvalues: tuple[complex, ...]  # filtered, unreduced, window-restricted
     edge_flag: bool = False
+    # persistent eigenvalues right of the window, unreduced, by decreasing real part:
+    # poles that z** and the finite-rank part do not see
+    right_of_window: tuple[complex, ...] = ()
 
     def to_json(self) -> dict:
         return {
@@ -329,6 +333,9 @@ def find_poles(spec: OperatorSpec, basis: SpectralBasis,
         reps.append((lam, src, min(r for _z, r in cl)))
 
     eigenvalues = np.array([z for z, _v, _q, _r in pairs])
+    right = eigenvalues[eigenvalues.real > re_max + pad]
+    fine_right = fine_vals[fine_vals.real > re_max + pad - PERSIST_TOL]
+    right = right[np.abs(right[:, None] - fine_right).min(axis=1, initial=np.inf) <= PERSIST_TOL]
     pencil = mode_operator_parts(spec, basis)
     for lam, src, res in reps:
         others = [o for o, _s, _r in reps if o != lam]
@@ -345,6 +352,7 @@ def find_poles(spec: OperatorSpec, basis: SpectralBasis,
     return PoleSet(
         poles=tuple(poles), window=(re_min, re_max), z_star_star=z_ss,
         z_star_star_star=z_sss, nonneg=nonneg, raw_eigenvalues=raw, edge_flag=edge_flag,
+        right_of_window=tuple(right[np.argsort(-right.real, kind="stable")].tolist()),
     )
 
 
@@ -383,27 +391,46 @@ def _loop_nodes(center: complex, radius: float, n_nodes: int):
     return center + radius * np.exp(1j * theta), np.exp(1j * theta)
 
 
-def _projection_family(pencil: ModePencil, center: complex, radius: float) -> tuple[int, int]:
-    """Order and rank of the loop projections about a pole, from ordered Schur forms.
+def loop_projections(pencil: ModePencil, center: complex, radius: float) -> list[tuple]:
+    """The loop projections P_j = (2*pi*i)^{-1} x loop integral of (z - center)^j D_z^{-1}
+    about `center`, exactly, as one factorization per block.
 
-    Block q of the pencil is a0 (T + (z + i*q) I) with T = a0^{-1} base0, so the
-    projection about `center` is T's spectral projector on the eigenvalues t with
-    -t - i*q inside the loop.  Per block with k such eigenvalues, the pencil's
-    Schur form of T, reordered to put them first, adds k to the rank; the order
-    is the smallest l with ||N^l|| <= ORDER_TOL * radius^l for N = S_kk minus the
-    mean of its diagonal (the cluster mean, not one eigenvalue: a split defective
-    eigenvalue then leaves N^2 at roundoff), the largest over the blocks.
+    Block q is a0 (T + (z + i*q) I) with T = a0^{-1} base0, so the loop sees T's
+    invariant subspace of the k eigenvalues t with -t - i*q inside it.  The
+    pencil's Schur form of T, reordered to put them first (LAPACK `ztrsen`, the
+    step schur(T, sort=) takes after this same factorization), is
+    V [S11 S12; 0 S22] V^H, and the Sylvester solve S11 Y - Y S22 = S12 (`ztrsyl`)
+    gives the spectral projector Pi_q = V [I Y; 0 0] V^H.  On its range
+    D_z^{-1} = (N_q + z - center)^{-1} a0^{-1} with N_q = T + center + i*q, so
+    P_j = (-N_q)^j Pi_q a0^{-1}.  Returns (block index, V[:, :k], S11,
+    [I Y] V^H a0^{-1}) per block with eigenvalues inside the loop.
     """
-    tri, U, _left = pencil.schur
+    tri, U, left = pencil.schur
     vals = np.diag(tri)
-    order, rank = 1, 0
-    for q in pencil.modes.tolist():
+    out = []
+    for b, q in enumerate(pencil.modes.tolist()):
         select = np.abs(-vals - 1j * q - center) < radius
         k = int(select.sum())
-        if not k:
-            continue
-        # LAPACK's reorder, the step schur(T, sort=) takes after this same factorization
-        lead = scipy.linalg.lapack.ztrsen(select, tri, U, job="N", wantq=0)[0][:k, :k]
+        if k:
+            S, V = scipy.linalg.lapack.ztrsen(select, tri, U, job="N", wantq=1)[:2]
+            Y, scale = scipy.linalg.lapack.ztrsyl(S[:k, :k], S[k:, k:], S[:k, k:], isgn=-1)[:2]
+            coords = np.hstack([np.eye(k), Y / scale]) @ (V.conj().T @ U) @ left
+            out.append((b, V[:, :k], S[:k, :k], coords))
+    return out
+
+
+def _projection_family(pencil: ModePencil, center: complex, radius: float) -> tuple[int, int]:
+    """Order and rank of the loop projections about a pole.
+
+    Per block with k eigenvalues inside the loop (`loop_projections`) the rank
+    grows by k; the order is the smallest l with ||N^l|| <= ORDER_TOL * radius^l
+    for N = S11 minus the mean of its diagonal (the cluster mean, not one
+    eigenvalue: a split defective eigenvalue then leaves N^2 at roundoff), the
+    largest over the blocks.
+    """
+    order, rank = 1, 0
+    for _b, _vecs, lead, _coords in loop_projections(pencil, center, radius):
+        k = len(lead)
         nil = lead - np.trace(lead) / k * np.eye(k)
         ell, power = 1, nil
         while ell <= 8 and np.linalg.norm(power) > ORDER_TOL * radius ** ell:

@@ -4,20 +4,24 @@ Compactly supported forcings on the cover are carried to a holomorphic family
 f_z of quotient functions by summing exponentially weighted period translates;
 the family is periodic up to conjugation, f_{z+i} = exp(-i*x0) f_z.  Inverting
 the shifted operator along a vertical segment of height one and integrating
-back yields the retarded solution; loop integrals around the nonnegative strip
-poles assemble a finite-rank correction whose subtraction leaves exponential
-decay at the fastest rate allowed by the remaining (decaying) poles.
+back yields the retarded solution.  The loop integrals of exp(z X) D_z^{-1} f_z
+around the nonnegative strip poles make the finite-rank correction F f, whose
+subtraction leaves exponential decay at the fastest rate allowed by the
+remaining (decaying) poles.  F f is a modal field built without quadrature:
+the loop projections are exact in the pencil's ordered Schur form
+(`resolvent.loop_projections`), and so are the z-derivatives of f_z.
 
 Vertical segments use trapezoid nodes in the segment parameter: the integrand
 is periodic there, so the rule is spectrally accurate, and with enough nodes
 the cover aliasing (period translates folding back) is driven below roundoff.
 
-Shifts are batched: each segment and each loop is one `forward_transform` and
-one `apply_resolvent` call over its array of shifts, and every cover
-evaluation is one contraction, `_segment_sum`, of (times, shifts) weights with
-Fourier coefficients.  `decompose` builds the pencil once and passes it to its
-segment and loop solves, so one Schur form serves all of them, whether or not
-the coefficients depend on the periodic coordinate.
+Shifts are batched: each segment is one `forward_transform` and one
+`apply_resolvent` call over its array of shifts, F f solves at one refinement
+shift per pole, and every cover evaluation is one contraction, `_segment_sum`,
+of (times, terms) weights with Fourier coefficients.  `decompose` builds the
+pencil once and passes it to its segment solves and to F f, so one Schur form
+serves all of them, whether or not the coefficients depend on the periodic
+coordinate.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator_model import OperatorSpec, SpecError
-from .resolvent import PoleSet, _loop_nodes, apply_multiplier, apply_operator, apply_resolvent
+from .resolvent import PoleSet, apply_multiplier, apply_operator, apply_resolvent, loop_projections
 from .spectral import ModePencil, SpectralBasis, fourier_coefficients, mode_operator_parts
 from .timedomain import FieldOnCover, evolve, fit_log_slope, periodize
 
@@ -46,6 +50,10 @@ CANCEL_FLOOR_REL = 1e3 * EPS
 # pole supremum z**, on at least MIN_SEGMENT_NODES trapezoid nodes
 SEGMENT_MARGIN = 0.3
 MIN_SEGMENT_NODES = 33
+
+# build_finite_rank_part refines each pole's profiles by one inverse-iteration
+# step at this distance right of a simple pole (its m-th root for order m)
+REFINE_SHIFT = 1e-3
 
 # cover slices per period; default_slice_times spans SLICE_PERIODS periods on
 # each side of the forcing support, decompose DECAY_PERIODS periods after it
@@ -205,39 +213,6 @@ def forward_transform(forcing: CoverForcing, z, basis: SpectralBasis,
     return out if np.ndim(z) else out[0]
 
 
-@dataclass(frozen=True)
-class TransformPair:
-    """Sampled z-family along a vertical segment, paired with its cover source."""
-
-    c: float
-    nodes: np.ndarray              # (n_nodes,) points t_k in [0, 1)
-    samples: np.ndarray            # (n_nodes, n_time, n_space, N): f at z = c + i t_k
-    forcing: CoverForcing
-    basis: SpectralBasis
-
-    @property
-    def shifts(self) -> np.ndarray:
-        return self.c + 1j * self.nodes
-
-    def conjugation_defect(self) -> float:
-        """Max deviation of f_{z+i} from exp(-i*x0) f_z over the nodes."""
-        shifted = forward_transform(self.forcing, self.shifts + 1j, self.basis)
-        phase = np.exp(-1j * self.basis.x0)[:, None, None]
-        return float(np.abs(shifted - phase * self.samples).max())
-
-
-def transform_segment(forcing: CoverForcing, c: float, n_nodes: int,
-                      basis: SpectralBasis) -> TransformPair:
-    nodes = np.arange(n_nodes) / n_nodes
-    samples = forward_transform(forcing, c + 1j * nodes, basis)
-    return TransformPair(c=c, nodes=nodes, samples=samples, forcing=forcing, basis=basis)
-
-
-def inverse_transform(pair: TransformPair, times: np.ndarray) -> FieldOnCover:
-    """Trapezoid rule for the vertical-segment integral, evaluated at cover times."""
-    return _segment_sum(_segment_weights(pair.shifts, times), pair.samples, pair.basis, times)
-
-
 def _segment_weights(shifts: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Trapezoid weights exp(z_k X_i) / n of a vertical segment, (times, shifts)."""
     return np.exp(np.outer(times, shifts)) / len(shifts)
@@ -300,11 +275,12 @@ class VerticalPathSolution:
 def solve_on_segment(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverForcing,
                      c: float, n_nodes: int, *,
                      pencil: ModePencil | None = None) -> VerticalPathSolution:
-    pair = transform_segment(forcing, c, n_nodes, basis)
+    nodes = np.arange(n_nodes) / n_nodes
+    shifts = c + 1j * nodes
     return VerticalPathSolution(
-        spec=spec, basis=basis, c=c, nodes=pair.nodes,
-        solutions=apply_resolvent(spec, basis, pair.shifts, pair.samples, pencil=pencil),
-        forcing=forcing,
+        spec=spec, basis=basis, c=c, nodes=nodes, forcing=forcing,
+        solutions=apply_resolvent(spec, basis, shifts, forward_transform(forcing, shifts, basis),
+                                  pencil=pencil),
     )
 
 
@@ -324,7 +300,14 @@ def segment_node_count(basis: SpectralBasis) -> int:
 
 def segment_abscissa(pole_set: PoleSet) -> float:
     """Re z of the retarded solution's segment: SEGMENT_MARGIN right of z**
-    (of 0 when there is no pole)."""
+    (of 0 when there is no pole).  Raises SpecError naming the persistent
+    eigenvalues right of the pole window, if any: no segment right of the
+    window's poles is then right of every pole."""
+    if right := pole_set.right_of_window:
+        named = ", ".join(str(complex(round(z.real, 6) + 0.0, round(z.imag, 6) + 0.0))
+                          for z in right)
+        raise SpecError(f"{len(right)} persistent pencil eigenvalues lie right of the pole window "
+                        f"(Re z > {pole_set.window[1]}): {named}; raise --re-max past them")
     z_ss = pole_set.z_star_star
     return (z_ss if np.isfinite(z_ss) else 0.0) + SEGMENT_MARGIN
 
@@ -388,30 +371,15 @@ class ModalField:
 
 @dataclass(frozen=True)
 class FiniteRankPart:
-    """The loop-integral correction: modal form, loop-sum form, and diagnostics."""
+    """The finite-rank correction F f as a modal field, with its diagnostics."""
 
     modal: ModalField
     spec: OperatorSpec
     basis: SpectralBasis
     rank: int
-    pole_data: tuple[dict, ...]
-    loop_solutions: tuple[np.ndarray, np.ndarray, np.ndarray]
-    # (shifts, quadrature weights, resolvent-applied fields) over every loop node
 
     def evaluate(self, times: np.ndarray) -> FieldOnCover:
         return self.modal.evaluate(times)
-
-    def evaluate_loops(self, times: np.ndarray) -> FieldOnCover:
-        """Direct loop-sum evaluation (independent of the modal/series route)."""
-        shifts, weights, fields = self.loop_solutions
-        return _segment_sum(weights * np.exp(np.outer(times, shifts)), fields, self.basis, times)
-
-    def agreement_error(self, times: np.ndarray) -> float:
-        """Relative deviation between the loop-sum and modal evaluations."""
-        a = self.evaluate_loops(times).values
-        b = self.modal.evaluate(times).values
-        scale = max(float(np.abs(a).max()), float(np.abs(b).max()), 1e-300)
-        return float(np.abs(a - b).max()) / scale
 
     def operator_applied(self, times: np.ndarray) -> FieldOnCover:
         """Cover operator on the modal field, term by term (exact in time).
@@ -440,57 +408,52 @@ class FiniteRankPart:
 
 
 def build_finite_rank_part(spec: OperatorSpec, basis: SpectralBasis, pole_set: PoleSet,
-                           forcing: CoverForcing, *, n_loop_nodes: int = 32,
+                           forcing: CoverForcing, *,
                            pencil: ModePencil | None = None) -> FiniteRankPart:
-    """Loop integrals about the nonnegative strip poles applied to the forcing family.
+    """F f: the loop integrals of exp(z X) D_z^{-1} f_z about the nonnegative strip
+    poles, as a modal field, from exact Laurent coefficients.
 
-    Two routes are assembled: (a) direct trapezoid loop sums of
-    exp(z x0) D_z^{-1} f_z, kept for cross-validation, and (b) the modal series
-    combining loop projections with Cauchy-integral derivatives of f_z at each
-    pole; the modal form is the primary representation (exact in cover time).
-    Both routes solve on the same loop nodes, in one batched resolvent call per
-    pole; pole orders, operator ranks and loop radii come from the supplied pole
-    set.
+    About a pole lam of order m, exp(z X) f_z = exp(lam X) sum_k X^k (z - lam)^k / k!
+    sum_l g_l (z - lam)^l / l! with g_l the exact z-derivatives of f_z at lam
+    (`forward_transform`), and the loop integral of (z - lam)^j D_z^{-1} is the
+    projection P_j, which vanishes for j >= m (`loop_projections`, from the
+    pencil's Schur form).  So the pole contributes the terms
+    X^k exp(lam X) 2*pi sum_l P_{k+l} g_l / (k! l!), k < m.  Their profiles p_k
+    are then refined by one step of inverse iteration against the true blocks,
+    p_k <- D_{lam+d}^{-1} A^0 (d p_k - (k+1) p_{k+1}) at d = REFINE_SHIFT^(1/m),
+    which fixes the exact chain D_lam p_k + (k+1) A^0 p_{k+1} = 0 and damps the
+    rounding of the Schur factors off the pole's subspace.  Pole orders and
+    ranks come from the supplied pole set.
     """
-    n = n_loop_nodes
+    if pencil is None:
+        pencil = mode_operator_parts(spec, basis)
     terms: list[ModalTerm] = []
-    loops = [(np.zeros(0, dtype=complex), np.zeros(0, dtype=complex),
-              np.zeros((0, basis.n_time, basis.n_space, forcing.N), dtype=complex))]
-    pole_data = []
-    rank = 0
     for pole in pole_set.nonneg:
-        radius = pole.radius
-        shifts, phases = _loop_nodes(pole.source, radius, n)
-        order = pole.order
-        f_samples = forward_transform(forcing, shifts, basis)
-        # Cauchy derivatives g_m of the family at the pole, for route (b)
-        derivs = [np.broadcast_to(math.factorial(m) / (n * radius**m)
-                                  * np.tensordot(phases ** (-m), f_samples, axes=1),
-                                  f_samples.shape) for m in range(order)]
-        solved = apply_resolvent(spec, basis, np.tile(shifts, order + 1),
-                                 np.concatenate([f_samples, *derivs]), pencil=pencil)
-        solved = solved.reshape((order + 1,) + f_samples.shape)
-        # route (a): (1/i) * loop integral -> weights 2*pi*radius*phase/n
-        loops.append((shifts, 2.0 * math.pi * radius * phases / n, solved[0]))
-
-        # route (b): loop projections P_{j,l} g_l = r^{j+1}/n sum_k ph_k^{j+1} D_{z_k}^{-1} g_l
-        def projected(j: int, ell: int) -> np.ndarray:
-            return np.tensordot(phases ** (j + 1), solved[1 + ell], axes=1) * radius ** (j + 1) / n
-
-        for k in range(order):
-            profile = sum(projected(k + ell, ell) / (math.factorial(ell) * math.factorial(k))
-                          for ell in range(order - k))
-            terms.append(ModalTerm(lam=pole.source, power=k, profile=2.0 * math.pi * profile))
-        rank += pole.rank
-        pole_data.append({
-            "lam": pole.lam, "source": pole.source, "order": order,
-            "rank": pole.rank, "radius": radius,
-        })
+        lam, order = pole.source, pole.order
+        blocks = loop_projections(pencil, lam, pole.radius)
+        g = pencil.columns(np.array([forward_transform(forcing, lam, basis, order=ell)
+                                     for ell in range(order)]))
+        cols = np.zeros((order, len(pencil.modes), len(pencil.a0)), dtype=complex)
+        for b, vecs, lead, coords in blocks:
+            # block b of 2*pi sum_l P_{k+l} g_l / (k! l!), with P_j = vecs nil^j coords
+            nil = -lead - (lam + 1j * pencil.modes[b]) * np.eye(len(lead))
+            c = [coords @ g[ell, b] / math.factorial(ell) for ell in range(order)]
+            for k in range(order):
+                h = sum(np.linalg.matrix_power(nil, k + ell) @ c[ell]
+                        for ell in range(order - k))
+                cols[k, b] = vecs @ h * (2.0 * math.pi / math.factorial(k))
+        profiles = pencil.grid(cols)
+        # one inverse-iteration step at lam + d, every k in one batched solve; the
+        # solve amplifies rounding along the chain by d^-order, held to 1/REFINE_SHIFT
+        d = REFINE_SHIFT ** (1.0 / order)
+        rhs = d * profiles - np.arange(1, order + 1)[:, None, None, None] * \
+            np.concatenate([profiles[1:], np.zeros_like(profiles[:1])])
+        profiles = apply_resolvent(spec, basis, np.full(order, lam + d),
+                                   apply_multiplier(spec, basis, rhs), pencil=pencil)
+        terms += [ModalTerm(lam=lam, power=k, profile=profiles[k]) for k in range(order)]
     modal = ModalField(terms=tuple(terms), basis=basis, N=forcing.N)
-    return FiniteRankPart(
-        modal=modal, spec=spec, basis=basis, rank=rank, pole_data=tuple(pole_data),
-        loop_solutions=tuple(np.concatenate(x) for x in zip(*loops)),
-    )
+    return FiniteRankPart(modal=modal, spec=spec, basis=basis,
+                          rank=sum(p.rank for p in pole_set.nonneg))
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +478,11 @@ class StabilityDecomposition:
 
 
 def decompose(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverForcing,
-              pole_set: PoleSet, *, n_loop_nodes: int = 32) -> StabilityDecomposition:
+              pole_set: PoleSet, *, n_loop_nodes: int | None = None) -> StabilityDecomposition:
     """Retarded solution minus the finite-rank correction, with a fitted decay rate.
+
+    `n_loop_nodes` is unused (F f has no loop nodes); the `green` benchmark
+    workload still passes it.
 
     The difference is evaluated on DECAY_PERIODS periods after the support and its
     per-slice norms are fitted log-linearly over the trailing window of clean
@@ -534,8 +500,7 @@ def decompose(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverForcing,
     pencil = mode_operator_parts(spec, basis)
     sol = solve_on_segment(spec, basis, forcing, c, n_nodes, pencil=pencil)
     u_ret = sol.evaluate(times)
-    part = build_finite_rank_part(spec, basis, pole_set, forcing,
-                                  n_loop_nodes=n_loop_nodes, pencil=pencil)
+    part = build_finite_rank_part(spec, basis, pole_set, forcing, pencil=pencil)
     f_field = part.evaluate(times)
     diff_values = u_ret.values - f_field.values
     difference = FieldOnCover(times, diff_values, basis)

@@ -117,9 +117,15 @@ def test_compare_passes(tmp_path):
 
 
 def test_numeric_failure_emits_error_json(tmp_path):
-    # one failure inside the command, after --out exists, and one while loading
+    # failures inside the command, after --out exists, and one while loading; EX1S
+    # has persistent poles at Re 0.25 and 0.75, right of a window ending at 0.1
+    right_of_window = "18 persistent pencil eigenvalues lie right of the pole window"
     cases = (
         (["green", "--fixture", "EX2"], "SpecError", "n=1 only"),
+        (["green", "--fixture", "EX1S", "--qmax", "4", "--m", "16", "--re-max", "0.1"],
+         "SpecError", right_of_window),
+        (["codim", "--fixture", "EX1S", "--qmax", "4", "--m", "16", "--re-max", "0.1"],
+         "SpecError", right_of_window),
         (["spectrum", "--config", str(tmp_path / "missing.json")],
          "FileNotFoundError", "missing.json"),
     )
@@ -240,7 +246,7 @@ def test_manifest_hash_covers_file_contents(tmp_path):
 UNREAD_FLAGS = {
     "check": ("--qmax", "--m", "--re-min", "--re-max", "--contour-nodes", "--lmax", "--seed"),
     "spectrum": ("--lmax", "--seed", "--contour-nodes", "--kappa"),
-    "green": ("--lmax", "--seed", "--kappa"),
+    "green": ("--contour-nodes", "--lmax", "--seed", "--kappa"),
     "codim": ("--contour-nodes", "--lmax", "--seed", "--kappa"),
     "compare": ("--contour-nodes", "--lmax", "--seed", "--kappa"),
     "evolve": ("--re-min", "--re-max", "--contour-nodes", "--qmax", "--kappa"),

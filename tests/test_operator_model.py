@@ -207,6 +207,16 @@ def test_coercivity_inequality_on_grid():
                 assert np.linalg.eigvalsh(kz - bound).min() >= -1e-10
 
 
+def test_interior_grid_built_once_and_read_only():
+    from cylspec.operator_model import _interior_points
+
+    pts = _interior_points(1, 17)
+    assert _interior_points(1, 17) is pts and not pts.flags.writeable
+    assert np.array_equal(pts, _reference_interior_points(1, 17))
+    with pytest.raises(ValueError):
+        pts[0, 0] = 1.0
+
+
 def test_non_finite_coefficients_rejected():
     for bad in (float("nan"), float("inf")):
         doc = spec_to_json(fixture("EX1"))

@@ -20,6 +20,7 @@ from cylspec.resolvent import (
     apply_operator,
     apply_resolvent,
     find_poles,
+    loop_projections,
     resolvent_matrix_for,
     singular_value_decay,
     spectral_projection,
@@ -223,6 +224,24 @@ def test_ex1s_strip_poles(poles_ex1s):
     assert abs(poles_ex1s.z_star_star_star + 0.25) < 1e-9
 
 
+def test_persistent_eigenvalues_right_of_window_recorded(ex1s):
+    # every pencil eigenvalue right of the window that persists under doubling, one
+    # at a time; EX1S's 0.25 and 0.75 in all nine modes at q4m16
+    basis = build_basis(4, 16)
+    fine = _pencil_eigenvalues(mode_operator_parts(ex1s, build_basis(6, 32)))
+    for re_max, count in ((0.1, 18), (0.5, 9), (2.2, 0)):
+        ps = find_poles(ex1s, basis, window=(-2.2, re_max))
+        ref = [z for z, _v, _q, _r in _pencil_eigenpairs(ex1s, basis)
+               if z.real > re_max + 1e-5 and np.abs(fine - z).min() <= 1e-6]
+        assert len(ps.right_of_window) == count
+        assert sorted(ps.right_of_window, key=lambda z: (-z.real, z.imag)) == \
+            sorted(ref, key=lambda z: (-z.real, z.imag))
+        assert [z.real for z in ps.right_of_window] == sorted(
+            (z.real for z in ps.right_of_window), reverse=True)
+    # the benchmark's green window has none at q16m32
+    assert find_poles(ex1s, build_basis(16, 32)).right_of_window == ()
+
+
 def test_pole_lattice_before_reduction(poles_ex1, basis_q4m32):
     # every filtered eigenvalue strictly inside the band has its +i translate
     raw = np.array(poles_ex1.raw_eigenvalues)
@@ -346,19 +365,26 @@ def test_projection_node_doubling(ex1, basis_q4m32, poles_ex1):
     assert np.abs(p32.matrix - p64.matrix).max() < 1e-9
 
 
-def _dense_order_and_rank(spec, basis, pole, pole_set):
-    """Order and rank from the dense value-space loop projections on 64 nodes: the
-    rank counts the singular values of P_0 A^0 above 1e-8 of the largest."""
+def _dense_projections(spec, basis, pole, pole_set):
+    """The dense value-space loop projections P_0, P_1, ... on 64 nodes, up to the
+    first with ||P_l|| <= ORDER_TOL ||P_0|| (or P_9)."""
     def proj(ell):
         return spectral_projection(spec, basis, pole.source, ell, pole_set=pole_set,
                                    n_nodes=64).matrix
 
-    p0 = proj(0)
-    order = 1
-    while order <= 8 and np.linalg.norm(proj(order)) > ORDER_TOL * np.linalg.norm(p0):
-        order += 1
-    sv = np.linalg.svd(p0 @ multiplier_matrix(spec, basis), compute_uv=False)
-    return order, int(np.sum(sv > 1e-8 * sv[0]))
+    projs = [proj(0)]
+    while len(projs) < 10 and (len(projs) == 1 or np.linalg.norm(projs[-1])
+                                 > ORDER_TOL * np.linalg.norm(projs[0])):
+        projs.append(proj(len(projs)))
+    return projs
+
+
+def _dense_order_and_rank(spec, basis, pole, pole_set, projs=None):
+    """Order and rank from the dense loop projections: the order is the index of the
+    last one, the rank counts the singular values of P_0 A^0 above 1e-8 of the largest."""
+    projs = projs or _dense_projections(spec, basis, pole, pole_set)
+    sv = np.linalg.svd(projs[0] @ multiplier_matrix(spec, basis), compute_uv=False)
+    return len(projs) - 1, int(np.sum(sv > 1e-8 * sv[0]))
 
 
 def _jordan_spec():
@@ -374,8 +400,44 @@ def _jordan_spec():
 
 def _named_spec(name, request):
     return {"EX1 x Jordan": _jordan_spec, "hermitian A0": _hermitian_a0_spec,
+            "hermitian A0 - 1": lambda: _hermitian_a0_spec().shifted(-1.0),
             "wobble": lambda: request.getfixturevalue("wobble")}.get(
         name, lambda: fixture(name))()
+
+
+def _block_projection(pencil, center, blocks, j):
+    """P_j of loop_projections' block factors as a dense value-space matrix."""
+    size = int(np.prod(pencil.grid_shape))
+    cols = pencil.columns(np.eye(size, dtype=complex).reshape((size,) + pencil.grid_shape))
+    out = np.zeros_like(cols)
+    for b, vecs, lead, coords in blocks:
+        nil = -lead - (center + 1j * pencil.modes[b]) * np.eye(len(lead))
+        out[:, b] = cols[:, b] @ (vecs @ np.linalg.matrix_power(nil, j) @ coords).T
+    return pencil.grid(out).reshape(size, size).T
+
+
+@pytest.mark.parametrize("name, q_max, m", [
+    ("EX1", 4, 24), ("EX1S", 4, 16), ("EX1 x Jordan", 2, 16), ("hermitian A0 - 1", 4, 16),
+    ("wobble", 4, 8),
+])
+def test_loop_projections_match_dense_loop_integrals(name, q_max, m, request):
+    # exact P_j from the Schur form against the dense 64-node loop integrals, at
+    # the poles with Re > -0.1; the shifted hermitian-A0 spec has two there whose
+    # loop radius (0.0075) is set by each other
+    spec = _named_spec(name, request)
+    basis = build_basis(q_max, m)
+    ps = find_poles(spec, basis, window=(-2.2, 2.2))
+    pencil = mode_operator_parts(spec, basis)
+    poles = [p for p in ps.poles if p.lam.real > -0.1]
+    assert poles
+    for pole in poles:
+        blocks = loop_projections(pencil, pole.source, pole.radius)
+        dense = _dense_projections(spec, basis, pole, ps)
+        assert sum(len(lead) for _b, _v, lead, _c in blocks) == pole.rank
+        assert (pole.order, pole.rank) == _dense_order_and_rank(spec, basis, pole, ps, dense)
+        for j, mat in enumerate(dense):
+            err = np.abs(_block_projection(pencil, pole.source, blocks, j) - mat).max()
+            assert err <= 1e-9 * np.abs(dense[0]).max(), (pole.lam, j, err)
 
 
 @pytest.mark.parametrize("name, q_max, m", [

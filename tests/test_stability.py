@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from cylspec import stability
 from cylspec.operator_model import SpecError, fixture
-from cylspec.resolvent import find_poles
+from cylspec.resolvent import _loop_nodes, apply_resolvent, find_poles
 from cylspec.spectral import assemble_operator, build_basis, fourier_coefficients
 from cylspec.stability import (
+    REFINE_SHIFT,
     BumpProfile,
     FiniteRankPart,
     ModalField,
@@ -18,13 +20,12 @@ from cylspec.stability import (
     build_finite_rank_part,
     default_slice_times,
     forward_transform,
-    inverse_transform,
     make_forcing,
     retarded_solution,
     solve_on_segment,
-    transform_segment,
 )
 from conftest import aligned_times
+from test_resolvent import _hermitian_a0_spec, _jordan_spec
 
 PERIOD = 2 * math.pi
 
@@ -103,16 +104,22 @@ def test_two_period_bump_against_direct_sum(basis_q4m32):
 
 
 def test_transform_conjugation_periodicity(basis_q4m32):
+    # f_{z+i} = exp(-i x0) f_z at every node of a segment
     forcing = make_forcing(basis_q4m32, "default")
-    pair = transform_segment(forcing, 0.3, 9, basis_q4m32)
-    assert pair.conjugation_defect() < 1e-10
+    shifts = 0.3 + 1j * np.arange(9) / 9
+    samples = forward_transform(forcing, shifts, basis_q4m32)
+    shifted = forward_transform(forcing, shifts + 1j, basis_q4m32)
+    phase = np.exp(-1j * basis_q4m32.x0)[:, None, None]
+    assert np.abs(shifted - phase * samples).max() < 1e-10
 
 
 def test_transform_round_trip_on_support(basis_q4m32):
+    # the trapezoid rule for the vertical-segment integral of exp(z X) f_z gives back f
     forcing = make_forcing(basis_q4m32, "default")
-    pair = transform_segment(forcing, 0.3, 9, basis_q4m32)
+    shifts = 0.3 + 1j * np.arange(9) / 9
+    samples = forward_transform(forcing, shifts, basis_q4m32)
     times = aligned_times(basis_q4m32, range(0, 4))
-    recovered = inverse_transform(pair, times)
+    recovered = _segment_sum(np.exp(np.outer(times, shifts)) / 9, samples, basis_q4m32, times)
     target = forcing.sample(times)
     assert np.abs(recovered.values - target.values).max() < 1e-8
 
@@ -213,10 +220,25 @@ def _modal_part(ex1, basis):
     terms = (ModalTerm(0.25 + 0.1j, 0, profiles[0]), ModalTerm(0.25 + 0.1j, 1, profiles[1]),
              ModalTerm(-0.3, 2, profiles[2]))
     modal = ModalField(terms=terms, basis=basis, N=1)
-    loop_shifts = 0.25 + 0.2 * np.exp(2j * np.pi * np.arange(5) / 5)
-    loops = (loop_shifts, np.linspace(0.5, 1.5, 5) * 1j, _random_fields(basis, 5, seed=3))
-    return FiniteRankPart(modal=modal, spec=ex1, basis=basis, rank=0, pole_data=(),
-                          loop_solutions=loops)
+    return FiniteRankPart(modal=modal, spec=ex1, basis=basis, rank=0)
+
+
+def _loop_sum(shifts, weights, fields, basis, times):
+    """sum_k weights_k exp(z_k X) field_k(X mod 2pi): a trapezoid loop sum on the cover."""
+    return _segment_sum(weights * np.exp(np.outer(times, shifts)), fields, basis, times)
+
+
+def _loop_reference(spec, basis, pole_set, forcing, times, n_nodes):
+    """F f as trapezoid sums of the loop integrals of exp(z X) D_z^{-1} f_z about the
+    nonnegative strip poles, on n_nodes nodes per loop: the quadrature route that
+    build_finite_rank_part's exact Laurent coefficients replace."""
+    total = np.zeros((len(times), basis.n_space, forcing.N), dtype=complex)
+    for pole in pole_set.nonneg:
+        shifts, phases = _loop_nodes(pole.source, pole.radius, n_nodes)
+        solved = apply_resolvent(spec, basis, shifts, forward_transform(forcing, shifts, basis))
+        weights = 2.0 * math.pi * pole.radius * phases / n_nodes
+        total += _loop_sum(shifts, weights, solved, basis, times).values
+    return total
 
 
 def test_modal_and_loop_evaluations_match_time_loop(ex1, basis_q4m32):
@@ -226,9 +248,11 @@ def test_modal_and_loop_evaluations_match_time_loop(ex1, basis_q4m32):
     ref = _cover_loop(lambda k, X: X ** terms[k].power * np.exp(terms[k].lam * X),
                       [t.profile for t in terms], basis_q4m32, times)
     assert _close(part.evaluate(times).values, ref)
-    shifts, weights, fields = part.loop_solutions
+    # the loop sum of the test-side reference
+    shifts = 0.25 + 0.2 * np.exp(2j * np.pi * np.arange(5) / 5)
+    weights, fields = np.linspace(0.5, 1.5, 5) * 1j, _random_fields(basis_q4m32, 5, seed=3)
     ref = _cover_loop(lambda k, X: weights[k] * np.exp(shifts[k] * X), fields, basis_q4m32, times)
-    assert _close(part.evaluate_loops(times).values, ref)
+    assert _close(_loop_sum(shifts, weights, fields, basis_q4m32, times).values, ref)
 
 
 def test_operator_applied_matches_time_loop(ex1, basis_q4m32):
@@ -367,14 +391,51 @@ def test_two_pole_correction_structure(decomposition_ex1s):
     assert np.abs(np.array(lams) - np.array([0.25, 0.75])).max() < 1e-9
 
 
-def test_loop_and_series_routes_agree(ex1, basis_q16m32, poles_ex1_q16,
-                                      default_forcing_q16):
-    part = build_finite_rank_part(ex1, basis_q16m32, poles_ex1_q16,
-                                  default_forcing_q16, n_loop_nodes=64)
-    t1 = default_forcing_q16.support[1]
-    window = aligned_times(basis_q16m32, range(2, 8))
-    window = window[window >= t1 - 1e-9]
-    assert part.agreement_error(window) < 1e-7
+def _finite_rank_cases():
+    """(spec, basis, window): EX1 and EX1S at the green sizes, EX1 x Jordan (one pole
+    of order 2) and the hermitian-A0 spec shifted so that its nonnegative poles
+    include two whose loop radius is set by each other (0.0075)."""
+    return {
+        "EX1": (fixture("EX1"), build_basis(16, 32), (-2.2, 1.0)),
+        "EX1S": (fixture("EX1S"), build_basis(16, 32), (-2.2, 1.0)),
+        "EX1 x Jordan": (_jordan_spec(), build_basis(4, 16), (-2.2, 1.0)),
+        "hermitian A0 - 1": (_hermitian_a0_spec().shifted(-1.0), build_basis(4, 16),
+                             (-2.2, 2.2)),
+    }
+
+
+def test_loop_and_series_routes_agree():
+    # the modal field against the 64-node loop reference over the decay window, and
+    # in the kernel of the cover operator to roundoff
+    for name, (spec, basis, window) in _finite_rank_cases().items():
+        ps = find_poles(spec, basis, window=window)
+        forcing = make_forcing(basis, "default", N=spec.N)
+        part = build_finite_rank_part(spec, basis, ps, forcing)
+        powers = [t.power for t in part.modal.terms]
+        assert powers == [k for p in ps.nonneg for k in range(p.order)], name
+        assert part.rank == sum(p.rank for p in ps.nonneg) > 0, name
+        times = forcing.support[1] + 6 * PERIOD * np.arange(49) / 48
+        ref = _loop_reference(spec, basis, ps, forcing, times, 64)
+        err = np.abs(part.evaluate(times).values - ref).max() / np.abs(ref).max()
+        assert err <= 1e-11, (name, err)
+        assert part.kernel_defect(times) <= 2e-13, name
+    radii = sorted(p.radius for p in ps.nonneg)
+    assert len(radii) == 4 and radii[1] < 0.01
+
+
+def test_finite_rank_part_solves_one_shift_per_pole(monkeypatch, ex1s, basis_q16m32,
+                                                    poles_ex1s_q16, default_forcing_q16):
+    # no loop nodes: the only solves are one refinement shift per pole
+    shifts = []
+
+    def counted(spec, basis, z, f, **kwargs):
+        shifts.append(np.unique(z))
+        return apply_resolvent(spec, basis, z, f, **kwargs)
+
+    monkeypatch.setattr(stability, "apply_resolvent", counted)
+    build_finite_rank_part(ex1s, basis_q16m32, poles_ex1s_q16, default_forcing_q16)
+    assert [s.tolist() for s in shifts] == \
+        [[p.source + REFINE_SHIFT] for p in poles_ex1s_q16.nonneg]
 
 
 def test_correction_lies_in_kernel(decomposition_ex1, decomposition_ex1s):
@@ -382,11 +443,13 @@ def test_correction_lies_in_kernel(decomposition_ex1, decomposition_ex1s):
     assert decomposition_ex1s.kernel_defect < 1e-6
 
 
-def test_correction_is_sum_of_exponentials(decomposition_ex1s, basis_q16m32):
-    # the loop-route field projects onto {exp(lam x0)} up to 1e-6 of its energy
+def test_correction_is_sum_of_exponentials(decomposition_ex1s, ex1s, basis_q16m32,
+                                           default_forcing_q16):
+    # the 32-node loop reference projects onto {exp(lam x0)} up to 1e-6 of its energy
     part = decomposition_ex1s.correction
     times = decomposition_ex1s.difference.times[:33]
-    field = part.evaluate_loops(times).values
+    field = _loop_reference(ex1s, basis_q16m32, decomposition_ex1s.pole_set,
+                            default_forcing_q16, times, 32)
     lams = [t.lam for t in part.modal.terms]
     design = np.stack([np.exp(l * times) for l in lams], axis=1)
     flat = field.reshape(len(times), -1)
@@ -439,7 +502,8 @@ def test_default_slice_grid_covers_both_sides(basis_q4m32):
 def test_one_schur_form_per_pole_search_and_decomposition(monkeypatch, ex1s, basis_q16m32,
                                                           poles_ex1s_q16, default_forcing_q16):
     # find_poles reorders one Schur form of A0^-1 base0 for all its poles (none
-    # without poles); decompose shares one among its two segments and its loops
+    # without poles); decompose shares one among its two segments, its
+    # projections and its refinement solves
     calls = []
     schur = scipy.linalg.schur
 
