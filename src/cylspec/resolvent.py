@@ -16,10 +16,18 @@ coefficients do not depend on the periodic coordinate and one value-space block
 otherwise.  Each pencil is factored once: its complex Schur form of
 A^0^{-1} base0 (`ModePencil.schur`, taken on first use) serves `_schur_solve`
 for every shift and `loop_projections` for every pole, which reorders it per
-pole.  `resolvent_matrix_for` inverts the blocks; `_pencil_eigenpairs` (with
-eigenvectors, for the tail filter) and `_pencil_eigenvalues` (without, for the
-persistence test and `NearPoleError.nearest`) shift the eigenvalues of
-(base0, -A^0) by -i*q.
+pole.  `resolvent_matrix_for` inverts the blocks.
+
+Block q has the eigenvalues of (base0, -A^0) shifted by -i*q and the same
+eigenvectors.  `_pencil_eigenpairs` solves the working pencil with eigenvectors
+in complex arithmetic: its eigenvalues and residuals are what `find_poles`
+reports, and `find_poles` filters once per eigenvector, not once per block.
+`_pencil_eigenvalues` (the doubled pencil of the persistence test, and
+`NearPoleError.nearest`) needs eigenvalues only, and they only vote or estimate:
+a pencil with no imaginary part is solved in real arithmetic (LAPACK `dggev`,
+about half the cost of `zggev`), a complex one (complex coefficients, or a
+value-space block whose DFT leaves roundoff imaginary parts) in complex
+arithmetic.
 """
 
 from __future__ import annotations
@@ -172,15 +180,30 @@ def apply_multiplier(spec: OperatorSpec, basis: SpectralBasis, u: np.ndarray) ->
     return np.einsum("jmab,...jmb->...jma", a0, u)
 
 
-def _pencil_eigenvalues(pencil: ModePencil) -> np.ndarray:
-    """Every finite pencil eigenvalue, without eigenvectors: those of (base0, -a0)
-    shifted by -i*q, mode by mode, in `_pencil_eigenpairs`' order."""
-    vals = scipy.linalg.eig(pencil.base0, -pencil.a0, right=False)
-    vals = vals[np.isfinite(vals)]
-    out = np.empty((len(pencil.modes), vals.size), dtype=complex)
+def _mode_shifted(vals: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """(blocks, n): the eigenvalues vals of (base0, -a0) shifted by -i*q into each
+    block, written through .real/.imag so a zero keeps its sign."""
+    out = np.empty((len(modes), vals.size), dtype=complex)
     out.real = vals.real
-    out.imag = vals.imag - pencil.modes[:, None]
-    return out.reshape(-1)
+    out.imag = vals.imag - modes[:, None]
+    return out
+
+
+def _finite_eigenvalues(pencil: ModePencil) -> np.ndarray:
+    """Finite eigenvalues of (base0, -a0), without eigenvectors.  A pencil with no
+    imaginary part is solved in real arithmetic (`dggev`), at about half the cost
+    of the complex `zggev`; its eigenvalues then come in conjugate pairs."""
+    base0, a0 = pencil.base0, pencil.a0
+    if not (base0.imag.any() or a0.imag.any()):
+        base0, a0 = base0.real, a0.real
+    vals = scipy.linalg.eig(base0, -a0, right=False)
+    return vals[np.isfinite(vals)]
+
+
+def _pencil_eigenvalues(pencil: ModePencil) -> np.ndarray:
+    """Every finite pencil eigenvalue: those of (base0, -a0) shifted by -i*q, mode by
+    mode (mode-major, like `PencilEigenpairs.eigenvalues`)."""
+    return _mode_shifted(_finite_eigenvalues(pencil), pencil.modes).reshape(-1)
 
 
 def _nearest_mode_pole(pencil: ModePencil, z: complex) -> complex | None:
@@ -218,7 +241,9 @@ class PoleSet:
     window: tuple[float, float]
     z_star_star: float
     z_star_star_star: float
-    nonneg: tuple[Pole, ...]          # strip poles with Re >= 0 (drives the finite-rank part)
+    # strip poles with Re >= -PERSIST_TOL (drives the finite-rank part): a pole at 0
+    # may come out a few ulps negative, and an extra mode in F f is harmless
+    nonneg: tuple[Pole, ...]
     raw_eigenvalues: tuple[complex, ...]  # filtered, unreduced, window-restricted
     edge_flag: bool = False
     # persistent eigenvalues right of the window, unreduced, by decreasing real part:
@@ -240,38 +265,73 @@ def _json_float(x: float):
     return None if not np.isfinite(x) else x
 
 
-def _pencil_eigenpairs(spec: OperatorSpec, basis: SpectralBasis):
-    """Generalized eigenvalues z of (D + z*A^0) v = 0, with eigenvectors and mode tags.
+@dataclass(frozen=True)
+class PencilEigenpairs:
+    """The finite eigenpairs of (base0, -a0), which every block of the pencil shares:
+    block q has the eigenvalues vals - i*q with the same eigenvectors.  Its length
+    is the number of (mode, eigenvalue) pairs."""
 
-    Block q is base0 + (z + i*q)*A^0, so one eigensolve of (base0, -A^0) gives
-    every block: same eigenvectors, eigenvalues shifted by -i*q.
-    """
+    pencil: ModePencil
+    vals: np.ndarray        # (n,) finite eigenvalues
+    vecs: np.ndarray        # (size, n) their eigenvectors
+    residuals: np.ndarray   # (n,) ||(base0 + z*a0) v|| / ||v||
+
+    def __len__(self) -> int:
+        return len(self.pencil.modes) * len(self.vals)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """(blocks, n): the eigenvalues of each block."""
+        return _mode_shifted(self.vals, self.pencil.modes)
+
+
+def _pencil_eigenpairs(spec: OperatorSpec, basis: SpectralBasis) -> PencilEigenpairs:
+    """Generalized eigenvalues z of (D + z*A^0) v = 0 with eigenvectors, from one
+    complex eigensolve of (base0, -A^0) on the pencil of (spec, basis)."""
     pencil = mode_operator_parts(spec, basis)
     base0, a0 = pencil.base0, pencil.a0
     vals, vecs = scipy.linalg.eig(base0, -a0)
-    pairs = []
-    for idx in np.flatnonzero(np.isfinite(vals)):
-        z, v = vals[idx], vecs[:, idx]
-        res = np.linalg.norm((base0 + z * a0) @ v) / max(np.linalg.norm(v), 1e-300)
-        pairs.append((complex(z), v, float(res)))
-    return [(complex(z.real, z.imag - q), v, q, res)
-            for q in pencil.modes.tolist() for z, v, res in pairs]
+    finite = np.flatnonzero(np.isfinite(vals))
+    residuals = np.array([np.linalg.norm((base0 + vals[k] * a0) @ vecs[:, k])
+                          / max(np.linalg.norm(vecs[:, k]), 1e-300) for k in finite])
+    return PencilEigenpairs(pencil, vals[finite], vecs[:, finite], residuals)
 
 
-def _chebyshev_tail_clean(v: np.ndarray, basis: SpectralBasis, N: int) -> bool:
-    """Reject eigenvectors whose Chebyshev tail does not decay (discretization artifacts).
+def _chebyshev_tails_clean(vecs: np.ndarray, basis: SpectralBasis, N: int) -> np.ndarray:
+    """Per eigenvector (column of vecs): False when its Chebyshev tail does not decay
+    (a discretization artifact).
 
     Only meaningful at moderate resolution; skipped for tiny grids where genuine
     low-degree eigenfunctions occupy the whole coefficient range.
     """
-    nx = basis.n_space
+    nx, count = basis.n_space, vecs.shape[1]
     if nx < 8:
-        return True
-    vals = v.reshape(-1, nx, N) if v.size != nx * N else v.reshape(1, nx, N)
-    coeff = chebyshev_coefficients(np.moveaxis(vals, 1, 0).reshape(nx, -1))
+        return np.ones(count, dtype=bool)
+    # (slice, node, component) per vector: one slice for a mode block's vector
+    slices = len(vecs) // (nx * N)
+    coeff = chebyshev_coefficients(np.moveaxis(vecs.reshape(slices, nx, N, count), 1, 0))
     mags = np.abs(coeff)
     cut = nx - nx // 4
-    return float(mags[cut:].max()) <= 1e-8 * float(mags.max() + 1e-300)
+    return mags[cut:].max(axis=(0, 1, 2)) <= 1e-8 * (mags.max(axis=(0, 1, 2)) + 1e-300)
+
+
+def _persistent(vals: np.ndarray, modes: np.ndarray, fine: ModePencil) -> np.ndarray:
+    """(blocks, n): whether the block eigenvalue vals[k] - i*modes[b] lies within
+    PERSIST_TOL of an eigenvalue of the doubled pencil `fine`.
+
+    Block eigenvalues are the mode-0 ones shifted by -i*q, and
+    |(f - i*q') - (v - i*q)| = |f - v - i*(q' - q)|, so the test runs on the mode-0
+    spectra (n x n_fine differences) and lifts to the modes by the integer offset
+    s = q' - q, which is rint(Im(f - v)) for any pair within PERSIST_TOL < 1/2:
+    block q persists when some close pair's q + s is a mode of `fine`.
+    """
+    diff = _finite_eigenvalues(fine)[None, :] - vals[:, None]
+    offset = np.rint(diff.imag)
+    rows, cols = np.nonzero(np.hypot(diff.real, diff.imag - offset) <= PERSIST_TOL)
+    out = np.zeros((len(modes), len(vals)), dtype=bool)
+    np.logical_or.at(out, (slice(None), rows),
+                     np.isin(modes[:, None] + offset[rows, cols], fine.modes))
+    return out
 
 
 def find_poles(spec: OperatorSpec, basis: SpectralBasis,
@@ -282,29 +342,30 @@ def find_poles(spec: OperatorSpec, basis: SpectralBasis,
     Candidates are generalized eigenvalues of the collocation pencil; spurious
     ones are removed by requiring persistence (within PERSIST_TOL) under a
     resolution doubling M -> 2M, Q_max -> Q_max + 2 (eigenvalues only) and a clean
-    Chebyshev tail.  Survivors are deduplicated modulo z ~ z + i using interior
-    modes; each strip pole gets a loop radius (_loop_radius) and the order and
-    rank of its loop projection (_projection_family).
+    Chebyshev tail.  Every block shares the eigenvectors of (base0, -A^0), so the
+    window and tail tests run once per eigenvector and persistence once on the
+    mode-0 spectra (`_persistent`).  Survivors are deduplicated modulo z ~ z + i
+    using interior modes; each strip pole gets a loop radius (_loop_radius) and the
+    order and rank of its loop projection (_projection_family).  A pole with
+    Re >= -PERSIST_TOL counts as nonnegative.
     """
     re_min, re_max = window
     pad = 10 * PERSIST_TOL
-    fine_vals = _pencil_eigenvalues(
-        mode_operator_parts(spec, build_basis(basis.Q_max + 2, 2 * basis.M)))
-
-    kept: list[tuple[complex, float]] = []
-    edge_flag = False
     pairs = _pencil_eigenpairs(spec, basis)
-    for z, v, q, res in pairs:
-        if not (re_min - pad <= z.real <= re_max + pad):
-            continue
-        if fine_vals.size == 0 or np.abs(fine_vals - z).min() > PERSIST_TOL:
-            continue
-        if not _chebyshev_tail_clean(v, basis, spec.N):
-            continue
-        if basis.Q_max > 0 and abs(q) == basis.Q_max:
-            edge_flag = True
-            continue
-        kept.append((z, res))
+    pencil, vals = pairs.pencil, pairs.vals
+    modes = pencil.modes
+    persistent = _persistent(
+        vals, modes, mode_operator_parts(spec, build_basis(basis.Q_max + 2, 2 * basis.M)))
+    eigenvalues = pairs.eigenvalues
+
+    candidate = persistent & ((re_min - pad <= vals.real) & (vals.real <= re_max + pad))
+    tested = np.flatnonzero(candidate.any(axis=0))
+    candidate[:, tested] &= _chebyshev_tails_clean(pairs.vecs[:, tested], basis, spec.N)
+    edge = (np.abs(modes) == basis.Q_max) & (basis.Q_max > 0)
+    edge_flag = bool(candidate[edge].any())
+    blocks, idx = np.nonzero(candidate & ~edge[:, None])
+    kept = [(complex(eigenvalues[b, k]), float(pairs.residuals[k]))
+            for b, k in zip(blocks, idx)]
 
     kept.sort(key=lambda t: (-t[0].real, t[0].imag))
     raw = tuple(z for z, _r in kept)
@@ -332,14 +393,10 @@ def find_poles(spec: OperatorSpec, basis: SpectralBasis,
             lam = complex(lam.real, 0.0)
         reps.append((lam, src, min(r for _z, r in cl)))
 
-    eigenvalues = np.array([z for z, _v, _q, _r in pairs])
-    right = eigenvalues[eigenvalues.real > re_max + pad]
-    fine_right = fine_vals[fine_vals.real > re_max + pad - PERSIST_TOL]
-    right = right[np.abs(right[:, None] - fine_right).min(axis=1, initial=np.inf) <= PERSIST_TOL]
-    pencil = mode_operator_parts(spec, basis)
+    right = eigenvalues[persistent & (vals.real > re_max + pad)]
     for lam, src, res in reps:
         others = [o for o, _s, _r in reps if o != lam]
-        radius = _loop_radius(lam, src, others, eigenvalues)
+        radius = _loop_radius(lam, src, others, eigenvalues.ravel())
         order, rank = _projection_family(pencil, src, radius) if compute_projections else (1, 0)
         poles.append(Pole(lam=lam, order=order, rank=rank, residual=res, source=src,
                           radius=radius))
@@ -347,8 +404,8 @@ def find_poles(spec: OperatorSpec, basis: SpectralBasis,
     poles.sort(key=lambda p: (-p.lam.real, p.lam.imag))
     pole_res = [p.lam.real for p in poles]
     z_ss = max(pole_res, default=-np.inf)
-    z_sss = max((r for r in pole_res if r < 0), default=-np.inf)
-    nonneg = tuple(p for p in poles if p.lam.real >= 0)
+    z_sss = max((r for r in pole_res if r < -PERSIST_TOL), default=-np.inf)
+    nonneg = tuple(p for p in poles if p.lam.real >= -PERSIST_TOL)
     return PoleSet(
         poles=tuple(poles), window=(re_min, re_max), z_star_star=z_ss,
         z_star_star_star=z_sss, nonneg=nonneg, raw_eigenvalues=raw, edge_flag=edge_flag,
@@ -497,46 +554,6 @@ def verify_resolvent_identities(spec: OperatorSpec, basis: SpectralBasis,
         "resolvent_identity_error": resolvent_err,
         "conjugation_error": conj_err,
     }
-
-
-def singular_value_decay(spec: OperatorSpec, basis: SpectralBasis, z: complex) -> dict:
-    """Compactness proxy: quadrature-weighted singular values of the resolvent.
-
-    Reports the singular values of the resolvent orthonormalized against the L2
-    quadrature weights, plus its leading singular value restricted to subspaces
-    of increasing minimum frequency content (the resolvent damps high
-    frequencies, so these shrink).
-    """
-    inv = resolvent_matrix_for(spec, basis, z)
-    weights = basis.w0 * basis.w1[None, :, None] * np.ones((basis.n_time, 1, spec.N))
-    root = np.sqrt(weights.reshape(-1))
-    weighted = (root[:, None] * inv) / root[None, :]
-    sv = np.linalg.svd(weighted, compute_uv=False)
-
-    tail_sv = []
-    n_levels = min(basis.Q_max + 1, basis.M // 2)
-    for level in range(n_levels):
-        proj = _tail_projector(basis, spec.N, min_mode=level, min_degree=2 * level)
-        tail_sv.append(float(np.linalg.svd(weighted @ proj, compute_uv=False)[0]))
-    return {"singular_values": sv, "tail_leading": np.array(tail_sv)}
-
-
-def _tail_projector(basis: SpectralBasis, N: int, min_mode: int, min_degree: int) -> np.ndarray:
-    """Projector onto grid functions with all content at Fourier mode >= min_mode
-    or Chebyshev degree >= min_degree (complement of the low-frequency box)."""
-    nt, nx = basis.n_time, basis.n_space
-    V = np.exp(1j * np.outer(basis.x0, basis.modes))
-    Vinv = V.conj().T / nt
-    synth = np.cos(np.arange(nx)[None, :] * (np.pi * np.arange(nx) / basis.M)[:, None])
-    analysis = np.linalg.solve(synth, np.eye(nx))
-    keep = np.array([
-        [1.0 if (abs(q) >= min_mode or k >= min_degree) else 0.0 for k in range(nx)]
-        for q in basis.modes
-    ])
-    left = np.kron(V, synth)
-    right = np.kron(Vinv, analysis)
-    P = left @ np.diag(keep.reshape(-1)) @ right
-    return np.kron(P, np.eye(N)) if N > 1 else P
 
 
 def triple_norm_bound_check(spec: OperatorSpec, basis: SpectralBasis,
