@@ -135,6 +135,15 @@ class TripleNorm:
     terms: tuple[float, ...]
 
 
+class TruncationError(ValueError):
+    """A truncated triple norm whose last two terms, t_prev and t_last, do not decay."""
+
+    def __init__(self, t_prev: float, t_last: float):
+        self.t_prev, self.t_last = t_prev, t_last
+        super().__init__(f"triple norm truncation not decaying ({t_prev:.3g}, {t_last:.3g});"
+                         " raise L_max or lower the band")
+
+
 def triple_norm(u: np.ndarray, h: int, spec: OperatorSpec, basis: SpectralBasis) -> TripleNorm:
     """Weighted sum over ell of r_ell * ||u||_ell / (ell+h)!, truncated at L_max.
 
@@ -159,6 +168,6 @@ def triple_norm(u: np.ndarray, h: int, spec: OperatorSpec, basis: SpectralBasis)
         ratio = t_last / t_prev
         tail = t_last * ratio / (1.0 - ratio)
     else:
-        raise ValueError("triple norm truncation not decaying; raise L_max or lower the band")
+        raise TruncationError(t_prev, t_last)
     return TripleNorm(value=value, tail_bound=tail, terms=tuple(terms))
 

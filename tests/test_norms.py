@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
+import pytest
 
 from cylspec.norms import (
+    TruncationError,
     check_combinatorial_identity,
     check_resummation_coefficient,
     multi_indices,
@@ -10,6 +13,7 @@ from cylspec.norms import (
     sobolev_seminorm,
     triple_norm,
 )
+from cylspec.operator_model import WeightSequence
 from cylspec.spectral import random_band_limited
 
 
@@ -108,6 +112,18 @@ def test_triple_norm_homogeneity_and_triangle(ex1, basis_q4m32):
     assert abs(tcu - abs(2.5 - 1j) * tu) < 1e-12 * max(tcu, 1.0)
     tsum = triple_norm(u + v, 0, ex1, basis_q4m32).value
     assert tsum <= tu + tv + 1e-12 * (tu + tv)
+
+
+def test_non_decaying_truncation_raises_typed_error(ex1, basis_q4m32):
+    # the top Fourier mode with unit weights: terms 4^l ||u|| / l! still grow at L_max = 3
+    spec = dataclasses.replace(ex1, weights=WeightSequence.geometric(1.0, 3), L_max=3)
+    u = np.exp(4j * basis_q4m32.x0)[:, None, None] * grid_constant(basis_q4m32)
+    with pytest.raises(TruncationError, match="not decaying") as info:
+        triple_norm(u, 0, spec, basis_q4m32)
+    err = info.value
+    assert isinstance(err, ValueError)
+    assert 0 < err.t_prev < err.t_last
+    assert abs(err.t_last / err.t_prev - 4 / 3) < 1e-10
 
 
 def test_termwise_grading_monotonicity(ex1, basis_q4m32):

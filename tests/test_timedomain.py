@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cylspec import timedomain
 from cylspec.operator_model import OperatorSpec, SpecError, WeightSequence, fixture, \
     stability_constants
 from cylspec.polynomial import MatrixPolynomial
@@ -11,7 +12,12 @@ from cylspec.stability import make_forcing, solve_on_segment
 from cylspec.spectral import build_basis
 from cylspec.timedomain import (
     FIT_FLOOR_REL,
+    GUARD_BLOCK_BYTES,
     FieldOnCover,
+    InstabilityError,
+    _march,
+    _propagator,
+    _step_plan,
     energy_series,
     evolve,
     fit_log_slope,
@@ -109,14 +115,19 @@ def test_forced_run_retarded_exactly(ex1, basis_q4m32):
     assert np.all(run.values[before] == 0)
 
 
-def test_instability_detector():
-    from cylspec.timedomain import InstabilityError
+def test_instability_detector(monkeypatch):
+    spec, basis = fixture("EX1"), build_basis(0, 8)
 
-    spec = fixture("EX1")
-    basis_small = __import__("cylspec.spectral", fromlist=["build_basis"]).build_basis(0, 8)
-    with pytest.raises(InstabilityError):
-        evolve(spec, basis_small, initial=np.ones((9, 1)), z=0.0,
-               t_range=(0.0, 200.0), dt=1.5)  # far beyond the stable step
+    def run():
+        with pytest.raises(InstabilityError) as info:
+            evolve(spec, basis, initial=np.ones((9, 1)), z=0.0,
+                   t_range=(0.0, 200.0), dt=1.5)  # far beyond the stable step
+        return info.value
+
+    err, ref = _with_reference_march(monkeypatch, run)
+    assert (err.time, err.column, err.cap) == (ref.time, 0, ref.cap)
+    assert not err.norm <= err.cap
+    assert str(err) == str(ref) == f"evolution diverged at t = {err.time:.4g}"
 
 
 def test_evolve_rejects_bad_time_step(ex1, basis_q4m32):
@@ -142,6 +153,128 @@ def test_two_component_evolve_matches_stagewise_rk4(forced):
     ref = reference_rk4(spec, basis, start, forcing, z, run.times)
     assert len(run.times) > 50
     assert np.abs(run.values - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+# -- the block march against the per-step reference -------------------------------
+
+
+def _reference_march(prop, v, t0, n_steps, stride, g=None):
+    """The per-step march: a fresh state and one blow-up check per step, and the
+    forced step's stack concatenated anew."""
+    h, H, Q, W = prop.h, prop.H, prop.Q, prop.W
+    cap = math.exp(min(10.0 * n_steps * h * prop.coeff_scale, 700.0)) \
+        * np.maximum(np.linalg.norm(v, axis=0), 1.0)
+    stored = np.empty((n_steps // stride + 1, *v.shape), dtype=complex)
+    stored[0] = v
+    g0 = None if g is None else g(0)
+    for step in range(1, n_steps + 1):
+        if g is None:
+            v = v + H @ (Q @ v)
+        else:
+            gh, g1 = g(2 * step - 1), g(2 * step)
+            v = v + (h / 6 * (g0 + 4 * gh + g1) + H @ (W @ np.concatenate((v, g0, gh))))
+            g0 = g1
+        norms = np.linalg.norm(v, axis=0)
+        if not (norms <= cap).all():
+            col = int(np.argmin(norms <= cap))
+            raise InstabilityError(t0 + step * h, col, float(norms[col]), float(cap[col]))
+        if step % stride == 0:
+            stored[step // stride] = v
+    return stored
+
+
+def _with_reference_march(monkeypatch, run):
+    """run() with the block march, then with the per-step reference."""
+    new = run()
+    monkeypatch.setattr(timedomain, "_march", _reference_march)
+    with np.errstate(over="ignore", invalid="ignore"):  # as _march discards diverged states
+        ref = run()
+    monkeypatch.undo()
+    return new, ref
+
+
+def _assert_same_fields(new, ref):
+    assert np.array_equal(new.times, ref.times)
+    assert np.array_equal(new.values, ref.values)
+
+
+@pytest.mark.parametrize("stride", [1, 16])
+def test_homogeneous_evolve_bit_identical_to_per_step_march(monkeypatch, ex1, basis_q4m32,
+                                                           stride):
+    # 2610 steps (2624 at stride 16): 21 full blocks of 124 states (n = 33) and a partial one
+    init = chebyshev_data(basis_q4m32, seed=3)
+    new, ref = _with_reference_march(monkeypatch, lambda: evolve(
+        ex1, basis_q4m32, initial=init, z=0.0, t_range=(0.0, PERIOD), store_stride=stride))
+    _assert_same_fields(new, ref)
+
+
+@pytest.mark.parametrize("kind", ["bump", "gaussian", "two-component"])
+def test_forced_evolve_bit_identical_to_per_step_march(monkeypatch, ex1, basis_q4m32, kind):
+    if kind == "two-component":
+        spec, basis = two_component_spec(), build_basis(0, 16)
+        profile = chebyshev_data(basis, seed=12, n=6, N=2)
+        forcing, t_range = (lambda t: math.exp(-4.0 * (t - 0.5) ** 2) * profile), (0.0, 3.0)
+    else:
+        doc = {"time_bump": {"center": 2.0, "width": 1.5}} if kind == "bump" \
+            else {"time_gaussian": {"center": 2.0, "sigma": 0.4}}
+        spec, basis = ex1, basis_q4m32
+        forcing, t_range = make_forcing(basis, doc).slice_at, (0.0, 4.0)
+    new, ref = _with_reference_march(monkeypatch, lambda: evolve(
+        spec, basis, forcing=forcing, z=0.1, t_range=t_range, store_stride=1))
+    assert np.abs(new.values).max() > 0
+    _assert_same_fields(new, ref)
+
+
+@pytest.mark.parametrize("name", ["EX1", "CE-FLAT"])
+def test_growth_rates_bit_identical_to_per_step_march(monkeypatch, basis_q4m32, name):
+    new, ref = _with_reference_march(
+        monkeypatch, lambda: growth_rate(fixture(name), basis_q4m32, periods=10, seed=2))
+    assert np.array_equal(new.per_run_rates, ref.per_run_rates)
+
+
+def test_periodize_bit_identical_to_per_step_march(monkeypatch, ex1, basis_q4m32):
+    f = (basis_q4m32.x1[None, :, None] * np.ones((9, 1, 1))).astype(complex)
+    new, ref = _with_reference_march(monkeypatch, lambda: periodize(ex1, basis_q4m32, f, 1.0))
+    assert np.array_equal(new, ref)
+
+
+@pytest.mark.parametrize("stride", [1, 16])
+@pytest.mark.parametrize("where", ["first", "middle", "last", "partial"])
+def test_guard_names_first_failing_state(monkeypatch, stride, where):
+    # a NaN forcing at the middle of step s makes state s the first non-finite one
+    spec, basis = fixture("EX1"), build_basis(0, 16)
+    rows = GUARD_BLOCK_BYTES // (16 * basis.n_space)
+    dt = stable_time_step(spec, basis)
+    span = 2.5 * rows * dt
+    n_steps, _ = _step_plan(span, dt, stride)
+    assert 2 * rows < n_steps < 3 * rows
+    s = {"first": rows + 1, "middle": rows + rows // 2, "last": 2 * rows,
+         "partial": (2 * rows + n_steps) // 2}[where]
+    h = span / n_steps
+
+    def forcing(t):
+        return np.full((basis.n_space, 1), np.nan if abs(t - (s - 0.5) * h) < h / 4 else 0.0)
+
+    def run():
+        with pytest.raises(InstabilityError) as info:
+            evolve(spec, basis, forcing=forcing, z=0.0, t_range=(0.0, span), store_stride=stride)
+        return info.value
+
+    err, ref = _with_reference_march(monkeypatch, run)
+    assert err.time == ref.time == s * h
+    assert (err.column, err.cap) == (0, ref.cap)
+    assert math.isnan(err.norm) and math.isnan(ref.norm)
+
+
+def test_guard_names_failing_column(ex1, basis_q4m32):
+    # three marched columns, the last non-finite from the start
+    prop = _propagator(ex1, basis_q4m32, 0.0, stable_time_step(ex1, basis_q4m32))
+    v = np.ones((basis_q4m32.n_space, 3), dtype=complex)
+    v[:, 2] = np.inf
+    for march in (_march, _reference_march):
+        with pytest.raises(InstabilityError) as info, np.errstate(invalid="ignore"):
+            march(prop, v, 1.0, 200, 1)
+        assert (info.value.time, info.value.column) == (1.0 + prop.h, 2)
 
 
 # -- energies ------------------------------------------------------------------
