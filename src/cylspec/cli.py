@@ -209,6 +209,7 @@ def cmd_green(args, spec, out: RunOutput) -> int:
     out.write("green.json", {
         "fitted_rate": dec.fitted_rate, "rank_F": dec.rank,
         "n_nonneg": dec.n_nonneg, "kernel_defect": dec.kernel_defect,
+        "identity_defect": dec.identity_defect,
         "z_star_star": dec.pole_set.z_star_star,
         "z_star_star_star": dec.pole_set.z_star_star_star,
     })

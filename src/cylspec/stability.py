@@ -9,7 +9,11 @@ around the nonnegative strip poles make the finite-rank correction F f, whose
 subtraction leaves exponential decay at the fastest rate allowed by the
 remaining (decaying) poles.  F f is a modal field built without quadrature:
 the loop projections are exact in the pencil's ordered Schur form
-(`resolvent.loop_projections`), and so are the z-derivatives of f_z.
+(`resolvent.loop_projections`), and so are the z-derivatives of f_z.  By the
+residue theorem that decaying part u_ret - F f is itself a vertical-segment
+integral, at any Re z between the decaying poles and the nonnegative ones;
+`decompose` takes it from that segment and keeps the subtraction only as a
+cross-check.
 
 Vertical segments use trapezoid nodes in the segment parameter: the integrand
 is periodic there, so the rule is spectrally accurate, and with enough nodes
@@ -19,8 +23,8 @@ Shifts are batched: each segment is one `forward_transform` and one
 `apply_resolvent` call over its array of shifts, F f solves at one refinement
 shift per pole, and every cover evaluation is one contraction, `_segment_sum`,
 of (times, terms) weights with Fourier coefficients.  `decompose` builds the
-pencil once and passes it to its segment solves and to F f, so one Schur form
-serves all of them, whether or not the coefficients depend on the periodic
+pencil once and passes it to its two segment solves and to F f, so one Schur
+form serves all of them, whether or not the coefficients depend on the periodic
 coordinate.
 """
 
@@ -36,20 +40,14 @@ from .resolvent import PoleSet, apply_multiplier, apply_operator, apply_resolven
 from .spectral import ModePencil, SpectralBasis, fourier_coefficients, mode_operator_parts
 from .timedomain import FieldOnCover, evolve, fit_log_slope, periodize
 
-EPS = float(np.finfo(float).eps)
-
-# decompose fits only slices whose difference norm clears the noise floor
-#   GHOST_FLOOR_FACTOR * ghost + CANCEL_FLOOR_REL * cancellation scale
-# (the two sources are described where it is computed).  Both factors are
-# margins set by hand: the ghost is only estimated, from a second node set,
-# and the rounding of the exp(c X)-sized terms gets three orders above eps.
-GHOST_FLOOR_FACTOR = 30.0
-CANCEL_FLOOR_REL = 1e3 * EPS
-
 # the retarded solution's vertical segment sits SEGMENT_MARGIN right of the
 # pole supremum z**, on at least MIN_SEGMENT_NODES trapezoid nodes
 SEGMENT_MARGIN = 0.3
 MIN_SEGMENT_NODES = 33
+
+# decompose's second segment, for u_ret - F f, sits at DECAY_ABSCISSA * z***: a
+# quarter of the way from z*** to 0 (see decompose for the trade-off)
+DECAY_ABSCISSA = 0.75
 
 # build_finite_rank_part refines each pole's profiles by one inverse-iteration
 # step at this distance right of a simple pole (its m-th root for order m)
@@ -469,8 +467,9 @@ class StabilityDecomposition:
     fitted_rate: float
     rank: int
     pole_set: PoleSet
-    used_slices: np.ndarray    # mask of slices that survived the noise-floor cut
+    used_slices: np.ndarray    # mask of the fit window: the trailing FIT_PERIODS periods
     kernel_defect: float
+    identity_defect: float
 
     @property
     def n_nonneg(self) -> int:
@@ -484,11 +483,22 @@ def decompose(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverForcing,
     `n_loop_nodes` is unused (F f has no loop nodes); the `green` benchmark
     workload still passes it.
 
-    The difference is evaluated on DECAY_PERIODS periods after the support and its
-    per-slice norms are fitted log-linearly over the trailing window of clean
-    slices.  A slice is excluded when its difference sits below the estimated
-    noise floor: eps-level cancellation of the quadrature terms plus the
-    empirically probed response to forcing content beyond the Fourier band.
+    By the residue theorem u_ret - F f is the vertical-segment integral at any
+    Re z between the decaying poles and the nonnegative ones, so the difference
+    is that segment, at c' = DECAY_ABSCISSA * z*** (the window's left edge
+    standing in for z*** when no decaying pole is found): no two growing fields
+    are subtracted.  It is evaluated on DECAY_PERIODS periods after the support,
+    and its per-slice norms are fitted log-linearly over the trailing FIT_PERIODS
+    periods.
+
+    The segment at c' carries two errors.  The trapezoid rule aliases the z***
+    residue with relative size exp(-2 pi n (c' - z***)); the alias has the
+    difference's own slope, so it moves the field but not the rate, and it keeps
+    c' away from z***.  The response to forcing content beyond the Fourier band
+    decays like exp(c' X); it sets the fitted slope only when the forcing barely
+    excites the z*** mode, and it keeps c' away from 0.  u_ret - F f is kept as
+    a cross-check over the first period after the support: `identity_defect` is
+    its sup distance to the difference there, relative to the difference.
     """
     period = 2.0 * math.pi
     t1 = forcing.support[1]
@@ -496,44 +506,25 @@ def decompose(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverForcing,
     times = t1 + DECAY_PERIODS * period * np.arange(n_slices + 1) / n_slices
 
     n_nodes = segment_node_count(basis)
-    c = segment_abscissa(pole_set)
     pencil = mode_operator_parts(spec, basis)
-    sol = solve_on_segment(spec, basis, forcing, c, n_nodes, pencil=pencil)
-    u_ret = sol.evaluate(times)
+    u_ret = solve_on_segment(spec, basis, forcing, segment_abscissa(pole_set), n_nodes,
+                             pencil=pencil).evaluate(times)
+    c_decay = DECAY_ABSCISSA * max(pole_set.z_star_star_star, pole_set.window[0])
+    difference = solve_on_segment(spec, basis, forcing, c_decay, n_nodes,
+                                  pencil=pencil).evaluate(times)
     part = build_finite_rank_part(spec, basis, pole_set, forcing, pencil=pencil)
-    f_field = part.evaluate(times)
-    diff_values = u_ret.values - f_field.values
-    difference = FieldOnCover(times, diff_values, basis)
 
-    # noise floor of the subtraction.  Two sources: eps-level cancellation of
-    # the exp(c X)-sized quadrature terms, and the ghost response to forcing
-    # content beyond the Fourier band, which also grows like exp(c X).  The
-    # ghost is estimated empirically by re-running the segment with a different
-    # node count: it does not reproduce between node sets.
-    check = solve_on_segment(spec, basis, forcing, c, n_nodes + 16, pencil=pencil)
-    ghost = FieldOnCover(
-        times, u_ret.values - check.evaluate(times).values, basis
-    ).slice_norms()
-    node_scale = float(np.abs(sol.solutions).max())
-    diff_norms = difference.slice_norms()
-    cancel_scale = np.exp(c * times) * node_scale + \
-        np.maximum(u_ret.slice_norms(), f_field.slice_norms())
-    floor = GHOST_FLOOR_FACTOR * ghost + CANCEL_FLOOR_REL * np.maximum(cancel_scale, 1e-300)
-    usable = diff_norms >= floor
-    if not np.any(usable):
-        raise SpecError("difference is below the noise floor everywhere")
+    first = slice(0, SLICES_PER_PERIOD + 1)
+    subtracted = u_ret.values[first] - part.evaluate(times[first]).values
+    identity_defect = float(np.abs(subtracted - difference.values[first]).max()
+                            / max(np.abs(difference.values[first]).max(), 1e-300))
 
-    # fit the trailing window of clean slices
-    t_last = times[usable].max()
-    mask = usable & (times >= max(t1, t_last - FIT_PERIODS * period)) & (diff_norms > 0)
-    if mask.sum() < 3:
-        raise SpecError("segment too short for a rate fit; extend it or refine slices")
-    rate = fit_log_slope(times[mask], diff_norms[mask])
-    defect = part.kernel_defect(times)
+    mask = np.arange(n_slices + 1) >= n_slices - FIT_PERIODS * SLICES_PER_PERIOD
+    rate = fit_log_slope(times[mask], difference.slice_norms()[mask])
     return StabilityDecomposition(
         retarded=u_ret, correction=part, difference=difference,
-        fitted_rate=rate, rank=part.rank, pole_set=pole_set,
-        used_slices=mask, kernel_defect=defect,
+        fitted_rate=rate, rank=part.rank, pole_set=pole_set, used_slices=mask,
+        kernel_defect=part.kernel_defect(times), identity_defect=identity_defect,
     )
 
 

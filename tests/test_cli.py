@@ -6,6 +6,7 @@ import pytest
 from cylspec.cli import main
 from cylspec.operator_model import fixture, spec_to_json
 from cylspec.polynomial import MatrixPolynomial
+from cylspec.stability import FIT_PERIODS, SLICES_PER_PERIOD
 
 
 def run(args):
@@ -81,8 +82,14 @@ def test_green_artifacts(tmp_path):
     doc = json.loads(read(tmp_path / "green.json"))
     assert abs(doc["fitted_rate"] + 0.25) < 0.025
     assert doc["rank_F"] == 2
+    # the default bump's content beyond the band leaves a few percent in u_ret - F f
+    assert 0 <= doc["identity_defect"] < 0.1
     csv = read(tmp_path / "decay.csv")
     assert csv.startswith("# manifest: ")
+    # used_in_fit marks the fit window: exactly the trailing FIT_PERIODS periods
+    used = [row.split(",")[3] for row in csv.splitlines()[2:]]
+    fit = FIT_PERIODS * SLICES_PER_PERIOD + 1
+    assert used == ["0"] * (len(used) - fit) + ["1"] * fit
     assert (tmp_path / "retarded.bin").exists()
     svg = read(tmp_path / "decay.svg")
     assert svg.startswith("<!-- manifest: ") and "<svg" in svg
