@@ -15,19 +15,23 @@ of D + z*A^0 is base0 + (z + i*q)*A^0, one block per Fourier mode when the
 coefficients do not depend on the periodic coordinate and one value-space block
 otherwise.  Each pencil is factored once: its complex Schur form of
 A^0^{-1} base0 (`ModePencil.schur`, taken on first use) serves `_schur_solve`
-for every shift and `loop_projections` for every pole, which reorders it per
-pole.  `resolvent_matrix_for` inverts the blocks.
+for every shift and `_loop_blocks` for every pole, which reorders it per pole
+for `loop_projections` and `_projection_family`.  `resolvent_matrix_for`
+inverts the blocks.
 
 Block q has the eigenvalues of (base0, -A^0) shifted by -i*q and the same
-eigenvectors.  `_pencil_eigenpairs` solves the working pencil with eigenvectors
-in complex arithmetic: its eigenvalues and residuals are what `find_poles`
-reports, and `find_poles` filters once per eigenvector, not once per block.
-`_pencil_eigenvalues` (the doubled pencil of the persistence test, and
-`NearPoleError.nearest`) needs eigenvalues only, and they only vote or estimate:
-a pencil with no imaginary part is solved in real arithmetic (LAPACK `dggev`,
-about half the cost of `zggev`), a complex one (complex coefficients, or a
-value-space block whose DFT leaves roundoff imaginary parts) in complex
-arithmetic.
+eigenvectors.  `_pencil_eigenpairs` solves the working pencil with eigenvectors:
+its eigenvalues and residuals are what `find_poles` reports, and `find_poles`
+filters once per eigenvector, not once per block.  `_pencil_eigenvalues` (the
+doubled pencil of the persistence test, and `NearPoleError.nearest`) needs
+eigenvalues only.  Both follow one rule, `ModePencil.real`: a pencil with no
+imaginary part (every real-coefficient mode pencil) is solved in real arithmetic
+(LAPACK `dggev`, under half the cost of `zggev`) and its Schur form taken from a
+real one; a complex pencil (complex coefficients, or a value-space block whose
+DFT leaves roundoff imaginary parts) stays in complex arithmetic.  Eigenvalues
+always come from the pencil, never from the Schur form of A^0^{-1} base0: its
+diagonal splits EX1 x Jordan's defective poles by up to 4.6e-6 at q4m32, where
+the pencil's QZ keeps them within 6e-11.
 """
 
 from __future__ import annotations
@@ -189,13 +193,18 @@ def _mode_shifted(vals: np.ndarray, modes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _finite_eigenvalues(pencil: ModePencil) -> np.ndarray:
-    """Finite eigenvalues of (base0, -a0), without eigenvectors.  A pencil with no
-    imaginary part is solved in real arithmetic (`dggev`), at about half the cost
+def _arithmetic_parts(pencil: ModePencil) -> tuple[np.ndarray, np.ndarray]:
+    """(base0, a0) in the pencil's arithmetic: real parts of a real pencil
+    (`ModePencil.real`), which LAPACK solves with `dggev` at under half the cost
     of the complex `zggev`; its eigenvalues then come in conjugate pairs."""
-    base0, a0 = pencil.base0, pencil.a0
-    if not (base0.imag.any() or a0.imag.any()):
-        base0, a0 = base0.real, a0.real
+    if pencil.real:
+        return pencil.base0.real, pencil.a0.real
+    return pencil.base0, pencil.a0
+
+
+def _finite_eigenvalues(pencil: ModePencil) -> np.ndarray:
+    """Finite eigenvalues of (base0, -a0), without eigenvectors."""
+    base0, a0 = _arithmetic_parts(pencil)
     vals = scipy.linalg.eig(base0, -a0, right=False)
     return vals[np.isfinite(vals)]
 
@@ -287,14 +296,16 @@ class PencilEigenpairs:
 
 def _pencil_eigenpairs(spec: OperatorSpec, basis: SpectralBasis) -> PencilEigenpairs:
     """Generalized eigenvalues z of (D + z*A^0) v = 0 with eigenvectors, from one
-    complex eigensolve of (base0, -A^0) on the pencil of (spec, basis)."""
+    eigensolve of (base0, -A^0) on the pencil of (spec, basis) in its arithmetic
+    (`_arithmetic_parts`), and every residual from one product."""
     pencil = mode_operator_parts(spec, basis)
-    base0, a0 = pencil.base0, pencil.a0
+    base0, a0 = _arithmetic_parts(pencil)
     vals, vecs = scipy.linalg.eig(base0, -a0)
     finite = np.flatnonzero(np.isfinite(vals))
-    residuals = np.array([np.linalg.norm((base0 + vals[k] * a0) @ vecs[:, k])
-                          / max(np.linalg.norm(vecs[:, k]), 1e-300) for k in finite])
-    return PencilEigenpairs(pencil, vals[finite], vecs[:, finite], residuals)
+    vals, vecs = vals[finite], vecs[:, finite]
+    residuals = np.linalg.norm(base0 @ vecs + (a0 @ vecs) * vals, axis=0) \
+        / np.maximum(np.linalg.norm(vecs, axis=0), 1e-300)
+    return PencilEigenpairs(pencil, vals, vecs, residuals)
 
 
 def _chebyshev_tails_clean(vecs: np.ndarray, basis: SpectralBasis, N: int) -> np.ndarray:
@@ -448,46 +459,53 @@ def _loop_nodes(center: complex, radius: float, n_nodes: int):
     return center + radius * np.exp(1j * theta), np.exp(1j * theta)
 
 
+def _loop_blocks(pencil: ModePencil, center: complex, radius: float):
+    """(block index, S, V, k) per block with eigenvalues inside the loop about
+    `center`: block q sees the k eigenvalues t of T = a0^{-1} base0 with -t - i*q
+    inside it, and the pencil's Schur form of T reordered to put them first
+    (LAPACK `ztrsen`, the step schur(T, sort=) takes after this same
+    factorization) is V S V^H."""
+    tri, U, _left = pencil.schur
+    inside = np.abs(-np.diag(tri) - 1j * pencil.modes[:, None] - center) < radius
+    for b in np.flatnonzero(inside.any(axis=1)).tolist():
+        S, V = scipy.linalg.lapack.ztrsen(inside[b], tri, U, job="N", wantq=1)[:2]
+        yield b, S, V, int(inside[b].sum())
+
+
 def loop_projections(pencil: ModePencil, center: complex, radius: float) -> list[tuple]:
     """The loop projections P_j = (2*pi*i)^{-1} x loop integral of (z - center)^j D_z^{-1}
     about `center`, exactly, as one factorization per block.
 
     Block q is a0 (T + (z + i*q) I) with T = a0^{-1} base0, so the loop sees T's
-    invariant subspace of the k eigenvalues t with -t - i*q inside it.  The
-    pencil's Schur form of T, reordered to put them first (LAPACK `ztrsen`, the
-    step schur(T, sort=) takes after this same factorization), is
-    V [S11 S12; 0 S22] V^H, and the Sylvester solve S11 Y - Y S22 = S12 (`ztrsyl`)
-    gives the spectral projector Pi_q = V [I Y; 0 0] V^H.  On its range
-    D_z^{-1} = (N_q + z - center)^{-1} a0^{-1} with N_q = T + center + i*q, so
-    P_j = (-N_q)^j Pi_q a0^{-1}.  Returns (block index, V[:, :k], S11,
-    [I Y] V^H a0^{-1}) per block with eigenvalues inside the loop.
+    invariant subspace of the eigenvalues inside it.  With the reordered Schur
+    form V [S11 S12; 0 S22] V^H of `_loop_blocks`, the Sylvester solve
+    S11 Y - Y S22 = S12 (`ztrsyl`) gives the spectral projector
+    Pi_q = V [I Y; 0 0] V^H.  On its range D_z^{-1} = (N_q + z - center)^{-1} a0^{-1}
+    with N_q = T + center + i*q, so P_j = (-N_q)^j Pi_q a0^{-1}.  Returns (block
+    index, V[:, :k], S11, [I Y] V^H a0^{-1}) per block with eigenvalues inside the
+    loop.
     """
-    tri, U, left = pencil.schur
-    vals = np.diag(tri)
+    _tri, U, left = pencil.schur
     out = []
-    for b, q in enumerate(pencil.modes.tolist()):
-        select = np.abs(-vals - 1j * q - center) < radius
-        k = int(select.sum())
-        if k:
-            S, V = scipy.linalg.lapack.ztrsen(select, tri, U, job="N", wantq=1)[:2]
-            Y, scale = scipy.linalg.lapack.ztrsyl(S[:k, :k], S[k:, k:], S[:k, k:], isgn=-1)[:2]
-            coords = np.hstack([np.eye(k), Y / scale]) @ (V.conj().T @ U) @ left
-            out.append((b, V[:, :k], S[:k, :k], coords))
+    for b, S, V, k in _loop_blocks(pencil, center, radius):
+        Y, scale = scipy.linalg.lapack.ztrsyl(S[:k, :k], S[k:, k:], S[:k, k:], isgn=-1)[:2]
+        coords = np.hstack([np.eye(k), Y / scale]) @ (V.conj().T @ U) @ left
+        out.append((b, V[:, :k], S[:k, :k], coords))
     return out
 
 
 def _projection_family(pencil: ModePencil, center: complex, radius: float) -> tuple[int, int]:
     """Order and rank of the loop projections about a pole.
 
-    Per block with k eigenvalues inside the loop (`loop_projections`) the rank
-    grows by k; the order is the smallest l with ||N^l|| <= ORDER_TOL * radius^l
-    for N = S11 minus the mean of its diagonal (the cluster mean, not one
-    eigenvalue: a split defective eigenvalue then leaves N^2 at roundoff), the
-    largest over the blocks.
+    Per block with k eigenvalues inside the loop (`_loop_blocks`) the rank grows by
+    k; the order is the smallest l with ||N^l|| <= ORDER_TOL * radius^l for
+    N = S11 minus the mean of its diagonal (the cluster mean, not one eigenvalue: a
+    split defective eigenvalue then leaves N^2 at roundoff), the largest over the
+    blocks.
     """
     order, rank = 1, 0
-    for _b, _vecs, lead, _coords in loop_projections(pencil, center, radius):
-        k = len(lead)
+    for _b, S, _V, k in _loop_blocks(pencil, center, radius):
+        lead = S[:k, :k]
         nil = lead - np.trace(lead) / k * np.eye(k)
         ell, power = 1, nil
         while ell <= 8 and np.linalg.norm(power) > ORDER_TOL * radius ** ell:

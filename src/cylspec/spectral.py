@@ -265,7 +265,9 @@ class ModePencil:
 
     Block q is a0 (T + (z + i*q) I) with T = a0^{-1} base0 for every q, so one
     complex Schur form of T (`schur`, taken on first use and kept) serves every
-    block, shift and pole of the pencil.
+    block, shift and pole of the pencil.  A pencil with no imaginary part (`real`:
+    the mode pencil of every real-coefficient spec) is factored and solved for its
+    eigenvalues in real arithmetic.
     """
 
     base0: np.ndarray
@@ -293,10 +295,22 @@ class ModePencil:
         return np.exp(1j * np.outer(2.0 * np.pi * np.arange(n) / n, self.modes))
 
     @cached_property
+    def real(self) -> bool:
+        """Whether neither base0 nor a0 has an imaginary part.  Complex coefficients
+        have one, and so may the value-space block, whose DFT leaves roundoff."""
+        return not (self.base0.imag.any() or self.a0.imag.any())
+
+    @cached_property
     def schur(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(S, U, left): the complex Schur form a0^{-1} base0 = U S U^H, unsorted,
-        and left = U^H a0^{-1}."""
-        tri, U = scipy.linalg.schur(np.linalg.solve(self.a0, self.base0), output="complex")
+        and left = U^H a0^{-1}.  A real pencil takes the real Schur form of T and
+        splits its 2 x 2 blocks (`rsf2csf`), at under half the cost of a complex
+        Schur form; S is complex upper triangular either way."""
+        if self.real:
+            T = np.linalg.solve(self.a0.real, self.base0.real)
+            tri, U = scipy.linalg.rsf2csf(*scipy.linalg.schur(T))
+        else:
+            tri, U = scipy.linalg.schur(np.linalg.solve(self.a0, self.base0), output="complex")
         return tri, U, np.linalg.solve(self.a0.T, U.conj()).T
 
 

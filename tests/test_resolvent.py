@@ -286,19 +286,30 @@ def _reference_tail_clean(v, basis, N):
     return float(mags[cut:].max()) <= 1e-8 * float(mags.max() + 1e-300)
 
 
-def _reference_find_poles(spec, basis, window):
-    """find_poles with its filter run one (mode, eigenpair) at a time and the doubled
-    pencil solved in complex arithmetic: (raw eigenvalues, poles as (lam, order,
-    rank, residual, radius, source), edge flag, right of window)."""
+def _eig(pencil, real, right=True):
+    """scipy.linalg.eig of (base0, -a0): in real arithmetic (dggev) when `real` and
+    the pencil has no imaginary part, in complex arithmetic (zggev) otherwise."""
+    base0, a0 = pencil.base0, pencil.a0
+    if real and pencil.real:
+        base0, a0 = base0.real, a0.real
+    return scipy.linalg.eig(base0, -a0, right=right)
+
+
+def _reference_find_poles(spec, basis, window, *, real_working, real_fine):
+    """find_poles with its filter run one (mode, eigenpair) at a time and each
+    residual from its own product; the working and doubled pencils are solved in
+    real arithmetic, when they have no imaginary part, as `real_working` and
+    `real_fine` say: (raw eigenvalues, poles as (lam, order, rank, residual, radius,
+    source), edge flag, right of window)."""
     re_min, re_max = window
     pad = 10 * PERSIST_TOL
     fine = mode_operator_parts(spec, build_basis(basis.Q_max + 2, 2 * basis.M))
-    fine_vals = scipy.linalg.eig(fine.base0, -fine.a0, right=False)
+    fine_vals = _eig(fine, real_fine, right=False)
     fine_vals = np.array([complex(z.real, z.imag - q) for q in fine.modes.tolist()
                           for z in fine_vals[np.isfinite(fine_vals)]])
     pencil = mode_operator_parts(spec, basis)
+    vals, vecs = _eig(pencil, real_working)
     base0, a0 = pencil.base0, pencil.a0
-    vals, vecs = scipy.linalg.eig(base0, -a0)
     solved = []
     for idx in np.flatnonzero(np.isfinite(vals)):
         z, v = vals[idx], vecs[:, idx]
@@ -351,42 +362,90 @@ def _reference_find_poles(spec, basis, window):
     return [z for z, _r in kept], poles, edge_flag, right.tolist()
 
 
+# a residual is roundoff, and the batched and per-pair products differ in its last
+# bits: by at most 3.4e-14 on the cases below, 1.1e-13 on EX1 q4m64
+RESIDUAL_ATOL = 1e-12
+
+
 def _assert_matches_reference(spec, basis, window):
-    """find_poles against the per-pair reference, bit for bit (so a zero keeps its sign)."""
+    """find_poles against the per-pair reference with the working pencil in the same
+    arithmetic and the doubled pencil in complex arithmetic: bit for bit (so a zero
+    keeps its sign) but for the residuals, which agree to roundoff."""
     ps = find_poles(spec, basis, window=window)
-    raw, poles, edge_flag, right = _reference_find_poles(spec, basis, window)
+    raw, poles, edge_flag, right = _reference_find_poles(spec, basis, window,
+                                                         real_working=True, real_fine=False)
 
     def bits(values):
         return np.array(values, dtype=complex).tobytes()
 
     assert bits(ps.raw_eigenvalues) == bits(raw)
-    assert bits([(p.lam, p.order, p.rank, p.residual, p.radius, p.source)
-                 for p in ps.poles]) == bits(poles)
+    assert bits([(p.lam, p.order, p.rank, p.radius, p.source) for p in ps.poles]) == \
+        bits([(lam, order, rank, radius, src) for lam, order, rank, _r, radius, src in poles])
+    assert np.allclose([p.residual for p in ps.poles], [p[3] for p in poles],
+                       rtol=0, atol=RESIDUAL_ATOL)
     assert ps.edge_flag == edge_flag
     assert bits(ps.right_of_window) == bits(right)
     return ps
 
 
-@pytest.mark.parametrize("name, q_max, m, window", [
+POLE_CASES = [
     ("EX1", 4, 32, (-2.2, 1.0)), ("EX1", 4, 32, (-3.2, 0.5)), ("EX1S", 4, 16, (-2.2, 1.0)),
     ("EX1S", 4, 16, (-2.2, 0.1)), ("EX1S", 16, 32, (-2.2, 2.2)), ("CE-BDY", 4, 32, (-2.2, 1.0)),
     ("CE-FLAT", 4, 32, (-2.2, 1.0)), ("EX1 x Jordan", 2, 16, (-2.2, 1.0)),
     ("hermitian A0", 4, 16, (-2.2, 1.0)), ("wobble", 4, 8, (-2.2, 1.0)),
-])
+]
+
+
+@pytest.mark.parametrize("name, q_max, m, window", POLE_CASES)
 def test_find_poles_matches_per_pair_filter(name, q_max, m, window, request):
-    # the batched filter and the real-arithmetic doubled pencil change nothing find_poles
-    # returns; EX1S at re_max 0.1 has 18 eigenvalues right of the window
+    # the batched filter, the batched residuals and the real-arithmetic doubled
+    # pencil change nothing find_poles returns; EX1S at re_max 0.1 has 18
+    # eigenvalues right of the window
     _assert_matches_reference(_named_spec(name, request), build_basis(q_max, m), window)
 
 
-def test_find_poles_matches_per_pair_filter_on_shifted_ex1():
-    # the benchmark's spectrum inputs: EX1 + s at q8m32 in (-s - 2.25, -s + 0.25)
-    ex1 = fixture("EX1")
-    basis = build_basis(8, 32)
+def _shifted_ex1_cases():
+    """The benchmark's spectrum inputs: EX1 + s at q8m32 in (-s - 2.25, -s + 0.25)."""
     for seed in range(1, 11):
         s = float(np.random.default_rng([seed, 1]).uniform(-0.9, -0.6))
-        ps = _assert_matches_reference(ex1.shifted(s), basis, (-s - 2.25, -s + 0.25))
-        assert len(ps.poles) == 5
+        yield fixture("EX1").shifted(s), build_basis(8, 32), (-s - 2.25, -s + 0.25)
+
+
+def test_find_poles_matches_per_pair_filter_on_shifted_ex1():
+    for spec, basis, window in _shifted_ex1_cases():
+        assert len(_assert_matches_reference(spec, basis, window).poles) == 5
+
+
+def _assert_matches_complex_solve(spec, basis, window):
+    """find_poles against the reference with the working pencil solved in complex
+    arithmetic (zggev) and the doubled pencil as find_poles solves it: the same
+    pole count, orders, ranks, edge flag and persistent eigenvalues right of the
+    window, each position within 1e-8."""
+    ps = find_poles(spec, basis, window=window)
+    _raw, poles, edge_flag, right = _reference_find_poles(spec, basis, window,
+                                                          real_working=False, real_fine=True)
+    assert [(p.order, p.rank) for p in ps.poles] == [(p[1], p[2]) for p in poles]
+    assert all(_strip_distance(p.lam, ref[0]) <= 1e-8 for p, ref in zip(ps.poles, poles))
+    assert ps.edge_flag == edge_flag
+    assert len(ps.right_of_window) == len(right)
+    if right:
+        gaps = np.abs(np.array(ps.right_of_window)[:, None] - np.array(right))
+        assert gaps.min(axis=1).max() <= 1e-8 and gaps.min(axis=0).max() <= 1e-8
+    return ps
+
+
+@pytest.mark.parametrize("name, q_max, m, window", POLE_CASES + [
+    ("EX1", 4, 32, (-4.2, 1.0)), ("EX1", 4, 64, (-3.2, 1.0)), ("EX1S", 4, 64, (-2.2, 1.0)),
+    ("EX1 x Jordan", 4, 32, (-2.2, 1.0)),
+])
+def test_find_poles_matches_complex_working_solve(name, q_max, m, window, request):
+    # the working pencil in real arithmetic moves poles by roundoff only
+    _assert_matches_complex_solve(_named_spec(name, request), build_basis(q_max, m), window)
+
+
+def test_find_poles_matches_complex_working_solve_on_shifted_ex1():
+    for spec, basis, window in _shifted_ex1_cases():
+        assert len(_assert_matches_complex_solve(spec, basis, window).poles) == 5
 
 
 def test_persistence_lifts_mode0_matches_to_the_fine_band():
@@ -631,6 +690,24 @@ def test_near_pole_error_reports_distance():
         assert f"at distance {e.distance:.3g}" in str(e) and f"{e.residual:.3g}" in str(e)
 
 
+@pytest.mark.parametrize("name, q_max, m, real", [
+    ("EX1", 4, 32, True), ("EX1S", 4, 16, True), ("EX1 x Jordan", 2, 16, True),
+    ("hermitian A0", 4, 16, False), ("wobble", 4, 8, False),
+])
+def test_schur_form_reconstructs_T(name, q_max, m, real, request):
+    # the real Schur form split into a complex one (real pencils) and the complex
+    # Schur form (complex pencils) both give T = a0^-1 base0 = U S U^H
+    pencil = mode_operator_parts(_named_spec(name, request), build_basis(q_max, m))
+    assert pencil.real == real
+    tri, U, left = pencil.schur
+    T = np.linalg.solve(pencil.a0, pencil.base0)
+    assert tri.dtype == U.dtype == complex
+    assert not np.tril(tri, -1).any()
+    assert np.linalg.norm(U.conj().T @ U - np.eye(len(U))) <= 1e-14 * len(U)
+    assert np.linalg.norm(U @ tri @ U.conj().T - T) <= 1e-13 * np.linalg.norm(T)
+    assert np.allclose(left, U.conj().T @ np.linalg.inv(pencil.a0), rtol=0, atol=1e-13)
+
+
 def _sorted_schur_family(pencil, center, radius):
     """Order and rank from a fresh schur(T, sort=inside) per block with eigenvalues
     inside the loop."""
@@ -670,6 +747,13 @@ def test_projection_family_matches_sorted_schur(name, q_max, m, request):
         assert (pole.order, pole.rank) == ref
 
 
+def _complex_eigenvalues(pencil):
+    """Every finite block eigenvalue, mode-major, from the complex solve of
+    (base0, -a0) with eigenvectors (zggev)."""
+    vals = _eig(pencil, real=False)[0]
+    return (vals[np.isfinite(vals)][None, :] - 1j * pencil.modes[:, None]).ravel()
+
+
 @pytest.mark.parametrize("name, q_max, m", [
     ("EX1", 6, 64), ("EX1S", 6, 32), ("EX1 x Jordan", 4, 32), ("hermitian A0", 6, 32),
     ("wobble", 6, 16),
@@ -686,18 +770,17 @@ def test_persistence_eigenvalues_match_eigenpairs(name, q_max, m, request):
     basis = build_basis(q_max, m)
     pencil = mode_operator_parts(spec, basis)
     got = _pencil_eigenvalues(pencil)
-    ref = _pencil_eigenpairs(spec, basis).eigenvalues.ravel()
+    ref = _complex_eigenvalues(pencil)
     assert got.size == ref.size > 0
-    real = not (pencil.base0.imag.any() or pencil.a0.imag.any())
-    assert real == (name in ("EX1", "EX1S", "EX1 x Jordan"))
-    if not real:
+    assert pencil.real == (name in ("EX1", "EX1S", "EX1 x Jordan"))
+    if not pencil.real:
         assert np.array_equal(got, ref)
         return
     # mode pencils: block 0 is mode 0, the rest are its shifts
     got, ref = got[:got.size // basis.n_time], ref[:ref.size // basis.n_time]
     conj_gap = np.abs(got[:, None] - got.conj()).min(axis=1)
     assert np.all(conj_gap <= 1e-15 * np.maximum(np.abs(got), 1.0))
-    coarse = _pencil_eigenpairs(spec, build_basis(q_max - 2, m // 2)).eigenvalues.ravel()
+    coarse = _complex_eigenvalues(mode_operator_parts(spec, build_basis(q_max - 2, m // 2)))
     gaps = np.abs(ref[:, None] - coarse).min(axis=1)
     persisting = ref[(gaps <= PERSIST_TOL) & (ref.real >= -2.25)]
     assert persisting.size >= 5
