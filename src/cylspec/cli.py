@@ -6,6 +6,8 @@ same manifest reproduces the outputs bit for bit.  `main` owns the run: it
 builds the manifest, creates `--out`, loads the operator and calls the
 subcommand with a `RunOutput`, the one writer of every output file; then it
 writes `manifest.json`, or `error.json` (and no manifest) if the run raised.
+spectrum, codim, green and compare look for poles in (--re-min, z*): right of the
+energy threshold z* there is none, and an eigenvalue found there stops the run.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .operator_model import WeightSequence, check_assumptions, fixture, load_spec
+from .operator_model import WeightSequence, check_assumptions, energy_threshold, fixture, load_spec
 from .resolvent import find_poles
 from .spectral import build_basis
 from .stability import CROSS_ENGINE_TOL, cross_engine_deltas, decompose, make_forcing, \
@@ -126,9 +128,11 @@ def _forcing(args, spec, basis):
 
 
 def _poles(args, spec):
-    """The basis and the poles in the window of the pole-window subcommands."""
+    """The basis and the poles in (--re-min, z*), checked for none right of z*."""
     basis = build_basis(args.qmax, args.m)
-    return basis, find_poles(spec, basis, window=(args.re_min, args.re_max))
+    pole_set = find_poles(spec, basis, window=(args.re_min, energy_threshold(spec)))
+    pole_set.check_right_edge()
+    return basis, pole_set
 
 
 def _decay_svg(times, norms, rate: float) -> str:
@@ -183,15 +187,13 @@ def cmd_spectrum(args, spec, out: RunOutput) -> int:
 
 def cmd_codim(args, spec, out: RunOutput) -> int:
     _, pole_set = _poles(args, spec)
-    # rank F and z** count every nonnegative pole only when none lies right of the window
-    segment_abscissa(pole_set)
     rank = sum(p.rank for p in pole_set.nonneg)
-    out.write("codim.json", {**pole_set.to_json(), "rank_F": rank})
+    out.write("codim.json", {**pole_set.to_json(), "rank_F": rank, "z_star": pole_set.window[1]})
 
     def fmt(x):
         return "-inf" if not np.isfinite(x) else f"{x:g}"
 
-    print(f"|Λ|={len(pole_set.nonneg)}, rank F={rank}, "
+    print(f"|Λ|={len(pole_set.nonneg)}, rank F={rank}, z★={pole_set.window[1]:g}, "
           f"z★★={fmt(pole_set.z_star_star)}, "
           f"z★★★={fmt(pole_set.z_star_star_star)}")
     return 0
@@ -209,7 +211,7 @@ def cmd_green(args, spec, out: RunOutput) -> int:
     out.write("green.json", {
         "fitted_rate": dec.fitted_rate, "rank_F": dec.rank,
         "n_nonneg": dec.n_nonneg, "kernel_defect": dec.kernel_defect,
-        "identity_defect": dec.identity_defect,
+        "identity_defect": dec.identity_defect, "z_star": dec.pole_set.window[1],
         "z_star_star": dec.pole_set.z_star_star,
         "z_star_star_star": dec.pole_set.z_star_star_star,
     })
@@ -273,11 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     def pole_window(p, qmax=4):
-        """The basis and real-part window of the subcommands that locate poles."""
+        """The basis and the window's left edge of the subcommands that locate poles."""
         p.add_argument("--qmax", type=int, default=qmax)
         p.add_argument("--m", type=int, default=32)
         p.add_argument("--re-min", type=float, default=-2.2, dest="re_min")
-        p.add_argument("--re-max", type=float, default=2.2, dest="re_max")
         return p
 
     p = command("check", cmd_check, "verify the admissibility conditions")

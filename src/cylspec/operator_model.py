@@ -235,13 +235,9 @@ class AssumptionReport:
             lines.append(f"  ({k}): {c.status}" + (f"  [{c.detail}]" if c.detail else ""))
             for w in c.witnesses[:3]:
                 lines.append(f"      witness {w}")
-        ks = range(len(self.norm_table["A"]))
         lines.append("  derivative norms (k: |A|_k, |B|_k, |A0|_k):")
-        for k in ks:
-            lines.append(
-                f"      {k}: {self.norm_table['A'][k]:.6g}, "
-                f"{self.norm_table['B'][k]:.6g}, {self.norm_table['A0'][k]:.6g}"
-            )
+        lines += [f"      {k}: {a:.6g}, {b:.6g}, {a0:.6g}" for k, (a, b, a0) in enumerate(
+            zip(self.norm_table["A"], self.norm_table["B"], self.norm_table["A0"]))]
         return "\n".join(lines)
 
 
@@ -387,33 +383,17 @@ def derivative_norms(spec: OperatorSpec, k: int, density: int = 64) -> tuple[flo
 
 def _summability_sums(spec: OperatorSpec, norms: dict[str, list[float]], K: int) -> dict[str, float]:
     """The three condition-(4) sums at truncation index K (finite: norms vanish past the degree)."""
-    n = spec.n
-    r = spec.weights.r
-    k_max = len(norms["A"]) - 1
-    a_sum = sum(
-        (k + 1) ** (n / 2) * r(k - 1) * norms["A"][k] / math.factorial(k)
-        for k in range(K + 1, k_max + 1)
-    )
-    b_sum = sum(
-        (k + 1) ** (n / 2) * r(k) * norms["B"][k] / math.factorial(k)
-        for k in range(K, k_max + 1)
-    )
-    a0_sum = sum(
-        (k + 1) ** (n / 2) * r(k) * norms["A0"][k] / math.factorial(k)
-        for k in range(K, k_max + 1)
-    )
-    return {"A": a_sum, "B": b_sum, "A0": a0_sum}
+    def part(key: str, start: int, lag: int) -> float:
+        return sum((k + 1) ** (spec.n / 2) * spec.weights.r(k - lag) * norms[key][k]
+                   / math.factorial(k) for k in range(start, len(norms[key])))
+
+    return {"A": part("A", K + 1, 1), "B": part("B", K, 0), "A0": part("A0", K, 0)}
 
 
 def _norm_table(spec: OperatorSpec, density: int) -> dict[str, list[float]]:
     k_max = max(p.degree for p in list(spec.A) + [spec.B]) + 1
-    table: dict[str, list[float]] = {"A": [], "B": [], "A0": []}
-    for k in range(k_max + 1):
-        na, nb, na0 = derivative_norms(spec, k, density=density)
-        table["A"].append(na)
-        table["B"].append(nb)
-        table["A0"].append(na0)
-    return table
+    rows = [derivative_norms(spec, k, density=density) for k in range(k_max + 1)]
+    return {key: [row[i] for row in rows] for i, key in enumerate(("A", "B", "A0"))}
 
 
 def check_assumptions(spec: OperatorSpec, sample_density: int = 64) -> AssumptionReport:
@@ -490,19 +470,10 @@ def check_assumptions(spec: OperatorSpec, sample_density: int = 64) -> Assumptio
 
 def _certificate_blocks(spec: OperatorSpec) -> list[list[MatrixPolynomial]]:
     """Blocks xi*A^{ij} + (A^i Xi^j + (Xi^i)^† A^j)/2 of the certified quadratic form."""
-    cert = spec.certificate
-    n1 = spec.n + 1
-    blocks = []
-    for i in range(n1):
-        row = []
-        for j in range(n1):
-            a_ij = 0.5 * (spec.A[j].derivative(i) + spec.A[i].derivative(j))
-            m = cert.xi * a_ij \
-                + 0.5 * (spec.A[i] @ cert.Xi[j]) \
-                + 0.5 * (cert.Xi[i].adjoint() @ spec.A[j])
-            row.append(m)
-        blocks.append(row)
-    return blocks
+    A, xi, Xi = spec.A, spec.certificate.xi, spec.certificate.Xi
+    return [[xi * (0.5 * (A[j].derivative(i) + A[i].derivative(j)))
+             + 0.5 * (A[i] @ Xi[j]) + 0.5 * (Xi[i].adjoint() @ A[j])
+             for j in range(spec.n + 1)] for i in range(spec.n + 1)]
 
 
 def certificate_norm(spec: OperatorSpec, density: int = 64) -> float:
@@ -525,16 +496,8 @@ def q_effective(spec: OperatorSpec, density: int = 64) -> float:
     return best
 
 
-def stability_constants(spec: OperatorSpec, density: int = 64) -> StabilityConstants:
-    """Compute the energy threshold z_star, coercivity R, and smallness threshold rho_star.
-
-    With K_z = (-(d_i A^i) + B + B^†)/2 + Re(z) A^0, z_star is the smallest shift
-    for which K_z >= A^0/2 everywhere (largest generalized eigenvalue of the
-    pencil (A^0/2 - K_0, A^0) over the grid), and R is the infimum over
-    Re z >= z_star of min-eig(K_z)/(1 + |Re z|).
-    """
-    if spec.certificate is None:
-        raise SpecError("stability constants require a certificate")
+def _energy_threshold(spec: OperatorSpec, density: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """z*, with K_0 and A^0 at the interior rows where either varies."""
     div_a = spec.A[0].derivative(0)
     for i in range(1, spec.n + 1):
         div_a = div_a + spec.A[i].derivative(i)
@@ -548,12 +511,29 @@ def stability_constants(spec: OperatorSpec, density: int = 64) -> StabilityConst
     # smallest s with k0 + s*a0 - a0/2 >= 0
     z_star = max(float(eigh(0.5 * a0 - k0, a0, eigvals_only=True).max())
                  for k0, a0 in zip(k0_vals, a0_vals))
+    return z_star, k0_vals, a0_vals
 
+
+def energy_threshold(spec: OperatorSpec, density: int = 64) -> float:
+    """The energy threshold z*: with K_z = (-(d_i A^i) + B + B^†)/2 + Re(z) A^0,
+    the smallest shift for which K_z >= A^0/2 everywhere (largest generalized
+    eigenvalue of the pencil (A^0/2 - K_0, A^0) over the grid).  Right of it
+    D_z is coercive, so has no pole: the CLI's pole windows end there.  Sampled,
+    so a lower estimate of the supremum it names; needs no certificate."""
+    return _energy_threshold(spec, density)[0]
+
+
+def stability_constants(spec: OperatorSpec, density: int = 64) -> StabilityConstants:
+    """The energy threshold z_star (`energy_threshold`), coercivity R (the infimum over
+    Re z >= z_star of min-eig(K_z)/(1 + |Re z|)), and smallness threshold rho_star."""
+    if spec.certificate is None:
+        raise SpecError("stability constants require a certificate")
+    z_star, k0_vals, a0_vals = _energy_threshold(spec, density)
     s_grid = np.concatenate([[z_star],
                              z_star + np.linspace(0.0, R_SHIFT_SPAN, R_SHIFT_SAMPLES)[1:]])
     # min over points and s of min-eig(K_s)/(1 + |s|), one (s, point) stack per block
     R = np.inf
-    for sl in _blocks(len(rows)):
+    for sl in _blocks(len(k0_vals)):
         k_s = k0_vals[sl] + s_grid[:, None, None, None] * a0_vals[sl]
         ratios = np.linalg.eigvalsh(k_s).min(axis=-1) / (1.0 + np.abs(s_grid))[:, None]
         R = min(R, float(ratios.min()))

@@ -80,6 +80,20 @@ class NearPoleError(ValueError):
         super().__init__(msg)
 
 
+class PolesRightOfWindowError(SpecError):
+    """Persistent pencil eigenvalues right of the pole window's `edge`, as one strip
+    representative per pole (`eigenvalues`).  Right of the energy threshold z*, the
+    CLI's edge, none can lie: the spec is not admissible or the grid misses them."""
+
+    def __init__(self, edge: float, right: tuple[complex, ...]):
+        self.edge = edge
+        self.eigenvalues = tuple(_strip_point(right[cl[0]]) for cl in _strip_clusters(right))
+        named = ", ".join(str(complex(round(z.real, 6) + 0.0, round(z.imag, 6) + 0.0))
+                          for z in self.eigenvalues)
+        super().__init__(f"{len(self.eigenvalues)} strip poles lie right of the pole window "
+                         f"(Re z > {edge:g}): {named}")
+
+
 def resolvent_matrix_for(spec: OperatorSpec, basis: SpectralBasis, z: complex) -> np.ndarray:
     """Dense value-space resolvent at shift z: the inverses of the blocks
     base0 + (z + i*q)*a0, refined by one Newton step and conjugated by the pencil's
@@ -256,8 +270,14 @@ class PoleSet:
     raw_eigenvalues: tuple[complex, ...]  # filtered, unreduced, window-restricted
     edge_flag: bool = False
     # persistent eigenvalues right of the window, unreduced, by decreasing real part:
-    # poles that z** and the finite-rank part do not see
+    # poles that z** and the finite-rank part do not see (check_right_edge)
     right_of_window: tuple[complex, ...] = ()
+
+    def check_right_edge(self) -> None:
+        """Raise PolesRightOfWindowError when a persistent eigenvalue lies right of
+        the window: the poles found are then not all the poles right of re_min."""
+        if self.right_of_window:
+            raise PolesRightOfWindowError(self.window[1], self.right_of_window)
 
     def to_json(self) -> dict:
         return {
@@ -358,7 +378,8 @@ def find_poles(spec: OperatorSpec, basis: SpectralBasis,
     mode-0 spectra (`_persistent`).  Survivors are deduplicated modulo z ~ z + i
     using interior modes; each strip pole gets a loop radius (_loop_radius) and the
     order and rank of its loop projection (_projection_family).  A pole with
-    Re >= -PERSIST_TOL counts as nonnegative.
+    Re >= -PERSIST_TOL counts as nonnegative.  Persistent eigenvalues right of the
+    window are kept in `right_of_window` for `PoleSet.check_right_edge`.
     """
     re_min, re_max = window
     pad = 10 * PERSIST_TOL
@@ -381,29 +402,13 @@ def find_poles(spec: OperatorSpec, basis: SpectralBasis,
     kept.sort(key=lambda t: (-t[0].real, t[0].imag))
     raw = tuple(z for z, _r in kept)
 
-    # reduce modulo i into 0 <= Im < 1 and cluster
-    clusters: list[list[tuple[complex, float]]] = []
-    for z, res in kept:
-        lam = complex(z.real, z.imag - math.floor(z.imag))
-        placed = False
-        for cl in clusters:
-            if _strip_distance(cl[0][0], lam) <= CLUSTER_TOL:
-                cl.append((z, res))
-                placed = True
-                break
-        if not placed:
-            clusters.append([(z, res)])
+    reps = []
+    for cl in _strip_clusters([z for z, _r in kept]):
+        # interior-most member (smallest |Im|) anchors the loop integral
+        src = min((kept[k][0] for k in cl), key=lambda z: abs(z.imag))
+        reps.append((_strip_point(src), src, min(kept[k][1] for k in cl)))
 
     poles = []
-    reps = []
-    for cl in clusters:
-        # interior-most member (smallest |Im|) anchors the loop integral
-        src, _res = min(cl, key=lambda t: abs(t[0].imag))
-        lam = complex(src.real, src.imag - math.floor(src.imag))
-        if min(lam.imag, 1.0 - lam.imag) < 1e-12:
-            lam = complex(lam.real, 0.0)
-        reps.append((lam, src, min(r for _z, r in cl)))
-
     right = eigenvalues[persistent & (vals.real > re_max + pad)]
     for lam, src, res in reps:
         others = [o for o, _s, _r in reps if o != lam]
@@ -422,6 +427,24 @@ def find_poles(spec: OperatorSpec, basis: SpectralBasis,
         z_star_star_star=z_sss, nonneg=nonneg, raw_eigenvalues=raw, edge_flag=edge_flag,
         right_of_window=tuple(right[np.argsort(-right.real, kind="stable")].tolist()),
     )
+
+
+def _strip_clusters(zs) -> list[list[int]]:
+    """Indices of zs grouped into poles: each joins the first cluster whose first
+    member lies within CLUSTER_TOL on the cylinder."""
+    clusters: list[list[int]] = []
+    for k, z in enumerate(zs):
+        cl = next((cl for cl in clusters if _strip_distance(zs[cl[0]], z) <= CLUSTER_TOL), [])
+        if not cl:
+            clusters.append(cl)
+        cl.append(k)
+    return clusters
+
+
+def _strip_point(z: complex) -> complex:
+    """z reduced modulo i into 0 <= Im < 1, an edge within 1e-12 taken as Im 0."""
+    lam = complex(z.real, z.imag - math.floor(z.imag))
+    return complex(lam.real, 0.0) if min(lam.imag, 1.0 - lam.imag) < 1e-12 else lam
 
 
 def _strip_distance(a: complex, b: complex) -> float:

@@ -297,15 +297,11 @@ def segment_node_count(basis: SpectralBasis) -> int:
 
 
 def segment_abscissa(pole_set: PoleSet) -> float:
-    """Re z of the retarded solution's segment: SEGMENT_MARGIN right of z**
-    (of 0 when there is no pole).  Raises SpecError naming the persistent
-    eigenvalues right of the pole window, if any: no segment right of the
+    """Re z of the retarded solution's segment: SEGMENT_MARGIN right of z** (of 0
+    when there is no pole).  `PoleSet.check_right_edge` raises first when an
+    eigenvalue persists right of the pole window: no segment right of the
     window's poles is then right of every pole."""
-    if right := pole_set.right_of_window:
-        named = ", ".join(str(complex(round(z.real, 6) + 0.0, round(z.imag, 6) + 0.0))
-                          for z in right)
-        raise SpecError(f"{len(right)} persistent pencil eigenvalues lie right of the pole window "
-                        f"(Re z > {pole_set.window[1]}): {named}; raise --re-max past them")
+    pole_set.check_right_edge()
     z_ss = pole_set.z_star_star
     return (z_ss if np.isfinite(z_ss) else 0.0) + SEGMENT_MARGIN
 

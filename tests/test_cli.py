@@ -58,11 +58,13 @@ def test_check_unverifiable_without_certificate(tmp_path):
 
 def test_spectrum_csv_rows(tmp_path):
     code = run(["spectrum", "--fixture", "EX1", "--qmax", "4", "--m", "32",
-                "--re-min", "-2.2", "--re-max", "1.0", "--out", str(tmp_path)])
+                "--re-min", "-2.2", "--out", str(tmp_path)])
     assert code == 0
     lines = read(tmp_path / "spectrum.csv").strip().splitlines()
     assert lines[1] == "re,im,order,rank,residual"
     assert len(lines) == 2 + 5  # manifest comment + header + five poles
+    # the window ends at EX1's energy threshold z* = 0.75
+    assert json.loads(read(tmp_path / "poles.json"))["window"] == {"re_min": -2.2, "re_max": 0.75}
 
 
 def test_codim_summary(tmp_path, capsys):
@@ -70,9 +72,22 @@ def test_codim_summary(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "|Λ|=2" in out and "rank F=2" in out
-    assert "z★★=0.75" in out and "z★★★=-0.25" in out
+    assert "z★=1.5," in out and "z★★=0.75" in out and "z★★★=-0.25" in out
     doc = json.loads(read(tmp_path / "codim.json"))
     assert doc["rank_F"] == 2 and doc["n_nonneg"] == 2
+    # the window's right edge is EX1S's energy threshold, and codim.json names it
+    assert abs(doc["z_star"] - 1.5) < 1e-12 and doc["window"]["re_max"] == doc["z_star"]
+
+
+def test_codim_with_energy_threshold_left_of_re_min(tmp_path, capsys):
+    # EX1 shifted by +3 has z* = -2.25, left of --re-min: an empty window, which is
+    # complete, since no pole lies right of z*
+    cfg = tmp_path / "ex1p3.json"
+    cfg.write_text(json.dumps(spec_to_json(fixture("EX1").shifted(3.0))))
+    assert run(["codim", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert "|Λ|=0, rank F=0, z★=-2.25," in capsys.readouterr().out
+    doc = json.loads(read(tmp_path / "out" / "codim.json"))
+    assert doc["n_nonneg"] == 0 and doc["poles"] == [] and abs(doc["z_star"] + 2.25) < 1e-12
 
 
 def test_green_artifacts(tmp_path):
@@ -81,7 +96,7 @@ def test_green_artifacts(tmp_path):
     assert code == 0
     doc = json.loads(read(tmp_path / "green.json"))
     assert abs(doc["fitted_rate"] + 0.25) < 0.025
-    assert doc["rank_F"] == 2
+    assert doc["rank_F"] == 2 and abs(doc["z_star"] - 1.5) < 1e-12
     # the default bump's content beyond the band leaves a few percent in u_ret - F f
     assert 0 <= doc["identity_defect"] < 0.1
     csv = read(tmp_path / "decay.csv")
@@ -123,16 +138,43 @@ def test_compare_passes(tmp_path):
     assert doc["deltas"]["periodize_vs_solve"] <= 1e-5
 
 
-def test_numeric_failure_emits_error_json(tmp_path):
-    # failures inside the command, after --out exists, and one while loading; EX1S
-    # has persistent poles at Re 0.25 and 0.75, right of a window ending at 0.1
-    right_of_window = "18 persistent pencil eigenvalues lie right of the pole window"
+# d0 - 0.5 x1 d1: the drift points inward at both ends, so outflow (ii) fails; its
+# energy threshold z* is 0.25, and its poles p/2 from 0.5 on lie right of it
+INFLOW = {"n": 1, "N": 1, "B": [], "A": [[{"alpha": [0, 0], "matrix": [[[1.0, 0.0]]]}],
+                                        [{"alpha": [0, 1], "matrix": [[[-0.5, 0.0]]]}]]}
+
+
+@pytest.fixture
+def inflow_config(tmp_path):
+    cfg = tmp_path / "inflow.json"
+    cfg.write_text(json.dumps(INFLOW))
+    return str(cfg)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "codim", "green", "compare"])
+@pytest.mark.parametrize("q_max, m", [(4, 16), (4, 32), (16, 32)])
+def test_pole_right_of_energy_threshold_stops_the_run(tmp_path, inflow_config, command,
+                                                      q_max, m):
+    out = tmp_path / "out"
+    assert run([command, "--config", inflow_config, "--qmax", str(q_max), "--m", str(m),
+                "--out", str(out)]) == 1
+    error = json.loads(read(out / "error.json"))["error"]
+    assert error["type"] == "PolesRightOfWindowError"
+    assert "right of the pole window (Re z > 0.25)" in error["message"]
+    assert error["message"].count("(0.5+0j)") == 1
+    assert not (out / "manifest.json").exists()
+
+
+def test_numeric_failure_emits_error_json(tmp_path, inflow_config):
+    # failures inside the command, after --out exists, and one while loading; the
+    # inflow spec has persistent poles right of its energy threshold
+    right_of_window = "strip poles lie right of the pole window (Re z > 0.25)"
     cases = (
         (["green", "--fixture", "EX2"], "SpecError", "n=1 only"),
-        (["green", "--fixture", "EX1S", "--qmax", "4", "--m", "16", "--re-max", "0.1"],
-         "SpecError", right_of_window),
-        (["codim", "--fixture", "EX1S", "--qmax", "4", "--m", "16", "--re-max", "0.1"],
-         "SpecError", right_of_window),
+        (["green", "--config", inflow_config, "--qmax", "4", "--m", "16"],
+         "PolesRightOfWindowError", right_of_window),
+        (["codim", "--config", inflow_config, "--qmax", "4", "--m", "16"],
+         "PolesRightOfWindowError", right_of_window),
         (["spectrum", "--config", str(tmp_path / "missing.json")],
          "FileNotFoundError", "missing.json"),
     )
@@ -185,12 +227,12 @@ def test_csv_cells_are_numbers(tmp_path):
 
 
 def test_manifest_hash_covers_every_parameter(tmp_path):
-    # runs that differ only in --re-max write different outputs, so different hashes
+    # runs that differ only in --re-min write different outputs, so different hashes
     outputs = {}
-    for re_max in ("1.0", "-0.3"):
-        out = tmp_path / re_max
+    for re_min in ("-1.2", "-0.3"):
+        out = tmp_path / re_min
         assert run(["spectrum", "--fixture", "EX1", "--qmax", "0", "--m", "2",
-                    "--re-min", "-1.2", "--re-max", re_max, "--out", str(out)]) == 0
+                    "--re-min", re_min, "--out", str(out)]) == 0
         manifest = json.loads(read(out / "manifest.json"))
         outputs[manifest["hash"]] = read(out / "spectrum.csv")
     assert len(outputs) == 2
@@ -201,8 +243,7 @@ def test_config_round_trip_through_cli(tmp_path):
     cfg = tmp_path / "op.json"
     cfg.write_text(json.dumps(spec_to_json(fixture("EX1"))))
     code = run(["spectrum", "--config", str(cfg), "--qmax", "0", "--m", "2",
-                "--re-min", "-1.2", "--re-max", "1.0",
-                "--out", str(tmp_path / "out")])
+                "--re-min", "-1.2", "--out", str(tmp_path / "out")])
     assert code == 0
 
 
@@ -249,13 +290,14 @@ def test_manifest_hash_covers_file_contents(tmp_path):
     assert forcing_changed["check"] == base["check"]
 
 
-# flags each subcommand does not read, so does not accept
+# flags each subcommand does not read, so does not accept; the pole window's right
+# edge is the energy threshold z*, so no subcommand takes --re-max
 UNREAD_FLAGS = {
     "check": ("--qmax", "--m", "--re-min", "--re-max", "--contour-nodes", "--lmax", "--seed"),
-    "spectrum": ("--lmax", "--seed", "--contour-nodes", "--kappa"),
-    "green": ("--contour-nodes", "--lmax", "--seed", "--kappa"),
-    "codim": ("--contour-nodes", "--lmax", "--seed", "--kappa"),
-    "compare": ("--contour-nodes", "--lmax", "--seed", "--kappa"),
+    "spectrum": ("--lmax", "--seed", "--contour-nodes", "--kappa", "--re-max"),
+    "green": ("--contour-nodes", "--lmax", "--seed", "--kappa", "--re-max"),
+    "codim": ("--contour-nodes", "--lmax", "--seed", "--kappa", "--re-max"),
+    "compare": ("--contour-nodes", "--lmax", "--seed", "--kappa", "--re-max"),
     "evolve": ("--re-min", "--re-max", "--contour-nodes", "--qmax", "--kappa"),
 }
 

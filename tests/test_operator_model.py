@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from cylspec.operator_model import (
     _summability_sums,
     check_assumptions,
     derivative_norms,
+    energy_threshold,
     fixture,
     load_spec,
     q_effective,
@@ -189,6 +191,17 @@ def test_ex2_constants():
     sc = stability_constants(fixture("EX2"), density=6)
     assert abs(sc.z_star - 1.25) < 1e-9
     assert abs(sc.R - 2.0 / 9.0) < 1e-9
+
+
+def test_energy_threshold_needs_no_certificate():
+    # z* is stability_constants' z_star, and needs no certificate (only rho_star does)
+    for name, density in (("EX1", 64), ("EX1S", 64), ("EX2", 6), ("CE-BDY", 17), ("CE-FLAT", 17)):
+        spec = fixture(name)
+        z_star = energy_threshold(spec, density)
+        assert z_star == stability_constants(spec, density).z_star
+        assert energy_threshold(dataclasses.replace(spec, certificate=None), density) == z_star
+    with pytest.raises(SpecError, match="require a certificate"):
+        stability_constants(dataclasses.replace(fixture("EX1"), certificate=None))
 
 
 def test_coercivity_inequality_on_grid():

@@ -8,6 +8,7 @@ from cylspec.operator_model import (
     OperatorSpec,
     SpecError,
     WeightSequence,
+    energy_threshold,
     fixture,
     stability_constants,
 )
@@ -17,6 +18,7 @@ from cylspec.resolvent import (
     ORDER_TOL,
     PERSIST_TOL,
     NearPoleError,
+    PolesRightOfWindowError,
     _loop_nodes,
     _loop_radius,
     _pencil_eigenpairs,
@@ -246,8 +248,34 @@ def test_persistent_eigenvalues_right_of_window_recorded(ex1s):
             sorted(ref, key=lambda z: (-z.real, z.imag))
         assert [z.real for z in ps.right_of_window] == sorted(
             (z.real for z in ps.right_of_window), reverse=True)
+        if count:
+            # the error names each strip pole once: 18 mode copies are 2 poles
+            with pytest.raises(PolesRightOfWindowError) as exc:
+                ps.check_right_edge()
+            assert exc.value.edge == re_max
+            assert np.abs(np.array(exc.value.eigenvalues) - (0.75, 0.25)[:count // 9]).max() < 1e-9
+            assert str(exc.value).startswith(f"{count // 9} strip poles lie right")
+        else:
+            ps.check_right_edge()
     # the benchmark's green window has none at q16m32
     assert find_poles(ex1s, build_basis(16, 32)).right_of_window == ()
+
+
+@pytest.mark.parametrize("name, q_max, m", [
+    ("EX1", 4, 32), ("EX1S", 16, 32), ("CE-BDY", 4, 16), ("CE-FLAT", 4, 16),
+    ("wobble", 4, 8), ("hermitian A0", 4, 16), ("EX1 x Jordan", 2, 16),
+])
+def test_energy_threshold_edge_keeps_the_pole_set(name, q_max, m, request):
+    # right of z* D_z has no pole: a window ending there keeps every pole, order and
+    # rank of the window ending at 2.2, and leaves no persistent eigenvalue right of it
+    spec, basis = _named_spec(name, request), build_basis(q_max, m)
+    z_star = energy_threshold(spec)
+    assert z_star < 2.2
+    edge = find_poles(spec, basis, window=(-2.2, z_star))
+    wide = find_poles(spec, basis, window=(-2.2, 2.2))
+    assert [(p.lam, p.order, p.rank) for p in edge.poles] == \
+        [(p.lam, p.order, p.rank) for p in wide.poles]
+    assert edge.right_of_window == () and edge.edge_flag == wide.edge_flag
 
 
 def test_pole_lattice_before_reduction(poles_ex1, basis_q4m32):
