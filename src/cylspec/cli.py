@@ -24,11 +24,19 @@ import numpy as np
 
 from . import __version__
 from .operator_model import WeightSequence, check_assumptions, energy_threshold, fixture, load_spec
-from .resolvent import find_poles
+from .resolvent import NearPoleError, PolesRightOfWindowError, find_poles
 from .spectral import build_basis
 from .stability import CROSS_ENGINE_TOL, cross_engine_deltas, decompose, make_forcing, \
     segment_abscissa
-from .timedomain import energy_series, evolve, growth_rate, random_smooth_slice
+from .timedomain import InstabilityError, energy_series, evolve, growth_rate, \
+    random_smooth_slice
+
+# the diagnostics that error.json carries for each typed error, by attribute name
+_ERROR_FIELDS = {
+    PolesRightOfWindowError: ("edge", "eigenvalues"),
+    NearPoleError: ("z", "nearest", "distance", "residual"),
+    InstabilityError: ("time", "column", "norm", "cap"),
+}
 
 
 @dataclass
@@ -58,6 +66,20 @@ class RunManifest:
 
 def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _json_value(x):
+    """A diagnostic as JSON: a complex number as its [re, im] pair, a sequence item by item."""
+    if isinstance(x, tuple):
+        return [_json_value(v) for v in x]
+    return [x.real, x.imag] if isinstance(x, complex) else x
+
+
+def _error_report(exc: Exception) -> dict:
+    """error.json's body: the exception's type and message, and its diagnostics."""
+    fields = _ERROR_FIELDS.get(type(exc), ())
+    return {"type": type(exc).__name__, "message": str(exc),
+            **{k: _json_value(getattr(exc, k)) for k in fields}}
 
 
 def _cell(x) -> str:
@@ -314,7 +336,7 @@ def main(argv=None) -> int:
         spec = load_spec(args.config) if args.config else fixture(args.fixture)
         code = args.func(args, spec, out)
     except Exception as exc:  # numeric failures -> machine-readable error report
-        out.write("error.json", {"error": {"type": type(exc).__name__, "message": str(exc)}})
+        out.write("error.json", {"error": _error_report(exc)})
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out.close()

@@ -1,12 +1,15 @@
 import dataclasses
 import json
+import math
 
 import pytest
 
-from cylspec.cli import main
+from cylspec.cli import _error_report, main
 from cylspec.operator_model import fixture, spec_to_json
 from cylspec.polynomial import MatrixPolynomial
+from cylspec.resolvent import NearPoleError
 from cylspec.stability import FIT_PERIODS, SLICES_PER_PERIOD
+from cylspec.timedomain import InstabilityError
 
 
 def run(args):
@@ -162,7 +165,24 @@ def test_pole_right_of_energy_threshold_stops_the_run(tmp_path, inflow_config, c
     assert error["type"] == "PolesRightOfWindowError"
     assert "right of the pole window (Re z > 0.25)" in error["message"]
     assert error["message"].count("(0.5+0j)") == 1
+    # the diagnostics: the edge, and each strip pole once as an [re, im] pair
+    assert error["edge"] == 0.25
+    assert len(error["eigenvalues"]) == error["message"].count("+0j)")
+    assert sum(abs(re - 0.5) <= 1e-6 and abs(im) <= 1e-6
+               for re, im in error["eigenvalues"]) == 1
     assert not (out / "manifest.json").exists()
+
+
+def test_error_report_carries_diagnostics():
+    exc = NearPoleError(0.5 + 1e-9j, 0.5 + 0j, 3e-4)
+    assert _error_report(exc) == {"type": "NearPoleError", "message": str(exc),
+                                  "z": [0.5, 1e-9], "nearest": [0.5, 0.0],
+                                  "distance": abs(1e-9j), "residual": 3e-4}
+    assert _error_report(NearPoleError(1j, None, 2.0))["nearest"] is None
+    diverged = _error_report(InstabilityError(2.5, 1, math.inf, 40.0))
+    assert {k: diverged[k] for k in ("time", "column", "norm", "cap")} == \
+        {"time": 2.5, "column": 1, "norm": math.inf, "cap": 40.0}
+    assert _error_report(ValueError("plain")) == {"type": "ValueError", "message": "plain"}
 
 
 def test_numeric_failure_emits_error_json(tmp_path, inflow_config):

@@ -12,6 +12,7 @@ from cylspec.stability import (
     REFINE_SHIFT,
     BumpProfile,
     FiniteRankPart,
+    GaussianPulseProfile,
     ModalField,
     ModalTerm,
     VerticalPathSolution,
@@ -67,6 +68,42 @@ def test_bump_profile_support():
     assert bump(3 * math.pi) == 1.0
     assert bump(2 * math.pi) == 0.0 and bump(4 * math.pi + 0.1) == 0.0
     assert bump.support == (2 * math.pi, 4 * math.pi)
+
+
+SCALAR_PROFILES = [BumpProfile(center=3 * math.pi, width=math.pi),
+                   BumpProfile(center=-1.3, width=0.37),
+                   GaussianPulseProfile(center=3 * math.pi, sigma=1.1),
+                   GaussianPulseProfile(center=2.2, sigma=0.53, cut=3.0)]
+
+
+def _edges(profile):
+    """Times at and one ulp either side of the support's ends (|s| = 1 for the
+    bump, |s| = cut for the pulse) and of the centre."""
+    points = [*profile.support, profile.center]
+    return [np.nextafter(t, t + d) for t in points for d in (-1.0, 0.0, 1.0)]
+
+
+@pytest.mark.parametrize("profile", SCALAR_PROFILES, ids=repr)
+def test_scalar_profile_is_the_vector_call_bit_for_bit(profile):
+    lo, hi = profile.support
+    rng = np.random.default_rng([7, SCALAR_PROFILES.index(profile)])
+    times = [*rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), 20_000), *_edges(profile)]
+    values = [profile.at(float(t)) for t in times]
+    assert all(type(v) is float for v in values)
+    expected = [float(profile(np.asarray(t))) for t in times]
+    assert np.array_equal(np.array(values), np.array(expected))
+    assert profile.at(profile.center) == 1.0
+    assert sum(v > 0 for v in values) > 10_000
+
+
+@pytest.mark.parametrize("profile", SCALAR_PROFILES[::2], ids=repr)
+def test_slice_at_is_the_vector_call_bit_for_bit(basis_q4m32, profile):
+    forcing = stability.CoverForcing(time=profile, basis=basis_q4m32,
+                                     space=np.exp(-basis_q4m32.x1**2) * (1 + 0.5j))
+    lo, hi = profile.support
+    for t in [*np.linspace(lo - 1.0, hi + 1.0, 101), *_edges(profile)]:
+        assert np.array_equal(forcing.slice_at(float(t)),
+                              float(profile(np.asarray(t))) * forcing.space)
 
 
 def test_zero_forcing_transforms_to_zero(basis_q4m32):

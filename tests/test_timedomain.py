@@ -158,9 +158,10 @@ def test_two_component_evolve_matches_stagewise_rk4(forced):
 # -- the block march against the per-step reference -------------------------------
 
 
-def _reference_march(prop, v, t0, n_steps, stride, g=None):
-    """The per-step march: a fresh state and one blow-up check per step, and the
-    forced step's stack concatenated anew."""
+def _reference_march(prop, v, t0, n_steps, stride, g=None, increments=None):
+    """The per-step march: a fresh state and one blow-up check per step, the
+    forced step's stack concatenated anew, and its forcing increment formed from g
+    (a precomputed `increments` table is ignored, so tests check it against this)."""
     h, H, Q, W = prop.h, prop.H, prop.Q, prop.W
     cap = math.exp(min(10.0 * n_steps * h * prop.coeff_scale, 700.0)) \
         * np.maximum(np.linalg.norm(v, axis=0), 1.0)
@@ -233,9 +234,18 @@ def test_growth_rates_bit_identical_to_per_step_march(monkeypatch, basis_q4m32, 
 
 
 def test_periodize_bit_identical_to_per_step_march(monkeypatch, ex1, basis_q4m32):
-    f = (basis_q4m32.x1[None, :, None] * np.ones((9, 1, 1))).astype(complex)
-    new, ref = _with_reference_march(monkeypatch, lambda: periodize(ex1, basis_q4m32, f, 1.0))
-    assert np.array_equal(new, ref)
+    # periodize's increment table against the reference's per-step increments,
+    # on EX1 and on the two-component spec (N = 2), whose growth rate is about 1,
+    # so its shift sits right of that
+    two, basis2 = two_component_spec(), build_basis(2, 16)
+    profile = chebyshev_data(basis2, seed=12, n=6, N=2)
+    f_ex1 = (basis_q4m32.x1[None, :, None] * np.ones((9, 1, 1))).astype(complex)
+    f_two = (np.exp(1j * basis2.x0) + 0.5)[:, None, None] * profile[None]
+    cases = ((ex1, basis_q4m32, 1.0, f_ex1), (two, basis2, 2.0 + 0.5j, f_two))
+    for spec, basis, z, f in cases:
+        new, ref = _with_reference_march(monkeypatch, lambda: periodize(spec, basis, f, z))
+        assert np.abs(new).max() > 0
+        assert np.array_equal(new, ref)
 
 
 @pytest.mark.parametrize("stride", [1, 16])
