@@ -28,15 +28,20 @@ from .resolvent import NearPoleError, PolesRightOfWindowError, find_poles
 from .spectral import build_basis
 from .stability import CROSS_ENGINE_TOL, cross_engine_deltas, decompose, make_forcing, \
     segment_abscissa
-from .timedomain import InstabilityError, energy_series, evolve, growth_rate, \
-    random_smooth_slice
+from .timedomain import InstabilityError, PeriodizationError, energy_series, evolve, \
+    growth_rate, random_smooth_slice
 
 # the diagnostics that error.json carries for each typed error, by attribute name
 _ERROR_FIELDS = {
     PolesRightOfWindowError: ("edge", "eigenvalues"),
     NearPoleError: ("z", "nearest", "distance", "residual"),
     InstabilityError: ("time", "column", "norm", "cap"),
+    PeriodizationError: ("z", "condition"),
 }
+
+# the environment variables that set the BLAS thread count, which the last bits of
+# the outputs depend on
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -45,14 +50,15 @@ class RunManifest:
     source: str                       # fixture name or config path
     params: dict = field(default_factory=dict)
     digests: dict = field(default_factory=dict)   # input file -> SHA-256 of its bytes
+    threads: dict = field(default_factory=dict)   # thread variables and usable CPUs
     version: str = __version__
     outputs: list = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {
             "command": self.command, "source": self.source,
-            "params": self.params, "digests": self.digests, "version": self.version,
-            "outputs": sorted(self.outputs),
+            "params": self.params, "digests": self.digests, "threads": self.threads,
+            "version": self.version, "outputs": sorted(self.outputs),
         }
 
     @property
@@ -133,11 +139,14 @@ def _file_sha256(path: str) -> str | None:
 
 def _manifest(args) -> RunManifest:
     """Manifest over every parsed argument except the output directory and dispatch,
-    plus the contents of the config and forcing files."""
+    plus the contents of the config and forcing files and the BLAS thread settings
+    (each variable, None when unset, and the CPUs the process may run on)."""
     params = {k: v for k, v in vars(args).items() if k not in ("out", "command", "func")}
     digests = {k: _file_sha256(params[k]) for k in ("config", "forcing")
                if params.get(k) not in (None, "default")}
-    return RunManifest(args.command, args.config or args.fixture, params, digests)
+    threads = {k: os.environ.get(k) for k in _THREAD_VARS}
+    threads["cpus"] = len(os.sched_getaffinity(0))
+    return RunManifest(args.command, args.config or args.fixture, params, digests, threads)
 
 
 def _forcing(args, spec, basis):

@@ -548,8 +548,8 @@ def cross_engine_deltas(spec: OperatorSpec, basis: SpectralBasis, forcing: Cover
     one period before the support against the segment solution at Re z = c,
     weighted L2 over every grid-aligned time (an x0 node plus a whole number of
     periods) in [t1, t1 + 4 periods], t1 the end of the support.
-    periodize_vs_solve: `periodize` against `apply_resolvent` at z = max(c, 1)
-    for a smooth periodic forcing, in the sup norm.
+    periodize_vs_solve: `periodize` against `apply_resolvent` at z = c for a
+    smooth periodic forcing, in the sup norm.
     """
     period = 2 * math.pi
     t0, t1 = forcing.support
@@ -569,10 +569,9 @@ def cross_engine_deltas(spec: OperatorSpec, basis: SpectralBasis, forcing: Cover
     evolve_delta = float(np.sqrt(np.sum(w1 * np.abs(ev - ret) ** 2))
                          / max(np.sqrt(np.sum(w1 * np.abs(ret) ** 2)), 1e-300))
 
-    z = max(c, 1.0)
     f = np.ones((basis.n_time, basis.n_space, spec.N), dtype=complex) \
         * (1.0 + 0.3 * basis.x1[None, :, None])
-    u_march, u_direct = periodize(spec, basis, f, z), apply_resolvent(spec, basis, z, f)
+    u_march, u_direct = periodize(spec, basis, f, c), apply_resolvent(spec, basis, c, f)
     periodize_delta = float(np.abs(u_march - u_direct).max()
                             / max(np.abs(u_direct).max(), 1e-300))
     return {"evolve_vs_retarded": evolve_delta, "periodize_vs_solve": periodize_delta}

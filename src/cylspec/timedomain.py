@@ -30,11 +30,11 @@ from a plain float time to an (n_space, N) slice, called at every half step;
 `evolve` applies the block-diagonal A0^{-1} to each slice.  A `CoverForcing`
 slice evaluates its time profile on the plain float, so a forced step at
 n = 17 takes about 14 us against 23 us with the profile's vector call on a 0-d
-array (one BLAS thread, 2-core x86-64 VM).  `periodize`'s forcing repeats every
-period: one table of A0^{-1} f at the period's half-step times, and one of the
-period's forcing increments h/6 (g0 + 4 gh + g1), serve every period, so its
-step does no forcing arithmetic (about 6 us against 9 us).  The table holds the
-sums each step would form, so the states are bit-identical either way.
+array (one BLAS thread, 2-core x86-64 VM).  Over one period of per steps the
+march is affine, v -> M v + b, b the forced response from zero, so `periodize`
+solves u0 = (I - M)^{-1} b for the periodic start.  It forms M - I from
+M = (I + HQ)^per by binary powering in increment form, (I + A)(I + B) =
+I + (A + B + AB), which never rounds the increments against the identity.
 """
 
 from __future__ import annotations
@@ -56,8 +56,7 @@ FIT_FLOOR_REL = 1e3 * np.finfo(float).eps
 
 # stable_time_step's fraction of the explicit step bound
 CFL = 0.25
-# periodize stops when consecutive periods agree to PERIODIZE_TOL (relative,
-# absolute below unit scale)
+# periodize solves (I - M) u0 = b only while cond(I - M) * eps <= PERIODIZE_TOL
 PERIODIZE_TOL = 1e-9
 # random initial conditions per growth_rate
 GROWTH_RUNS = 3
@@ -126,7 +125,12 @@ class InstabilityError(RuntimeError):
 
 
 class PeriodizationError(RuntimeError):
-    pass
+    """The period map's fixed-point system I - M at shift z is too ill-conditioned."""
+
+    def __init__(self, z: complex, condition: float):
+        self.z, self.condition = complex(z), float(condition)
+        super().__init__(f"no periodic solve at z = {self.z:.4g}: cond(I - M) = "
+                         f"{self.condition:.3g} (z is at or near a pole)")
 
 
 def _pointwise_operators(spec: OperatorSpec, basis: SpectralBasis, z: complex):
@@ -198,15 +202,13 @@ def _propagator(spec: OperatorSpec, basis: SpectralBasis, z: complex, h: float) 
 
 
 def _march(prop: _Propagator, v: np.ndarray, t0: float, n_steps: int, stride: int,
-           g=None, increments=None) -> np.ndarray:
+           g=None) -> np.ndarray:
     """States after every stride-th of n_steps steps from v at t0, v first
     (n_steps must be a multiple of stride, as _step_plan makes it).
 
     v holds one state per column, shape (n, k).  g(j) is A0^{-1} f at time
     t0 + j*h/2 as an (n, 1) column, or None for the homogeneous system; forced
-    marches carry one column.  increments[k], when given, is step k+1's forcing
-    increment h/6 (g(2k) + 4 g(2k+1) + g(2k+2)), precomputed; otherwise each
-    step forms it from g.  Every state of every column is checked for blow-up.
+    marches carry one column.  Every state of every column is checked for blow-up.
     """
     h, H, Q, W = prop.h, prop.H, prop.Q, prop.W
     cap = math.exp(min(10.0 * n_steps * h * prop.coeff_scale, 700.0)) \
@@ -226,11 +228,9 @@ def _march(prop: _Propagator, v: np.ndarray, t0: float, n_steps: int, stride: in
                 else:
                     gh, g1 = g(2 * step - 1), g(2 * step)
                     np.concatenate((v, g0, gh), out=stack)
-                    inc = h / 6 * (g0 + 4 * gh + g1) if increments is None \
-                        else increments[step - 1]
                     # the forcing and operator increments cancel near a steady
                     # state: sum them before they meet v
-                    np.add(v, inc + H @ (W @ stack), out=out)
+                    np.add(v, h / 6 * (g0 + 4 * gh + g1) + H @ (W @ stack), out=out)
                     g0 = g1
                 v = out
                 if buffer is not None and step % stride == 0:
@@ -328,14 +328,24 @@ def fit_log_slope(times: np.ndarray, values: np.ndarray, floor: float = 0.0) -> 
     return float(coeff[0])
 
 
-def periodize(spec: OperatorSpec, basis: SpectralBasis, f: np.ndarray, z: complex,
-              *, max_periods: int = 200) -> np.ndarray:
-    """Solve (D + z*A^0) u = f for periodic f by marching the cover until snapshots settle.
+def _period_increment(prop: _Propagator, per: int) -> np.ndarray:
+    """M - I for the period map M = (I + HQ)^per, by binary powering in increment
+    form: (I + A)(I + B) = I + (A + B + AB), never forming I + D."""
+    step = prop.H @ prop.Q
+    total = np.zeros_like(step)
+    while True:
+        if per & 1:
+            total = total + step + total @ step
+        per >>= 1
+        if not per:
+            return total
+        step = step + step + step @ step
 
-    The forced cover solution from zero data converges period by period when the
-    shift is dissipative enough; the settled period descends to the quotient.
-    Non-convergence within the cap raises PeriodizationError (the shift is at or
-    left of the effective growth threshold).
+
+def periodize(spec: OperatorSpec, basis: SpectralBasis, f: np.ndarray, z: complex) -> np.ndarray:
+    """Solve (D + z*A^0) u = f for periodic f: the RK4 march's periodic start
+    u0 = (I - M)^{-1} b, then one forced period from u0 for the snapshots.  At or
+    near a pole, cond(I - M) * eps above PERIODIZE_TOL raises PeriodizationError.
     """
     period = 2.0 * np.pi
     f = np.asarray(f, dtype=complex)
@@ -349,29 +359,18 @@ def periodize(spec: OperatorSpec, basis: SpectralBasis, f: np.ndarray, z: comple
     prop = _propagator(spec, basis, z, period / per)
 
     # f has integer Fourier modes, so A0^{-1} f at the 2*per + 1 half-step times
-    # of one period serves every period
+    # of one period serves both marches
     half_steps = np.arange(2 * per + 1) * (prop.h / 2)
     phases = np.exp(1j * np.outer(half_steps, basis.modes))
     f_modes = fourier_coefficients(f, basis).reshape(basis.n_time, -1)
-    g_table = ((phases @ f_modes) @ prop.inv_a0.T)[:, :, None]
-    # and so do the period's per step increments, the sums _march would form per step
-    increments = prop.h / 6 * (g_table[:-1:2] + 4 * g_table[1::2] + g_table[2::2])
+    g = ((phases @ f_modes) @ prop.inv_a0.T)[:, :, None].__getitem__
 
-    u = np.zeros((basis.n_space * spec.N, 1), dtype=complex)
-    prev_snapshot = None
-    for p in range(max_periods):
-        states = _march(prop, u, p * period, per, stride, g_table.__getitem__, increments)
-        u = states[-1]
-        snapshot = states[:-1].reshape(expected)  # node times p*2pi + x0_j
-        if prev_snapshot is not None:
-            delta = float(np.abs(snapshot - prev_snapshot).max())
-            scale = max(float(np.abs(snapshot).max()), 1e-300)
-            if delta <= PERIODIZE_TOL * max(scale, 1.0):
-                return snapshot
-        prev_snapshot = snapshot
-    raise PeriodizationError(
-        f"no settled period within {max_periods} periods (shift too far left?)"
-    )
+    b = _march(prop, np.zeros((f[0].size, 1), dtype=complex), 0.0, per, per, g)[-1]
+    fixed = -_period_increment(prop, per)  # I - M
+    condition = float(np.linalg.cond(fixed))
+    if not condition * np.finfo(float).eps <= PERIODIZE_TOL:
+        raise PeriodizationError(z, condition)
+    return _march(prop, np.linalg.solve(fixed, b), 0.0, per, stride, g)[:-1].reshape(expected)
 
 
 def random_smooth_slice(rng: np.random.Generator, basis: SpectralBasis, N: int) -> np.ndarray:

@@ -9,7 +9,7 @@ from cylspec.operator_model import fixture, spec_to_json
 from cylspec.polynomial import MatrixPolynomial
 from cylspec.resolvent import NearPoleError
 from cylspec.stability import FIT_PERIODS, SLICES_PER_PERIOD
-from cylspec.timedomain import InstabilityError
+from cylspec.timedomain import InstabilityError, PeriodizationError
 
 
 def run(args):
@@ -185,6 +185,13 @@ def test_error_report_carries_diagnostics():
     assert _error_report(ValueError("plain")) == {"type": "ValueError", "message": "plain"}
 
 
+def test_error_report_carries_periodization_diagnostics():
+    exc = PeriodizationError(-0.5 + 0j, 4.0e16)
+    assert "-0.5" in str(exc) and "4e+16" in str(exc)
+    assert _error_report(exc) == {"type": "PeriodizationError", "message": str(exc),
+                                  "z": [-0.5, 0.0], "condition": 4.0e16}
+
+
 def test_numeric_failure_emits_error_json(tmp_path, inflow_config):
     # failures inside the command, after --out exists, and one while loading; the
     # inflow spec has persistent poles right of its energy threshold
@@ -257,6 +264,21 @@ def test_manifest_hash_covers_every_parameter(tmp_path):
         outputs[manifest["hash"]] = read(out / "spectrum.csv")
     assert len(outputs) == 2
     assert len(set(outputs.values())) == 2
+
+
+def test_manifest_hash_covers_blas_threads(tmp_path, monkeypatch):
+    # the last bits of the outputs depend on the BLAS thread count, so its setting is hashed
+    hashes = set()
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        out = tmp_path / threads
+        assert run(["spectrum", "--fixture", "EX1", "--qmax", "0", "--m", "2",
+                    "--re-min", "-1.2", "--out", str(out)]) == 0
+        manifest = json.loads(read(out / "manifest.json"))
+        assert manifest["threads"]["OPENBLAS_NUM_THREADS"] == threads
+        assert manifest["threads"]["cpus"] >= 1
+        hashes.add(manifest["hash"])
+    assert len(hashes) == 2
 
 
 def test_config_round_trip_through_cli(tmp_path):

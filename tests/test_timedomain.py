@@ -13,9 +13,12 @@ from cylspec.spectral import build_basis
 from cylspec.timedomain import (
     FIT_FLOOR_REL,
     GUARD_BLOCK_BYTES,
+    PERIODIZE_TOL,
     FieldOnCover,
     InstabilityError,
+    PeriodizationError,
     _march,
+    _period_increment,
     _propagator,
     _step_plan,
     energy_series,
@@ -158,10 +161,9 @@ def test_two_component_evolve_matches_stagewise_rk4(forced):
 # -- the block march against the per-step reference -------------------------------
 
 
-def _reference_march(prop, v, t0, n_steps, stride, g=None, increments=None):
+def _reference_march(prop, v, t0, n_steps, stride, g=None):
     """The per-step march: a fresh state and one blow-up check per step, the
-    forced step's stack concatenated anew, and its forcing increment formed from g
-    (a precomputed `increments` table is ignored, so tests check it against this)."""
+    forced step's stack concatenated anew, and its forcing increment formed from g."""
     h, H, Q, W = prop.h, prop.H, prop.Q, prop.W
     cap = math.exp(min(10.0 * n_steps * h * prop.coeff_scale, 700.0)) \
         * np.maximum(np.linalg.norm(v, axis=0), 1.0)
@@ -234,9 +236,10 @@ def test_growth_rates_bit_identical_to_per_step_march(monkeypatch, basis_q4m32, 
 
 
 def test_periodize_bit_identical_to_per_step_march(monkeypatch, ex1, basis_q4m32):
-    # periodize's increment table against the reference's per-step increments,
-    # on EX1 and on the two-component spec (N = 2), whose growth rate is about 1,
-    # so its shift sits right of that
+    # periodize's two forced marches, the response from zero and the period from
+    # the solved start, against the per-step reference, on EX1 and on the
+    # two-component spec (N = 2), whose growth rate is about 1, so its shift sits
+    # right of that
     two, basis2 = two_component_spec(), build_basis(2, 16)
     profile = chebyshev_data(basis2, seed=12, n=6, N=2)
     f_ex1 = (basis_q4m32.x1[None, :, None] * np.ones((9, 1, 1))).astype(complex)
@@ -358,18 +361,35 @@ def test_periodize_matches_direct_solve(ex1, basis_q4m32):
     assert np.abs(u - direct).max() / np.abs(direct).max() < 1e-5
 
 
-def test_periodize_between_poles_recorded(ex1, basis_q4m32):
-    # left of the energy threshold the iteration may or may not settle; the
-    # outcome is recorded, never asserted
-    from cylspec.timedomain import PeriodizationError
+@pytest.mark.parametrize("per", [1, 2, 7, 64])
+def test_period_increment_is_the_power_less_identity(ex1, per):
+    basis = build_basis(0, 16)
+    prop = _propagator(ex1, basis, 0.5, stable_time_step(ex1, basis, 0.5))
+    ident = np.eye(len(prop.H))
+    power = np.linalg.matrix_power(ident + prop.H @ prop.Q, per)
+    assert np.abs(_period_increment(prop, per) - (power - ident)).max() <= 1e-13
 
+
+@pytest.mark.parametrize("z", [-0.25, -0.75, 0.3 + 0.5j, -0.25 + 0.5j],
+                         ids=["-0.25", "-0.75", "0.3+0.5i", "-0.25+0.5i"])
+def test_periodize_between_poles_matches_direct_solve(ex1, basis_q4m32, z):
+    # EX1's poles are at -p/2: between them the period map's fixed point is the
+    # resolvent solve, growing and decaying modes alike
     f = np.ones((9, 33, 1), dtype=complex)
-    try:
-        u = periodize(ex1, basis_q4m32, f, -0.25, max_periods=40)
-        outcome = ("converged", float(np.abs(u).max()))
-    except PeriodizationError as exc:
-        outcome = ("capped", str(exc))
-    assert outcome[0] in ("converged", "capped")
+    u = periodize(ex1, basis_q4m32, f, z)
+    direct = apply_resolvent(ex1, basis_q4m32, z, f)
+    assert np.abs(u - direct).max() <= 1e-10 * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("z", [0.0, -0.5])
+def test_periodize_at_pole_raises(ex1, basis_q4m32, z):
+    # at a pole I - M is singular to working precision: a typed error with its
+    # condition, not a huge state
+    f = np.ones((9, 33, 1), dtype=complex)
+    with pytest.raises(PeriodizationError) as info:
+        periodize(ex1, basis_q4m32, f, z)
+    assert info.value.z == z
+    assert info.value.condition * np.finfo(float).eps > PERIODIZE_TOL
 
 
 # -- growth rates --------------------------------------------------------------------
