@@ -16,8 +16,9 @@ coefficients do not depend on the periodic coordinate and one value-space block
 otherwise.  Each pencil is factored once: its complex Schur form of
 A^0^{-1} base0 (`ModePencil.schur`, taken on first use) serves `_schur_solve`
 for every shift and `_loop_blocks` for every pole, which reorders it per pole
-for `loop_projections` and `_projection_family`.  `resolvent_matrix_for`
-inverts the blocks.
+for `loop_projections` and `_projection_family`, and the pole set carries it
+(`PoleSet.pencil`, `PoleSet.loop_projections`).  `resolvent_matrix_for` inverts
+the blocks.
 
 Block q has the eigenvalues of (base0, -A^0) shifted by -i*q and the same
 eigenvectors.  `_pencil_eigenpairs` solves the working pencil with eigenvectors:
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -145,12 +147,12 @@ def _mode_batched(spec: OperatorSpec, basis: SpectralBasis, z, f: np.ndarray,
 def _schur_solve(pencil: ModePencil, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (base0 + w_j*a0) u_j = rhs_j for every column j from the pencil's Schur
     form a0^{-1} base0 = U S U^H: a back-substitution with S + w_j I per column,
-    then one refinement step against the true blocks.  The first shift whose
-    relative residual exceeds 1e-10, or is NaN, raises NearPoleError; its nearest
-    pole -S_kk - i*q is the shift minus the smallest pivot S_kk + w.
-    """
+    then one refinement step against the true blocks, its residual built in place
+    (a real pencil multiplies on the float view of the columns).  The first shift
+    whose relative residual exceeds 1e-10, or is NaN, raises NearPoleError; its
+    nearest pole -S_kk - i*q is the shift minus the smallest pivot S_kk + w."""
     tri, U, left = pencil.schur
-    base0, a0 = pencil.base0, pencil.a0
+    base0, a0 = pencil.parts
     flat = w.reshape(-1)
 
     def solve(r):
@@ -161,7 +163,11 @@ def _schur_solve(pencil: ModePencil, w: np.ndarray, rhs: np.ndarray) -> np.ndarr
         return U @ y
 
     def residual(u):
-        return rhs - base0 @ u - (a0 @ u) * flat
+        v = u.view(float) if pencil.real else u
+        r = (a0 @ v).view(complex)
+        r *= flat
+        r += (base0 @ v).view(complex)
+        return np.subtract(rhs, r, out=r)
 
     with np.errstate(all="ignore"):
         u = solve(rhs)
@@ -186,10 +192,11 @@ def apply_resolvent(spec: OperatorSpec, basis: SpectralBasis, z, f: np.ndarray, 
     return _mode_batched(spec, basis, z, f, _schur_solve, pencil)
 
 
-def apply_operator(spec: OperatorSpec, basis: SpectralBasis, z, u: np.ndarray) -> np.ndarray:
-    """(D + z*A^0) u, batched over shifts like apply_resolvent."""
+def apply_operator(spec: OperatorSpec, basis: SpectralBasis, z, u: np.ndarray, *,
+                   pencil: ModePencil | None = None) -> np.ndarray:
+    """(D + z*A^0) u, batched over shifts and on the pencil if passed, like apply_resolvent."""
     return _mode_batched(spec, basis, z, u,
-                         lambda p, w, c: p.base0 @ c + (p.a0 @ c) * w.reshape(-1))
+                         lambda p, w, c: p.base0 @ c + (p.a0 @ c) * w.reshape(-1), pencil)
 
 
 def apply_multiplier(spec: OperatorSpec, basis: SpectralBasis, u: np.ndarray) -> np.ndarray:
@@ -207,18 +214,9 @@ def _mode_shifted(vals: np.ndarray, modes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _arithmetic_parts(pencil: ModePencil) -> tuple[np.ndarray, np.ndarray]:
-    """(base0, a0) in the pencil's arithmetic: real parts of a real pencil
-    (`ModePencil.real`), which LAPACK solves with `dggev` at under half the cost
-    of the complex `zggev`; its eigenvalues then come in conjugate pairs."""
-    if pencil.real:
-        return pencil.base0.real, pencil.a0.real
-    return pencil.base0, pencil.a0
-
-
 def _finite_eigenvalues(pencil: ModePencil) -> np.ndarray:
     """Finite eigenvalues of (base0, -a0), without eigenvectors."""
-    base0, a0 = _arithmetic_parts(pencil)
+    base0, a0 = pencil.parts
     vals = scipy.linalg.eig(base0, -a0, right=False)
     return vals[np.isfinite(vals)]
 
@@ -268,6 +266,7 @@ class PoleSet:
     # may come out a few ulps negative, and an extra mode in F f is harmless
     nonneg: tuple[Pole, ...]
     raw_eigenvalues: tuple[complex, ...]  # filtered, unreduced, window-restricted
+    pencil: ModePencil = field(compare=False, repr=False)  # find_poles' factored pencil
     edge_flag: bool = False
     # persistent eigenvalues right of the window, unreduced, by decreasing real part:
     # poles that z** and the finite-rank part do not see (check_right_edge)
@@ -278,6 +277,18 @@ class PoleSet:
         the window: the poles found are then not all the poles right of re_min."""
         if self.right_of_window:
             raise PolesRightOfWindowError(self.window[1], self.right_of_window)
+
+    def pencil_on(self, basis: SpectralBasis, N: int) -> ModePencil:
+        """`pencil`, which must be on the grid of basis with N components."""
+        shape = (basis.n_time, basis.n_space, N)
+        if self.pencil.grid_shape != shape:
+            raise ValueError(f"pole set on grid {self.pencil.grid_shape}, basis grid {shape}")
+        return self.pencil
+
+    @cached_property
+    def loop_projections(self) -> tuple[list[tuple], ...]:
+        """`loop_projections` about each pole of `nonneg`, in order, taken on first use."""
+        return tuple(loop_projections(self.pencil, p.source, p.radius) for p in self.nonneg)
 
     def to_json(self) -> dict:
         return {
@@ -317,9 +328,9 @@ class PencilEigenpairs:
 def _pencil_eigenpairs(spec: OperatorSpec, basis: SpectralBasis) -> PencilEigenpairs:
     """Generalized eigenvalues z of (D + z*A^0) v = 0 with eigenvectors, from one
     eigensolve of (base0, -A^0) on the pencil of (spec, basis) in its arithmetic
-    (`_arithmetic_parts`), and every residual from one product."""
+    (`ModePencil.parts`), and every residual from one product."""
     pencil = mode_operator_parts(spec, basis)
-    base0, a0 = _arithmetic_parts(pencil)
+    base0, a0 = pencil.parts
     vals, vecs = scipy.linalg.eig(base0, -a0)
     finite = np.flatnonzero(np.isfinite(vals))
     vals, vecs = vals[finite], vecs[:, finite]
@@ -423,7 +434,7 @@ def find_poles(spec: OperatorSpec, basis: SpectralBasis,
     z_sss = max((r for r in pole_res if r < -PERSIST_TOL), default=-np.inf)
     nonneg = tuple(p for p in poles if p.lam.real >= -PERSIST_TOL)
     return PoleSet(
-        poles=tuple(poles), window=(re_min, re_max), z_star_star=z_ss,
+        poles=tuple(poles), window=(re_min, re_max), z_star_star=z_ss, pencil=pencil,
         z_star_star_star=z_sss, nonneg=nonneg, raw_eigenvalues=raw, edge_flag=edge_flag,
         right_of_window=tuple(right[np.argsort(-right.real, kind="stable")].tolist()),
     )

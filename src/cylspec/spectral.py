@@ -300,6 +300,12 @@ class ModePencil:
         have one, and so may the value-space block, whose DFT leaves roundoff."""
         return not (self.base0.imag.any() or self.a0.imag.any())
 
+    @property
+    def parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """(base0, a0) in the pencil's arithmetic: a real pencil's real parts, which
+        `dggev` solves at under half the cost of `zggev` and BLAS multiplies as reals."""
+        return (self.base0.real, self.a0.real) if self.real else (self.base0, self.a0)
+
     @cached_property
     def schur(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(S, U, left): the complex Schur form a0^{-1} base0 = U S U^H, unsorted,

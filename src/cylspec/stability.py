@@ -21,11 +21,11 @@ the cover aliasing (period translates folding back) is driven below roundoff.
 
 Shifts are batched: each segment is one `forward_transform` and one
 `apply_resolvent` call over its array of shifts, F f solves at one refinement
-shift per pole, and every cover evaluation is one contraction, `_segment_sum`,
-of (times, terms) weights with Fourier coefficients.  `decompose` builds the
-pencil once and passes it to its two segment solves and to F f, so one Schur
-form serves all of them, whether or not the coefficients depend on the periodic
-coordinate.
+shift per pole, and every cover evaluation is one product, `_segment_sum`, of
+weights times phases with Fourier coefficients.  The pole set carries the pencil
+`find_poles` factored and the loop projections (`PoleSet.pencil`,
+`PoleSet.loop_projections`): `decompose`'s segments, F f and its kernel check
+all use its one Schur form, and a pole set from another grid raises.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator_model import OperatorSpec, SpecError
-from .resolvent import PoleSet, apply_multiplier, apply_operator, apply_resolvent, loop_projections
-from .spectral import ModePencil, SpectralBasis, fourier_coefficients, mode_operator_parts
+from .resolvent import PoleSet, apply_multiplier, apply_operator, apply_resolvent
+from .spectral import ModePencil, SpectralBasis, fourier_coefficients
 from .timedomain import FieldOnCover, evolve, fit_log_slope, periodize
 
 # the retarded solution's vertical segment sits SEGMENT_MARGIN right of the
@@ -236,14 +236,14 @@ def _segment_sum(weights: np.ndarray, fields: np.ndarray, basis: SpectralBasis,
                  times: np.ndarray) -> FieldOnCover:
     """sum_k weights[i, k] * field_k(X_i mod 2pi) over cover times X_i.
 
-    The one contraction behind every cover evaluation (segment integrals, loop
-    sums, modal fields): the (times, fields) weights act on the fields' Fourier
-    coefficients, then the modes are summed with their phases exp(i q X).
+    The one product behind every cover evaluation (segment integrals, loop sums,
+    modal fields): the weights times the phases exp(i q X), (times, fields, modes),
+    act on the fields' Fourier coefficients.
     """
     times = np.asarray(times, dtype=float)
-    per_mode = np.tensordot(weights, fourier_coefficients(fields, basis), axes=(1, 0))
-    phases = np.exp(1j * np.outer(times, basis.modes))
-    return FieldOnCover(times, np.einsum("iq,iq...->i...", phases, per_mode), basis)
+    kernel = weights[:, :, None] * np.exp(1j * np.outer(times, basis.modes))[:, None, :]
+    return FieldOnCover(times, np.tensordot(kernel, fourier_coefficients(fields, basis)),
+                        basis)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +342,8 @@ def retarded_solution(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverFo
         n_nodes = segment_node_count(basis)
     if slice_times is None:
         slice_times = default_slice_times(forcing)
-    sol = solve_on_segment(spec, basis, forcing, c, n_nodes)
-    return sol.evaluate(slice_times)
+    pencil = pole_set.pencil_on(basis, spec.N)
+    return solve_on_segment(spec, basis, forcing, c, n_nodes, pencil=pencil).evaluate(slice_times)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +387,7 @@ class FiniteRankPart:
     spec: OperatorSpec
     basis: SpectralBasis
     rank: int
+    pencil: ModePencil      # the pole set's, for operator_applied
 
     def evaluate(self, times: np.ndarray) -> FieldOnCover:
         return self.modal.evaluate(times)
@@ -402,7 +403,8 @@ class FiniteRankPart:
         grow = np.exp(lam * X)
         hi = power > 0
         weights = np.hstack([X ** power * grow, power[hi] * X ** (power[hi] - 1) * grow[:, hi]])
-        fields = np.concatenate([apply_operator(self.spec, self.basis, lam, profiles),
+        fields = np.concatenate([apply_operator(self.spec, self.basis, lam, profiles,
+                                                pencil=self.pencil),
                                  apply_multiplier(self.spec, self.basis, profiles[hi])])
         return _segment_sum(weights, fields, self.basis, times)
 
@@ -418,8 +420,7 @@ class FiniteRankPart:
 
 
 def build_finite_rank_part(spec: OperatorSpec, basis: SpectralBasis, pole_set: PoleSet,
-                           forcing: CoverForcing, *,
-                           pencil: ModePencil | None = None) -> FiniteRankPart:
+                           forcing: CoverForcing) -> FiniteRankPart:
     """F f: the loop integrals of exp(z X) D_z^{-1} f_z about the nonnegative strip
     poles, as a modal field, from exact Laurent coefficients.
 
@@ -432,15 +433,13 @@ def build_finite_rank_part(spec: OperatorSpec, basis: SpectralBasis, pole_set: P
     are then refined by one step of inverse iteration against the true blocks,
     p_k <- D_{lam+d}^{-1} A^0 (d p_k - (k+1) p_{k+1}) at d = REFINE_SHIFT^(1/m),
     which fixes the exact chain D_lam p_k + (k+1) A^0 p_{k+1} = 0 and damps the
-    rounding of the Schur factors off the pole's subspace.  Pole orders and
-    ranks come from the supplied pole set.
+    rounding of the Schur factors off the pole's subspace.  Pole orders, ranks,
+    projections and the pencil come from the pole set.
     """
-    if pencil is None:
-        pencil = mode_operator_parts(spec, basis)
+    pencil = pole_set.pencil_on(basis, spec.N)
     terms: list[ModalTerm] = []
-    for pole in pole_set.nonneg:
+    for pole, blocks in zip(pole_set.nonneg, pole_set.loop_projections):
         lam, order = pole.source, pole.order
-        blocks = loop_projections(pencil, lam, pole.radius)
         g = pencil.columns(np.array([forward_transform(forcing, lam, basis, order=ell)
                                      for ell in range(order)]))
         cols = np.zeros((order, len(pencil.modes), len(pencil.a0)), dtype=complex)
@@ -463,7 +462,7 @@ def build_finite_rank_part(spec: OperatorSpec, basis: SpectralBasis, pole_set: P
         terms += [ModalTerm(lam=lam, power=k, profile=profiles[k]) for k in range(order)]
     modal = ModalField(terms=tuple(terms), basis=basis, N=forcing.N)
     return FiniteRankPart(modal=modal, spec=spec, basis=basis,
-                          rank=sum(p.rank for p in pole_set.nonneg))
+                          rank=sum(p.rank for p in pole_set.nonneg), pencil=pencil)
 
 
 # ---------------------------------------------------------------------------
@@ -518,13 +517,13 @@ def decompose(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverForcing,
     times = t1 + DECAY_PERIODS * period * np.arange(n_slices + 1) / n_slices
 
     n_nodes = segment_node_count(basis)
-    pencil = mode_operator_parts(spec, basis)
+    pencil = pole_set.pencil_on(basis, spec.N)
     u_ret = solve_on_segment(spec, basis, forcing, segment_abscissa(pole_set), n_nodes,
                              pencil=pencil).evaluate(times)
     c_decay = DECAY_ABSCISSA * max(pole_set.z_star_star_star, pole_set.window[0])
     difference = solve_on_segment(spec, basis, forcing, c_decay, n_nodes,
                                   pencil=pencil).evaluate(times)
-    part = build_finite_rank_part(spec, basis, pole_set, forcing, pencil=pencil)
+    part = build_finite_rank_part(spec, basis, pole_set, forcing)
 
     first = slice(0, SLICES_PER_PERIOD + 1)
     subtracted = u_ret.values[first] - part.evaluate(times[first]).values

@@ -141,6 +141,15 @@ def test_compare_passes(tmp_path):
     assert doc["deltas"]["periodize_vs_solve"] <= 1e-5
 
 
+def test_compare_default_bump_on_ex1s_passes_at_qmax_24(tmp_path):
+    # the default bump's band tail puts evolve_vs_retarded over 1e-3 at --qmax 16
+    # on EX1S; 24 modes resolve it
+    code = run(["compare", "--fixture", "EX1S", "--qmax", "24", "--m", "32",
+                "--out", str(tmp_path)])
+    assert code == 0
+    assert json.loads(read(tmp_path / "compare.json"))["deltas"]["evolve_vs_retarded"] <= 1e-3
+
+
 # d0 - 0.5 x1 d1: the drift points inward at both ends, so outflow (ii) fails; its
 # energy threshold z* is 0.25, and its poles p/2 from 0.5 on lie right of it
 INFLOW = {"n": 1, "N": 1, "B": [], "A": [[{"alpha": [0, 0], "matrix": [[[1.0, 0.0]]]}],

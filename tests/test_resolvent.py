@@ -25,6 +25,7 @@ from cylspec.resolvent import (
     _pencil_eigenvalues,
     _persistent,
     _projection_family,
+    _schur_solve,
     _strip_distance,
     apply_operator,
     apply_resolvent,
@@ -44,6 +45,7 @@ from cylspec.spectral import (
     mode_operator_parts,
     multiplier_matrix,
 )
+from cylspec.stability import forward_transform, make_forcing, segment_abscissa
 
 
 # -- direct solves --------------------------------------------------------------
@@ -206,6 +208,68 @@ def test_batched_resolvent_rejects_nan_forcing(ex1, basis_q4m32):
     with pytest.raises(NearPoleError) as err:
         apply_resolvent(ex1, basis_q4m32, np.array([1.0, 1.5]), f)
     assert err.value.z == 1.5 and np.isnan(err.value.residual)
+
+
+def _reference_schur_solve(pencil, w, rhs):
+    """_schur_solve without its residual check, each row's pivots formed as the
+    row is reached and every product complex."""
+    tri, U, left = pencil.schur
+    flat = w.reshape(-1)
+
+    def solve(r):
+        y = left @ r
+        for k in range(len(tri) - 1, -1, -1):
+            y[k] -= tri[k, k + 1:] @ y[k + 1:]
+            y[k] /= tri[k, k] + flat
+        return U @ y
+
+    u = solve(rhs)
+    return u + solve(rhs - pencil.base0 @ u - (pencil.a0 @ u) * flat)
+
+
+def _block_columns(pencil, shifts, f):
+    """(w, rhs): the shifts per block and the block columns of f, one per (shift,
+    block), as apply_resolvent hands them to _schur_solve."""
+    w = shifts[:, None] + 1j * pencil.modes
+    f = np.broadcast_to(f, shifts.shape + pencil.grid_shape)
+    return w, pencil.columns(f).reshape(w.size, len(pencil.a0)).T
+
+
+def test_schur_solve_matches_reference_in_both_arithmetics(ex1s, basis_q16m32,
+                                                           poles_ex1s_q16):
+    # real: decompose's retarded segment for EX1S at q16m32, 33 shifts x 33 modes;
+    # complex: a segment right of the hermitian-A0 spec's poles on random data
+    pencil = poles_ex1s_q16.pencil
+    shifts = segment_abscissa(poles_ex1s_q16) + 1j * np.arange(33) / 33
+    f = forward_transform(make_forcing(basis_q16m32, "default"), shifts, basis_q16m32)
+    cases = [(pencil, *_block_columns(pencil, shifts, f))]
+    spec = _hermitian_a0_spec()
+    pencil = mode_operator_parts(spec, build_basis(4, 16))
+    vals = scipy.linalg.eigvals(pencil.base0, -pencil.a0)
+    shifts = vals[np.isfinite(vals)].real.max() + 0.3 + 1j * np.arange(17) / 17
+    rng = np.random.default_rng(1)
+    f = rng.standard_normal((17,) + pencil.grid_shape) \
+        + 1j * rng.standard_normal((17,) + pencil.grid_shape)
+    cases.append((pencil, *_block_columns(pencil, shifts, f)))
+    assert [(p.real, rhs.shape[1]) for p, _w, rhs in cases] == [(True, 1089), (False, 153)]
+    for pencil, w, rhs in cases:
+        ref = _reference_schur_solve(pencil, w, rhs)
+        assert _rel(_schur_solve(pencil, w, rhs), ref) <= 1e-12
+
+
+def test_schur_solve_raises_at_a_pole_and_on_nan(ex1, wobble):
+    # in both arithmetics: the first shift at a pole is named with its nearest
+    # pole, and a NaN right-hand side fails the residual check
+    for spec, basis in _at_pole_cases(ex1, wobble):
+        pencil = mode_operator_parts(spec, basis)
+        f = np.ones((2,) + pencil.grid_shape, dtype=complex)
+        with pytest.raises(NearPoleError) as err:
+            _schur_solve(pencil, *_block_columns(pencil, np.array([1.0, 0.0]), f))
+        assert err.value.z == 0.0 and abs(err.value.nearest) < 1e-8
+        f[1, 2, 3, 0] = np.nan
+        with pytest.raises(NearPoleError) as err:
+            _schur_solve(pencil, *_block_columns(pencil, np.array([1.0, 1.5]), f))
+        assert err.value.z == 1.5 and np.isnan(err.value.residual)
 
 
 # -- pole location ----------------------------------------------------------------

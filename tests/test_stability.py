@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cylspec import stability
+from cylspec import resolvent, spectral, stability
 from cylspec.operator_model import SpecError, fixture
 from cylspec.resolvent import _loop_nodes, apply_resolvent, find_poles
-from cylspec.spectral import assemble_operator, build_basis, fourier_coefficients
+from cylspec.spectral import (
+    assemble_operator,
+    build_basis,
+    fourier_coefficients,
+    mode_operator_parts,
+)
 from cylspec.stability import (
     REFINE_SHIFT,
     BumpProfile,
@@ -252,12 +257,38 @@ def test_segment_sum_matches_time_loop(basis_q4m32):
     assert np.array_equal(got.times, times) and _close(got.values, ref)
 
 
+def _reference_segment_sum(weights, fields, basis, times):
+    """The cover sum as two contractions: the weights on the Fourier coefficients,
+    then the modes summed with their phases."""
+    per_mode = np.tensordot(weights, fourier_coefficients(fields, basis), axes=(1, 0))
+    phases = np.exp(1j * np.outer(times, basis.modes))
+    return np.einsum("iq,iq...->i...", phases, per_mode)
+
+
+@pytest.mark.parametrize("count", [0, 2, 33])
+def test_segment_sum_matches_two_contractions(basis_q16m32, count):
+    # a decay window on a segment of `count` nodes; no nodes (an empty nonnegative
+    # pole set) sums to zero
+    times = np.linspace(12.0, 50.0, 49)
+    shifts = -0.2 + 1j * np.arange(count) / max(count, 1)
+    weights = np.exp(np.outer(times, shifts)) / max(count, 1)
+    fields = _random_fields(basis_q16m32, count, N=2, seed=count)
+    got = _segment_sum(weights, fields, basis_q16m32, times)
+    ref = _reference_segment_sum(weights, fields, basis_q16m32, times)
+    assert got.values.shape == ref.shape == (49, 33, 2)
+    if count:
+        assert np.abs(got.values - ref).max() <= 1e-13 * np.abs(ref).max()
+    else:
+        assert not got.values.any()
+
+
 def _modal_part(ex1, basis):
     profiles = _random_fields(basis, 3, seed=1)
     terms = (ModalTerm(0.25 + 0.1j, 0, profiles[0]), ModalTerm(0.25 + 0.1j, 1, profiles[1]),
              ModalTerm(-0.3, 2, profiles[2]))
     modal = ModalField(terms=terms, basis=basis, N=1)
-    return FiniteRankPart(modal=modal, spec=ex1, basis=basis, rank=0)
+    return FiniteRankPart(modal=modal, spec=ex1, basis=basis, rank=0,
+                          pencil=mode_operator_parts(ex1, basis))
 
 
 def _loop_sum(shifts, weights, fields, basis, times):
@@ -334,16 +365,15 @@ def test_retarded_residual_and_retardation(ex1, basis_q16m32, poles_ex1_q16,
     assert np.abs(field.values[before]).max() < 1e-6
 
 
-def test_retardation_of_default_bump(ex1, poles_ex1):
+def test_retardation_of_default_bump(ex1):
     # the default bump has a slow band tail; its 1e-6 retardation contract
     # needs the band resolved to roughly thirty modes
-    from cylspec.spectral import build_basis
-
     basis = build_basis(32, 32)
     forcing = make_forcing(basis, "default")
     slices = aligned_times(basis, range(-7, 0))
     slices = slices[slices < forcing.support[0] - 1e-9]
-    field = retarded_solution(ex1, basis, forcing, poles_ex1, slice_times=slices)
+    poles = find_poles(ex1, basis, window=(-2.2, 1.0))
+    field = retarded_solution(ex1, basis, forcing, poles, slice_times=slices)
     assert np.abs(field.values).max() < 1e-6
 
 
@@ -357,14 +387,13 @@ def test_path_independence(ex1, basis_q16m32, poles_ex1_q16, pulse_forcing):
     assert np.abs(u1.values - u2.values).max() < 1e-8 * scale
 
 
-def test_path_independence_of_bump_converges_with_band(ex1, poles_ex1):
+def test_path_independence_of_bump_converges_with_band(ex1):
     # with the default bump the deviation is set by the unresolved band tail
     # and shrinks steadily as the band grows
-    from cylspec.spectral import build_basis
-
     deviations = []
     for Q in (16, 32):
         basis = build_basis(Q, 32)
+        poles_ex1 = find_poles(ex1, basis, window=(-2.2, 1.0))
         forcing = make_forcing(basis, "default")
         t1 = forcing.support[1]
         slices = aligned_times(basis, range(-7, 4))
@@ -566,8 +595,12 @@ def test_default_slice_grid_covers_both_sides(basis_q4m32):
 def test_one_schur_form_per_pole_search_and_decomposition(monkeypatch, ex1s, basis_q16m32,
                                                           poles_ex1s_q16, default_forcing_q16):
     # find_poles reorders one Schur form of A0^-1 base0 for all its poles (none
-    # without poles); decompose shares one among its two segments, its
-    # projections and its refinement solves
+    # without poles); decompose builds no pencil and takes no Schur form: its two
+    # segments, its projections, its refinement solves and its kernel check all
+    # use the pole set's
+    def no_pencil(*args, **kwargs):
+        raise AssertionError("a pencil was built")
+
     calls = []
     schur = scipy.linalg.schur
 
@@ -580,5 +613,19 @@ def test_one_schur_form_per_pole_search_and_decomposition(monkeypatch, ex1s, bas
     assert calls == [None]
     assert not find_poles(fixture("CE-FLAT"), build_basis(4, 16)).poles
     assert calls == [None]
+    for module in (spectral, resolvent, stability):
+        monkeypatch.setattr(module, "mode_operator_parts", no_pencil, raising=False)
     dec = decompose(ex1s, basis_q16m32, default_forcing_q16, poles_ex1s_q16)
-    assert dec.rank == 2 and calls == [None, None]
+    assert dec.rank == 2 and calls == [None]
+
+
+def test_pole_set_from_another_grid_raises(ex1s, basis_q16m32, poles_ex1s,
+                                           default_forcing_q16):
+    # the pole set's pencil is the only one decompose solves on: a q4m32 pole set
+    # cannot serve a q16m32 basis
+    args = (ex1s, basis_q16m32)
+    for call in (lambda: decompose(*args, default_forcing_q16, poles_ex1s),
+                 lambda: build_finite_rank_part(*args, poles_ex1s, default_forcing_q16),
+                 lambda: retarded_solution(*args, default_forcing_q16, poles_ex1s)):
+        with pytest.raises(ValueError, match=r"\(9, 33, 1\).*\(33, 33, 1\)"):
+            call()
