@@ -277,7 +277,7 @@ def cmd_evolve(args, spec, out: RunOutput) -> int:
 def cmd_compare(args, spec, out: RunOutput) -> int:
     basis, pole_set = _poles(args, spec)
     deltas = cross_engine_deltas(spec, basis, _forcing(args, spec, basis),
-                                 segment_abscissa(pole_set))
+                                 segment_abscissa(pole_set), pencil=pole_set.pencil)
     out.write("compare.json", {"deltas": deltas, "thresholds": CROSS_ENGINE_TOL})
     ok = all(deltas[k] <= CROSS_ENGINE_TOL[k] for k in deltas)
     for k in sorted(deltas):

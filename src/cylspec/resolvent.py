@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -144,41 +144,46 @@ def _mode_batched(spec: OperatorSpec, basis: SpectralBasis, z, f: np.ndarray,
     return out if np.ndim(z) else out[0]
 
 
-def _schur_solve(pencil: ModePencil, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _schur_solve(pencil: ModePencil, w: np.ndarray, rhs: np.ndarray,
+                 node: np.ndarray) -> np.ndarray:
     """Solve (base0 + w_j*a0) u_j = rhs_j for every column j from the pencil's Schur
     form a0^{-1} base0 = U S U^H: a back-substitution with S + w_j I per column,
     then one refinement step against the true blocks, its residual built in place
-    (a real pencil multiplies on the float view of the columns).  The first shift
-    whose relative residual exceeds 1e-10, or is NaN, raises NearPoleError; its
-    nearest pole -S_kk - i*q is the shift minus the smallest pivot S_kk + w."""
+    (a real pencil multiplies on the float view of the columns).
+
+    Column j belongs to node node[j] (0, 1, ..), whose first column is at its shift
+    (mode 0).  The first node whose relative residual over its columns exceeds
+    1e-10, or is NaN, raises NearPoleError at that shift; its nearest pole
+    -S_kk - i*q is the shift minus the node's smallest pivot S_kk + w."""
     tri, U, left = pencil.schur
     base0, a0 = pencil.parts
-    flat = w.reshape(-1)
 
     def solve(r):
         y = left @ r
         for k in range(len(tri) - 1, -1, -1):
             y[k] -= tri[k, k + 1:] @ y[k + 1:]
-            y[k] /= tri[k, k] + flat
+            y[k] /= tri[k, k] + w
         return U @ y
 
     def residual(u):
         v = u.view(float) if pencil.real else u
         r = (a0 @ v).view(complex)
-        r *= flat
+        r *= w
         r += (base0 @ v).view(complex)
         return np.subtract(rhs, r, out=r)
+
+    def by_node(x):
+        return np.sqrt(np.bincount(node, np.linalg.norm(x, axis=0) ** 2))
 
     with np.errstate(all="ignore"):
         u = solve(rhs)
         u += solve(residual(u))
-        by_shift = (len(tri),) + w.shape
-        rel = np.linalg.norm(residual(u).reshape(by_shift), axis=(0, 2)) \
-            / np.maximum(np.linalg.norm(rhs.reshape(by_shift), axis=(0, 2)), 1e-300)
+        rel = by_node(residual(u)) / np.maximum(by_node(rhs), 1e-300)
     bad = np.flatnonzero(~(rel <= 1e-10))
     if bad.size:
-        z = w[bad[0], 0]
-        pivots = (np.diag(tri) + w[bad[0], :, None]).ravel()
+        cols = np.flatnonzero(node == bad[0])
+        z = w[cols[0]]
+        pivots = (np.diag(tri) + w[cols, None]).ravel()
         raise NearPoleError(complex(z), complex(z - pivots[np.argmin(np.abs(pivots))]),
                             float(rel[bad[0]]))
     return u
@@ -187,9 +192,13 @@ def _schur_solve(pencil: ModePencil, w: np.ndarray, rhs: np.ndarray) -> np.ndarr
 def apply_resolvent(spec: OperatorSpec, basis: SpectralBasis, z, f: np.ndarray, *,
                     pencil: ModePencil | None = None) -> np.ndarray:
     """u = (D + z*A^0)^{-1} f without forming the inverse, batched over shifts
-    (_mode_batched) and solved by _schur_solve.  Callers that solve more than once
-    pass the pencil of (spec, basis), so its Schur form is taken once."""
-    return _mode_batched(spec, basis, z, f, _schur_solve, pencil)
+    (_mode_batched) and solved by _schur_solve, one node per shift.  Callers that
+    solve more than once pass the pencil of (spec, basis), so its Schur form is
+    taken once."""
+    def modal(p, w, cols):
+        return _schur_solve(p, w.reshape(-1), cols, np.repeat(np.arange(len(w)), w.shape[1]))
+
+    return _mode_batched(spec, basis, z, f, modal, pencil)
 
 
 def apply_operator(spec: OperatorSpec, basis: SpectralBasis, z, u: np.ndarray, *,
@@ -376,6 +385,12 @@ def _persistent(vals: np.ndarray, modes: np.ndarray, fine: ModePencil) -> np.nda
     return out
 
 
+@lru_cache(maxsize=8)
+def _doubled_basis(Q_max: int, M: int) -> SpectralBasis:
+    """The persistence test's basis, Q_max + 2 and 2M, built once per (Q_max, M)."""
+    return build_basis(Q_max + 2, 2 * M)
+
+
 def find_poles(spec: OperatorSpec, basis: SpectralBasis,
                window: tuple[float, float] = (-2.2, 2.2),
                *, compute_projections: bool = True) -> PoleSet:
@@ -398,7 +413,7 @@ def find_poles(spec: OperatorSpec, basis: SpectralBasis,
     pencil, vals = pairs.pencil, pairs.vals
     modes = pencil.modes
     persistent = _persistent(
-        vals, modes, mode_operator_parts(spec, build_basis(basis.Q_max + 2, 2 * basis.M)))
+        vals, modes, mode_operator_parts(spec, _doubled_basis(basis.Q_max, basis.M)))
     eigenvalues = pairs.eigenvalues
 
     candidate = persistent & ((re_min - pad <= vals.real) & (vals.real <= re_max + pad))

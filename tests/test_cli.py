@@ -150,6 +150,28 @@ def test_compare_default_bump_on_ex1s_passes_at_qmax_24(tmp_path):
     assert json.loads(read(tmp_path / "compare.json"))["deltas"]["evolve_vs_retarded"] <= 1e-3
 
 
+def test_compare_builds_one_working_pencil(tmp_path, monkeypatch):
+    # the pole search's pencil serves the segment and the periodize reference solve;
+    # the persistence test's doubled pencil is the only other one
+    from cylspec import resolvent, spectral, stability
+
+    built = []
+    build = spectral.mode_operator_parts
+
+    def counted(spec, basis):
+        built.append((basis.Q_max, basis.M))
+        return build(spec, basis)
+
+    for module in (spectral, resolvent, stability):
+        monkeypatch.setattr(module, "mode_operator_parts", counted)
+    pulse = tmp_path / "pulse.json"
+    pulse.write_text(json.dumps({"time_gaussian": {"center": 3 * math.pi, "sigma": 0.7}}))
+    code = run(["compare", "--fixture", "EX1S", "--qmax", "16", "--m", "32",
+                "--forcing", str(pulse), "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert sorted(built) == [(16, 32), (18, 64)]
+
+
 # d0 - 0.5 x1 d1: the drift points inward at both ends, so outflow (ii) fails; its
 # energy threshold z* is 0.25, and its poles p/2 from 0.5 on lie right of it
 INFLOW = {"n": 1, "N": 1, "B": [], "A": [[{"alpha": [0, 0], "matrix": [[[1.0, 0.0]]]}],

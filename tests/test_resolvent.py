@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from cylspec import resolvent
 from cylspec.operator_model import (
     OperatorSpec,
     SpecError,
@@ -228,11 +229,13 @@ def _reference_schur_solve(pencil, w, rhs):
 
 
 def _block_columns(pencil, shifts, f):
-    """(w, rhs): the shifts per block and the block columns of f, one per (shift,
-    block), as apply_resolvent hands them to _schur_solve."""
+    """(w, rhs, node): the shift per column, the block columns of f, one per (shift,
+    block), and each column's shift index, as apply_resolvent hands them to
+    _schur_solve."""
     w = shifts[:, None] + 1j * pencil.modes
     f = np.broadcast_to(f, shifts.shape + pencil.grid_shape)
-    return w, pencil.columns(f).reshape(w.size, len(pencil.a0)).T
+    return (w.ravel(), pencil.columns(f).reshape(w.size, len(pencil.a0)).T,
+            np.repeat(np.arange(len(shifts)), len(pencil.modes)))
 
 
 def test_schur_solve_matches_reference_in_both_arithmetics(ex1s, basis_q16m32,
@@ -251,10 +254,10 @@ def test_schur_solve_matches_reference_in_both_arithmetics(ex1s, basis_q16m32,
     f = rng.standard_normal((17,) + pencil.grid_shape) \
         + 1j * rng.standard_normal((17,) + pencil.grid_shape)
     cases.append((pencil, *_block_columns(pencil, shifts, f)))
-    assert [(p.real, rhs.shape[1]) for p, _w, rhs in cases] == [(True, 1089), (False, 153)]
-    for pencil, w, rhs in cases:
+    assert [(p.real, rhs.shape[1]) for p, _w, rhs, _n in cases] == [(True, 1089), (False, 153)]
+    for pencil, w, rhs, node in cases:
         ref = _reference_schur_solve(pencil, w, rhs)
-        assert _rel(_schur_solve(pencil, w, rhs), ref) <= 1e-12
+        assert _rel(_schur_solve(pencil, w, rhs, node), ref) <= 1e-12
 
 
 def test_schur_solve_raises_at_a_pole_and_on_nan(ex1, wobble):
@@ -273,6 +276,24 @@ def test_schur_solve_raises_at_a_pole_and_on_nan(ex1, wobble):
 
 
 # -- pole location ----------------------------------------------------------------
+
+
+def test_doubled_basis_built_once_per_resolution(monkeypatch, ex1s):
+    # the persistence test's basis comes from a cache keyed by (Q_max, M): a second
+    # search builds none, and the pole set is bit-identical
+    def fields(ps):
+        return ([(p.lam, p.order, p.rank, p.residual) for p in ps.poles], ps.raw_eigenvalues)
+
+    resolvent._doubled_basis.cache_clear()
+    basis = build_basis(8, 32)
+    first = find_poles(ex1s, basis, window=(-2.2, 1.0))
+
+    def no_basis(*args):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(resolvent, "build_basis", no_basis)
+    second = find_poles(ex1s, basis, window=(-2.2, 1.0))
+    assert fields(second) == fields(first) and len(first.poles) == 6
 
 
 def test_micro_instance_poles(ex1, basis_q0m2):

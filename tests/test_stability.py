@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 import scipy.linalg
 
 from cylspec import resolvent, spectral, stability
-from cylspec.operator_model import SpecError, fixture
-from cylspec.resolvent import _loop_nodes, apply_resolvent, find_poles
+from cylspec.operator_model import OperatorSpec, SpecError, WeightSequence, fixture
+from cylspec.polynomial import MatrixPolynomial
+from cylspec.resolvent import NearPoleError, _loop_nodes, apply_resolvent, find_poles
 from cylspec.spectral import (
     assemble_operator,
     build_basis,
@@ -343,7 +345,8 @@ def test_operator_applied_matches_time_loop(ex1, basis_q4m32):
     nodes = np.arange(9) / 9
     sol = VerticalPathSolution(spec=ex1, basis=basis, c=0.4, nodes=nodes,
                                solutions=_random_fields(basis, 9, seed=2),
-                               forcing=make_forcing(basis, "default"))
+                               forcing=make_forcing(basis, "default"),
+                               pencil=mode_operator_parts(ex1, basis))
     for method, fields in ((sol.evaluate, sol.solutions),
                            (sol.operator_applied,
                             [dense(z, u) for z, u in zip(sol.shifts, sol.solutions)])):
@@ -421,6 +424,116 @@ def test_segment_left_of_poles_rejected(ex1s, basis_q4m32, poles_ex1s):
     forcing = make_forcing(basis_q4m32, "default")
     with pytest.raises(SpecError, match="right of the poles"):
         retarded_solution(ex1s, basis_q4m32, forcing, poles_ex1s, c=0.5)
+
+
+# -- the mirrored segment ------------------------------------------------------------
+
+
+def _full_segment(spec, basis, forcing, c, n_nodes, pencil=None):
+    """Every node of the segment solved, as apply_resolvent solves a batch of shifts."""
+    shifts = c + 1j * (np.arange(n_nodes) / n_nodes)
+    return apply_resolvent(spec, basis, shifts, forward_transform(forcing, shifts, basis),
+                           pencil=pencil)
+
+
+# each excites x0 = 0 mod 2pi, the one time node at Q_max = 0
+MIRROR_FORCINGS = {
+    "bump": {"time_bump": {"center": 7.5, "width": math.pi}},
+    "pulse": {"time_gaussian": {"center": 7.0, "sigma": 0.7}},
+    "odd": {"time_bump": {"center": 7.5, "width": math.pi},
+            "space": {"type": "polynomial", "coeffs": [0.0, 1.0]}},
+}
+
+
+def _counted_schur_solve(monkeypatch):
+    """Patch stability's _schur_solve to record how many columns each call solves."""
+    counts = []
+
+    def counted(pencil, w, rhs, node):
+        counts.append(rhs.shape[1])
+        return resolvent._schur_solve(pencil, w, rhs, node)
+
+    monkeypatch.setattr(stability, "_schur_solve", counted)
+    return counts
+
+
+@pytest.mark.parametrize("name, c, c_decay", [("EX1", 0.3, -0.375), ("EX1S", 1.05, -0.1875)])
+@pytest.mark.parametrize("q_max, m", [(16, 32), (4, 32), (0, 16)])
+def test_mirrored_segment_matches_full_solve(monkeypatch, name, c, c_decay, q_max, m):
+    # decompose's two abscissas (z** + 0.3 and 0.75 z***), odd and even node counts;
+    # (n-k, q) = conj((k, -q-1)), with the mode -Q-1 column solved at the partner.
+    # Near the decaying pole the blocks' condition reaches 2.6e6 (EX1S, q16m32, mode
+    # -1): there the full solve itself moves by 1e-13 relative when its shifts move
+    # by one ulp, and the two solves agree to the conditioning, not to 1e-13
+    spec, basis = fixture(name), build_basis(q_max, m)
+    pencil = mode_operator_parts(spec, basis)
+    counts = _counted_schur_solve(monkeypatch)
+    for n_nodes in (33, 34):
+        for doc in MIRROR_FORCINGS.values():
+            forcing = make_forcing(basis, doc)
+            for abscissa, tol in ((c, 1e-13), (c_decay, 1e-11)):
+                got = solve_on_segment(spec, basis, forcing, abscissa, n_nodes, pencil=pencil)
+                ref = _full_segment(spec, basis, forcing, abscissa, n_nodes)
+                assert np.abs(ref).max() > 0
+                assert np.abs(got.solutions - ref).max() <= tol * np.abs(ref).max()
+        half = n_nodes // 2
+        assert counts[-1] == (half + 1) * basis.n_time + n_nodes - half - 1
+    if q_max == 16:
+        assert counts[0] == 577
+
+
+def test_segment_solves_every_node_for_complex_forcing_or_pencil(monkeypatch, ex1s,
+                                                                 basis_q16m32):
+    # a forcing with an imaginary part, and the hermitian-A0 spec's complex pencil,
+    # take the full solve unchanged
+    counts = _counted_schur_solve(monkeypatch)
+    doc = MIRROR_FORCINGS["pulse"]
+    real = make_forcing(basis_q16m32, doc)
+    tilted = dataclasses.replace(real, space=real.space * (1.0 + 0.5j))
+    herm, basis = _hermitian_a0_spec(), build_basis(4, 16)
+    cases = [(ex1s, basis_q16m32, tilted, 1.05),
+             (herm, basis, make_forcing(basis, doc, N=2), 1.6)]
+    for spec, basis, forcing, c in cases:
+        pencil = mode_operator_parts(spec, basis)
+        assert not (pencil.real and forcing.real)
+        got = solve_on_segment(spec, basis, forcing, c, 33, pencil=pencil)
+        ref = _full_segment(spec, basis, forcing, c, 33, pencil)
+        assert np.array_equal(got.solutions, ref)
+    assert counts == []
+
+
+def _rotation_spec(omega):
+    """EX1 times the identity plus the real rotation B = [[0, omega], [-omega, 0]]:
+    a real pencil with the complex strip poles -p/2 -+ i*omega."""
+    eye = np.eye(2)
+    return OperatorSpec(
+        n=1, N=2,
+        A=(MatrixPolynomial.constant(eye, 2), MatrixPolynomial(2, (2, 2), {(0, 1): 0.5 * eye})),
+        B=MatrixPolynomial.constant([[0.0, omega], [-omega, 0.0]], 2),
+        weights=WeightSequence.geometric(0.024, 16), Q=1.0, name="EX1 x rotation",
+    )
+
+
+def test_mirrored_segment_raises_at_a_pole(ex1, basis_q16m32):
+    # EX1's pole 0 is node 0 at c = 0.  On the rotation spec with omega = 0.75 and
+    # eight nodes at c = 0, the upper-half node 6 (z = 0.75i) sits on a pole and is
+    # mirrored from node 2 (z = 0.25i), which raises.  At Q_max = 0 only node 2's
+    # mode -1 column, solved for node 6, is singular
+    forcing = make_forcing(basis_q16m32, MIRROR_FORCINGS["pulse"])
+    with pytest.raises(NearPoleError) as err:
+        solve_on_segment(ex1, basis_q16m32, forcing, 0.0, 33)
+    assert err.value.z == 0.0 and err.value.distance < 1e-8
+    spec = _rotation_spec(0.75)
+    for q_max in (0, 4):
+        basis = build_basis(q_max, 16)
+        forcing = make_forcing(basis, MIRROR_FORCINGS["pulse"], N=2)
+        with pytest.raises(NearPoleError) as err:
+            solve_on_segment(spec, basis, forcing, 0.0, 8)
+        assert err.value.z == 0.25j and err.value.distance < 1e-8
+        # solving every node, node 6 is the first to raise at Q_max = 0
+        with pytest.raises(NearPoleError) as err:
+            _full_segment(spec, basis, forcing, 0.0, 8)
+        assert err.value.z == (0.75j if q_max == 0 else 0.25j)
 
 
 # -- the finite-rank part -----------------------------------------------------------
