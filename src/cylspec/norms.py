@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -41,72 +40,6 @@ def multi_indices(n_vars: int, ell: int) -> MultiIndexTable:
         indices.append(alpha)
         weights.append(fact // math.prod(math.factorial(a) for a in alpha))
     return MultiIndexTable(n_vars, ell, tuple(indices), tuple(weights))
-
-
-# relative tolerance of check_combinatorial_identity
-IDENTITY_TOL = 1e-12
-
-
-def check_combinatorial_identity(n_vars: int, ell: int,
-                                 c: dict[tuple[int, ...], complex]) -> bool:
-    """Whether the neighbor-sum identity holds for the collection c on |alpha| = ell.
-
-    Summing c over the n_vars successors of every |beta| = ell-1 with weights
-    (ell-1)!/beta! must reproduce the weighted sum over |alpha| = ell.
-    """
-    if ell < 1:
-        raise ValueError("identity needs ell >= 1")
-    lower, upper = multi_indices(n_vars, ell - 1), multi_indices(n_vars, ell)
-    lhs = 0.0 + 0.0j
-    for beta, w in zip(lower.indices, lower.weights):
-        for i in range(n_vars):
-            alpha = tuple(b + (1 if j == i else 0) for j, b in enumerate(beta))
-            lhs += w * c.get(alpha, 0.0)
-    rhs = sum(w * c.get(alpha, 0.0) for alpha, w in zip(upper.indices, upper.weights))
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    return abs(lhs - rhs) <= IDENTITY_TOL * scale
-
-
-def resummation_coefficient(n: int, ell: int, k: int, gamma: tuple[int, ...]) -> Fraction:
-    """Brute-force count of weighted (alpha, beta, i) chains landing on gamma.
-
-    For |gamma| = ell-k+1 this is the coefficient appearing when an order-ell
-    weighted square sum of k-th coefficient derivatives is re-expressed as a sum
-    over the derivative index gamma; it is independent of gamma and equals
-    C(ell, k) * C(ell+n, k).  Exact rational arithmetic throughout.
-    """
-    if not 0 <= k <= ell:
-        raise ValueError("need 0 <= k <= ell")
-    n_vars = n + 1
-    if len(gamma) != n_vars or sum(gamma) != ell - k + 1:
-        raise ValueError("gamma must have |gamma| = ell-k+1")
-    total = Fraction(0)
-    k_fact = math.factorial(k)
-    ell_fact = math.factorial(ell)
-    for alpha in _compositions(n_vars, ell):
-        alpha_fact = math.prod(math.factorial(a) for a in alpha)
-        w_alpha = Fraction(ell_fact, alpha_fact)
-        for beta in _compositions(n_vars, k):
-            if any(b > a for a, b in zip(alpha, beta)):
-                continue
-            binom = math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
-            beta_fact = math.prod(math.factorial(b) for b in beta)
-            for i in range(n_vars):
-                target = tuple(a - b + (1 if j == i else 0)
-                               for j, (a, b) in enumerate(zip(alpha, beta)))
-                if target == gamma:
-                    total += w_alpha * Fraction(beta_fact, k_fact) * binom * binom
-    gamma_fact = math.prod(math.factorial(g) for g in gamma)
-    return total * Fraction(gamma_fact, math.factorial(ell - k + 1))
-
-
-def check_resummation_coefficient(n: int, ell: int, k: int) -> bool:
-    """Verify the closed form C(ell,k)*C(ell+n,k) for every |gamma| = ell-k+1, exactly."""
-    expected = Fraction(math.comb(ell, k) * math.comb(ell + n, k))
-    return all(
-        resummation_coefficient(n, ell, k, gamma) == expected
-        for gamma in _compositions(n + 1, ell - k + 1)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -613,7 +613,7 @@ def _spec_from_document(doc: dict) -> OperatorSpec:
 
 
 def _scalar_affine_operator(mu: float, x_star: float, kappa: float, name: str,
-                            shift: float = 0.0, Q: float = 1.0) -> OperatorSpec:
+                            shift: float = 0.0) -> OperatorSpec:
     """d_0 + mu*(x1 - x_star)*d_1 + shift in one spatial dimension."""
     one = MatrixPolynomial.constant([[1.0]], 2)
     a1 = MatrixPolynomial(2, (1, 1), {(0, 1): [[mu]], (0, 0): [[-mu * x_star]]})
@@ -624,7 +624,7 @@ def _scalar_affine_operator(mu: float, x_star: float, kappa: float, name: str,
     )
     return OperatorSpec(
         n=1, N=1, A=(one, a1), B=b, weights=WeightSequence.geometric(kappa, 16),
-        Q=Q, certificate=cert, name=name,
+        Q=1.0, certificate=cert, name=name,
     )
 
 

@@ -51,10 +51,10 @@ class MatrixPolynomial:
         return cls(n_vars, shape, {})
 
     @classmethod
-    def coordinate(cls, var: int, n_vars: int, shape: tuple[int, int] = (1, 1)) -> "MatrixPolynomial":
-        """The scalar monomial x^var times the identity."""
+    def coordinate(cls, var: int, n_vars: int) -> "MatrixPolynomial":
+        """The scalar monomial x^var as a 1 x 1 polynomial."""
         alpha = tuple(1 if i == var else 0 for i in range(n_vars))
-        return cls(n_vars, shape, {alpha: np.eye(shape[0], dtype=complex)})
+        return cls(n_vars, (1, 1), {alpha: np.ones((1, 1), dtype=complex)})
 
     # -- algebra ---------------------------------------------------------------
 

@@ -8,7 +8,7 @@ under resolution doubling, and reduced to the fundamental strip 0 <= Im z < 1.
 Spectral projections are loop integrals of (z - lam)^l D_z^{-1}.  A pole's order
 and rank (`_projection_family`) and the projections themselves, exactly
 (`loop_projections`), come from an ordered Schur form of A^0^{-1} base0; the
-dense trapezoid loop integrals of `spectral_projection` cross-check them.
+dense trapezoid loop integrals of `tests/reference.py` cross-check them.
 
 Every routine works on one block pencil, `spectral.mode_operator_parts`: block q
 of D + z*A^0 is base0 + (z + i*q)*A^0, one block per Fourier mode when the
@@ -18,7 +18,7 @@ A^0^{-1} base0 (`ModePencil.schur`, taken on first use) serves `_schur_solve`
 for every shift and `_loop_blocks` for every pole, which reorders it per pole
 for `loop_projections` and `_projection_family`, and the pole set carries it
 (`PoleSet.pencil`, `PoleSet.loop_projections`).  `resolvent_matrix_for` inverts
-the blocks.
+the blocks into the dense value-space resolvent that those loop integrals sum.
 
 Block q has the eigenvalues of (base0, -A^0) shifted by -i*q and the same
 eigenvectors.  `_pencil_eigenpairs` solves the working pencil with eigenvectors:
@@ -50,10 +50,7 @@ from .spectral import (
     SpectralBasis,
     build_basis,
     chebyshev_coefficients,
-    interior_mode_projector,
     mode_operator_parts,
-    multiplier_matrix,
-    phase_shift_matrix,
     random_band_limited,
 )
 
@@ -495,19 +492,6 @@ def _loop_radius(lam: complex, source: complex, others: list[complex],
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProjectionMatrix:
-    lam: complex
-    ell: int
-    matrix: np.ndarray
-    contour: dict = field(default_factory=dict)
-
-
-def _loop_nodes(center: complex, radius: float, n_nodes: int):
-    theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-    return center + radius * np.exp(1j * theta), np.exp(1j * theta)
-
-
 def _loop_blocks(pencil: ModePencil, center: complex, radius: float):
     """(block index, S, V, k) per block with eigenvalues inside the loop about
     `center`: block q sees the k eigenvalues t of T = a0^{-1} base0 with -t - i*q
@@ -563,73 +547,18 @@ def _projection_family(pencil: ModePencil, center: complex, radius: float) -> tu
     return order, rank
 
 
-def spectral_projection(spec: OperatorSpec, basis: SpectralBasis, lam: complex, ell: int,
-                        *, pole_set: PoleSet | None = None, radius: float | None = None,
-                        n_nodes: int = 32) -> ProjectionMatrix:
-    """Loop-integral projection (2*pi*i)^{-1} x integral of (z-lam)^l D_z^{-1} about lam.
-
-    The radius defaults to find_poles' loop radius when lam is a pole of pole_set,
-    and to 0.2 otherwise.
-    """
-    if radius is None:
-        poles = pole_set.poles if pole_set is not None else ()
-        radius = next((p.radius for p in poles if _strip_distance(p.lam, lam) <= 1e-8), 0.2)
-    if pole_set is not None:
-        for p in pole_set.poles:
-            d = _strip_distance(p.lam, lam)
-            if 1e-8 < d < 2 * radius:
-                raise SpecError(
-                    f"loop of radius {radius} about {lam} too close to pole {p.lam}"
-                )
-    # trapezoid rule on the circle |z - lam| = radius
-    nodes, phases = _loop_nodes(lam, radius, n_nodes)
-    mat = sum(resolvent_matrix_for(spec, basis, z) * ph ** (ell + 1)
-              for z, ph in zip(nodes, phases)) * (radius ** (ell + 1) / n_nodes)
-    return ProjectionMatrix(
-        lam=lam, ell=ell, matrix=mat,
-        contour={"center": lam, "radius": radius, "nodes": n_nodes},
-    )
-
-
 # ---------------------------------------------------------------------------
-# identity and bound checks
+# bound checks
 # ---------------------------------------------------------------------------
-
-
-def verify_resolvent_identities(spec: OperatorSpec, basis: SpectralBasis,
-                                w: complex, w_prime: complex) -> dict:
-    """First resolvent identity and shift-by-i conjugation at the matrix level.
-
-    The conjugation check restricts inputs to interior Fourier modes; the band
-    edge cannot support an exact mode shift.
-    """
-    rw = resolvent_matrix_for(spec, basis, w)
-    rwp = resolvent_matrix_for(spec, basis, w_prime)
-    a0 = multiplier_matrix(spec, basis)
-    lhs = rw - rwp + (w - w_prime) * (rw @ a0 @ rwp)
-    scale = max(np.linalg.norm(rw), np.linalg.norm(rwp), 1.0)
-    resolvent_err = float(np.linalg.norm(lhs)) / scale
-
-    rwi = resolvent_matrix_for(spec, basis, w + 1j)
-    shift = phase_shift_matrix(basis, spec.N, +1)
-    shift_inv = phase_shift_matrix(basis, spec.N, -1)
-    proj = interior_mode_projector(basis, spec.N, drop=1)
-    conj_lhs = (rwi - shift_inv @ rw @ shift) @ proj
-    conj_err = float(np.linalg.norm(conj_lhs)) / scale
-    return {
-        "w": w, "w_prime": w_prime,
-        "resolvent_identity_error": resolvent_err,
-        "conjugation_error": conj_err,
-    }
 
 
 def triple_norm_bound_check(spec: OperatorSpec, basis: SpectralBasis,
-                            samples: int = 100, *, z: complex | None = None,
-                            seed: int = 0) -> dict:
+                            samples: int = 100, *, seed: int = 0) -> dict:
     """Sampled check of the graded resolvent bound against random band-limited data.
 
-    For each sample u the bound reads
-        |||u|||_0 <= 2 * exp(2 r_1 |Im z|) * (xi + 1/R + |Xi|_0 r_1) * |||D_z u|||_1
+    At the real shift z = z* + 0.1, where the general bound's factor
+    exp(2 r_1 |Im z|) is 1, the bound reads for each sample u
+        |||u|||_0 <= 2 * (xi + 1/R + |Xi|_0 r_1) * |||D_z u|||_1
     plus truncation slack; the report carries the worst observed ratio.
     """
     from .norms import triple_norm
@@ -640,14 +569,9 @@ def triple_norm_bound_check(spec: OperatorSpec, basis: SpectralBasis,
         raise SpecError(
             f"r_1 = {spec.weights.r(1)} exceeds the smallness threshold {consts.rho_star}"
         )
-    if z is None:
-        z = consts.z_star + 0.1
-    if z.real < consts.z_star:
-        raise SpecError("bound check requires Re z >= z_star")
-    xi = spec.certificate.xi
-    xi_norm = certificate_norm(spec)
+    z = consts.z_star + 0.1
     r1 = spec.weights.r(1)
-    const = 2.0 * math.exp(2.0 * r1 * abs(z.imag)) * (xi + 1.0 / consts.R + xi_norm * r1)
+    const = 2.0 * (spec.certificate.xi + 1.0 / consts.R + certificate_norm(spec) * r1)
 
     rng = np.random.default_rng(seed)
     worst = 0.0

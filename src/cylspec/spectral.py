@@ -148,22 +148,6 @@ def chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
     return coeff
 
 
-def phase_shift_matrix(basis: SpectralBasis, N: int, sign: int = +1) -> np.ndarray:
-    """Diagonal multiplication by exp(sign*i*x0) on flattened grid functions."""
-    phase = np.exp(sign * 1j * basis.x0)
-    diag = np.repeat(phase, basis.n_space * N)
-    return np.diag(diag)
-
-
-def interior_mode_projector(basis: SpectralBasis, N: int, drop: int = 1) -> np.ndarray:
-    """Projector (as a dense matrix) onto Fourier modes |q| <= Q_max - drop."""
-    n_t = basis.n_time
-    V = np.exp(1j * np.outer(basis.x0, basis.modes))
-    mask = (np.abs(basis.modes) <= basis.Q_max - drop).astype(float)
-    P_t = (V * mask) @ V.conj().T / n_t
-    return np.kron(P_t, np.eye(basis.n_space * N))
-
-
 # random_band_limited keeps Chebyshev degrees below this fraction of M
 BAND_DEGREE_FRAC = 0.5
 

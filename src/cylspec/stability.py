@@ -562,13 +562,10 @@ def decompose(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverForcing,
     n_slices = DECAY_PERIODS * SLICES_PER_PERIOD
     times = t1 + DECAY_PERIODS * period * np.arange(n_slices + 1) / n_slices
 
-    n_nodes = segment_node_count(basis)
-    pencil = pole_set.pencil_on(basis, spec.N)
-    u_ret = solve_on_segment(spec, basis, forcing, segment_abscissa(pole_set), n_nodes,
-                             pencil=pencil).evaluate(times)
+    u_ret = retarded_solution(spec, basis, forcing, pole_set, slice_times=times)
     c_decay = DECAY_ABSCISSA * max(pole_set.z_star_star_star, pole_set.window[0])
-    difference = solve_on_segment(spec, basis, forcing, c_decay, n_nodes,
-                                  pencil=pencil).evaluate(times)
+    difference = solve_on_segment(spec, basis, forcing, c_decay, segment_node_count(basis),
+                                  pencil=pole_set.pencil_on(basis, spec.N)).evaluate(times)
     part = build_finite_rank_part(spec, basis, pole_set, forcing)
 
     first = slice(0, SLICES_PER_PERIOD + 1)

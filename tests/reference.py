@@ -1,0 +1,186 @@
+"""Dense cross-checks of the pipeline that no pipeline runs.
+
+The library computes a pole's projections exactly from the pole set's Schur form
+(`resolvent.loop_projections`); here they come from dense trapezoid loop
+integrals of the value-space resolvent (`spectral_projection`).  The resolvent
+identities are checked at the matrix level (`verify_resolvent_identities`), and
+the combinatorial identities behind the graded norms by brute force in exact
+arithmetic (`check_combinatorial_identity`, `resummation_coefficient`).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from fractions import Fraction
+
+import numpy as np
+
+from cylspec.norms import _compositions, multi_indices
+from cylspec.operator_model import OperatorSpec, SpecError
+from cylspec.resolvent import PoleSet, _strip_distance, resolvent_matrix_for
+from cylspec.spectral import SpectralBasis, multiplier_matrix
+
+# ---------------------------------------------------------------------------
+# dense loop-integral projections
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ProjectionMatrix:
+    lam: complex
+    ell: int
+    matrix: np.ndarray
+    contour: dict = field(default_factory=dict)
+
+
+def _loop_nodes(center: complex, radius: float, n_nodes: int):
+    theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
+    return center + radius * np.exp(1j * theta), np.exp(1j * theta)
+
+
+def spectral_projection(spec: OperatorSpec, basis: SpectralBasis, lam: complex, ell: int,
+                        *, pole_set: PoleSet | None = None, radius: float | None = None,
+                        n_nodes: int = 32) -> ProjectionMatrix:
+    """Loop-integral projection (2*pi*i)^{-1} x integral of (z-lam)^l D_z^{-1} about lam.
+
+    The radius defaults to find_poles' loop radius when lam is a pole of pole_set,
+    and to 0.2 otherwise.
+    """
+    if radius is None:
+        poles = pole_set.poles if pole_set is not None else ()
+        radius = next((p.radius for p in poles if _strip_distance(p.lam, lam) <= 1e-8), 0.2)
+    if pole_set is not None:
+        for p in pole_set.poles:
+            d = _strip_distance(p.lam, lam)
+            if 1e-8 < d < 2 * radius:
+                raise SpecError(
+                    f"loop of radius {radius} about {lam} too close to pole {p.lam}"
+                )
+    # trapezoid rule on the circle |z - lam| = radius
+    nodes, phases = _loop_nodes(lam, radius, n_nodes)
+    mat = sum(resolvent_matrix_for(spec, basis, z) * ph ** (ell + 1)
+              for z, ph in zip(nodes, phases)) * (radius ** (ell + 1) / n_nodes)
+    return ProjectionMatrix(
+        lam=lam, ell=ell, matrix=mat,
+        contour={"center": lam, "radius": radius, "nodes": n_nodes},
+    )
+
+
+# ---------------------------------------------------------------------------
+# matrix-level resolvent identities
+# ---------------------------------------------------------------------------
+
+
+def phase_shift_matrix(basis: SpectralBasis, N: int, sign: int = +1) -> np.ndarray:
+    """Diagonal multiplication by exp(sign*i*x0) on flattened grid functions."""
+    phase = np.exp(sign * 1j * basis.x0)
+    diag = np.repeat(phase, basis.n_space * N)
+    return np.diag(diag)
+
+
+def interior_mode_projector(basis: SpectralBasis, N: int, drop: int = 1) -> np.ndarray:
+    """Projector (as a dense matrix) onto Fourier modes |q| <= Q_max - drop."""
+    n_t = basis.n_time
+    V = np.exp(1j * np.outer(basis.x0, basis.modes))
+    mask = (np.abs(basis.modes) <= basis.Q_max - drop).astype(float)
+    P_t = (V * mask) @ V.conj().T / n_t
+    return np.kron(P_t, np.eye(basis.n_space * N))
+
+
+def verify_resolvent_identities(spec: OperatorSpec, basis: SpectralBasis,
+                                w: complex, w_prime: complex) -> dict:
+    """First resolvent identity and shift-by-i conjugation at the matrix level.
+
+    The conjugation check restricts inputs to interior Fourier modes; the band
+    edge cannot support an exact mode shift.
+    """
+    rw = resolvent_matrix_for(spec, basis, w)
+    rwp = resolvent_matrix_for(spec, basis, w_prime)
+    a0 = multiplier_matrix(spec, basis)
+    lhs = rw - rwp + (w - w_prime) * (rw @ a0 @ rwp)
+    scale = max(np.linalg.norm(rw), np.linalg.norm(rwp), 1.0)
+    resolvent_err = float(np.linalg.norm(lhs)) / scale
+
+    rwi = resolvent_matrix_for(spec, basis, w + 1j)
+    shift = phase_shift_matrix(basis, spec.N, +1)
+    shift_inv = phase_shift_matrix(basis, spec.N, -1)
+    proj = interior_mode_projector(basis, spec.N, drop=1)
+    conj_lhs = (rwi - shift_inv @ rw @ shift) @ proj
+    conj_err = float(np.linalg.norm(conj_lhs)) / scale
+    return {
+        "w": w, "w_prime": w_prime,
+        "resolvent_identity_error": resolvent_err,
+        "conjugation_error": conj_err,
+    }
+
+
+# ---------------------------------------------------------------------------
+# combinatorial identities
+# ---------------------------------------------------------------------------
+
+
+# relative tolerance of check_combinatorial_identity
+IDENTITY_TOL = 1e-12
+
+
+def check_combinatorial_identity(n_vars: int, ell: int,
+                                 c: dict[tuple[int, ...], complex]) -> bool:
+    """Whether the neighbor-sum identity holds for the collection c on |alpha| = ell.
+
+    Summing c over the n_vars successors of every |beta| = ell-1 with weights
+    (ell-1)!/beta! must reproduce the weighted sum over |alpha| = ell.
+    """
+    if ell < 1:
+        raise ValueError("identity needs ell >= 1")
+    lower, upper = multi_indices(n_vars, ell - 1), multi_indices(n_vars, ell)
+    lhs = 0.0 + 0.0j
+    for beta, w in zip(lower.indices, lower.weights):
+        for i in range(n_vars):
+            alpha = tuple(b + (1 if j == i else 0) for j, b in enumerate(beta))
+            lhs += w * c.get(alpha, 0.0)
+    rhs = sum(w * c.get(alpha, 0.0) for alpha, w in zip(upper.indices, upper.weights))
+    scale = max(abs(lhs), abs(rhs), 1.0)
+    return abs(lhs - rhs) <= IDENTITY_TOL * scale
+
+
+def resummation_coefficient(n: int, ell: int, k: int, gamma: tuple[int, ...]) -> Fraction:
+    """Brute-force count of weighted (alpha, beta, i) chains landing on gamma.
+
+    For |gamma| = ell-k+1 this is the coefficient appearing when an order-ell
+    weighted square sum of k-th coefficient derivatives is re-expressed as a sum
+    over the derivative index gamma; it is independent of gamma and equals
+    C(ell, k) * C(ell+n, k).  Exact rational arithmetic throughout.
+    """
+    if not 0 <= k <= ell:
+        raise ValueError("need 0 <= k <= ell")
+    n_vars = n + 1
+    if len(gamma) != n_vars or sum(gamma) != ell - k + 1:
+        raise ValueError("gamma must have |gamma| = ell-k+1")
+    total = Fraction(0)
+    k_fact = math.factorial(k)
+    ell_fact = math.factorial(ell)
+    for alpha in _compositions(n_vars, ell):
+        alpha_fact = math.prod(math.factorial(a) for a in alpha)
+        w_alpha = Fraction(ell_fact, alpha_fact)
+        for beta in _compositions(n_vars, k):
+            if any(b > a for a, b in zip(alpha, beta)):
+                continue
+            binom = math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
+            beta_fact = math.prod(math.factorial(b) for b in beta)
+            for i in range(n_vars):
+                target = tuple(a - b + (1 if j == i else 0)
+                               for j, (a, b) in enumerate(zip(alpha, beta)))
+                if target == gamma:
+                    total += w_alpha * Fraction(beta_fact, k_fact) * binom * binom
+    gamma_fact = math.prod(math.factorial(g) for g in gamma)
+    return total * Fraction(gamma_fact, math.factorial(ell - k + 1))
+
+
+def check_resummation_coefficient(n: int, ell: int, k: int) -> bool:
+    """Verify the closed form C(ell,k)*C(ell+n,k) for every |gamma| = ell-k+1, exactly."""
+    expected = Fraction(math.comb(ell, k) * math.comb(ell + n, k))
+    return all(
+        resummation_coefficient(n, ell, k, gamma) == expected
+        for gamma in _compositions(n + 1, ell - k + 1)
+    )

@@ -4,17 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from cylspec.norms import (
-    TruncationError,
-    check_combinatorial_identity,
-    check_resummation_coefficient,
-    multi_indices,
-    resummation_coefficient,
-    sobolev_seminorm,
-    triple_norm,
-)
+from cylspec.norms import TruncationError, multi_indices, sobolev_seminorm, triple_norm
 from cylspec.operator_model import WeightSequence
 from cylspec.spectral import random_band_limited
+from reference import (
+    check_combinatorial_identity,
+    check_resummation_coefficient,
+    resummation_coefficient,
+)
 
 
 # -- multi-index combinatorics -------------------------------------------------

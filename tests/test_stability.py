@@ -8,7 +8,7 @@ import scipy.linalg
 from cylspec import resolvent, spectral, stability
 from cylspec.operator_model import OperatorSpec, SpecError, WeightSequence, fixture
 from cylspec.polynomial import MatrixPolynomial
-from cylspec.resolvent import NearPoleError, _loop_nodes, apply_resolvent, find_poles
+from cylspec.resolvent import NearPoleError, apply_resolvent, find_poles
 from cylspec.spectral import (
     assemble_operator,
     build_basis,
@@ -33,6 +33,7 @@ from cylspec.stability import (
     solve_on_segment,
 )
 from conftest import aligned_times
+from reference import _loop_nodes
 from test_resolvent import _hermitian_a0_spec, _jordan_spec
 
 PERIOD = 2 * math.pi
@@ -170,8 +171,6 @@ def test_transform_round_trip_on_support(basis_q4m32):
 
 def test_cauchy_derivatives_match_exact_translate_sums(ex1, basis_q4m32, poles_ex1):
     # loop-integral derivative of the transform against its exact z-derivative
-    from cylspec.resolvent import _loop_nodes
-
     forcing = make_forcing(basis_q4m32, "default")
     lam = poles_ex1.nonneg[0].source
     radius = 0.2
