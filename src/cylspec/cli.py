@@ -263,8 +263,7 @@ def cmd_evolve(args, spec, out: RunOutput) -> int:
     columns = [s.values[(len(s.times) - len(times)) // 2:][:len(times)] for s in series]
     out.write("energy.csv", (["x0", *(f"E{s.ell}" for s in series)], zip(times, *columns)))
     out.write("field.bin", run)
-    growth = growth_rate(spec, basis, periods=max(args.periods, 10), seed=args.seed,
-                         z=args.shift)
+    growth = growth_rate(spec, basis, z=args.shift)
     out.write("evolve.json", {
         "growth_rate": growth.rate, "modal": growth.modal,
         "nonmodal_plateau": growth.nonmodal_plateau,
@@ -284,6 +283,19 @@ def cmd_compare(args, spec, out: RunOutput) -> int:
         print(f"{k}: {deltas[k]:.3e} (threshold {CROSS_ENGINE_TOL[k]:g})")
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
+
+
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than `least`, else a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,9 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("evolve", cmd_evolve, "time-domain evolution and energies")
     p.add_argument("--m", type=int, default=32)
-    p.add_argument("--lmax", type=int, default=2)
+    p.add_argument("--lmax", type=_at_least(0), default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--periods", type=int, default=10)
+    p.add_argument("--periods", type=_at_least(1), default=10)
     p.add_argument("--shift", type=float, default=0.0)
 
     p = pole_window(command("compare", cmd_compare, "cross-engine agreement checks"), qmax=16)

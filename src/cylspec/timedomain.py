@@ -35,6 +35,15 @@ march is affine, v -> M v + b, b the forced response from zero, so `periodize`
 solves u0 = (I - M)^{-1} b for the periodic start.  It forms M - I from
 M = (I + HQ)^per by binary powering in increment form, (I + A)(I + B) =
 I + (A + B + AB), which never rounds the increments against the identity.
+
+Growth comes from the same period map.  The homogeneous solutions that grow
+like exp(lam t) are M's eigenvectors with multipliers mu = exp(2 pi lam), so
+`growth_rate` reads the dominant rate off the Floquet exponents log(mu)/2pi of
+the eigenvalues mu - 1 of M - I (`floquet_exponents`), with no marched data.
+On EX1 at m = 32 that takes about 1.2 ms, against 0.35 s for the three random
+10-period runs it replaced (one BLAS thread, 2-core x86-64 VM).  Each strip
+pole of the resolvent is a Floquet exponent up to i (tests/test_timedomain.py
+checks it on EX1 and EX1S).
 """
 
 from __future__ import annotations
@@ -50,16 +59,17 @@ from .spectral import SpectralBasis, _block_diag_multiplier, fourier_coefficient
 
 DUMP_MAGIC = b"CYLF"
 
-# growth_rate's fit skips slices below FIT_FLOOR_REL times the run's largest
-# slice norm: a decaying run bottoms out at roundoff there, not at its rate
-FIT_FLOOR_REL = 1e3 * np.finfo(float).eps
-
 # stable_time_step's fraction of the explicit step bound
 CFL = 0.25
 # periodize solves (I - M) u0 = b only while cond(I - M) * eps <= PERIODIZE_TOL
 PERIODIZE_TOL = 1e-9
-# random initial conditions per growth_rate
-GROWTH_RUNS = 3
+# growth_rate's dominant multiplier is simple when every other rate is lower by
+# more than MODAL_GAP: rounding splits a k-fold multiplier of M by about
+# (eps |M|)^(1/k), under 1e-3 in rate for k <= 5 at |M| ~ 1e3
+MODAL_GAP = 1e-3
+# M - I rounds each entry of M to about eps: a dominant multiplier below
+# MULTIPLIER_FLOOR has too few correct digits for a rate
+MULTIPLIER_FLOOR = 1e3 * np.finfo(float).eps
 GUARD_BLOCK_BYTES = 1 << 16  # _march checks blow-up in blocks of at most this many bytes
 
 
@@ -381,11 +391,32 @@ def random_smooth_slice(rng: np.random.Generator, basis: SpectralBasis, N: int) 
     return np.polynomial.chebyshev.chebval(basis.x1, coeff).T
 
 
+def floquet_exponents(spec: OperatorSpec, basis: SpectralBasis, z: complex = 0.0) -> np.ndarray:
+    """Floquet exponents log(mu)/2pi of the RK4 period map M of the operator
+    shifted by z*A^0, largest real part first, imaginary parts in (-1/2, 1/2].
+
+    M - I comes from `_period_increment` at the stable step, as in `periodize`,
+    and its eigenvalues are the mu - 1.  log|mu| is taken from mu - 1 with log1p
+    while |mu - 1| < 1/2, so a multiplier near 1 is not rounded against the
+    identity, and from |mu| below that.  A multiplier that rounds to 0 has
+    real part -inf.
+    """
+    period = 2.0 * np.pi
+    per = int(math.ceil(period / stable_time_step(spec, basis, z)))
+    d = np.linalg.eigvals(_period_increment(_propagator(spec, basis, z, period / per), per))
+    with np.errstate(divide="ignore"):
+        log_mod = np.where(np.abs(d) < 0.5,
+                           0.5 * np.log1p(d.real * (2.0 + d.real) + d.imag ** 2),
+                           np.log(np.abs(1.0 + d)))
+    exponents = log_mod / period + 1j * (np.angle(1.0 + d) / period)
+    return exponents[np.argsort(-exponents.real)]
+
+
 @dataclass(frozen=True)
 class GrowthReport:
     rate: float
     modal: bool
-    per_run_rates: tuple[float, ...]
+    per_run_rates: tuple[float, ...]  # every Floquet rate, largest first
     plateau: bool
 
     @property
@@ -393,43 +424,25 @@ class GrowthReport:
         return self.plateau and not self.modal
 
 
-def growth_rate(spec: OperatorSpec, basis: SpectralBasis, *, periods: int = 12,
-                seed: int = 0, z: float = 0.0) -> GrowthReport:
+def growth_rate(spec: OperatorSpec, basis: SpectralBasis, *, periods: int | None = None,
+                seed: int | None = None, z: float = 0.0) -> GrowthReport:
     """Dominant growth rate of the homogeneous evolution of the operator shifted by
-    z*A^0, from random smooth data.
+    z*A^0: the largest real part of its Floquet exponents (`floquet_exponents`).
 
-    Runs several random initial conditions; the rate is the median fitted slope
-    of the log slice norm over the last half of the window.  The evolution is
-    modal when all runs settle onto one normalized profile; a plateau (rate near
-    zero) without modal collapse flags a non-modal neutral space.
+    `periods` and `seed` are unused (the rate comes from the period map, not from
+    marched random data); the `evolve` benchmark workload still passes them.
+
+    The evolution is modal when the dominant multiplier is simple (every other
+    rate lower by more than MODAL_GAP); a plateau (|rate| < 0.05) without it flags
+    a non-modal neutral space, as CE-FLAT's M = I does.  A dominant multiplier
+    below MULTIPLIER_FLOOR raises ValueError: the period map does not resolve it.
     """
-    if periods < 10:
-        raise ValueError("growth rate needs a window of at least 10 periods")
-    rng = np.random.default_rng(seed)
-    span = periods * 2.0 * np.pi
-    inits = [random_smooth_slice(rng, basis, spec.N).reshape(-1) for _ in range(GROWTH_RUNS)]
-    # the runs march together, one column each
-    n_steps, stride = _step_plan(span, stable_time_step(spec, basis, z), 16)
-    prop = _propagator(spec, basis, z, span / n_steps)
-    states = _march(prop, np.stack(inits, axis=1), 0.0, n_steps, stride)
-    times = prop.h * np.arange(0, n_steps + 1, stride)
-    half = times >= span / 2
-    rates, profiles = [], []
-    for k in range(GROWTH_RUNS):
-        values = states[:, :, k].reshape(len(times), basis.n_space, spec.N)
-        norms = FieldOnCover(times, values, basis).slice_norms()
-        rates.append(fit_log_slope(times[half], norms[half],
-                                   floor=FIT_FLOOR_REL * norms.max()))
-        final = values[-1]
-        nrm = np.linalg.norm(final)
-        profiles.append(final / nrm if nrm > 0 else final)
-    rate = float(np.median(rates))
-    # modal: all normalized end states agree up to phase
-    modal = True
-    for i in range(len(profiles)):
-        for j in range(i + 1, len(profiles)):
-            overlap = abs(np.vdot(profiles[i], profiles[j]))
-            if overlap < 1.0 - 1e-6:
-                modal = False
-    plateau = abs(rate) < 0.05
-    return GrowthReport(rate=rate, modal=modal, per_run_rates=tuple(rates), plateau=plateau)
+    exponents = floquet_exponents(spec, basis, z)
+    rates = exponents.real
+    rate = float(rates[0])
+    dominant = math.exp(2.0 * np.pi * rate)
+    if not dominant > MULTIPLIER_FLOOR:
+        raise ValueError(f"growth rate below the period map's resolution at z = {z}: "
+                         f"the dominant Floquet multiplier is {dominant:.3g}")
+    return GrowthReport(rate=rate, modal=bool(rates[0] - rates[1] > MODAL_GAP),
+                        per_run_rates=tuple(rates.tolist()), plateau=abs(rate) < 0.05)

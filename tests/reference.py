@@ -6,6 +6,9 @@ integrals of the value-space resolvent (`spectral_projection`).  The resolvent
 identities are checked at the matrix level (`verify_resolvent_identities`), and
 the combinatorial identities behind the graded norms by brute force in exact
 arithmetic (`check_combinatorial_identity`, `resummation_coefficient`).
+Growth rates come from the period map's Floquet exponents
+(`timedomain.growth_rate`); here from random smooth data marched over whole
+periods and a log-slope fit (`random_run_growth_rate`).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from cylspec import timedomain
 from cylspec.norms import _compositions, multi_indices
 from cylspec.operator_model import OperatorSpec, SpecError
 from cylspec.resolvent import PoleSet, _strip_distance, resolvent_matrix_for
@@ -184,3 +188,60 @@ def check_resummation_coefficient(n: int, ell: int, k: int) -> bool:
         resummation_coefficient(n, ell, k, gamma) == expected
         for gamma in _compositions(n + 1, ell - k + 1)
     )
+
+
+# ---------------------------------------------------------------------------
+# growth rates from random runs
+# ---------------------------------------------------------------------------
+
+
+# random_run_growth_rate's fit skips slices below FIT_FLOOR_REL times the run's
+# largest slice norm: a decaying run bottoms out at roundoff there, not at its rate
+FIT_FLOOR_REL = 1e3 * np.finfo(float).eps
+# random initial conditions per random_run_growth_rate
+GROWTH_RUNS = 3
+
+
+def random_run_growth_rate(spec: OperatorSpec, basis: SpectralBasis, *, periods: int = 12,
+                           seed: int = 0, z: float = 0.0) -> timedomain.GrowthReport:
+    """Dominant growth rate of the homogeneous evolution of the operator shifted by
+    z*A^0, from random smooth data.
+
+    Runs several random initial conditions; the rate is the median fitted slope
+    of the log slice norm over the last half of the window.  The evolution is
+    modal when all runs settle onto one normalized profile; a plateau (rate near
+    zero) without modal collapse flags a non-modal neutral space.
+    """
+    if periods < 10:
+        raise ValueError("growth rate needs a window of at least 10 periods")
+    rng = np.random.default_rng(seed)
+    span = periods * 2.0 * np.pi
+    inits = [timedomain.random_smooth_slice(rng, basis, spec.N).reshape(-1)
+             for _ in range(GROWTH_RUNS)]
+    # the runs march together, one column each
+    n_steps, stride = timedomain._step_plan(
+        span, timedomain.stable_time_step(spec, basis, z), 16)
+    prop = timedomain._propagator(spec, basis, z, span / n_steps)
+    states = timedomain._march(prop, np.stack(inits, axis=1), 0.0, n_steps, stride)
+    times = prop.h * np.arange(0, n_steps + 1, stride)
+    half = times >= span / 2
+    rates, profiles = [], []
+    for k in range(GROWTH_RUNS):
+        values = states[:, :, k].reshape(len(times), basis.n_space, spec.N)
+        norms = timedomain.FieldOnCover(times, values, basis).slice_norms()
+        rates.append(timedomain.fit_log_slope(times[half], norms[half],
+                                              floor=FIT_FLOOR_REL * norms.max()))
+        final = values[-1]
+        nrm = np.linalg.norm(final)
+        profiles.append(final / nrm if nrm > 0 else final)
+    rate = float(np.median(rates))
+    # modal: all normalized end states agree up to phase
+    modal = True
+    for i in range(len(profiles)):
+        for j in range(i + 1, len(profiles)):
+            overlap = abs(np.vdot(profiles[i], profiles[j]))
+            if overlap < 1.0 - 1e-6:
+                modal = False
+    plateau = abs(rate) < 0.05
+    return timedomain.GrowthReport(rate=rate, modal=modal, per_run_rates=tuple(rates),
+                                   plateau=plateau)

@@ -124,12 +124,14 @@ def test_evolve_artifacts(tmp_path):
 
 
 def test_evolve_shift_reaches_growth_rate(tmp_path):
-    # EX1's leading pole is 0, so the operator shifted by 0.5 decays at rate -0.5
-    code = run(["evolve", "--fixture", "EX1", "--m", "8", "--shift", "0.5",
-                "--out", str(tmp_path)])
-    assert code == 0
-    doc = json.loads(read(tmp_path / "evolve.json"))
-    assert abs(doc["growth_rate"] + 0.5) < 1e-6
+    # EX1's leading pole is 0, so the operator shifted by s decays at rate -s
+    for shift in (0.5, 1.0):
+        out = tmp_path / str(shift)
+        code = run(["evolve", "--fixture", "EX1", "--m", "8", "--shift", str(shift),
+                    "--out", str(out)])
+        assert code == 0
+        doc = json.loads(read(out / "evolve.json"))
+        assert abs(doc["growth_rate"] + shift) < 1e-6
 
 
 def test_compare_passes(tmp_path):
@@ -381,4 +383,16 @@ def test_unread_flag_rejected(tmp_path, command, flag):
     with pytest.raises(SystemExit) as exc:
         run([command, "--fixture", "EX1", flag, "1", "--out", str(tmp_path)])
     assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag,value", [("--lmax", "-1"), ("--periods", "0"),
+                                        ("--periods", "-3"), ("--periods", "two")])
+def test_evolve_rejects_unusable_counts(tmp_path, capsys, flag, value):
+    # no energy order below 0 and no run shorter than a period: usage errors, not
+    # a failed run with error.json
+    with pytest.raises(SystemExit) as exc:
+        run(["evolve", "--fixture", "EX1", flag, value, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())

@@ -96,7 +96,9 @@ def test_cross_checks_fail_the_rule_back_in_src():
             "spectral_projection": "resolvent", "verify_resolvent_identities": "resolvent",
             "phase_shift_matrix": "spectral", "interior_mode_projector": "spectral",
             "IDENTITY_TOL": "norms", "check_combinatorial_identity": "norms",
-            "resummation_coefficient": "norms", "check_resummation_coefficient": "norms"}
+            "resummation_coefficient": "norms", "check_resummation_coefficient": "norms",
+            "FIT_FLOOR_REL": "timedomain", "GROWTH_RUNS": "timedomain",
+            "random_run_growth_rate": "timedomain"}
     moved = _definitions(ast.parse((ROOT / "tests" / "reference.py").read_text()))
     assert set(moved) == set(home)
     for name, definition in moved.items():

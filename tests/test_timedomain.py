@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from cylspec import timedomain
-from cylspec.operator_model import OperatorSpec, SpecError, WeightSequence, fixture, \
-    stability_constants
+from cylspec.operator_model import OperatorSpec, SpecError, WeightSequence, energy_threshold, \
+    fixture, stability_constants
 from cylspec.polynomial import MatrixPolynomial
-from cylspec.resolvent import apply_resolvent
+from cylspec.resolvent import apply_resolvent, find_poles
 from cylspec.stability import make_forcing, solve_on_segment
 from cylspec.spectral import build_basis
 from cylspec.timedomain import (
-    FIT_FLOOR_REL,
     GUARD_BLOCK_BYTES,
     PERIODIZE_TOL,
     FieldOnCover,
@@ -24,11 +23,13 @@ from cylspec.timedomain import (
     energy_series,
     evolve,
     fit_log_slope,
+    floquet_exponents,
     growth_rate,
     periodize,
     stable_time_step,
 )
 from conftest import aligned_times
+from reference import FIT_FLOOR_REL, random_run_growth_rate
 
 PERIOD = 2 * math.pi
 
@@ -231,7 +232,8 @@ def test_forced_evolve_bit_identical_to_per_step_march(monkeypatch, ex1, basis_q
 @pytest.mark.parametrize("name", ["EX1", "CE-FLAT"])
 def test_growth_rates_bit_identical_to_per_step_march(monkeypatch, basis_q4m32, name):
     new, ref = _with_reference_march(
-        monkeypatch, lambda: growth_rate(fixture(name), basis_q4m32, periods=10, seed=2))
+        monkeypatch, lambda: random_run_growth_rate(fixture(name), basis_q4m32, periods=10,
+                                                    seed=2))
     assert np.array_equal(new.per_run_rates, ref.per_run_rates)
 
 
@@ -416,7 +418,7 @@ def test_growth_rate_flat_counterexample(basis_q4m32):
 def test_batched_growth_rates_match_separate_runs(ex1s, basis_q4m32):
     # the runs march as columns of one array; each column is the run evolve makes alone
     periods, seed, basis = 10, 5, basis_q4m32
-    report = growth_rate(ex1s, basis, periods=periods, seed=seed)
+    report = random_run_growth_rate(ex1s, basis, periods=periods, seed=seed)
     rng = np.random.default_rng(seed)
     span = periods * PERIOD
     half = basis.M // 2
@@ -440,7 +442,51 @@ def test_growth_verdicts(basis_q4m32, name, modal, plateau):
     assert (report.modal, report.plateau) == (modal, plateau)
 
 
+@pytest.mark.parametrize("name", ["EX1", "EX1S", "CE-FLAT"])
+def test_floquet_growth_matches_random_runs(basis_q4m32, name):
+    # the random runs' fit starts 6 periods in, where the next multiplier's mode
+    # (rate 0.5 below the dominant one on EX1 and EX1S) is down by exp(-6 pi) ~ 7e-9
+    # against the dominant one: the fitted slope agrees to 1e-8
+    floquet = growth_rate(fixture(name), basis_q4m32)
+    runs = random_run_growth_rate(fixture(name), basis_q4m32)
+    assert (floquet.modal, floquet.nonmodal_plateau) == (runs.modal, runs.nonmodal_plateau)
+    assert abs(floquet.rate - runs.rate) <= 1e-8
+
+
+def test_growth_rate_follows_the_shift_until_unresolved():
+    # the shift lowers every rate by z; past about 4.6 the dominant multiplier
+    # exp(-2 pi z) is below MULTIPLIER_FLOOR and the rate is refused
+    spec, basis = fixture("EX1"), build_basis(0, 8)
+    for z in (0.5, 1.0):
+        report = growth_rate(spec, basis, z=z)
+        assert abs(report.rate + z) <= 1e-6 and report.modal
+    with pytest.raises(ValueError, match="resolution"):
+        growth_rate(spec, basis, z=5.0)
+
+
 # -- cross-engine agreement ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, n_poles", [("EX1", 5), ("EX1S", 6)])
+def test_strip_poles_are_floquet_exponents(basis_q4m32, name, n_poles):
+    # a pole lam of the resolvent is a Floquet exponent of the period map M, mod i.
+    # Rounding moves a multiplier mu = exp(2 pi lam) by up to about eps |M| times
+    # its condition number, which reaches 4.6e4 at EX1's deepest strip pole (-2):
+    # allow |d mu| <= 1e-11 |M|, so the exponent moves by 1e-11 |M| / (2 pi |mu|),
+    # a tolerance that grows like exp(-2 pi Re lam) with depth
+    spec = fixture(name)
+    poles = find_poles(spec, basis_q4m32, window=(-2.2, energy_threshold(spec)),
+                       compute_projections=False).poles
+    assert len(poles) == n_poles
+    exponents = floquet_exponents(spec, basis_q4m32)
+    per = int(math.ceil(PERIOD / stable_time_step(spec, basis_q4m32)))
+    increment = _period_increment(_propagator(spec, basis_q4m32, 0.0, PERIOD / per), per)
+    norm_m = np.linalg.norm(np.eye(len(increment)) + increment, 2)
+    for pole in poles:
+        dist = np.hypot(exponents.real - pole.lam.real,
+                        (exponents.imag - pole.lam.imag + 0.5) % 1.0 - 0.5).min()
+        tol = 1e-11 * norm_m / (PERIOD * math.exp(PERIOD * pole.lam.real))
+        assert dist <= tol, (pole.lam, dist, tol)
 
 
 def test_evolve_matches_segment_solution(ex1, basis_q16m32, default_forcing_q16):
