@@ -201,14 +201,8 @@ def apply_resolvent(spec: OperatorSpec, basis: SpectralBasis, z, f: np.ndarray, 
 def apply_operator(spec: OperatorSpec, basis: SpectralBasis, z, u: np.ndarray, *,
                    pencil: ModePencil | None = None) -> np.ndarray:
     """(D + z*A^0) u, batched over shifts and on the pencil if passed, like apply_resolvent."""
-    return _mode_batched(spec, basis, z, u,
-                         lambda p, w, c: p.base0 @ c + (p.a0 @ c) * w.reshape(-1), pencil)
-
-
-def apply_multiplier(spec: OperatorSpec, basis: SpectralBasis, u: np.ndarray) -> np.ndarray:
-    """Pointwise multiplication by A^0 on grid functions (leading axes are a batch)."""
-    a0 = spec.A[0].eval_grid(basis.x0, basis.x1)
-    return np.einsum("jmab,...jmb->...jma", a0, u)
+    return _mode_batched(spec, basis, z, u, lambda p, w, c: p.apply(w.reshape(-1), c.T).T,
+                         pencil)
 
 
 def _mode_shifted(vals: np.ndarray, modes: np.ndarray) -> np.ndarray:

@@ -240,7 +240,8 @@ def multiplier_matrix(spec: OperatorSpec, basis: SpectralBasis) -> np.ndarray:
 @dataclass(frozen=True)
 class ModePencil:
     """D + z*A^0 as one block base0 + (z + i*q)*a0 per mode q in `modes`, acting on
-    block columns of grid functions (`columns`, `grid`).
+    block columns of grid functions (`columns`, `grid`; `coefficients` maps them to
+    Fourier coefficients without the grid).
 
     With coefficients independent of the periodic coordinate the blocks decouple
     over Fourier modes (FFT order) and a column is one mode's Chebyshev slice;
@@ -267,10 +268,30 @@ class ModePencil:
             f = np.fft.fft(f, axis=-3)
         return f.reshape(f.shape[:-3] + (len(self.modes), len(self.a0)))
 
+    def separable_columns(self, weights: np.ndarray, space: np.ndarray) -> np.ndarray:
+        """Block columns (..., blocks, n) of the separable grid functions
+        weights[..., j] * space, with time weights (..., n_time) and space
+        (n_space, N): one FFT of the weights for mode blocks, none for one block."""
+        if len(self.modes) > 1:
+            weights = np.fft.fft(weights, axis=-1)
+        cols = weights[..., None, None] * space
+        return cols.reshape(weights.shape[:-1] + (len(self.modes), len(self.a0)))
+
     def grid(self, cols: np.ndarray) -> np.ndarray:
         """Grid functions of block columns (..., blocks, n); inverse of `columns`."""
         u = cols.reshape(cols.shape[:-2] + self.grid_shape)
         return np.fft.ifft(u, axis=-3) if len(self.modes) > 1 else u
+
+    def coefficients(self, cols: np.ndarray) -> np.ndarray:
+        """Fourier coefficients (..., n_time, n_space, N), FFT order, of block columns
+        (..., blocks, n), as `fourier_coefficients` of their grid functions: mode
+        blocks are the unscaled DFT already, the value-space block takes one FFT."""
+        u = cols.reshape(cols.shape[:-2] + self.grid_shape)
+        return (np.fft.fft(u, axis=-3) if len(self.modes) == 1 else u) / self.grid_shape[0]
+
+    def apply(self, w: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """(base0 + w*a0) on block columns (..., blocks, n), w (..., blocks) per column."""
+        return cols @ self.base0.T + (cols @ self.a0.T) * w[..., None]
 
     def synthesis(self) -> np.ndarray:
         """`grid` as a (blocks, blocks) matrix on the block axis, times the block

@@ -26,12 +26,22 @@ half of shifts and one column-level `resolvent._schur_solve` call
 (`solve_on_segment`).  A real forcing also has f_{conj z} = conj(f_z), so on a
 real mode pencil the upper half of the segment is the conjugate mirror of the
 lower half, and only the band-edge column needs a solve of its own; a complex
-forcing or pencil solves every node in one `apply_resolvent` call.  F f solves
-at one refinement shift per pole, and every cover evaluation is one product,
-`_segment_sum`, of weights times phases with Fourier coefficients.  The pole set carries the pencil
+forcing or pencil, or a value-space block, solves every node in the same call.
+F f solves at one refinement shift per pole.  The pole set carries the pencil
 `find_poles` factored and the loop projections (`PoleSet.pencil`,
 `PoleSet.loop_projections`): `decompose`'s segments, F f and its kernel check
 all use its one Schur form, and a pole set from another grid raises.
+
+Everything between the forcing and the cover stays in the pencil's block
+columns (a mode block's column is one Fourier coefficient in x0, unscaled; the
+value-space block's is the whole grid function): `forward_transform` gives f_z's
+columns from one FFT of its separable time weights
+(`ModePencil.separable_columns`), the solves, A^0 and the operator act on them
+block by block, and `ModePencil.coefficients` hands them to `_segment_sum`
+(a reshape for mode blocks, one FFT for the value-space block).  Grid values
+appear only in the `FieldOnCover` that `_segment_sum` returns: every cover
+evaluation (segment integrals, modal fields, the operator applied to them) is
+that one product of weights times phases with Fourier coefficients.
 """
 
 from __future__ import annotations
@@ -42,8 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator_model import OperatorSpec, SpecError
-from .resolvent import PoleSet, _schur_solve, apply_multiplier, apply_operator, apply_resolvent
-from .spectral import ModePencil, SpectralBasis, fourier_coefficients, mode_operator_parts
+from .resolvent import PoleSet, _schur_solve, apply_resolvent
+from .spectral import ModePencil, SpectralBasis, mode_operator_parts
 from .timedomain import FieldOnCover, evolve, fit_log_slope, periodize
 
 # the retarded solution's vertical segment sits SEGMENT_MARGIN right of the
@@ -215,17 +225,21 @@ def make_forcing(basis: SpectralBasis, doc: dict | str = "default", N: int = 1) 
 # ---------------------------------------------------------------------------
 
 
-def forward_transform(forcing: CoverForcing, z, basis: SpectralBasis,
+def forward_transform(forcing: CoverForcing, z, pencil: ModePencil,
                       order: int = 0) -> np.ndarray:
-    """Quotient function f_z: exponentially weighted sum of period translates,
-    or its exact z-derivative of the given order (each translate carries (-t)^order).
+    """Quotient function f_z in the pencil's block columns (blocks, n): the
+    exponentially weighted sum of period translates, or its exact z-derivative of
+    the given order (each translate carries (-t)^order).
 
-    The sum is finite (compact support), evaluated exactly at the tensor grid:
-    f_z(x) = sum_p exp(-z*(x0 + 2*pi*p)) * forcing(x0 + 2*pi*p, x1).
-    One table of the translates inside the support (grid slot, time, profile
-    value) serves every shift; z may be a 1-D array of shifts (leading shift
-    axis on the result).
+    The sum is finite (compact support), exact at the tensor grid of the
+    forcing's basis: f_z(x) = sum_p exp(-z*(x0 + 2*pi*p)) * forcing(x0 + 2*pi*p, x1).
+    It is separable, time weights per grid slot times the spatial profile, so
+    the columns are `ModePencil.separable_columns` of the (shifts, n_time)
+    weights.  One table of the translates inside the support (grid slot, time,
+    profile value) serves every shift; z may be a 1-D array of shifts (leading
+    shift axis on the result).
     """
+    basis = forcing.basis
     t0, t1 = forcing.support
     period = 2.0 * math.pi
     p = np.arange(math.floor(t0 / period) - 1, math.ceil(t1 / period) + 1)
@@ -235,7 +249,7 @@ def forward_transform(forcing: CoverForcing, z, basis: SpectralBasis,
     t = times[slot, col]
     terms = (-t) ** order * np.exp(-np.multiply.outer(np.atleast_1d(z), t)) * values[slot, col]
     weights = terms @ (slot[:, None] == np.arange(basis.n_time))
-    out = weights[:, :, None, None] * forcing.space
+    out = pencil.separable_columns(weights, forcing.space)
     return out if np.ndim(z) else out[0]
 
 
@@ -244,18 +258,20 @@ def _segment_weights(shifts: np.ndarray, times: np.ndarray) -> np.ndarray:
     return np.exp(np.outer(times, shifts)) / len(shifts)
 
 
-def _segment_sum(weights: np.ndarray, fields: np.ndarray, basis: SpectralBasis,
+def _segment_sum(weights: np.ndarray, coeffs: np.ndarray, basis: SpectralBasis,
                  times: np.ndarray) -> FieldOnCover:
-    """sum_k weights[i, k] * field_k(X_i mod 2pi) over cover times X_i.
+    """sum_k weights[i, k] * field_k(X_i mod 2pi) over cover times X_i, from the
+    fields' Fourier coefficients (fields, n_time, n_space, N) in FFT order
+    (`ModePencil.coefficients`).
 
-    The one product behind every cover evaluation (segment integrals, loop sums,
-    modal fields): the weights times the phases exp(i q X), (times, fields, modes),
-    act on the fields' Fourier coefficients.
+    The one product behind every cover evaluation (segment integrals, modal
+    fields, the operator applied to them), and the only place where grid values
+    appear: the weights times the phases exp(i q X), (times, fields, modes), act
+    on the coefficients.
     """
     times = np.asarray(times, dtype=float)
     kernel = weights[:, :, None] * np.exp(1j * np.outer(times, basis.modes))[:, None, :]
-    return FieldOnCover(times, np.tensordot(kernel, fourier_coefficients(fields, basis)),
-                        basis)
+    return FieldOnCover(times, np.tensordot(kernel, coeffs), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -267,30 +283,31 @@ def _segment_sum(weights: np.ndarray, fields: np.ndarray, basis: SpectralBasis,
 class VerticalPathSolution:
     """Resolvent applied along a vertical segment; evaluates to cover fields."""
 
-    spec: OperatorSpec
     basis: SpectralBasis
     c: float
     nodes: np.ndarray
-    solutions: np.ndarray   # (n_nodes, ...): u_k = resolvent at c + i t_k applied to f_k
+    # (n_nodes, blocks, n): u_k = resolvent at c + i t_k applied to f_k, in the
+    # pencil's block columns
+    columns: np.ndarray
     forcing: CoverForcing
-    pencil: ModePencil      # the one solved with, for operator_applied
+    pencil: ModePencil      # the one solved with; its blocks are the columns'
 
     @property
     def shifts(self) -> np.ndarray:
         return self.c + 1j * self.nodes
 
     def evaluate(self, times: np.ndarray) -> FieldOnCover:
-        return _segment_sum(_segment_weights(self.shifts, times), self.solutions,
-                            self.basis, times)
+        return _segment_sum(_segment_weights(self.shifts, times),
+                            self.pencil.coefficients(self.columns), self.basis, times)
 
     def operator_applied(self, times: np.ndarray) -> FieldOnCover:
         """The cover operator applied to the evaluated field, node by node.
 
         Differentiating under the integral, each node contributes
-        exp(z X) * ((D + z A^0) u_z)(X mod 2pi), computed spectrally.
+        exp(z X) * ((D + z A^0) u_z)(X mod 2pi), computed block by block.
         """
-        applied = apply_operator(self.spec, self.basis, self.shifts, self.solutions,
-                                 pencil=self.pencil)
+        w = self.shifts[:, None] + 1j * self.pencil.modes
+        applied = self.pencil.coefficients(self.pencil.apply(w, self.columns))
         return _segment_sum(_segment_weights(self.shifts, times), applied, self.basis, times)
 
     def residual(self, times: np.ndarray) -> float:
@@ -304,7 +321,8 @@ def solve_on_segment(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverFor
                      c: float, n_nodes: int, *,
                      pencil: ModePencil | None = None) -> VerticalPathSolution:
     """The resolvent on the nodes z_k = c + i*k/n of a vertical segment, applied to
-    f_{z_k}, on the pencil of (spec, basis) (built unless passed).
+    f_{z_k}, on the pencil of (spec, basis) (built unless passed), in one
+    column-level `resolvent._schur_solve` call; the solution keeps its columns.
 
     A real mode pencil and a real forcing make the segment its own mirror: with
     f_{conj z} = conj(f_z) and f_{z+i} = exp(-i*x0) f_z, the block column (n-k, q)
@@ -320,28 +338,26 @@ def solve_on_segment(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverFor
         pencil = mode_operator_parts(spec, basis)
     nodes = np.arange(n_nodes) / n_nodes
     shifts = c + 1j * nodes
-    n_t = basis.n_time
+    n_t, q_max = basis.n_time, basis.Q_max
     # the mirror maps Fourier modes: a value-space block (one for all modes) solves in full
-    if pencil.real and forcing.real and len(pencil.modes) == n_t:
-        half = n_nodes // 2
-        partners = np.arange(1, n_nodes - half)
-        cols = pencil.columns(forward_transform(forcing, shifts[:half + 1], basis))
-        w = shifts[:half + 1, None] + 1j * pencil.modes
-        edge = shifts[partners] - 1j * (basis.Q_max + 1)
-        u = _schur_solve(
-            pencil, np.concatenate([w.ravel(), edge]),
-            np.hstack([cols.reshape(w.size, -1).T, cols[partners, basis.Q_max].T]),
-            np.concatenate([np.repeat(np.arange(half + 1), n_t), partners])).T
-        solved = u[:w.size].reshape(cols.shape)
-        source = solved[partners]
-        source[:, basis.Q_max] = u[w.size:]
-        mirrored = source[::-1, (-np.arange(n_t) - 1) % n_t].conj()
-        solutions = pencil.grid(np.concatenate([solved, mirrored]))
-    else:
-        solutions = apply_resolvent(spec, basis, shifts, forward_transform(forcing, shifts, basis),
-                                    pencil=pencil)
-    return VerticalPathSolution(spec=spec, basis=basis, c=c, nodes=nodes, forcing=forcing,
-                                solutions=solutions, pencil=pencil)
+    mirror = pencil.real and forcing.real and len(pencil.modes) == n_t
+    solved = n_nodes // 2 + 1 if mirror else n_nodes
+    partners = np.arange(1, n_nodes - solved + 1)    # none without the mirror
+    cols = forward_transform(forcing, shifts[:solved], pencil)
+    w = shifts[:solved, None] + 1j * pencil.modes
+    rhs = cols.reshape(w.size, -1).T
+    if mirror:
+        rhs = np.hstack([rhs, cols[partners, q_max].T])
+    u = _schur_solve(
+        pencil, np.concatenate([w.ravel(), shifts[partners] - 1j * (q_max + 1)]), rhs,
+        np.concatenate([np.repeat(np.arange(solved), len(pencil.modes)), partners])).T
+    columns = u[:w.size].reshape(cols.shape)
+    if mirror:
+        source = columns[partners]
+        source[:, q_max] = u[w.size:]
+        columns = np.concatenate([columns, source[::-1, (-np.arange(n_t) - 1) % n_t].conj()])
+    return VerticalPathSolution(basis=basis, c=c, nodes=nodes, columns=columns,
+                                forcing=forcing, pencil=pencil)
 
 
 def default_slice_times(forcing: CoverForcing) -> np.ndarray:
@@ -401,20 +417,22 @@ def retarded_solution(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverFo
 class ModalTerm:
     lam: complex
     power: int              # power of x0 multiplying the exponential
-    profile: np.ndarray     # quotient grid function
+    # the quotient profile in the pencil's block columns (blocks, n)
+    profile: np.ndarray
 
 
 @dataclass(frozen=True)
 class ModalField:
-    """Finite combination of (x0)^k exp(lam x0) times quotient profiles."""
+    """Finite combination of (x0)^k exp(lam x0) times quotient profiles, each in
+    the block columns of `pencil`."""
 
     terms: tuple[ModalTerm, ...]
     basis: SpectralBasis
-    N: int
+    pencil: ModePencil
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The terms' lam, power and profiles as arrays, profiles with a leading term axis."""
-        shape = (len(self.terms), self.basis.n_time, self.basis.n_space, self.N)
+        shape = (len(self.terms), len(self.pencil.modes), len(self.pencil.a0))
         return (np.array([t.lam for t in self.terms], dtype=complex),
                 np.array([t.power for t in self.terms], dtype=int),
                 np.array([t.profile for t in self.terms], dtype=complex).reshape(shape))
@@ -422,7 +440,8 @@ class ModalField:
     def evaluate(self, times: np.ndarray) -> FieldOnCover:
         lam, power, profiles = self.stacked()
         X = np.asarray(times, dtype=float)[:, None]
-        return _segment_sum(X ** power * np.exp(lam * X), profiles, self.basis, times)
+        return _segment_sum(X ** power * np.exp(lam * X), self.pencil.coefficients(profiles),
+                            self.basis, times)
 
 
 @dataclass(frozen=True)
@@ -430,10 +449,8 @@ class FiniteRankPart:
     """The finite-rank correction F f as a modal field, with its diagnostics."""
 
     modal: ModalField
-    spec: OperatorSpec
     basis: SpectralBasis
     rank: int
-    pencil: ModePencil      # the pole set's, for operator_applied
 
     def evaluate(self, times: np.ndarray) -> FieldOnCover:
         return self.modal.evaluate(times)
@@ -442,17 +459,18 @@ class FiniteRankPart:
         """Cover operator on the modal field, term by term (exact in time).
 
         D((x0)^k e^{l x0} w) = (x0)^k e^{l x0} (D + l A^0) w
-                               + k (x0)^{k-1} e^{l x0} A^0 w.
+                               + k (x0)^{k-1} e^{l x0} A^0 w,
+        with A^0 one block on the columns.
         """
         lam, power, profiles = self.modal.stacked()
+        pencil = self.modal.pencil
         X = np.asarray(times, dtype=float)[:, None]
         grow = np.exp(lam * X)
         hi = power > 0
         weights = np.hstack([X ** power * grow, power[hi] * X ** (power[hi] - 1) * grow[:, hi]])
-        fields = np.concatenate([apply_operator(self.spec, self.basis, lam, profiles,
-                                                pencil=self.pencil),
-                                 apply_multiplier(self.spec, self.basis, profiles[hi])])
-        return _segment_sum(weights, fields, self.basis, times)
+        fields = np.concatenate([pencil.apply(lam[:, None] + 1j * pencil.modes, profiles),
+                                 profiles[hi] @ pencil.a0.T])
+        return _segment_sum(weights, pencil.coefficients(fields), self.basis, times)
 
     def kernel_defect(self, times: np.ndarray) -> float:
         """Sup of the cover operator applied to the correction, relative to the field.
@@ -472,23 +490,24 @@ def build_finite_rank_part(spec: OperatorSpec, basis: SpectralBasis, pole_set: P
 
     About a pole lam of order m, exp(z X) f_z = exp(lam X) sum_k X^k (z - lam)^k / k!
     sum_l g_l (z - lam)^l / l! with g_l the exact z-derivatives of f_z at lam
-    (`forward_transform`), and the loop integral of (z - lam)^j D_z^{-1} is the
-    projection P_j, which vanishes for j >= m (`loop_projections`, from the
-    pencil's Schur form).  So the pole contributes the terms
+    (`forward_transform`, in the pencil's block columns), and the loop integral
+    of (z - lam)^j D_z^{-1} is the projection P_j, which vanishes for j >= m
+    (`loop_projections`, from the pencil's Schur form).  So the pole contributes the terms
     X^k exp(lam X) 2*pi sum_l P_{k+l} g_l / (k! l!), k < m.  Their profiles p_k
     are then refined by one step of inverse iteration against the true blocks,
     p_k <- D_{lam+d}^{-1} A^0 (d p_k - (k+1) p_{k+1}) at d = REFINE_SHIFT^(1/m),
     which fixes the exact chain D_lam p_k + (k+1) A^0 p_{k+1} = 0 and damps the
-    rounding of the Schur factors off the pole's subspace.  Pole orders, ranks,
-    projections and the pencil come from the pole set.
+    rounding of the Schur factors off the pole's subspace.  Every step stays in
+    the block columns: A^0 is one block and the solve is one `_schur_solve` call.
+    Pole orders, ranks, projections and the pencil come from the pole set.
     """
     pencil = pole_set.pencil_on(basis, spec.N)
+    n_blocks = len(pencil.modes)
     terms: list[ModalTerm] = []
     for pole, blocks in zip(pole_set.nonneg, pole_set.loop_projections):
         lam, order = pole.source, pole.order
-        g = pencil.columns(np.array([forward_transform(forcing, lam, basis, order=ell)
-                                     for ell in range(order)]))
-        cols = np.zeros((order, len(pencil.modes), len(pencil.a0)), dtype=complex)
+        g = np.array([forward_transform(forcing, lam, pencil, order=ell) for ell in range(order)])
+        cols = np.zeros((order, n_blocks, len(pencil.a0)), dtype=complex)
         for b, vecs, lead, coords in blocks:
             # block b of 2*pi sum_l P_{k+l} g_l / (k! l!), with P_j = vecs nil^j coords
             nil = -lead - (lam + 1j * pencil.modes[b]) * np.eye(len(lead))
@@ -497,18 +516,19 @@ def build_finite_rank_part(spec: OperatorSpec, basis: SpectralBasis, pole_set: P
                 h = sum(np.linalg.matrix_power(nil, k + ell) @ c[ell]
                         for ell in range(order - k))
                 cols[k, b] = vecs @ h * (2.0 * math.pi / math.factorial(k))
-        profiles = pencil.grid(cols)
-        # one inverse-iteration step at lam + d, every k in one batched solve; the
-        # solve amplifies rounding along the chain by d^-order, held to 1/REFINE_SHIFT
+        # one inverse-iteration step at lam + d, every k in one batched solve (one
+        # node per k); it amplifies rounding along the chain by d^-order, held to
+        # 1/REFINE_SHIFT
         d = REFINE_SHIFT ** (1.0 / order)
-        rhs = d * profiles - np.arange(1, order + 1)[:, None, None, None] * \
-            np.concatenate([profiles[1:], np.zeros_like(profiles[:1])])
-        profiles = apply_resolvent(spec, basis, np.full(order, lam + d),
-                                   apply_multiplier(spec, basis, rhs), pencil=pencil)
+        rhs = (d * cols - np.arange(1, order + 1)[:, None, None]
+               * np.concatenate([cols[1:], np.zeros_like(cols[:1])])) @ pencil.a0.T
+        w = np.full((order, 1), lam + d) + 1j * pencil.modes
+        u = _schur_solve(pencil, w.ravel(), rhs.reshape(w.size, -1).T,
+                         np.repeat(np.arange(order), n_blocks))
+        profiles = u.T.reshape(cols.shape)
         terms += [ModalTerm(lam=lam, power=k, profile=profiles[k]) for k in range(order)]
-    modal = ModalField(terms=tuple(terms), basis=basis, N=forcing.N)
-    return FiniteRankPart(modal=modal, spec=spec, basis=basis,
-                          rank=sum(p.rank for p in pole_set.nonneg), pencil=pencil)
+    modal = ModalField(terms=tuple(terms), basis=basis, pencil=pencil)
+    return FiniteRankPart(modal=modal, basis=basis, rank=sum(p.rank for p in pole_set.nonneg))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ from cylspec.operator_model import fixture, spec_to_json
 from cylspec.polynomial import MatrixPolynomial
 from cylspec.resolvent import NearPoleError
 from cylspec.stability import FIT_PERIODS, SLICES_PER_PERIOD
-from cylspec.timedomain import InstabilityError, PeriodizationError
+from cylspec.spectral import build_basis
+from cylspec.timedomain import FieldOnCover, InstabilityError, PeriodizationError, _step_plan, \
+    stable_time_step
 
 
 def run(args):
@@ -132,6 +134,24 @@ def test_evolve_shift_reaches_growth_rate(tmp_path):
         assert code == 0
         doc = json.loads(read(out / "evolve.json"))
         assert abs(doc["growth_rate"] + shift) < 1e-6
+
+
+@pytest.mark.parametrize("m, lmax", [(2, 2), (4, 2), (4, 0), (2, 4), (8, 2)])
+def test_evolve_stores_the_slices_energy_series_needs(tmp_path, m, lmax):
+    # one period at small --m has too few steps for every 16th: the stride shrinks so
+    # that energy_series gets its 6 slices and keeps two after dropping 2*lmax at each
+    # end.  At --m 8 every 16th step is enough, so the stride stays 16
+    code = run(["evolve", "--fixture", "EX1", "--m", str(m), "--periods", "1",
+                "--lmax", str(lmax), "--out", str(tmp_path)])
+    assert code == 0
+    lines = read(tmp_path / "energy.csv").splitlines()
+    assert lines[1] == ",".join(["x0"] + [f"E{ell}" for ell in range(lmax + 1)])
+    assert len(lines) - 2 >= 2
+    basis = build_basis(0, m)
+    stored = FieldOnCover.load(str(tmp_path / "field.bin"), basis).times
+    assert len(stored) >= max(6, 4 * lmax + 2)
+    n_steps, _ = _step_plan(2 * math.pi, stable_time_step(fixture("EX1"), basis), 16)
+    assert (len(stored) == n_steps // 16 + 1) == (m == 8)
 
 
 def test_compare_passes(tmp_path):

@@ -242,7 +242,7 @@ def test_schur_solve_matches_reference_in_both_arithmetics(ex1s, basis_q16m32,
     # complex: a segment right of the hermitian-A0 spec's poles on random data
     pencil = poles_ex1s_q16.pencil
     shifts = segment_abscissa(poles_ex1s_q16) + 1j * np.arange(33) / 33
-    f = forward_transform(make_forcing(basis_q16m32, "default"), shifts, basis_q16m32)
+    f = pencil.grid(forward_transform(make_forcing(basis_q16m32, "default"), shifts, pencil))
     cases = [(pencil, *_block_columns(pencil, shifts, f))]
     spec = _hermitian_a0_spec()
     pencil = mode_operator_parts(spec, build_basis(4, 16))

@@ -30,6 +30,8 @@ from cylspec.stability import (
     forward_transform,
     make_forcing,
     retarded_solution,
+    segment_abscissa,
+    segment_node_count,
     solve_on_segment,
 )
 from conftest import aligned_times
@@ -69,6 +71,18 @@ def decomposition_ex1s(ex1s, basis_q16m32, poles_ex1s_q16, default_forcing_q16):
 
 
 # -- forcing and transform -------------------------------------------------------
+
+
+def _pencil(basis):
+    """EX1's mode pencil on basis: its block columns are what forward_transform
+    returns for any one-component spec with coefficients independent of x0."""
+    return mode_operator_parts(fixture("EX1"), basis)
+
+
+def _transform_grid(forcing, z, order=0):
+    """forward_transform's columns as grid functions."""
+    pencil = _pencil(forcing.basis)
+    return pencil.grid(forward_transform(forcing, z, pencil, order))
 
 
 def test_bump_profile_support():
@@ -120,8 +134,8 @@ def test_zero_forcing_transforms_to_zero(basis_q4m32):
         "space": {"type": "polynomial", "coeffs": [0.0]},
     })
     assert forcing.is_zero()
-    f = forward_transform(forcing, 0.7 + 0.2j, basis_q4m32)
-    assert np.all(f == 0)
+    f = forward_transform(forcing, 0.7 + 0.2j, _pencil(basis_q4m32))
+    assert f.shape == (9, 33) and np.all(f == 0)
 
 
 def test_single_period_support_is_one_translate(basis_q4m32):
@@ -130,7 +144,7 @@ def test_single_period_support_is_one_translate(basis_q4m32):
         "space": {"type": "gaussian", "sigma": 0.4},
     })
     z = 0.4 + 0.1j
-    f = forward_transform(forcing, z, basis_q4m32)
+    f = _transform_grid(forcing, z)
     for j, x0 in enumerate(basis_q4m32.x0):
         expected = np.exp(-z * x0) * float(forcing.time(x0)) * forcing.space
         assert np.abs(f[j] - expected).max() < 1e-14
@@ -139,7 +153,7 @@ def test_single_period_support_is_one_translate(basis_q4m32):
 def test_two_period_bump_against_direct_sum(basis_q4m32):
     forcing = make_forcing(basis_q4m32, "default")  # support spans two periods
     z = 0.3 - 0.6j
-    f = forward_transform(forcing, z, basis_q4m32)
+    f = _transform_grid(forcing, z)
     for j, x0 in enumerate(basis_q4m32.x0):
         acc = np.zeros_like(forcing.space)
         for p in range(-2, 4):
@@ -152,8 +166,8 @@ def test_transform_conjugation_periodicity(basis_q4m32):
     # f_{z+i} = exp(-i x0) f_z at every node of a segment
     forcing = make_forcing(basis_q4m32, "default")
     shifts = 0.3 + 1j * np.arange(9) / 9
-    samples = forward_transform(forcing, shifts, basis_q4m32)
-    shifted = forward_transform(forcing, shifts + 1j, basis_q4m32)
+    samples = _transform_grid(forcing, shifts)
+    shifted = _transform_grid(forcing, shifts + 1j)
     phase = np.exp(-1j * basis_q4m32.x0)[:, None, None]
     assert np.abs(shifted - phase * samples).max() < 1e-10
 
@@ -162,7 +176,8 @@ def test_transform_round_trip_on_support(basis_q4m32):
     # the trapezoid rule for the vertical-segment integral of exp(z X) f_z gives back f
     forcing = make_forcing(basis_q4m32, "default")
     shifts = 0.3 + 1j * np.arange(9) / 9
-    samples = forward_transform(forcing, shifts, basis_q4m32)
+    pencil = _pencil(basis_q4m32)
+    samples = pencil.coefficients(forward_transform(forcing, shifts, pencil))
     times = aligned_times(basis_q4m32, range(0, 4))
     recovered = _segment_sum(np.exp(np.outer(times, shifts)) / 9, samples, basis_q4m32, times)
     target = forcing.sample(times)
@@ -175,11 +190,11 @@ def test_cauchy_derivatives_match_exact_translate_sums(ex1, basis_q4m32, poles_e
     lam = poles_ex1.nonneg[0].source
     radius = 0.2
     shifts, phases = _loop_nodes(lam, radius, 48)
-    samples = [forward_transform(forcing, z, basis_q4m32) for z in shifts]
+    samples = [_transform_grid(forcing, z) for z in shifts]
     for order in (0, 1, 2):
         cauchy = sum(f * ph ** (-order) for f, ph in zip(samples, phases))
         cauchy *= math.factorial(order) / (48 * radius**order)
-        exact = forward_transform(forcing, lam, basis_q4m32, order)
+        exact = _transform_grid(forcing, lam, order)
         assert np.abs(cauchy - exact).max() < 1e-9 * max(np.abs(exact).max(), 1.0)
 
 
@@ -212,6 +227,20 @@ def _translate_loop(forcing, z, basis, order=0):
     return out
 
 
+def _grid_transform(forcing, z, basis, order=0):
+    """The translate sum as grid functions, every shift at once: the grid-path
+    reference for forward_transform's block columns."""
+    t0, t1 = forcing.support
+    p = np.arange(math.floor(t0 / PERIOD) - 1, math.ceil(t1 / PERIOD) + 1)
+    times = basis.x0[:, None] + PERIOD * p[None, :]
+    values = forcing.time(times)
+    slot, col = np.nonzero(values)
+    t = times[slot, col]
+    terms = (-t) ** order * np.exp(-np.multiply.outer(np.atleast_1d(z), t)) * values[slot, col]
+    out = (terms @ (slot[:, None] == np.arange(basis.n_time)))[:, :, None, None] * forcing.space
+    return out if np.ndim(z) else out[0]
+
+
 @pytest.mark.parametrize("name", ["default", "pulse"])
 def test_batched_transform_matches_translate_loop(basis_q4m32, name):
     doc = "default" if name == "default" else {
@@ -219,10 +248,11 @@ def test_batched_transform_matches_translate_loop(basis_q4m32, name):
         "space": {"type": "polynomial", "coeffs": [1.0, 0.3]}}
     forcing = make_forcing(basis_q4m32, doc)
     shifts = np.array([0.3 - 0.6j, 1.05 + 0.25j, -0.2 + 0.9j, 0.75 + 0.2j])
+    pencil = _pencil(basis_q4m32)
     for order in (0, 1, 2):
-        batched = forward_transform(forcing, shifts, basis_q4m32, order)
-        assert batched.shape == (4, 9, 33, 1)
-        for z, f in zip(shifts, batched):
+        batched = forward_transform(forcing, shifts, pencil, order)
+        assert batched.shape == (4, 9, 33)
+        for z, f in zip(shifts, pencil.grid(batched)):
             ref = _translate_loop(forcing, z, basis_q4m32, order)
             assert np.abs(f - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -253,7 +283,7 @@ def test_segment_sum_matches_time_loop(basis_q4m32):
     shifts = 0.4 + 1j * np.arange(7) / 7
     fields = _random_fields(basis_q4m32, 7)
     weights = np.exp(np.outer(times, shifts)) / 7
-    got = _segment_sum(weights, fields, basis_q4m32, times)
+    got = _segment_sum(weights, fourier_coefficients(fields, basis_q4m32), basis_q4m32, times)
     ref = _cover_loop(lambda k, X: np.exp(shifts[k] * X) / 7, fields, basis_q4m32, times)
     assert np.array_equal(got.times, times) and _close(got.values, ref)
 
@@ -274,7 +304,7 @@ def test_segment_sum_matches_two_contractions(basis_q16m32, count):
     shifts = -0.2 + 1j * np.arange(count) / max(count, 1)
     weights = np.exp(np.outer(times, shifts)) / max(count, 1)
     fields = _random_fields(basis_q16m32, count, N=2, seed=count)
-    got = _segment_sum(weights, fields, basis_q16m32, times)
+    got = _segment_sum(weights, fourier_coefficients(fields, basis_q16m32), basis_q16m32, times)
     ref = _reference_segment_sum(weights, fields, basis_q16m32, times)
     assert got.values.shape == ref.shape == (49, 33, 2)
     if count:
@@ -284,17 +314,20 @@ def test_segment_sum_matches_two_contractions(basis_q16m32, count):
 
 
 def _modal_part(ex1, basis):
+    """A modal field of random profiles on EX1's pencil, and the profiles' grid functions."""
+    pencil = mode_operator_parts(ex1, basis)
     profiles = _random_fields(basis, 3, seed=1)
-    terms = (ModalTerm(0.25 + 0.1j, 0, profiles[0]), ModalTerm(0.25 + 0.1j, 1, profiles[1]),
-             ModalTerm(-0.3, 2, profiles[2]))
-    modal = ModalField(terms=terms, basis=basis, N=1)
-    return FiniteRankPart(modal=modal, spec=ex1, basis=basis, rank=0,
-                          pencil=mode_operator_parts(ex1, basis))
+    cols = pencil.columns(profiles)
+    terms = (ModalTerm(0.25 + 0.1j, 0, cols[0]), ModalTerm(0.25 + 0.1j, 1, cols[1]),
+             ModalTerm(-0.3, 2, cols[2]))
+    modal = ModalField(terms=terms, basis=basis, pencil=pencil)
+    return FiniteRankPart(modal=modal, basis=basis, rank=0), profiles
 
 
 def _loop_sum(shifts, weights, fields, basis, times):
     """sum_k weights_k exp(z_k X) field_k(X mod 2pi): a trapezoid loop sum on the cover."""
-    return _segment_sum(weights * np.exp(np.outer(times, shifts)), fields, basis, times)
+    return _segment_sum(weights * np.exp(np.outer(times, shifts)),
+                        fourier_coefficients(fields, basis), basis, times)
 
 
 def _loop_reference(spec, basis, pole_set, forcing, times, n_nodes):
@@ -304,18 +337,18 @@ def _loop_reference(spec, basis, pole_set, forcing, times, n_nodes):
     total = np.zeros((len(times), basis.n_space, forcing.N), dtype=complex)
     for pole in pole_set.nonneg:
         shifts, phases = _loop_nodes(pole.source, pole.radius, n_nodes)
-        solved = apply_resolvent(spec, basis, shifts, forward_transform(forcing, shifts, basis))
+        solved = apply_resolvent(spec, basis, shifts, _grid_transform(forcing, shifts, basis))
         weights = 2.0 * math.pi * pole.radius * phases / n_nodes
         total += _loop_sum(shifts, weights, solved, basis, times).values
     return total
 
 
 def test_modal_and_loop_evaluations_match_time_loop(ex1, basis_q4m32):
-    part = _modal_part(ex1, basis_q4m32)
+    part, profiles = _modal_part(ex1, basis_q4m32)
     terms = part.modal.terms
     times = np.linspace(0.0, 20.0, 11)
     ref = _cover_loop(lambda k, X: X ** terms[k].power * np.exp(terms[k].lam * X),
-                      [t.profile for t in terms], basis_q4m32, times)
+                      profiles, basis_q4m32, times)
     assert _close(part.evaluate(times).values, ref)
     # the loop sum of the test-side reference
     shifts = 0.25 + 0.2 * np.exp(2j * np.pi * np.arange(5) / 5)
@@ -332,9 +365,9 @@ def test_operator_applied_matches_time_loop(ex1, basis_q4m32):
     def dense(z, u):
         return (assemble_operator(ex1, basis, z) @ u.reshape(-1)).reshape(u.shape)
 
-    part = _modal_part(ex1, basis)
+    part, profiles = _modal_part(ex1, basis)
     terms = part.modal.terms
-    fields = [dense(t.lam, t.profile) for t in terms] + [t.profile for t in terms]
+    fields = [dense(t.lam, u) for t, u in zip(terms, profiles)] + list(profiles)
     weights = [lambda X, t=t: X ** t.power * np.exp(t.lam * X) for t in terms] + \
         [lambda X, t=t: t.power * X ** max(t.power - 1, 0) * np.exp(t.lam * X) for t in terms]
     ref = _cover_loop(lambda k, X: weights[k](X), fields, basis, times)
@@ -342,13 +375,14 @@ def test_operator_applied_matches_time_loop(ex1, basis_q4m32):
 
     # random node fields: no cancellation between the nodes hides a wrong weight
     nodes = np.arange(9) / 9
-    sol = VerticalPathSolution(spec=ex1, basis=basis, c=0.4, nodes=nodes,
-                               solutions=_random_fields(basis, 9, seed=2),
-                               forcing=make_forcing(basis, "default"),
-                               pencil=mode_operator_parts(ex1, basis))
-    for method, fields in ((sol.evaluate, sol.solutions),
+    pencil = mode_operator_parts(ex1, basis)
+    solutions = _random_fields(basis, 9, seed=2)
+    sol = VerticalPathSolution(basis=basis, c=0.4, nodes=nodes,
+                               columns=pencil.columns(solutions),
+                               forcing=make_forcing(basis, "default"), pencil=pencil)
+    for method, fields in ((sol.evaluate, solutions),
                            (sol.operator_applied,
-                            [dense(z, u) for z, u in zip(sol.shifts, sol.solutions)])):
+                            [dense(z, u) for z, u in zip(sol.shifts, solutions)])):
         ref = _cover_loop(lambda k, X: np.exp(sol.shifts[k] * X) / 9, fields, basis, times)
         assert _close(method(times).values, ref)
 
@@ -429,10 +463,15 @@ def test_segment_left_of_poles_rejected(ex1s, basis_q4m32, poles_ex1s):
 
 
 def _full_segment(spec, basis, forcing, c, n_nodes, pencil=None):
-    """Every node of the segment solved, as apply_resolvent solves a batch of shifts."""
+    """Every node of the segment solved in one _schur_solve call, one node per shift:
+    block columns (n_nodes, blocks, n)."""
+    pencil = pencil or mode_operator_parts(spec, basis)
     shifts = c + 1j * (np.arange(n_nodes) / n_nodes)
-    return apply_resolvent(spec, basis, shifts, forward_transform(forcing, shifts, basis),
-                           pencil=pencil)
+    cols = forward_transform(forcing, shifts, pencil)
+    w = shifts[:, None] + 1j * pencil.modes
+    node = np.repeat(np.arange(n_nodes), len(pencil.modes))
+    return resolvent._schur_solve(pencil, w.ravel(), cols.reshape(w.size, -1).T, node).T \
+        .reshape(cols.shape)
 
 
 # each excites x0 = 0 mod 2pi, the one time node at Q_max = 0
@@ -474,7 +513,7 @@ def test_mirrored_segment_matches_full_solve(monkeypatch, name, c, c_decay, q_ma
                 got = solve_on_segment(spec, basis, forcing, abscissa, n_nodes, pencil=pencil)
                 ref = _full_segment(spec, basis, forcing, abscissa, n_nodes)
                 assert np.abs(ref).max() > 0
-                assert np.abs(got.solutions - ref).max() <= tol * np.abs(ref).max()
+                assert np.abs(got.columns - ref).max() <= tol * np.abs(ref).max()
         half = n_nodes // 2
         assert counts[-1] == (half + 1) * basis.n_time + n_nodes - half - 1
     if q_max == 16:
@@ -484,7 +523,7 @@ def test_mirrored_segment_matches_full_solve(monkeypatch, name, c, c_decay, q_ma
 def test_segment_solves_every_node_for_complex_forcing_or_pencil(monkeypatch, ex1s,
                                                                  basis_q16m32):
     # a forcing with an imaginary part, and the hermitian-A0 spec's complex pencil,
-    # take the full solve unchanged
+    # take the full solve unchanged: one call with every node's columns
     counts = _counted_schur_solve(monkeypatch)
     doc = MIRROR_FORCINGS["pulse"]
     real = make_forcing(basis_q16m32, doc)
@@ -497,8 +536,8 @@ def test_segment_solves_every_node_for_complex_forcing_or_pencil(monkeypatch, ex
         assert not (pencil.real and forcing.real)
         got = solve_on_segment(spec, basis, forcing, c, 33, pencil=pencil)
         ref = _full_segment(spec, basis, forcing, c, 33, pencil)
-        assert np.array_equal(got.solutions, ref)
-    assert counts == []
+        assert np.array_equal(got.columns, ref)
+    assert counts == [33 * 33, 33 * 9]
 
 
 def _rotation_spec(omega):
@@ -535,6 +574,166 @@ def test_mirrored_segment_raises_at_a_pole(ex1, basis_q16m32):
         assert err.value.z == (0.75j if q_max == 0 else 0.25j)
 
 
+# -- block columns from the forcing to the cover -------------------------------------
+
+
+def _grid_segment(spec, basis, forcing, c, n_nodes, pencil):
+    """solve_on_segment on the grid path: the grid transform into `pencil.columns`,
+    the solved columns back through `pencil.grid`, and apply_resolvent where there
+    is no mirror.  Returns the shifts and the (n_nodes, n_time, n_space, N) solutions."""
+    shifts = c + 1j * np.arange(n_nodes) / n_nodes
+    n_t, q_max = basis.n_time, basis.Q_max
+    if not (pencil.real and forcing.real and len(pencil.modes) == n_t):
+        return shifts, apply_resolvent(spec, basis, shifts,
+                                       _grid_transform(forcing, shifts, basis), pencil=pencil)
+    half = n_nodes // 2
+    partners = np.arange(1, n_nodes - half)
+    cols = pencil.columns(_grid_transform(forcing, shifts[:half + 1], basis))
+    w = shifts[:half + 1, None] + 1j * pencil.modes
+    u = resolvent._schur_solve(
+        pencil, np.concatenate([w.ravel(), shifts[partners] - 1j * (q_max + 1)]),
+        np.hstack([cols.reshape(w.size, -1).T, cols[partners, q_max].T]),
+        np.concatenate([np.repeat(np.arange(half + 1), n_t), partners])).T
+    solved = u[:w.size].reshape(cols.shape)
+    source = solved[partners]
+    source[:, q_max] = u[w.size:]
+    mirrored = source[::-1, (-np.arange(n_t) - 1) % n_t].conj()
+    return shifts, pencil.grid(np.concatenate([solved, mirrored]))
+
+
+def _grid_finite_rank(spec, basis, pole_set, forcing):
+    """build_finite_rank_part on the grid path: (lam, power, grid profile) per term,
+    the profiles refined through A^0 on the grid and apply_resolvent."""
+    pencil = pole_set.pencil
+    a0 = spec.A[0].eval_grid(basis.x0, basis.x1)
+    terms = []
+    for pole, blocks in zip(pole_set.nonneg, pole_set.loop_projections):
+        lam, order = pole.source, pole.order
+        g = pencil.columns(np.array([_grid_transform(forcing, lam, basis, ell)
+                                     for ell in range(order)]))
+        cols = np.zeros((order, len(pencil.modes), len(pencil.a0)), dtype=complex)
+        for b, vecs, lead, coords in blocks:
+            nil = -lead - (lam + 1j * pencil.modes[b]) * np.eye(len(lead))
+            c = [coords @ g[ell, b] / math.factorial(ell) for ell in range(order)]
+            for k in range(order):
+                h = sum(np.linalg.matrix_power(nil, k + ell) @ c[ell]
+                        for ell in range(order - k))
+                cols[k, b] = vecs @ h * (2.0 * math.pi / math.factorial(k))
+        profiles = pencil.grid(cols)
+        d = REFINE_SHIFT ** (1.0 / order)
+        rhs = d * profiles - np.arange(1, order + 1)[:, None, None, None] * \
+            np.concatenate([profiles[1:], np.zeros_like(profiles[:1])])
+        profiles = apply_resolvent(spec, basis, np.full(order, lam + d),
+                                   np.einsum("jmab,...jmb->...jma", a0, rhs), pencil=pencil)
+        terms += [(lam, k, profiles[k]) for k in range(order)]
+    return terms
+
+
+def _column_cases():
+    """(name, spec, basis, forcing): EX1 and EX1S x bump, pulse and odd forcing x
+    q16m32 and q4m32; the wobble's value-space block at q4m8; a complex forcing on
+    EX1S's real pencil."""
+    cases = []
+    for q_max in (16, 4):
+        basis = build_basis(q_max, 32)
+        for name in ("EX1", "EX1S"):
+            for label, doc in MIRROR_FORCINGS.items():
+                cases.append((f"{name} q{q_max} {label}", fixture(name), basis,
+                              make_forcing(basis, doc)))
+    one = MatrixPolynomial.constant([[1.0]], 2)
+    wobble = OperatorSpec(
+        n=1, N=1, A=(one, MatrixPolynomial(2, (1, 1), {(1, 0): [[0.1]], (0, 1): [[0.5]]})),
+        B=MatrixPolynomial.zero(2, (1, 1)), weights=WeightSequence.geometric(0.5, 8), Q=5.0,
+        name="wobble")
+    basis = build_basis(4, 8)
+    cases.append(("wobble q4m8 pulse", wobble, basis,
+                  make_forcing(basis, MIRROR_FORCINGS["pulse"])))
+    basis = build_basis(16, 32)
+    pulse = make_forcing(basis, MIRROR_FORCINGS["pulse"])
+    cases.append(("EX1S q16 complex pulse", fixture("EX1S"), basis,
+                  dataclasses.replace(pulse, space=pulse.space * (1.0 + 0.5j))))
+    return cases
+
+
+def _rel(got, ref):
+    return float(np.linalg.norm(got - ref) / np.linalg.norm(ref))
+
+
+def test_column_pipeline_matches_grid_path():
+    # both segments' solved columns, F f's profiles, and the difference and F f on
+    # decompose's decay window, against the grid path.  EX1S with the odd forcing is
+    # item 8's contour case: its difference (6.9e-6 at q16m32) is 1.5e5 times smaller
+    # than the decay segment's node terms, so only the columns compare; and F f's
+    # p = 1 amplitude is as far from the exact 2*pi*mean(f_lam) as the conditioning
+    # allows in both paths (2.1e-11 and 1.2e-11 at q16m32), so the two agree to 3e-11
+    kinds = set()
+    for name, spec, basis, forcing in _column_cases():
+        ps = find_poles(spec, basis, window=(-2.2, 1.0))
+        pencil = ps.pencil
+        kinds.add((len(pencil.modes) == basis.n_time, pencil.real and forcing.real))
+        contour = name.startswith("EX1S") and name.endswith(" odd")
+        n_nodes = segment_node_count(basis)
+        n_slices = stability.DECAY_PERIODS * stability.SLICES_PER_PERIOD
+        times = forcing.support[1] + stability.DECAY_PERIODS * PERIOD \
+            * np.arange(n_slices + 1) / n_slices
+        for c in (segment_abscissa(ps),
+                  stability.DECAY_ABSCISSA * max(ps.z_star_star_star, ps.window[0])):
+            got = solve_on_segment(spec, basis, forcing, c, n_nodes, pencil=pencil)
+            shifts, ref = _grid_segment(spec, basis, forcing, c, n_nodes, pencil)
+            assert _rel(got.columns, pencil.columns(ref)) <= 1e-12, (name, c)
+        if not contour:    # the decay segment's field, the difference
+            ref_diff = _reference_segment_sum(np.exp(np.outer(times, shifts)) / n_nodes, ref,
+                                              basis, times)
+            assert _close(got.evaluate(times).values, ref_diff), name
+        part = build_finite_rank_part(spec, basis, ps, forcing)
+        ref_terms = _grid_finite_rank(spec, basis, ps, forcing)
+        tol = 3e-11 if contour else 1e-12
+        profiles = np.array([u for _lam, _k, u in ref_terms])
+        assert _rel(np.array([t.profile for t in part.modal.terms]),
+                    pencil.columns(profiles)) <= tol, name
+        weights = np.array([times ** k * np.exp(lam * times) for lam, k, _u in ref_terms]).T
+        ref_part = _reference_segment_sum(weights, profiles, basis, times)
+        assert np.abs(part.evaluate(times).values - ref_part).max() \
+            <= tol * np.abs(ref_part).max(), name
+    assert kinds == {(True, True), (False, False), (True, False)}
+
+
+def test_decompose_stays_in_block_columns(monkeypatch, ex1s, basis_q16m32, poles_ex1s_q16,
+                                          default_forcing_q16):
+    # on a real mode pencil decompose never goes back to the grid between the
+    # forcing and the cover: no ModePencil.grid, no fourier_coefficients, and every
+    # FFT is one of forward_transform's (shifts, n_time) weight tables
+    assert poles_ex1s_q16.pencil.real and len(poles_ex1s_q16.pencil.modes) == 33
+    calls = []
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(spectral.ModePencil, "grid",
+                        counted("grid", spectral.ModePencil.grid))
+    for module in (spectral, stability):
+        monkeypatch.setattr(module, "fourier_coefficients",
+                            counted("fourier_coefficients", spectral.fourier_coefficients),
+                            raising=False)
+    sizes = []
+    fft = np.fft.fft
+
+    def counted_fft(a, *args, **kwargs):
+        sizes.append(np.shape(a))
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted_fft)
+    monkeypatch.setattr(np.fft, "ifft", counted("ifft", np.fft.ifft))
+    dec = decompose(ex1s, basis_q16m32, default_forcing_q16, poles_ex1s_q16)
+    assert dec.rank == 2
+    assert calls == []
+    # two segments of 17 solved nodes each, one derivative table per simple pole
+    assert sizes == [(17, 33), (17, 33), (1, 33), (1, 33)]
+
+
 # -- the finite-rank part -----------------------------------------------------------
 
 
@@ -558,7 +757,7 @@ def test_single_pole_correction_is_constant_mode(ex1, basis_q16m32, poles_ex1_q1
     assert len(part.modal.terms) == 1
     term = part.modal.terms[0]
     assert term.power == 0 and abs(term.lam) < 1e-9
-    prof = term.profile
+    prof = poles_ex1_q16.pencil.grid(term.profile)
     assert np.abs(prof - prof.mean()).max() < 1e-8 * np.abs(prof).max()
 
 
@@ -603,14 +802,20 @@ def test_loop_and_series_routes_agree():
 
 def test_finite_rank_part_solves_one_shift_per_pole(monkeypatch, ex1s, basis_q16m32,
                                                     poles_ex1s_q16, default_forcing_q16):
-    # no loop nodes: the only solves are one refinement shift per pole
+    # no loop nodes: the only solves are one refinement shift per pole, each one
+    # column-level call on every mode block
     shifts = []
 
-    def counted(spec, basis, z, f, **kwargs):
-        shifts.append(np.unique(z))
-        return apply_resolvent(spec, basis, z, f, **kwargs)
+    def counted(pencil, w, rhs, node):
+        assert rhs.shape[1] == len(w) == len(pencil.modes) * (node.max() + 1)
+        shifts.append(np.unique(w.reshape(-1, len(pencil.modes))[:, 0]))
+        return resolvent._schur_solve(pencil, w, rhs, node)
 
-    monkeypatch.setattr(stability, "apply_resolvent", counted)
+    def no_grid_solve(*args, **kwargs):
+        raise AssertionError("apply_resolvent was called")
+
+    monkeypatch.setattr(stability, "_schur_solve", counted)
+    monkeypatch.setattr(stability, "apply_resolvent", no_grid_solve)
     build_finite_rank_part(ex1s, basis_q16m32, poles_ex1s_q16, default_forcing_q16)
     assert [s.tolist() for s in shifts] == \
         [[p.source + REFINE_SHIFT] for p in poles_ex1s_q16.nonneg]
