@@ -13,7 +13,7 @@ dense trapezoid loop integrals of `tests/reference.py` cross-check them.
 Every routine works on one block pencil, `spectral.mode_operator_parts`: block q
 of D + z*A^0 is base0 + (z + i*q)*A^0, one block per Fourier mode when the
 coefficients do not depend on the periodic coordinate and one value-space block
-otherwise.  Each pencil is factored once: its complex Schur form of
+otherwise.  Each pencil is factored once: its triangular Schur form of
 A^0^{-1} base0 (`ModePencil.schur`, taken on first use) serves `_schur_solve`
 for every shift and `_loop_blocks` for every pole, which reorders it per pole
 for `loop_projections` and `_projection_family`, and the pole set carries it
@@ -29,7 +29,12 @@ eigenvalues only.  Both follow one rule, `ModePencil.real`: a pencil with no
 imaginary part (every real-coefficient mode pencil) is solved in real arithmetic
 (LAPACK `dggev`, under half the cost of `zggev`) and its Schur form taken from a
 real one; a complex pencil (complex coefficients, or a value-space block whose
-DFT leaves roundoff imaginary parts) stays in complex arithmetic.  Eigenvalues
+DFT leaves roundoff imaginary parts) stays in complex arithmetic.  The Schur
+factors follow the same rule one step on: when the real form splits into no
+imaginary part (no 2 x 2 block, as for EX1, EX1S and CE-FLAT), S, U and left
+are real, and `_schur_solve` runs its products and row updates on the float
+view of the columns; a real pencil with complex factors (CE-BDY at m32) solves
+on complex factors with its residual in real arithmetic.  Eigenvalues
 always come from the pencil, never from the Schur form of A^0^{-1} base0: its
 diagonal splits EX1 x Jordan's defective poles by up to 4.6e-6 at q4m32, where
 the pencil's QZ keeps them within 6e-11.
@@ -144,9 +149,10 @@ def _mode_batched(spec: OperatorSpec, basis: SpectralBasis, z, f: np.ndarray,
 def _schur_solve(pencil: ModePencil, w: np.ndarray, rhs: np.ndarray,
                  node: np.ndarray) -> np.ndarray:
     """Solve (base0 + w_j*a0) u_j = rhs_j for every column j from the pencil's Schur
-    form a0^{-1} base0 = U S U^H: a back-substitution with S + w_j I per column,
-    then one refinement step against the true blocks, its residual built in place
-    (a real pencil multiplies on the float view of the columns).
+    form a0^{-1} base0 = U S U^H: a back-substitution with the pivots S_kk + w_j
+    (formed once) per column, then one refinement step against the true blocks,
+    its residual built in place.  Real factors (`ModePencil.schur`) multiply on
+    the float view of the columns, and so does a real pencil's residual.
 
     Column j belongs to node node[j] (0, 1, ..), whose first column is at its shift
     (mode 0).  The first node whose relative residual over its columns exceeds
@@ -154,13 +160,19 @@ def _schur_solve(pencil: ModePencil, w: np.ndarray, rhs: np.ndarray,
     -S_kk - i*q is the shift minus the node's smallest pivot S_kk + w."""
     tri, U, left = pencil.schur
     base0, a0 = pencil.parts
+    rhs = np.ascontiguousarray(rhs, dtype=complex)
+    pivots = np.diag(tri)[:, None] + w
+
+    def flat(x):
+        return x.view(float) if tri.dtype == float else x
 
     def solve(r):
-        y = left @ r
+        y = (left @ flat(r)).view(complex)
+        yf = flat(y)
         for k in range(len(tri) - 1, -1, -1):
-            y[k] -= tri[k, k + 1:] @ y[k + 1:]
-            y[k] /= tri[k, k] + w
-        return U @ y
+            yf[k] -= tri[k, k + 1:] @ yf[k + 1:]
+            y[k] /= pivots[k]
+        return (U @ yf).view(complex)
 
     def residual(u):
         v = u.view(float) if pencil.real else u
@@ -180,8 +192,8 @@ def _schur_solve(pencil: ModePencil, w: np.ndarray, rhs: np.ndarray,
     if bad.size:
         cols = np.flatnonzero(node == bad[0])
         z = w[cols[0]]
-        pivots = (np.diag(tri) + w[cols, None]).ravel()
-        raise NearPoleError(complex(z), complex(z - pivots[np.argmin(np.abs(pivots))]),
+        near = pivots[:, cols].ravel()
+        raise NearPoleError(complex(z), complex(z - near[np.argmin(np.abs(near))]),
                             float(rel[bad[0]]))
     return u
 

@@ -249,10 +249,10 @@ class ModePencil:
     flattened grid function.
 
     Block q is a0 (T + (z + i*q) I) with T = a0^{-1} base0 for every q, so one
-    complex Schur form of T (`schur`, taken on first use and kept) serves every
+    triangular Schur form of T (`schur`, taken on first use and kept) serves every
     block, shift and pole of the pencil.  A pencil with no imaginary part (`real`:
     the mode pencil of every real-coefficient spec) is factored and solved for its
-    eigenvalues in real arithmetic.
+    eigenvalues in real arithmetic, and its factors stay real when they can.
     """
 
     base0: np.ndarray
@@ -313,16 +313,23 @@ class ModePencil:
 
     @cached_property
     def schur(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(S, U, left): the complex Schur form a0^{-1} base0 = U S U^H, unsorted,
+        """(S, U, left): the triangular Schur form a0^{-1} base0 = U S U^H, unsorted,
         and left = U^H a0^{-1}.  A real pencil takes the real Schur form of T and
         splits its 2 x 2 blocks (`rsf2csf`), at under half the cost of a complex
-        Schur form; S is complex upper triangular either way."""
+        Schur form.  One rule, like `real`: when S, U and left have no imaginary
+        part (a real T with no 2 x 2 block, as for EX1, EX1S and CE-FLAT), the
+        three are float64 and `resolvent._schur_solve` multiplies them as reals;
+        otherwise (a 2 x 2 block, as for CE-BDY at m32, or a complex pencil) they
+        are complex."""
         if self.real:
             T = np.linalg.solve(self.a0.real, self.base0.real)
             tri, U = scipy.linalg.rsf2csf(*scipy.linalg.schur(T))
         else:
             tri, U = scipy.linalg.schur(np.linalg.solve(self.a0, self.base0), output="complex")
-        return tri, U, np.linalg.solve(self.a0.T, U.conj()).T
+        factors = (tri, U, np.linalg.solve(self.a0.T, U.conj()).T)
+        if any(x.imag.any() for x in factors):
+            return factors
+        return tuple(np.ascontiguousarray(x.real) for x in factors)
 
 
 def mode_operator_parts(spec: OperatorSpec, basis: SpectralBasis) -> ModePencil:

@@ -27,8 +27,10 @@ half of shifts and one column-level `resolvent._schur_solve` call
 real mode pencil the upper half of the segment is the conjugate mirror of the
 lower half, and only the band-edge column needs a solve of its own; a complex
 forcing or pencil, or a value-space block, solves every node in the same call.
-F f solves at one refinement shift per pole.  The pole set carries the pencil
-`find_poles` factored and the loop projections (`PoleSet.pencil`,
+F f refines every pole in one solve, one node per (pole, power) at the pole's
+refinement shift.  On real Schur factors (`ModePencil.schur`) every solve runs
+in real arithmetic on the float view of its columns.  The pole set carries the
+pencil `find_poles` factored and the loop projections (`PoleSet.pencil`,
 `PoleSet.loop_projections`): `decompose`'s segments, F f and its kernel check
 all use its one Schur form, and a pole set from another grid raises.
 
@@ -498,12 +500,13 @@ def build_finite_rank_part(spec: OperatorSpec, basis: SpectralBasis, pole_set: P
     p_k <- D_{lam+d}^{-1} A^0 (d p_k - (k+1) p_{k+1}) at d = REFINE_SHIFT^(1/m),
     which fixes the exact chain D_lam p_k + (k+1) A^0 p_{k+1} = 0 and damps the
     rounding of the Schur factors off the pole's subspace.  Every step stays in
-    the block columns: A^0 is one block and the solve is one `_schur_solve` call.
+    the block columns: A^0 is one block, and the steps of every pole are one
+    `_schur_solve` call with one node per (pole, k).
     Pole orders, ranks, projections and the pencil come from the pole set.
     """
     pencil = pole_set.pencil_on(basis, spec.N)
     n_blocks = len(pencil.modes)
-    terms: list[ModalTerm] = []
+    rhs, w, lams, powers = [], [], [], []
     for pole, blocks in zip(pole_set.nonneg, pole_set.loop_projections):
         lam, order = pole.source, pole.order
         g = np.array([forward_transform(forcing, lam, pencil, order=ell) for ell in range(order)])
@@ -516,18 +519,23 @@ def build_finite_rank_part(spec: OperatorSpec, basis: SpectralBasis, pole_set: P
                 h = sum(np.linalg.matrix_power(nil, k + ell) @ c[ell]
                         for ell in range(order - k))
                 cols[k, b] = vecs @ h * (2.0 * math.pi / math.factorial(k))
-        # one inverse-iteration step at lam + d, every k in one batched solve (one
-        # node per k); it amplifies rounding along the chain by d^-order, held to
-        # 1/REFINE_SHIFT
+        # one inverse-iteration step at lam + d; it amplifies rounding along the
+        # chain by d^-order, held to 1/REFINE_SHIFT
         d = REFINE_SHIFT ** (1.0 / order)
-        rhs = (d * cols - np.arange(1, order + 1)[:, None, None]
-               * np.concatenate([cols[1:], np.zeros_like(cols[:1])])) @ pencil.a0.T
-        w = np.full((order, 1), lam + d) + 1j * pencil.modes
-        u = _schur_solve(pencil, w.ravel(), rhs.reshape(w.size, -1).T,
-                         np.repeat(np.arange(order), n_blocks))
-        profiles = u.T.reshape(cols.shape)
-        terms += [ModalTerm(lam=lam, power=k, profile=profiles[k]) for k in range(order)]
-    modal = ModalField(terms=tuple(terms), basis=basis, pencil=pencil)
+        rhs.append((d * cols - np.arange(1, order + 1)[:, None, None]
+                    * np.concatenate([cols[1:], np.zeros_like(cols[:1])])) @ pencil.a0.T)
+        w.append(np.full((order, 1), lam + d) + 1j * pencil.modes)
+        lams += [lam] * order
+        powers += range(order)
+    # every pole's steps in one batched solve, one node per (pole, k)
+    terms = ()
+    if lams:
+        w = np.concatenate(w).ravel()
+        u = _schur_solve(pencil, w, np.concatenate(rhs).reshape(w.size, -1).T,
+                         np.repeat(np.arange(len(lams)), n_blocks))
+        terms = tuple(ModalTerm(lam=lam, power=k, profile=p) for lam, k, p
+                      in zip(lams, powers, u.T.reshape((len(lams), n_blocks, -1))))
+    modal = ModalField(terms=terms, basis=basis, pencil=pencil)
     return FiniteRankPart(modal=modal, basis=basis, rank=sum(p.rank for p in pole_set.nonneg))
 
 

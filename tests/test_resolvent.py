@@ -211,8 +211,8 @@ def test_batched_resolvent_rejects_nan_forcing(ex1, basis_q4m32):
 
 def _reference_schur_solve(pencil, w, rhs):
     """_schur_solve without its residual check, each row's pivots formed as the
-    row is reached and every product complex."""
-    tri, U, left = pencil.schur
+    row is reached and every product complex, on complex copies of the factors."""
+    tri, U, left = (x.astype(complex) for x in pencil.schur)
     flat = w.reshape(-1)
 
     def solve(r):
@@ -238,21 +238,26 @@ def _block_columns(pencil, shifts, f):
 
 def test_schur_solve_matches_reference_in_both_arithmetics(ex1s, basis_q16m32,
                                                            poles_ex1s_q16):
-    # real: decompose's retarded segment for EX1S at q16m32, 33 shifts x 33 modes;
-    # complex: a segment right of the hermitian-A0 spec's poles on random data
+    # real factors: decompose's retarded segment for EX1S at q16m32, 33 shifts x 33
+    # modes; complex factors, on random data: CE-BDY at q4m32 (a real pencil) and
+    # the hermitian-A0 spec (a complex one), on segments right of their pencil
+    # eigenvalues.  CE-BDY's blocks are so far from normal that any two rounding
+    # orders part by 1e-3 at 0.3 right of them; 20 right they are well conditioned
     pencil = poles_ex1s_q16.pencil
     shifts = segment_abscissa(poles_ex1s_q16) + 1j * np.arange(33) / 33
     f = pencil.grid(forward_transform(make_forcing(basis_q16m32, "default"), shifts, pencil))
     cases = [(pencil, *_block_columns(pencil, shifts, f))]
-    spec = _hermitian_a0_spec()
-    pencil = mode_operator_parts(spec, build_basis(4, 16))
-    vals = scipy.linalg.eigvals(pencil.base0, -pencil.a0)
-    shifts = vals[np.isfinite(vals)].real.max() + 0.3 + 1j * np.arange(17) / 17
     rng = np.random.default_rng(1)
-    f = rng.standard_normal((17,) + pencil.grid_shape) \
-        + 1j * rng.standard_normal((17,) + pencil.grid_shape)
-    cases.append((pencil, *_block_columns(pencil, shifts, f)))
-    assert [(p.real, rhs.shape[1]) for p, _w, rhs, _n in cases] == [(True, 1089), (False, 153)]
+    for spec, basis, margin in [(fixture("CE-BDY"), build_basis(4, 32), 20.0),
+                                (_hermitian_a0_spec(), build_basis(4, 16), 0.3)]:
+        pencil = mode_operator_parts(spec, basis)
+        vals = scipy.linalg.eigvals(pencil.base0, -pencil.a0)
+        shifts = vals[np.isfinite(vals)].real.max() + margin + 1j * np.arange(17) / 17
+        f = rng.standard_normal((17,) + pencil.grid_shape) \
+            + 1j * rng.standard_normal((17,) + pencil.grid_shape)
+        cases.append((pencil, *_block_columns(pencil, shifts, f)))
+    assert [(p.real, p.schur[0].dtype, rhs.shape[1]) for p, _w, rhs, _n in cases] == \
+        [(True, float, 1089), (True, complex, 153), (False, complex, 153)]
     for pencil, w, rhs, node in cases:
         ref = _reference_schur_solve(pencil, w, rhs)
         assert _rel(_schur_solve(pencil, w, rhs, node), ref) <= 1e-12
@@ -803,16 +808,21 @@ def test_near_pole_error_reports_distance():
 
 @pytest.mark.parametrize("name, q_max, m, real", [
     ("EX1", 4, 32, True), ("EX1S", 4, 16, True), ("EX1 x Jordan", 2, 16, True),
-    ("hermitian A0", 4, 16, False), ("wobble", 4, 8, False),
+    ("CE-BDY", 4, 32, True), ("hermitian A0", 4, 16, False), ("wobble", 4, 8, False),
 ])
 def test_schur_form_reconstructs_T(name, q_max, m, real, request):
     # the real Schur form split into a complex one (real pencils) and the complex
-    # Schur form (complex pencils) both give T = a0^-1 base0 = U S U^H
+    # Schur form (complex pencils) both give T = a0^-1 base0 = U S U^H; the factors
+    # are float64 exactly when the split leaves no imaginary part (EX1, EX1S), and
+    # complex when T has a 2 x 2 block (EX1 x Jordan, CE-BDY) or the pencil is complex
     pencil = mode_operator_parts(_named_spec(name, request), build_basis(q_max, m))
     assert pencil.real == real
     tri, U, left = pencil.schur
     T = np.linalg.solve(pencil.a0, pencil.base0)
-    assert tri.dtype == U.dtype == complex
+    factors = float if name in ("EX1", "EX1S") else complex
+    assert tri.dtype == U.dtype == left.dtype == factors
+    if factors is complex:
+        assert tri.imag.any() and U.imag.any() and left.imag.any()
     assert not np.tril(tri, -1).any()
     assert np.linalg.norm(U.conj().T @ U - np.eye(len(U))) <= 1e-14 * len(U)
     assert np.linalg.norm(U @ tri @ U.conj().T - T) <= 1e-13 * np.linalg.norm(T)

@@ -802,13 +802,20 @@ def test_loop_and_series_routes_agree():
 
 def test_finite_rank_part_solves_one_shift_per_pole(monkeypatch, ex1s, basis_q16m32,
                                                     poles_ex1s_q16, default_forcing_q16):
-    # no loop nodes: the only solves are one refinement shift per pole, each one
-    # column-level call on every mode block
-    shifts = []
+    # no loop nodes: the only solve is one column-level call on every mode block,
+    # one node per (pole, k) at the pole's refinement shift, for EX1S (two simple
+    # poles) and EX1 x Jordan (one pole of order 2)
+    jordan, basis = _jordan_spec(), build_basis(4, 16)
+    cases = [(ex1s, basis_q16m32, poles_ex1s_q16, default_forcing_q16),
+             (jordan, basis, find_poles(jordan, basis, window=(-2.2, 1.0)),
+              make_forcing(basis, "default", N=jordan.N))]
+    calls = []
 
     def counted(pencil, w, rhs, node):
-        assert rhs.shape[1] == len(w) == len(pencil.modes) * (node.max() + 1)
-        shifts.append(np.unique(w.reshape(-1, len(pencil.modes))[:, 0]))
+        n_modes = len(pencil.modes)
+        assert rhs.shape[1] == len(w) and node.tolist() == \
+            np.repeat(np.arange(len(w) // n_modes), n_modes).tolist()
+        calls.append(w.reshape(-1, n_modes)[:, 0].tolist())
         return resolvent._schur_solve(pencil, w, rhs, node)
 
     def no_grid_solve(*args, **kwargs):
@@ -816,9 +823,12 @@ def test_finite_rank_part_solves_one_shift_per_pole(monkeypatch, ex1s, basis_q16
 
     monkeypatch.setattr(stability, "_schur_solve", counted)
     monkeypatch.setattr(stability, "apply_resolvent", no_grid_solve)
-    build_finite_rank_part(ex1s, basis_q16m32, poles_ex1s_q16, default_forcing_q16)
-    assert [s.tolist() for s in shifts] == \
-        [[p.source + REFINE_SHIFT] for p in poles_ex1s_q16.nonneg]
+    for spec, basis, ps, forcing in cases:
+        build_finite_rank_part(spec, basis, ps, forcing)
+    assert [[p.order for p in ps.nonneg] for _s, _b, ps, _f in cases] == [[1, 1], [2]]
+    assert calls == [[p.source + REFINE_SHIFT ** (1.0 / p.order)
+                      for p in ps.nonneg for _k in range(p.order)]
+                     for _s, _b, ps, _f in cases]
 
 
 def test_correction_lies_in_kernel(decomposition_ex1, decomposition_ex1s):
