@@ -7,7 +7,9 @@ builds the manifest, creates `--out`, loads the operator and calls the
 subcommand with a `RunOutput`, the one writer of every output file; then it
 writes `manifest.json`, or `error.json` (and no manifest) if the run raised.
 spectrum, codim, green and compare look for poles in (--re-min, z*): right of the
-energy threshold z* there is none, and an eigenvalue found there stops the run.
+energy threshold z* there is none, and an eigenvalue found there stops the run;
+an --re-min that is not left of z* is an error.  Every JSON file is strict JSON:
+a non-finite number (z** with no pole in the window) is written as null.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .operator_model import WeightSequence, check_assumptions, energy_threshold, fixture, load_spec
+from .operator_model import SpecError, WeightSequence, check_assumptions, energy_threshold, \
+    fixture, load_spec
 from .resolvent import NearPoleError, PolesRightOfWindowError, find_poles
 from .spectral import build_basis
 from .stability import CROSS_ENGINE_TOL, cross_engine_deltas, decompose, make_forcing, \
@@ -71,7 +74,10 @@ class RunManifest:
 
 
 def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The one JSON writer: strict JSON, each non-finite float (NaN, Infinity) as null.
+    Floats go through their repr both ways, so every finite one is kept exactly."""
+    doc = json.loads(json.dumps(doc), parse_constant=lambda _name: None)
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _json_value(x):
@@ -159,9 +165,14 @@ def _forcing(args, spec, basis):
 
 
 def _poles(args, spec):
-    """The basis and the poles in (--re-min, z*), checked for none right of z*."""
+    """The basis and the poles in (--re-min, z*), checked for none right of z*;
+    --re-min must be left of z*."""
+    z_star = energy_threshold(spec)
+    if not args.re_min < z_star:
+        raise SpecError(f"--re-min {args.re_min} is not left of the energy threshold "
+                        f"z* = {z_star}: the pole window is empty")
     basis = build_basis(args.qmax, args.m)
-    pole_set = find_poles(spec, basis, window=(args.re_min, energy_threshold(spec)))
+    pole_set = find_poles(spec, basis, window=(args.re_min, z_star))
     pole_set.check_right_edge()
     return basis, pole_set
 
@@ -292,17 +303,20 @@ def cmd_compare(args, spec, out: RunOutput) -> int:
     return 0 if ok else 1
 
 
-def _at_least(least: int):
-    """An argparse type: an integer no smaller than `least`, else a usage error."""
-    def parse(text: str) -> int:
+def _checked(kind, ok, what: str):
+    """An argparse type: kind(text) where ok(value) holds, else a usage error."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < least:
-            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
         return value
     return parse
+
+
+_finite_float = _checked(float, math.isfinite, "finite")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         """The basis and the window's left edge of the subcommands that locate poles."""
         p.add_argument("--qmax", type=int, default=qmax)
         p.add_argument("--m", type=int, default=32)
-        p.add_argument("--re-min", type=float, default=-2.2, dest="re_min")
+        p.add_argument("--re-min", type=_finite_float, default=-2.2, dest="re_min")
         return p
 
     p = command("check", cmd_check, "verify the admissibility conditions")
@@ -346,10 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("evolve", cmd_evolve, "time-domain evolution and energies")
     p.add_argument("--m", type=int, default=32)
-    p.add_argument("--lmax", type=_at_least(0), default=2)
+    p.add_argument("--lmax", type=_checked(int, lambda v: v >= 0, "at least 0"), default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--periods", type=_at_least(1), default=10)
-    p.add_argument("--shift", type=float, default=0.0)
+    p.add_argument("--periods", type=_checked(int, lambda v: v >= 1, "at least 1"), default=10)
+    p.add_argument("--shift", type=_finite_float, default=0.0)
 
     p = pole_window(command("compare", cmd_compare, "cross-engine agreement checks"), qmax=16)
     p.add_argument("--forcing", default="default")

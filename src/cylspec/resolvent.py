@@ -305,16 +305,12 @@ class PoleSet:
     def to_json(self) -> dict:
         return {
             "window": {"re_min": self.window[0], "re_max": self.window[1]},
-            "z_star_star": _json_float(self.z_star_star),
-            "z_star_star_star": _json_float(self.z_star_star_star),
+            "z_star_star": self.z_star_star,
+            "z_star_star_star": self.z_star_star_star,
             "n_nonneg": len(self.nonneg),
             "edge_flag": self.edge_flag,
             "poles": [p.to_json() for p in self.poles],
         }
-
-
-def _json_float(x: float):
-    return None if not np.isfinite(x) else x
 
 
 @dataclass(frozen=True)

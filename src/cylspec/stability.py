@@ -7,8 +7,8 @@ the shifted operator along a vertical segment of height one and integrating
 back yields the retarded solution.  The loop integrals of exp(z X) D_z^{-1} f_z
 around the nonnegative strip poles make the finite-rank correction F f, whose
 subtraction leaves exponential decay at the fastest rate allowed by the
-remaining (decaying) poles.  F f is a modal field built without quadrature:
-the loop projections are exact in the pencil's ordered Schur form
+remaining (decaying) poles.  F f is built without quadrature: the loop
+projections are exact in the pencil's ordered Schur form
 (`resolvent.loop_projections`), and so are the z-derivatives of f_z.  By the
 residue theorem that decaying part u_ret - F f is itself a vertical-segment
 integral, at any Re z between the decaying poles and the nonnegative ones;
@@ -21,18 +21,14 @@ is periodic there except in the band-edge column: truncating the band at
 So the rule is spectrally accurate, and with enough nodes the cover aliasing
 (period translates folding back) is driven below roundoff.
 
-Shifts are batched: each segment is one `forward_transform` over its lower
-half of shifts and one column-level `resolvent._schur_solve` call
-(`solve_on_segment`).  A real forcing also has f_{conj z} = conj(f_z), so on a
-real mode pencil the upper half of the segment is the conjugate mirror of the
-lower half, and only the band-edge column needs a solve of its own; a complex
-forcing or pencil, or a value-space block, solves every node in the same call.
-F f refines every pole in one solve, one node per (pole, power) at the pole's
-refinement shift.  On real Schur factors (`ModePencil.schur`) every solve runs
-in real arithmetic on the float view of its columns.  The pole set carries the
-pencil `find_poles` factored and the loop projections (`PoleSet.pencil`,
-`PoleSet.loop_projections`): `decompose`'s segments, F f and its kernel check
-all use its one Schur form, and a pole set from another grid raises.
+Shifts are batched: a segment is one `forward_transform` and one column-level
+`resolvent._schur_solve` call, over only its lower half for a real forcing on a
+real mode pencil (`solve_on_segment`), and F f refines every pole in one solve.
+Real Schur factors (`ModePencil.schur`) solve in real arithmetic.  The pole set
+carries the pencil `find_poles` factored and the loop projections
+(`PoleSet.pencil`, `PoleSet.loop_projections`): `decompose`'s segments, F f and
+its kernel check all use its one Schur form, and a pole set from another grid
+raises.
 
 Everything between the forcing and the cover stays in the pencil's block
 columns (a mode block's column is one Fourier coefficient in x0, unscaled; the
@@ -41,9 +37,11 @@ columns from one FFT of its separable time weights
 (`ModePencil.separable_columns`), the solves, A^0 and the operator act on them
 block by block, and `ModePencil.coefficients` hands them to `_segment_sum`
 (a reshape for mode blocks, one FFT for the value-space block).  Grid values
-appear only in the `FieldOnCover` that `_segment_sum` returns: every cover
-evaluation (segment integrals, modal fields, the operator applied to them) is
-that one product of weights times phases with Fourier coefficients.
+appear only in the `FieldOnCover` that `_segment_sum` returns.  A segment's
+trapezoid sum and F f (the sum of the same integrand's residues) are both
+sum_k X^power_k exp(lam_k X) u_k(X mod 2pi) / count, so both are one class,
+`CoverSum` (power 0 and count n on n nodes; the poles' terms and count 1), and
+each of its evaluations is that one product of weights, phases and coefficients.
 """
 
 from __future__ import annotations
@@ -174,13 +172,6 @@ class CoverForcing:
         call on a 0-d array (one BLAS thread, 2-core x86-64 VM)."""
         return self.time.at(t) * self.space
 
-    def sample(self, times: np.ndarray) -> FieldOnCover:
-        values = self.time(times)[:, None, None] * self.space[None, :, :]
-        return FieldOnCover(np.asarray(times, dtype=float), values, self.basis)
-
-    def is_zero(self) -> bool:
-        return bool(np.all(self.space == 0))
-
     @property
     def real(self) -> bool:
         """Whether the forcing has no imaginary part: a real spatial profile and a
@@ -188,37 +179,48 @@ class CoverForcing:
         return not (self.space.imag.any() or np.iscomplexobj(self.time(self.basis.x0)))
 
 
-def _positive(doc: dict, key: str, default: float | None = None) -> float:
-    value = float(doc[key] if default is None else doc.get(key, default))
-    if not (math.isfinite(value) and value > 0):
-        raise SpecError(f"forcing {key} must be positive and finite, got {value}")
-    return value
+def _number(value, key: str, positive: bool = False) -> float:
+    """A forcing document's value for key (None when absent): a finite number,
+    positive if asked, else SpecError naming the key."""
+    if not (isinstance(value, (int, float)) and math.isfinite(value)
+            and (value > 0 or not positive)):
+        kind = "positive" if positive else "finite"
+        raise SpecError(f"forcing {key} must be a {kind} number, got {value!r}")
+    return float(value)
 
 
 def make_forcing(basis: SpectralBasis, doc: dict | str = "default", N: int = 1) -> CoverForcing:
-    """Forcing from its JSON description (or the named default bump x gaussian)."""
+    """Forcing from its JSON description (or the named default bump x gaussian),
+    which may come from outside the program: a missing key, a value that is not a
+    finite number or one out of range raises SpecError naming the key."""
     if doc == "default":
-        doc = {"time_bump": {"center": 3 * math.pi, "width": math.pi},
-               "space": {"type": "gaussian", "sigma": 0.4}}
-    if "time_gaussian" in doc:
-        g = doc["time_gaussian"]
-        bump = GaussianPulseProfile(center=float(g["center"]), sigma=_positive(g, "sigma"),
-                                    cut=_positive(g, "cut", 8.0))
+        doc = {"time_bump": {"center": 3 * math.pi, "width": math.pi}}
+    doc = doc if isinstance(doc, dict) else {}
+    time_key = "time_gaussian" if "time_gaussian" in doc else "time_bump"
+    t, space_doc = doc.get(time_key), doc.get("space", {"type": "gaussian", "sigma": 0.4})
+    for key, section in ((time_key, t), ("space", space_doc)):
+        if not isinstance(section, dict):
+            raise SpecError(f"forcing {key} must be a JSON object, got {section!r}")
+    if time_key == "time_gaussian":
+        bump = GaussianPulseProfile(center=_number(t.get("center"), "center"),
+                                    sigma=_number(t.get("sigma"), "sigma", True),
+                                    cut=_number(t.get("cut", 8.0), "cut", True))
     else:
-        bump = BumpProfile(center=float(doc["time_bump"]["center"]),
-                           width=_positive(doc["time_bump"], "width"))
-    space_doc = doc.get("space", {"type": "gaussian", "sigma": 0.4})
-    component = int(space_doc.get("component", 0))
-    if not 0 <= component < N:
-        raise SpecError(f"forcing component {component} is outside [0, {N})")
-    if space_doc["type"] == "gaussian":
-        prof = np.exp(-basis.x1**2 / (2.0 * _positive(space_doc, "sigma") ** 2))
-    elif space_doc["type"] == "polynomial":
-        prof = np.polynomial.polynomial.polyval(basis.x1, np.asarray(space_doc["coeffs"], dtype=float))
+        bump = BumpProfile(center=_number(t.get("center"), "center"),
+                           width=_number(t.get("width"), "width", True))
+    component = _number(space_doc.get("component", 0), "component")
+    if not (component == int(component) and 0 <= component < N):
+        raise SpecError(f"forcing component {component} is not an integer in [0, {N})")
+    kind, coeffs = space_doc.get("type"), space_doc.get("coeffs")
+    if kind == "gaussian":
+        prof = np.exp(-basis.x1**2 / (2.0 * _number(space_doc.get("sigma"), "sigma", True) ** 2))
+    elif kind == "polynomial" and isinstance(coeffs, list) and coeffs:
+        prof = np.polynomial.polynomial.polyval(basis.x1, [_number(c, "coeffs") for c in coeffs])
     else:
-        raise SpecError(f"unknown spatial profile type {space_doc['type']!r}")
+        raise SpecError(f"forcing space must be a gaussian, or a polynomial with a nonempty "
+                        f"list of coeffs; got type {kind!r}, coeffs {coeffs!r}")
     space = np.zeros((basis.n_space, N), dtype=complex)
-    space[:, component] = prof
+    space[:, int(component)] = prof
     return CoverForcing(time=bump, space=space, basis=basis)
 
 
@@ -255,21 +257,13 @@ def forward_transform(forcing: CoverForcing, z, pencil: ModePencil,
     return out if np.ndim(z) else out[0]
 
 
-def _segment_weights(shifts: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Trapezoid weights exp(z_k X_i) / n of a vertical segment, (times, shifts)."""
-    return np.exp(np.outer(times, shifts)) / len(shifts)
-
-
 def _segment_sum(weights: np.ndarray, coeffs: np.ndarray, basis: SpectralBasis,
                  times: np.ndarray) -> FieldOnCover:
     """sum_k weights[i, k] * field_k(X_i mod 2pi) over cover times X_i, from the
     fields' Fourier coefficients (fields, n_time, n_space, N) in FFT order
-    (`ModePencil.coefficients`).
-
-    The one product behind every cover evaluation (segment integrals, modal
-    fields, the operator applied to them), and the only place where grid values
-    appear: the weights times the phases exp(i q X), (times, fields, modes), act
-    on the coefficients.
+    (`ModePencil.coefficients`): the one product behind every `CoverSum`
+    evaluation, and the only place where grid values appear.  The weights times
+    the phases exp(i q X), (times, fields, modes), act on the coefficients.
     """
     times = np.asarray(times, dtype=float)
     kernel = weights[:, :, None] * np.exp(1j * np.outer(times, basis.modes))[:, None, :]
@@ -277,54 +271,63 @@ def _segment_sum(weights: np.ndarray, coeffs: np.ndarray, basis: SpectralBasis,
 
 
 # ---------------------------------------------------------------------------
-# vertical-path solutions
+# fields on the cover: segment integrals and F f
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class VerticalPathSolution:
-    """Resolvent applied along a vertical segment; evaluates to cover fields."""
+class CoverSum:
+    """The cover field sum_k X^power_k exp(lam_k X) u_k(X mod 2pi) / count.
 
+    A vertical segment's trapezoid sum has power 0, lam the node shifts and count
+    the node count (`solve_on_segment`); F f has its poles' terms and count 1
+    (`build_finite_rank_part`).  The u_k are kept in the block columns of `pencil`.
+    """
+
+    lam: np.ndarray         # (terms,) complex
+    power: np.ndarray       # (terms,) int: the power of X multiplying exp(lam X)
+    columns: np.ndarray     # (terms, blocks, n): u_k in the pencil's block columns
+    count: int
+    pencil: ModePencil
     basis: SpectralBasis
-    c: float
-    nodes: np.ndarray
-    # (n_nodes, blocks, n): u_k = resolvent at c + i t_k applied to f_k, in the
-    # pencil's block columns
-    columns: np.ndarray
-    forcing: CoverForcing
-    pencil: ModePencil      # the one solved with; its blocks are the columns'
-
-    @property
-    def shifts(self) -> np.ndarray:
-        return self.c + 1j * self.nodes
 
     def evaluate(self, times: np.ndarray) -> FieldOnCover:
-        return _segment_sum(_segment_weights(self.shifts, times),
+        X = np.asarray(times, dtype=float)[:, None]
+        return _segment_sum(X ** self.power * np.exp(self.lam * X) / self.count,
                             self.pencil.coefficients(self.columns), self.basis, times)
 
     def operator_applied(self, times: np.ndarray) -> FieldOnCover:
-        """The cover operator applied to the evaluated field, node by node.
+        """The cover operator applied to the field, term by term (exact in time).
 
-        Differentiating under the integral, each node contributes
-        exp(z X) * ((D + z A^0) u_z)(X mod 2pi), computed block by block.
+        D(X^k e^{l X} u) = X^k e^{l X} (D + l A^0) u + k X^{k-1} e^{l X} A^0 u,
+        with A^0 one block on the columns; power 0 leaves the first term alone.
         """
-        w = self.shifts[:, None] + 1j * self.pencil.modes
-        applied = self.pencil.coefficients(self.pencil.apply(w, self.columns))
-        return _segment_sum(_segment_weights(self.shifts, times), applied, self.basis, times)
+        lam, power, cols, pencil = self.lam, self.power, self.columns, self.pencil
+        X = np.asarray(times, dtype=float)[:, None]
+        grow = np.exp(lam * X)
+        hi = power > 0
+        weights = np.hstack([X ** power * grow,
+                             power[hi] * X ** (power[hi] - 1) * grow[:, hi]]) / self.count
+        fields = np.concatenate([pencil.apply(lam[:, None] + 1j * pencil.modes, cols),
+                                 cols[hi] @ pencil.a0.T])
+        return _segment_sum(weights, pencil.coefficients(fields), self.basis, times)
 
-    def residual(self, times: np.ndarray) -> float:
-        """Sup norm of (cover operator applied to the field) minus the forcing."""
-        applied = self.operator_applied(times)
-        target = self.forcing.sample(times)
-        return float(np.abs(applied.values - target.values).max())
+    def kernel_defect(self, times: np.ndarray) -> float:
+        """Sup of the cover operator applied to the field, relative to the field's
+        own sup over the window (at least 1): the absolute defect of an
+        exponentially growing kernel element scales with it."""
+        defect = float(np.abs(self.operator_applied(times).values).max())
+        scale = max(float(np.abs(self.evaluate(times).values).max()), 1.0)
+        return defect / scale
 
 
 def solve_on_segment(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverForcing,
                      c: float, n_nodes: int, *,
-                     pencil: ModePencil | None = None) -> VerticalPathSolution:
+                     pencil: ModePencil | None = None) -> CoverSum:
     """The resolvent on the nodes z_k = c + i*k/n of a vertical segment, applied to
     f_{z_k}, on the pencil of (spec, basis) (built unless passed), in one
-    column-level `resolvent._schur_solve` call; the solution keeps its columns.
+    column-level `resolvent._schur_solve` call: their trapezoid sum as a `CoverSum`
+    (lam the shifts, power 0, count n).
 
     A real mode pencil and a real forcing make the segment its own mirror: with
     f_{conj z} = conj(f_z) and f_{z+i} = exp(-i*x0) f_z, the block column (n-k, q)
@@ -358,8 +361,8 @@ def solve_on_segment(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverFor
         source = columns[partners]
         source[:, q_max] = u[w.size:]
         columns = np.concatenate([columns, source[::-1, (-np.arange(n_t) - 1) % n_t].conj()])
-    return VerticalPathSolution(basis=basis, c=c, nodes=nodes, columns=columns,
-                                forcing=forcing, pencil=pencil)
+    return CoverSum(lam=shifts, power=np.zeros(n_nodes, dtype=int), columns=columns,
+                    count=n_nodes, pencil=pencil, basis=basis)
 
 
 def default_slice_times(forcing: CoverForcing) -> np.ndarray:
@@ -415,80 +418,10 @@ def retarded_solution(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverFo
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModalTerm:
-    lam: complex
-    power: int              # power of x0 multiplying the exponential
-    # the quotient profile in the pencil's block columns (blocks, n)
-    profile: np.ndarray
-
-
-@dataclass(frozen=True)
-class ModalField:
-    """Finite combination of (x0)^k exp(lam x0) times quotient profiles, each in
-    the block columns of `pencil`."""
-
-    terms: tuple[ModalTerm, ...]
-    basis: SpectralBasis
-    pencil: ModePencil
-
-    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The terms' lam, power and profiles as arrays, profiles with a leading term axis."""
-        shape = (len(self.terms), len(self.pencil.modes), len(self.pencil.a0))
-        return (np.array([t.lam for t in self.terms], dtype=complex),
-                np.array([t.power for t in self.terms], dtype=int),
-                np.array([t.profile for t in self.terms], dtype=complex).reshape(shape))
-
-    def evaluate(self, times: np.ndarray) -> FieldOnCover:
-        lam, power, profiles = self.stacked()
-        X = np.asarray(times, dtype=float)[:, None]
-        return _segment_sum(X ** power * np.exp(lam * X), self.pencil.coefficients(profiles),
-                            self.basis, times)
-
-
-@dataclass(frozen=True)
-class FiniteRankPart:
-    """The finite-rank correction F f as a modal field, with its diagnostics."""
-
-    modal: ModalField
-    basis: SpectralBasis
-    rank: int
-
-    def evaluate(self, times: np.ndarray) -> FieldOnCover:
-        return self.modal.evaluate(times)
-
-    def operator_applied(self, times: np.ndarray) -> FieldOnCover:
-        """Cover operator on the modal field, term by term (exact in time).
-
-        D((x0)^k e^{l x0} w) = (x0)^k e^{l x0} (D + l A^0) w
-                               + k (x0)^{k-1} e^{l x0} A^0 w,
-        with A^0 one block on the columns.
-        """
-        lam, power, profiles = self.modal.stacked()
-        pencil = self.modal.pencil
-        X = np.asarray(times, dtype=float)[:, None]
-        grow = np.exp(lam * X)
-        hi = power > 0
-        weights = np.hstack([X ** power * grow, power[hi] * X ** (power[hi] - 1) * grow[:, hi]])
-        fields = np.concatenate([pencil.apply(lam[:, None] + 1j * pencil.modes, profiles),
-                                 profiles[hi] @ pencil.a0.T])
-        return _segment_sum(weights, pencil.coefficients(fields), self.basis, times)
-
-    def kernel_defect(self, times: np.ndarray) -> float:
-        """Sup of the cover operator applied to the correction, relative to the field.
-
-        Normalized by the correction's own sup over the window: the absolute
-        defect of an exponentially growing kernel element scales with the field.
-        """
-        defect = float(np.abs(self.operator_applied(times).values).max())
-        scale = max(float(np.abs(self.evaluate(times).values).max()), 1.0)
-        return defect / scale
-
-
 def build_finite_rank_part(spec: OperatorSpec, basis: SpectralBasis, pole_set: PoleSet,
-                           forcing: CoverForcing) -> FiniteRankPart:
+                           forcing: CoverForcing) -> CoverSum:
     """F f: the loop integrals of exp(z X) D_z^{-1} f_z about the nonnegative strip
-    poles, as a modal field, from exact Laurent coefficients.
+    poles, as a `CoverSum` with count 1, from exact Laurent coefficients.
 
     About a pole lam of order m, exp(z X) f_z = exp(lam X) sum_k X^k (z - lam)^k / k!
     sum_l g_l (z - lam)^l / l! with g_l the exact z-derivatives of f_z at lam
@@ -528,15 +461,14 @@ def build_finite_rank_part(spec: OperatorSpec, basis: SpectralBasis, pole_set: P
         lams += [lam] * order
         powers += range(order)
     # every pole's steps in one batched solve, one node per (pole, k)
-    terms = ()
+    columns = np.zeros((len(lams), n_blocks, len(pencil.a0)), dtype=complex)
     if lams:
         w = np.concatenate(w).ravel()
         u = _schur_solve(pencil, w, np.concatenate(rhs).reshape(w.size, -1).T,
                          np.repeat(np.arange(len(lams)), n_blocks))
-        terms = tuple(ModalTerm(lam=lam, power=k, profile=p) for lam, k, p
-                      in zip(lams, powers, u.T.reshape((len(lams), n_blocks, -1))))
-    modal = ModalField(terms=terms, basis=basis, pencil=pencil)
-    return FiniteRankPart(modal=modal, basis=basis, rank=sum(p.rank for p in pole_set.nonneg))
+        columns = np.ascontiguousarray(u.T.reshape(columns.shape))
+    return CoverSum(lam=np.array(lams, dtype=complex), power=np.array(powers, dtype=int),
+                    columns=columns, count=1, pencil=pencil, basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +479,7 @@ def build_finite_rank_part(spec: OperatorSpec, basis: SpectralBasis, pole_set: P
 @dataclass(frozen=True)
 class StabilityDecomposition:
     retarded: FieldOnCover
-    correction: FiniteRankPart
+    correction: CoverSum
     difference: FieldOnCover
     fitted_rate: float
     rank: int
@@ -605,7 +537,8 @@ def decompose(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverForcing,
     rate = fit_log_slope(times[mask], difference.slice_norms()[mask])
     return StabilityDecomposition(
         retarded=u_ret, correction=part, difference=difference,
-        fitted_rate=rate, rank=part.rank, pole_set=pole_set, used_slices=mask,
+        fitted_rate=rate, rank=sum(p.rank for p in pole_set.nonneg), pole_set=pole_set,
+        used_slices=mask,
         kernel_defect=part.kernel_defect(times), identity_defect=identity_defect,
     )
 

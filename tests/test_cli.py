@@ -85,14 +85,50 @@ def test_codim_summary(tmp_path, capsys):
 
 
 def test_codim_with_energy_threshold_left_of_re_min(tmp_path, capsys):
-    # EX1 shifted by +3 has z* = -2.25, left of --re-min: an empty window, which is
-    # complete, since no pole lies right of z*
+    # EX1 shifted by +3 has z* = -2.25, left of the default --re-min: the window is
+    # empty, which is an error; an --re-min left of z* finds its pole -3
     cfg = tmp_path / "ex1p3.json"
     cfg.write_text(json.dumps(spec_to_json(fixture("EX1").shifted(3.0))))
-    assert run(["codim", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert "|Λ|=0, rank F=0, z★=-2.25," in capsys.readouterr().out
+    assert run(["codim", "--config", str(cfg), "--out", str(tmp_path / "empty")]) == 1
+    error = json.loads(read(tmp_path / "empty" / "error.json"))["error"]
+    assert error["type"] == "SpecError" and "not left of the energy threshold" in error["message"]
+    assert run(["codim", "--config", str(cfg), "--re-min", "-3.2",
+                "--out", str(tmp_path / "out")]) == 0
+    assert "|Λ|=0, rank F=0, z★=-2.25, z★★=-3," in capsys.readouterr().out
     doc = json.loads(read(tmp_path / "out" / "codim.json"))
-    assert doc["n_nonneg"] == 0 and doc["poles"] == [] and abs(doc["z_star"] + 2.25) < 1e-12
+    assert doc["n_nonneg"] == 0 and len(doc["poles"]) == 1 and abs(doc["z_star"] + 2.25) < 1e-12
+
+
+@pytest.mark.parametrize("re_min", ["nan", "inf", "-inf"])
+def test_re_min_must_be_finite(tmp_path, capsys, re_min):
+    with pytest.raises(SystemExit) as exc:
+        run(["spectrum", "--fixture", "EX1", f"--re-min={re_min}", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "argument --re-min: must be finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def _strict_json(path):
+    def refuse(name):
+        raise ValueError(f"{path.name}: {name} is not JSON")
+    return json.loads(read(path), parse_constant=refuse)
+
+
+def test_json_outputs_are_strict(tmp_path):
+    # EX1 shifted by +2.5 has no pole in (-2.2, z* = -1.75): z** and z*** are
+    # -inf, written as null; every JSON file parses without NaN or Infinity
+    cfg = tmp_path / "ex1p25.json"
+    cfg.write_text(json.dumps(spec_to_json(fixture("EX1").shifted(2.5))))
+    for command in ("green", "codim", "spectrum"):
+        out = tmp_path / command
+        assert run([command, "--config", str(cfg), "--qmax", "4", "--m", "16",
+                    "--out", str(out)]) == 0
+        docs = {p.name: _strict_json(p) for p in out.glob("*.json")}
+        assert "manifest.json" in docs and len(docs) == 2
+        doc = docs[{"green": "green.json", "codim": "codim.json",
+                    "spectrum": "poles.json"}[command]]
+        assert doc["z_star_star"] is None and doc["z_star_star_star"] is None
+    assert _strict_json(tmp_path / "green" / "green.json")["rank_F"] == 0
 
 
 def test_green_artifacts(tmp_path):
@@ -247,10 +283,18 @@ def test_error_report_carries_periodization_diagnostics():
 
 def test_numeric_failure_emits_error_json(tmp_path, inflow_config):
     # failures inside the command, after --out exists, and one while loading; the
-    # inflow spec has persistent poles right of its energy threshold
+    # inflow spec has persistent poles right of its energy threshold, EX1's z* is
+    # 0.75, and a forcing coefficient must be finite
     right_of_window = "strip poles lie right of the pole window (Re z > 0.25)"
+    nan_forcing = tmp_path / "nan.json"
+    nan_forcing.write_text(json.dumps({"time_bump": {"center": 9.4, "width": 3.1}, "space": {
+        "type": "polynomial", "coeffs": [math.nan, 1]}}))
     cases = (
         (["green", "--fixture", "EX2"], "SpecError", "n=1 only"),
+        (["green", "--fixture", "EX1", "--qmax", "4", "--m", "16", "--forcing", str(nan_forcing)],
+         "SpecError", "forcing coeffs must be a finite number"),
+        (["spectrum", "--fixture", "EX1", "--re-min", "0.75"], "SpecError", "z* = 0.75"),
+        (["spectrum", "--fixture", "EX1", "--re-min", "5"], "SpecError", "z* = 0.75"),
         (["green", "--config", inflow_config, "--qmax", "4", "--m", "16"],
          "PolesRightOfWindowError", right_of_window),
         (["codim", "--config", inflow_config, "--qmax", "4", "--m", "16"],
@@ -407,10 +451,11 @@ def test_unread_flag_rejected(tmp_path, command, flag):
 
 
 @pytest.mark.parametrize("flag,value", [("--lmax", "-1"), ("--periods", "0"),
-                                        ("--periods", "-3"), ("--periods", "two")])
+                                        ("--periods", "-3"), ("--periods", "two"),
+                                        ("--shift", "nan"), ("--shift", "inf")])
 def test_evolve_rejects_unusable_counts(tmp_path, capsys, flag, value):
-    # no energy order below 0 and no run shorter than a period: usage errors, not
-    # a failed run with error.json
+    # no energy order below 0, no run shorter than a period and no non-finite
+    # shift: usage errors, not a failed run with error.json
     with pytest.raises(SystemExit) as exc:
         run(["evolve", "--fixture", "EX1", flag, value, "--out", str(tmp_path)])
     assert exc.value.code == 2

@@ -18,11 +18,8 @@ from cylspec.spectral import (
 from cylspec.stability import (
     REFINE_SHIFT,
     BumpProfile,
-    FiniteRankPart,
+    CoverSum,
     GaussianPulseProfile,
-    ModalField,
-    ModalTerm,
-    VerticalPathSolution,
     _segment_sum,
     decompose,
     build_finite_rank_part,
@@ -133,7 +130,7 @@ def test_zero_forcing_transforms_to_zero(basis_q4m32):
         "time_bump": {"center": 3 * math.pi, "width": math.pi},
         "space": {"type": "polynomial", "coeffs": [0.0]},
     })
-    assert forcing.is_zero()
+    assert not forcing.space.any()
     f = forward_transform(forcing, 0.7 + 0.2j, _pencil(basis_q4m32))
     assert f.shape == (9, 33) and np.all(f == 0)
 
@@ -180,8 +177,8 @@ def test_transform_round_trip_on_support(basis_q4m32):
     samples = pencil.coefficients(forward_transform(forcing, shifts, pencil))
     times = aligned_times(basis_q4m32, range(0, 4))
     recovered = _segment_sum(np.exp(np.outer(times, shifts)) / 9, samples, basis_q4m32, times)
-    target = forcing.sample(times)
-    assert np.abs(recovered.values - target.values).max() < 1e-8
+    target = forcing.time(times)[:, None, None] * forcing.space
+    assert np.abs(recovered.values - target).max() < 1e-8
 
 
 def test_cauchy_derivatives_match_exact_translate_sums(ex1, basis_q4m32, poles_ex1):
@@ -198,20 +195,50 @@ def test_cauchy_derivatives_match_exact_translate_sums(ex1, basis_q4m32, poles_e
         assert np.abs(cauchy - exact).max() < 1e-9 * max(np.abs(exact).max(), 1.0)
 
 
-@pytest.mark.parametrize("doc", [
-    {"time_bump": {"center": 3.0, "width": 0.0}},
-    {"time_gaussian": {"center": 3.0, "sigma": -1.0}},
-    {"time_gaussian": {"center": 3.0, "sigma": 1.0, "cut": math.inf}},
-    {"time_bump": {"center": 3.0, "width": 1.0}, "space": {"type": "gaussian", "sigma": 0.0}},
-    {"time_bump": {"center": 3.0, "width": 1.0},
-     "space": {"type": "gaussian", "sigma": 0.4, "component": 1}},
-    {"time_bump": {"center": 3.0, "width": 1.0},
-     "space": {"type": "gaussian", "sigma": 0.4, "component": -1}},
+BUMP = {"center": 3.0, "width": 1.0}
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"time_bump": {"center": 3.0, "width": 0.0}}, "width"),
+    ({"time_gaussian": {"center": 3.0, "sigma": -1.0}}, "sigma"),
+    ({"time_gaussian": {"center": 3.0, "sigma": 1.0, "cut": math.inf}}, "cut"),
+    ({"time_bump": BUMP, "space": {"type": "gaussian", "sigma": 0.0}}, "sigma"),
+    ({"time_bump": BUMP, "space": {"type": "gaussian", "sigma": 0.4, "component": 1}},
+     "component"),
+    ({"time_bump": BUMP, "space": {"type": "gaussian", "sigma": 0.4, "component": -1}},
+     "component"),
+    ({"time_bump": BUMP, "space": {"type": "polynomial", "coeffs": [math.nan, 1.0]}}, "coeffs"),
+    ({"time_bump": BUMP, "space": {"type": "polynomial", "coeffs": [1.0, math.inf]}}, "coeffs"),
+    ({"time_bump": BUMP, "space": {"type": "polynomial"}}, "coeffs"),
+    ({"time_bump": BUMP, "space": {"type": "polynomial", "coeffs": []}}, "coeffs"),
+    ({"time_bump": BUMP, "space": {"type": "cosine", "coeffs": [1.0]}}, "type"),
+    ({"time_bump": {"center": math.nan, "width": 1.0}}, "center"),
+    ({"time_bump": {"center": math.inf, "width": 1.0}}, "center"),
+    ({"time_bump": {"center": "3", "width": 1.0}}, "center"),
+    ({"time_bump": {"width": 1.0}}, "center"),
+    ({"time_bump": {"center": 3.0}}, "width"),
+    ({"time_gaussian": {"center": -math.inf, "sigma": 1.0}}, "center"),
+    ({"time_gaussian": {"center": 3.0}}, "sigma"),
+    ({"space": {"type": "gaussian", "sigma": 0.4}}, "time_bump"),
+    ([BUMP], "time_bump"),
+    ({"time_bump": 3.0}, "time_bump"),
+    ({"time_bump": BUMP, "space": "gaussian"}, "space"),
+    ({"time_bump": BUMP, "space": {"sigma": 0.4}}, "type"),
+    ({"time_bump": BUMP, "space": {"type": "gaussian"}}, "sigma"),
+    ({"time_bump": BUMP, "space": {"type": "gaussian", "sigma": 0.4, "component": 0.5}},
+     "component"),
 ], ids=["bump width 0", "gaussian sigma -1", "gaussian cut inf", "space sigma 0",
-        "component 1 of 1", "component -1"])
-def test_make_forcing_rejects_bad_documents(basis_q4m32, doc):
-    with pytest.raises(SpecError):
+        "component 1 of 1", "component -1", "coeff nan", "coeff inf", "no coeffs",
+        "empty coeffs", "unknown type", "center nan", "center inf", "center string",
+        "no center", "no width", "gaussian center -inf", "no sigma", "no time profile",
+        "not an object", "time_bump not an object", "space not an object", "no type",
+        "no space sigma", "component 0.5"])
+def test_make_forcing_rejects_bad_documents(basis_q4m32, doc, key):
+    # a forcing document comes from outside the program: a missing key or a value
+    # that is not a finite number, or out of range, raises SpecError naming the key
+    with pytest.raises(SpecError) as exc:
         make_forcing(basis_q4m32, doc, N=1)
+    assert key in str(exc.value)
 
 
 def _translate_loop(forcing, z, basis, order=0):
@@ -314,14 +341,13 @@ def test_segment_sum_matches_two_contractions(basis_q16m32, count):
 
 
 def _modal_part(ex1, basis):
-    """A modal field of random profiles on EX1's pencil, and the profiles' grid functions."""
+    """A modal field (count 1, powers 0, 1, 2) of random profiles on EX1's pencil, and
+    the profiles' grid functions."""
     pencil = mode_operator_parts(ex1, basis)
     profiles = _random_fields(basis, 3, seed=1)
-    cols = pencil.columns(profiles)
-    terms = (ModalTerm(0.25 + 0.1j, 0, cols[0]), ModalTerm(0.25 + 0.1j, 1, cols[1]),
-             ModalTerm(-0.3, 2, cols[2]))
-    modal = ModalField(terms=terms, basis=basis, pencil=pencil)
-    return FiniteRankPart(modal=modal, basis=basis, rank=0), profiles
+    part = CoverSum(lam=np.array([0.25 + 0.1j, 0.25 + 0.1j, -0.3]), power=np.array([0, 1, 2]),
+                    columns=pencil.columns(profiles), count=1, pencil=pencil, basis=basis)
+    return part, profiles
 
 
 def _loop_sum(shifts, weights, fields, basis, times):
@@ -345,9 +371,8 @@ def _loop_reference(spec, basis, pole_set, forcing, times, n_nodes):
 
 def test_modal_and_loop_evaluations_match_time_loop(ex1, basis_q4m32):
     part, profiles = _modal_part(ex1, basis_q4m32)
-    terms = part.modal.terms
     times = np.linspace(0.0, 20.0, 11)
-    ref = _cover_loop(lambda k, X: X ** terms[k].power * np.exp(terms[k].lam * X),
+    ref = _cover_loop(lambda k, X: X ** part.power[k] * np.exp(part.lam[k] * X),
                       profiles, basis_q4m32, times)
     assert _close(part.evaluate(times).values, ref)
     # the loop sum of the test-side reference
@@ -366,24 +391,24 @@ def test_operator_applied_matches_time_loop(ex1, basis_q4m32):
         return (assemble_operator(ex1, basis, z) @ u.reshape(-1)).reshape(u.shape)
 
     part, profiles = _modal_part(ex1, basis)
-    terms = part.modal.terms
-    fields = [dense(t.lam, u) for t, u in zip(terms, profiles)] + list(profiles)
-    weights = [lambda X, t=t: X ** t.power * np.exp(t.lam * X) for t in terms] + \
-        [lambda X, t=t: t.power * X ** max(t.power - 1, 0) * np.exp(t.lam * X) for t in terms]
+    terms = list(zip(part.lam, part.power))
+    fields = [dense(lam, u) for lam, u in zip(part.lam, profiles)] + list(profiles)
+    weights = [lambda X, lam=lam, k=k: X ** k * np.exp(lam * X) for lam, k in terms] + \
+        [lambda X, lam=lam, k=k: k * X ** max(k - 1, 0) * np.exp(lam * X) for lam, k in terms]
     ref = _cover_loop(lambda k, X: weights[k](X), fields, basis, times)
     assert _close(part.operator_applied(times).values, ref)
 
-    # random node fields: no cancellation between the nodes hides a wrong weight
-    nodes = np.arange(9) / 9
+    # a segment's sum (power 0, count 9) of random node fields: no cancellation
+    # between the nodes hides a wrong weight
+    shifts = 0.4 + 1j * np.arange(9) / 9
     pencil = mode_operator_parts(ex1, basis)
     solutions = _random_fields(basis, 9, seed=2)
-    sol = VerticalPathSolution(basis=basis, c=0.4, nodes=nodes,
-                               columns=pencil.columns(solutions),
-                               forcing=make_forcing(basis, "default"), pencil=pencil)
+    sol = CoverSum(lam=shifts, power=np.zeros(9, dtype=int), columns=pencil.columns(solutions),
+                   count=9, pencil=pencil, basis=basis)
     for method, fields in ((sol.evaluate, solutions),
                            (sol.operator_applied,
-                            [dense(z, u) for z, u in zip(sol.shifts, solutions)])):
-        ref = _cover_loop(lambda k, X: np.exp(sol.shifts[k] * X) / 9, fields, basis, times)
+                            [dense(z, u) for z, u in zip(shifts, solutions)])):
+        ref = _cover_loop(lambda k, X: np.exp(shifts[k] * X) / 9, fields, basis, times)
         assert _close(method(times).values, ref)
 
 
@@ -395,7 +420,9 @@ def test_retarded_residual_and_retardation(ex1, basis_q16m32, poles_ex1_q16,
     forcing = pulse_forcing
     slices = aligned_times(basis_q16m32, range(-9, 6))
     sol = solve_on_segment(ex1, basis_q16m32, forcing, 0.3, 33)
-    assert sol.residual(slices) < 1e-6
+    # the cover operator applied to the field gives back the forcing
+    target = forcing.time(slices)[:, None, None] * forcing.space
+    assert np.abs(sol.operator_applied(slices).values - target).max() < 1e-6
     field = sol.evaluate(slices)
     before = slices < forcing.support[0] - 1e-9
     assert np.abs(field.values[before]).max() < 1e-6
@@ -689,8 +716,8 @@ def test_column_pipeline_matches_grid_path():
         ref_terms = _grid_finite_rank(spec, basis, ps, forcing)
         tol = 3e-11 if contour else 1e-12
         profiles = np.array([u for _lam, _k, u in ref_terms])
-        assert _rel(np.array([t.profile for t in part.modal.terms]),
-                    pencil.columns(profiles)) <= tol, name
+        assert [(lam, k) for lam, k, _u in ref_terms] == list(zip(part.lam, part.power)), name
+        assert _rel(part.columns, pencil.columns(profiles)) <= tol, name
         weights = np.array([times ** k * np.exp(lam * times) for lam, k, _u in ref_terms]).T
         ref_part = _reference_segment_sum(weights, profiles, basis, times)
         assert np.abs(part.evaluate(times).values - ref_part).max() \
@@ -745,7 +772,7 @@ def test_empty_nonneg_set_gives_zero(ex1, basis_q4m32):
     assert len(ps.nonneg) == 0 and ps.z_star_star < 0
     forcing = make_forcing(basis_q4m32, "default")
     part = build_finite_rank_part(shifted, basis_q4m32, ps, forcing)
-    assert part.rank == 0
+    assert sum(p.rank for p in ps.nonneg) == 0 and part.columns.shape == (0, 9, 33)
     times = aligned_times(basis_q4m32, range(0, 4))
     assert np.abs(part.evaluate(times).values).max() == 0.0
 
@@ -753,18 +780,17 @@ def test_empty_nonneg_set_gives_zero(ex1, basis_q4m32):
 def test_single_pole_correction_is_constant_mode(ex1, basis_q16m32, poles_ex1_q16,
                                                  default_forcing_q16):
     part = build_finite_rank_part(ex1, basis_q16m32, poles_ex1_q16, default_forcing_q16)
-    assert part.rank == 1
-    assert len(part.modal.terms) == 1
-    term = part.modal.terms[0]
-    assert term.power == 0 and abs(term.lam) < 1e-9
-    prof = poles_ex1_q16.pencil.grid(term.profile)
+    assert sum(p.rank for p in poles_ex1_q16.nonneg) == 1
+    assert len(part.lam) == len(part.power) == len(part.columns) == 1
+    assert part.power[0] == 0 and abs(part.lam[0]) < 1e-9 and part.count == 1
+    prof = poles_ex1_q16.pencil.grid(part.columns[0])
     assert np.abs(prof - prof.mean()).max() < 1e-8 * np.abs(prof).max()
 
 
 def test_two_pole_correction_structure(decomposition_ex1s):
     part = decomposition_ex1s.correction
-    assert part.rank == 2
-    lams = sorted(t.lam.real for t in part.modal.terms)
+    assert sum(p.rank for p in decomposition_ex1s.pole_set.nonneg) == 2
+    lams = sorted(part.lam.real)
     assert np.abs(np.array(lams) - np.array([0.25, 0.75])).max() < 1e-9
 
 
@@ -788,9 +814,8 @@ def test_loop_and_series_routes_agree():
         ps = find_poles(spec, basis, window=window)
         forcing = make_forcing(basis, "default", N=spec.N)
         part = build_finite_rank_part(spec, basis, ps, forcing)
-        powers = [t.power for t in part.modal.terms]
-        assert powers == [k for p in ps.nonneg for k in range(p.order)], name
-        assert part.rank == sum(p.rank for p in ps.nonneg) > 0, name
+        assert list(part.power) == [k for p in ps.nonneg for k in range(p.order)], name
+        assert sum(p.rank for p in ps.nonneg) > 0, name
         times = forcing.support[1] + 6 * PERIOD * np.arange(49) / 48
         ref = _loop_reference(spec, basis, ps, forcing, times, 64)
         err = np.abs(part.evaluate(times).values - ref).max() / np.abs(ref).max()
@@ -843,7 +868,7 @@ def test_correction_is_sum_of_exponentials(decomposition_ex1s, ex1s, basis_q16m3
     times = decomposition_ex1s.difference.times[:33]
     field = _loop_reference(ex1s, basis_q16m32, decomposition_ex1s.pole_set,
                             default_forcing_q16, times, 32)
-    lams = [t.lam for t in part.modal.terms]
+    lams = list(part.lam)
     design = np.stack([np.exp(l * times) for l in lams], axis=1)
     flat = field.reshape(len(times), -1)
     coef, *_ = np.linalg.lstsq(design, flat, rcond=None)
