@@ -17,7 +17,14 @@ norms terminate at the coefficient degree and the condition-(4) sums are finite.
 Samples are taken in fixed-size blocks of points with stacked eigenvalue
 solves, and each form only on the rows where it varies: one time slice when it
 has no x0 term, one point when it is constant.  The first sample attaining a
-minimum is its witness.
+minimum is its witness.  The sample grids are built once per (n, density).
+
+The norm table's derivatives come from one ladder per coefficient
+(`MatrixPolynomial.derivatives`): each d^alpha p is its parent d^{alpha - e_v} p
+differentiated once in v, the last variable with alpha_v > 0, so it equals the
+chain of single derivatives in variable order bit for bit; a zero derivative
+ends its branch, so nothing is built past order 1 for affine coefficients.
+`derivative_norms` reads one level of each ladder per order.
 """
 
 from __future__ import annotations
@@ -269,8 +276,10 @@ def _times_slices(t: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return np.column_stack([np.repeat(t, len(flat)), np.tile(flat, (len(t), 1))])
 
 
+@functools.lru_cache(maxsize=16)
 def _boundary_points(n: int, density: int) -> np.ndarray:
-    """Boundary samples; the outward normal at (t, x1, ..., xn) is (0, x1, ..., xn)."""
+    """Boundary samples; the outward normal at (t, x1, ..., xn) is (0, x1, ..., xn).
+    Built once per (n, density) and shared, so read-only."""
     t = np.linspace(0.0, 2 * np.pi, max(4, min(density, 16)), endpoint=False)
     if n == 1:
         dirs = np.array([[1.0], [-1.0]])
@@ -292,7 +301,9 @@ def _boundary_points(n: int, density: int) -> np.ndarray:
             rng = np.random.default_rng(0)
             dirs = rng.standard_normal((m, n))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return _times_slices(t, dirs)
+    pts = _times_slices(t, dirs)
+    pts.setflags(write=False)
+    return pts
 
 
 # Points per evaluated block: the stacks of coefficient values and eigenvalue
@@ -365,7 +376,8 @@ def derivative_norms(spec: OperatorSpec, k: int, density: int = 64) -> tuple[flo
     The order-k map stacks sqrt(k!/alpha!) * d^alpha applied to the coefficients
     into one block row; the norm is the largest singular value, maximized over a
     sample grid (exact for affine coefficients since the grid contains the domain
-    corners).
+    corners).  The d^alpha p are level k of each coefficient's derivative ladder;
+    a derivative that vanishes keeps its zero block in the row.
     """
     from .norms import multi_indices
 
@@ -373,10 +385,13 @@ def derivative_norms(spec: OperatorSpec, k: int, density: int = 64) -> tuple[flo
         raise SpecError("derivative order must be nonnegative")
     pts = _interior_points(spec.n, density)
     table = multi_indices(spec.n + 1, k)
+    zero = MatrixPolynomial.zero(spec.n + 1, (spec.N, spec.N))
 
     def sup_norm(polys: list[MatrixPolynomial]) -> float:
-        return _sup_norm(pts, [math.sqrt(w) * p.derivative_multi(alpha)
-                               for alpha, w in zip(table.indices, table.weights) for p in polys])
+        levels = [p.derivatives(k) for p in polys]
+        return _sup_norm(pts, [math.sqrt(w) * level[alpha] if alpha in level else zero
+                               for alpha, w in zip(table.indices, table.weights)
+                               for level in levels])
 
     return sup_norm(list(spec.A)), sup_norm([spec.B]), sup_norm([spec.A0])
 

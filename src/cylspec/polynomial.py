@@ -1,8 +1,20 @@
-"""Matrix-valued multivariate polynomials with exact monomial coefficient maps."""
+"""Matrix-valued multivariate polynomials with exact monomial coefficient maps.
+
+Every public way in (the constructor, `constant`, `zero`, `coordinate`,
+`from_json`) validates its terms: integer multi-indices of the right length,
+coefficients of the right shape, copied and made read-only.  The results of
+`+`, scalar `*`, `@`, `adjoint` and `derivative` are valid by construction, so
+they are assembled by `_from_valid_terms` without re-checking or re-copying a
+term; it only drops the coefficients that came out zero.  The admissibility
+norms (`operator_model`) differentiate along one ladder (`derivatives`): each
+d^alpha p from its parent by one `derivative`, built once per polynomial.
+"""
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -26,10 +38,10 @@ class MatrixPolynomial:
         if self.n_vars < 1:
             raise ValueError("n_vars must be >= 1")
         clean: dict[MultiIndex, np.ndarray] = {}
-        for alpha, mat in self.terms.items():
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != self.n_vars or any(a < 0 for a in alpha):
-                raise ValueError(f"bad multi-index {alpha} for n_vars={self.n_vars}")
+        for raw, mat in self.terms.items():
+            alpha = _integer_index(raw)
+            if alpha is None or len(alpha) != self.n_vars or any(a < 0 for a in alpha):
+                raise ValueError(f"bad multi-index {raw!r} for n_vars={self.n_vars}")
             arr = np.asarray(mat, dtype=complex)
             if arr.shape != self.shape:
                 raise ValueError(f"coefficient shape {arr.shape} != {self.shape}")
@@ -38,6 +50,24 @@ class MatrixPolynomial:
                 arr.flags.writeable = False
                 clean[alpha] = arr
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _from_valid_terms(cls, n_vars: int, shape: tuple[int, int],
+                          terms: dict[MultiIndex, np.ndarray]) -> "MatrixPolynomial":
+        """The polynomial of terms that are valid by construction: integer
+        multi-indices of length n_vars and complex (shape) coefficients that are
+        fresh or already read-only.  Zero coefficients are dropped and the rest
+        made read-only, in place and in order."""
+        out = object.__new__(cls)
+        kept = {}
+        for alpha, mat in terms.items():
+            if mat.any():
+                mat.flags.writeable = False
+                kept[alpha] = mat
+        object.__setattr__(out, "n_vars", n_vars)
+        object.__setattr__(out, "shape", shape)
+        object.__setattr__(out, "terms", kept)
+        return out
 
     # -- construction helpers -------------------------------------------------
 
@@ -60,16 +90,16 @@ class MatrixPolynomial:
 
     def __add__(self, other: "MatrixPolynomial") -> "MatrixPolynomial":
         self._check_compatible(other)
-        terms = {a: m.copy() for a, m in self.terms.items()}
+        terms = dict(self.terms)
         for a, m in other.terms.items():
             terms[a] = terms.get(a, 0) + m
-        return MatrixPolynomial(self.n_vars, self.shape, terms)
+        return MatrixPolynomial._from_valid_terms(self.n_vars, self.shape, terms)
 
     def __sub__(self, other: "MatrixPolynomial") -> "MatrixPolynomial":
         return self + (other * (-1.0))
 
     def __mul__(self, scalar: complex) -> "MatrixPolynomial":
-        return MatrixPolynomial(
+        return MatrixPolynomial._from_valid_terms(
             self.n_vars, self.shape, {a: scalar * m for a, m in self.terms.items()}
         )
 
@@ -85,13 +115,13 @@ class MatrixPolynomial:
             for b, mb in other.terms.items():
                 c = tuple(x + y for x, y in zip(a, b))
                 terms[c] = terms.get(c, 0) + ma @ mb
-        return MatrixPolynomial(self.n_vars, out_shape, terms)
+        return MatrixPolynomial._from_valid_terms(self.n_vars, out_shape, terms)
 
     def adjoint(self) -> "MatrixPolynomial":
         """Pointwise conjugate transpose (the variables are real)."""
-        return MatrixPolynomial(
+        return MatrixPolynomial._from_valid_terms(
             self.n_vars, (self.shape[1], self.shape[0]),
-            {a: m.conj().T for a, m in self.terms.items()},
+            {a: m.conj().T.copy() for a, m in self.terms.items()},
         )
 
     def derivative(self, var: int) -> "MatrixPolynomial":
@@ -101,14 +131,30 @@ class MatrixPolynomial:
                 continue
             beta = tuple(a - 1 if i == var else a for i, a in enumerate(alpha))
             terms[beta] = terms.get(beta, 0) + alpha[var] * mat
-        return MatrixPolynomial(self.n_vars, self.shape, terms)
+        return MatrixPolynomial._from_valid_terms(self.n_vars, self.shape, terms)
 
-    def derivative_multi(self, alpha: MultiIndex) -> "MatrixPolynomial":
-        out = self
-        for var, order in enumerate(alpha):
-            for _ in range(order):
-                out = out.derivative(var)
-        return out
+    def derivatives(self, order: int) -> Mapping[MultiIndex, "MatrixPolynomial"]:
+        """The nonzero d^alpha p with |alpha| = order, by alpha: one level of the
+        derivative ladder.
+
+        Each d^alpha p is its parent d^{alpha - e_v} p differentiated once in v,
+        the last variable with alpha_v > 0.  So it is the chain of single
+        `derivative` calls in variable order (alpha_0 in x0, then alpha_1 in x1,
+        ...), bit for bit.  A zero derivative ends its branch: past the degree
+        the levels are empty.  The polynomial is immutable, so its levels are
+        built once, kept with it and shared read-only.
+        """
+        if order == 0:
+            return MappingProxyType({} if self.is_zero else {(0,) * self.n_vars: self})
+        levels = self.__dict__.setdefault("_ladder", [])    # orders 1, 2, ...
+        while len(levels) < order:
+            parents = levels[-1] if levels else self.derivatives(0)
+            levels.append(MappingProxyType({
+                beta[:v] + (beta[v] + 1,) + beta[v + 1:]: child
+                for beta, parent in parents.items()
+                for v in range(_last_variable(beta), self.n_vars)
+                if not (child := parent.derivative(v)).is_zero}))
+        return levels[order - 1]
 
     # -- queries ---------------------------------------------------------------
 
@@ -187,7 +233,7 @@ class MatrixPolynomial:
     def from_json(cls, doc: list[dict], n_vars: int, shape: tuple[int, int]) -> "MatrixPolynomial":
         terms: dict[MultiIndex, np.ndarray] = {}
         for entry in doc:
-            alpha = tuple(int(a) for a in entry["alpha"])
+            alpha = tuple(entry["alpha"])
             mat = np.array(
                 [[complex(re, im) for re, im in row] for row in entry["matrix"]],
                 dtype=complex,
@@ -196,3 +242,17 @@ class MatrixPolynomial:
                 raise ValueError(f"matrix shape {mat.shape} != expected {shape}")
             terms[alpha] = terms.get(alpha, 0) + mat
         return cls(n_vars, shape, terms)
+
+
+def _integer_index(alpha) -> MultiIndex | None:
+    """alpha as a tuple of ints, or None when an entry is not an integer value."""
+    try:
+        ints = tuple(int(a) for a in alpha)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return ints if ints == tuple(alpha) else None
+
+
+def _last_variable(alpha: MultiIndex) -> int:
+    """The last variable with a positive exponent in alpha (0 for alpha = 0)."""
+    return max((v for v, a in enumerate(alpha) if a), default=0)

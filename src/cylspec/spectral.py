@@ -9,7 +9,6 @@ used as-is.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -103,32 +102,6 @@ def build_basis(Q_max: int, M: int) -> SpectralBasis:
 # ---------------------------------------------------------------------------
 # grid function helpers
 # ---------------------------------------------------------------------------
-
-
-def inner_product(u: np.ndarray, v: np.ndarray, basis: SpectralBasis) -> complex:
-    """Quadrature realization of the L2 inner product over the cylinder."""
-    weights = basis.w0 * basis.w1[None, :, None]
-    return complex(np.sum(weights * np.conj(u) * v))
-
-
-def apply_derivative(u: np.ndarray, alpha, basis: SpectralBasis) -> np.ndarray:
-    """Spectral derivative d^alpha on the tensor grid, exact on the represented band."""
-    a0, a1 = int(alpha[0]), int(alpha[1])
-    if a0 < 0 or a1 < 0:
-        raise ValueError("derivative orders must be nonnegative")
-    # log10 of the worst-case amplification: ||d1|| ~ M^2 per space derivative,
-    # Q_max per time derivative
-    amplification = 2.0 * a1 * math.log10(max(basis.M, 2)) + a0 * math.log10(basis.Q_max + 2)
-    if a0 + a1 > 64 or amplification > 250:
-        raise OverflowGuardError(f"derivative order {alpha} exceeds the overflow guard")
-    out = np.asarray(u, dtype=complex)
-    if a0:
-        spec_u = np.fft.fft(out, axis=0)
-        spec_u *= (1j * basis.modes)[:, None, None] ** a0
-        out = np.fft.ifft(spec_u, axis=0)
-    for _ in range(a1):
-        out = np.einsum("ms,jsc->jmc", basis.d1, out)
-    return out
 
 
 def fourier_coefficients(u: np.ndarray, basis: SpectralBasis) -> np.ndarray:

@@ -77,6 +77,11 @@ SLICE_PERIODS = 8
 DECAY_PERIODS = 6
 FIT_PERIODS = 4
 
+# decompose and cross_engine_deltas keep every exponent |Re z| * |X| of exp(z X)
+# and exp(-z t) at or below this, so that each weight and its square (in the
+# solves' residual norms) stay within [1e-300, 1e300]
+COVER_EXPONENT_MAX = math.log(1e150)
+
 # the bound on each relative delta of cross_engine_deltas
 CROSS_ENGINE_TOL = {"evolve_vs_retarded": 1e-3, "periodize_vs_solve": 1e-5}
 
@@ -516,14 +521,24 @@ def decompose(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverForcing,
     excites the z*** mode, and it keeps c' away from 0.  u_ret - F f is kept as
     a cross-check over the first period after the support: `identity_defect` is
     its sup distance to the difference there, relative to the difference.
+
+    Every weight is in absolute cover time: f_z sums exp(-z t) over the support,
+    and the fields carry exp(z X) over the decay window, for Re z from c' to the
+    retarded segment's c (the poles of F f lie between).  So with s = max(c,
+    |c'|), the forcing's center must satisfy
+        |center| <= COVER_EXPONENT_MAX / s - (half-width + DECAY_PERIODS periods),
+    where half-width is half the support's length; otherwise SpecError names
+    `center` and that bound.
     """
     period = 2.0 * math.pi
     t1 = forcing.support[1]
     n_slices = DECAY_PERIODS * SLICES_PER_PERIOD
     times = t1 + DECAY_PERIODS * period * np.arange(n_slices + 1) / n_slices
 
-    u_ret = retarded_solution(spec, basis, forcing, pole_set, slice_times=times)
+    c = segment_abscissa(pole_set)
     c_decay = DECAY_ABSCISSA * max(pole_set.z_star_star_star, pole_set.window[0])
+    _check_center(forcing, max(c, abs(c_decay)), DECAY_PERIODS * period)
+    u_ret = retarded_solution(spec, basis, forcing, pole_set, c=c, slice_times=times)
     difference = solve_on_segment(spec, basis, forcing, c_decay, segment_node_count(basis),
                                   pencil=pole_set.pencil_on(basis, spec.N)).evaluate(times)
     part = build_finite_rank_part(spec, basis, pole_set, forcing)
@@ -543,6 +558,19 @@ def decompose(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverForcing,
     )
 
 
+def _check_center(forcing: CoverForcing, shift: float, window: float) -> None:
+    """SpecError naming `center` unless every weight exp(+-z X) with |Re z| <= shift,
+    over the forcing's support and the window after it, stays (with its square)
+    within [1e-300, 1e300]: |center| <= COVER_EXPONENT_MAX / shift - (half the
+    support + window)."""
+    t0, t1 = forcing.support
+    reach = (COVER_EXPONENT_MAX / shift if shift else math.inf) - ((t1 - t0) / 2 + window)
+    if not abs(forcing.time.center) <= reach:
+        raise SpecError(f"forcing center {forcing.time.center:.6g} is too far from cover "
+                        f"time 0: the shifts reach |Re z| = {shift:.4g}, so |center| must "
+                        f"be at most {reach:.6g}")
+
+
 def cross_engine_deltas(spec: OperatorSpec, basis: SpectralBasis, forcing: CoverForcing,
                         c: float, *, pencil: ModePencil | None = None) -> dict[str, float]:
     """Relative deltas between the time-domain and frequency-domain engines.
@@ -553,10 +581,12 @@ def cross_engine_deltas(spec: OperatorSpec, basis: SpectralBasis, forcing: Cover
     periods) in [t1, t1 + 4 periods], t1 the end of the support.
     periodize_vs_solve: `periodize` against `apply_resolvent` at z = c for a
     smooth periodic forcing, in the sup norm.
-    Both solve on one pencil: the one passed, or the segment's.
+    Both solve on one pencil: the one passed, or the segment's.  The forcing's
+    center is bounded as in `decompose`, with shift |c| and a 4-period window.
     """
     period = 2 * math.pi
     t0, t1 = forcing.support
+    _check_center(forcing, abs(c), 4 * period)
     t_end = t1 + 4 * period
     sol = solve_on_segment(spec, basis, forcing, c, segment_node_count(basis), pencil=pencil)
     run = evolve(spec, basis, forcing=forcing.slice_at, z=0.0,

@@ -8,7 +8,12 @@ the combinatorial identities behind the graded norms by brute force in exact
 arithmetic (`check_combinatorial_identity`, `resummation_coefficient`).
 Growth rates come from the period map's Floquet exponents
 (`timedomain.growth_rate`); here from random smooth data marched over whole
-periods and a log-slope fit (`random_run_growth_rate`).
+periods and a log-slope fit (`random_run_growth_rate`).  The graded seminorms
+come from one derivative ladder (`norms.graded_seminorms`); here from one
+spectral derivative per multi-index on the grid and its quadrature norm
+(`sobolev_seminorm`, `apply_derivative`, `inner_product`), and a coefficient's
+d^alpha p from its ladder (`MatrixPolynomial.derivatives`); here by single
+derivatives in variable order (`derivative_multi`).
 """
 
 from __future__ import annotations
@@ -22,8 +27,9 @@ import numpy as np
 from cylspec import timedomain
 from cylspec.norms import _compositions, multi_indices
 from cylspec.operator_model import OperatorSpec, SpecError
+from cylspec.polynomial import MatrixPolynomial
 from cylspec.resolvent import PoleSet, _strip_distance, resolvent_matrix_for
-from cylspec.spectral import SpectralBasis, multiplier_matrix
+from cylspec.spectral import OverflowGuardError, SpectralBasis, multiplier_matrix
 
 # ---------------------------------------------------------------------------
 # dense loop-integral projections
@@ -117,6 +123,60 @@ def verify_resolvent_identities(spec: OperatorSpec, basis: SpectralBasis,
         "resolvent_identity_error": resolvent_err,
         "conjugation_error": conj_err,
     }
+
+
+# ---------------------------------------------------------------------------
+# per-alpha graded seminorms
+# ---------------------------------------------------------------------------
+
+
+def inner_product(u: np.ndarray, v: np.ndarray, basis: SpectralBasis) -> complex:
+    """Quadrature realization of the L2 inner product over the cylinder."""
+    weights = basis.w0 * basis.w1[None, :, None]
+    return complex(np.sum(weights * np.conj(u) * v))
+
+
+def apply_derivative(u: np.ndarray, alpha, basis: SpectralBasis) -> np.ndarray:
+    """Spectral derivative d^alpha on the tensor grid, exact on the represented band."""
+    a0, a1 = int(alpha[0]), int(alpha[1])
+    if a0 < 0 or a1 < 0:
+        raise ValueError("derivative orders must be nonnegative")
+    # log10 of the worst-case amplification: ||d1|| ~ M^2 per space derivative,
+    # Q_max per time derivative
+    amplification = 2.0 * a1 * math.log10(max(basis.M, 2)) + a0 * math.log10(basis.Q_max + 2)
+    if a0 + a1 > 64 or amplification > 250:
+        raise OverflowGuardError(f"derivative order {alpha} exceeds the overflow guard")
+    out = np.asarray(u, dtype=complex)
+    if a0:
+        spec_u = np.fft.fft(out, axis=0)
+        spec_u *= (1j * basis.modes)[:, None, None] ** a0
+        out = np.fft.ifft(spec_u, axis=0)
+    for _ in range(a1):
+        out = np.einsum("ms,jsc->jmc", basis.d1, out)
+    return out
+
+
+def derivative_multi(p: MatrixPolynomial, alpha) -> MatrixPolynomial:
+    """d^alpha p by single derivatives: alpha_0 in x0, then alpha_1 in x1, ..."""
+    out = p
+    for var, order in enumerate(alpha):
+        for _ in range(order):
+            out = out.derivative(var)
+    return out
+
+
+def sobolev_seminorm(u: np.ndarray, ell: int, basis: SpectralBasis) -> float:
+    """Order-ell seminorm: weighted l2 of all derivatives d^alpha u with |alpha| = ell.
+
+    Derivatives are spectral; the underlying integral is the quadrature norm over
+    the cylinder, summed over components.
+    """
+    table = multi_indices(2, ell)  # grid engine is 1+1 dimensional
+    total = 0.0
+    for alpha, w in zip(table.indices, table.weights):
+        du = apply_derivative(u, alpha, basis)
+        total += w * inner_product(du, du, basis).real
+    return math.sqrt(max(total, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,17 @@ from cylspec.resolvent import find_poles, triple_norm_bound_check
 from cylspec.spectral import (
     assemble_operator,
     build_basis,
-    inner_product,
     multiplier_matrix,
     random_band_limited,
 )
 from cylspec.stability import cross_engine_deltas, decompose, make_forcing
 from cylspec.timedomain import growth_rate
-from reference import resummation_coefficient, spectral_projection, verify_resolvent_identities
+from reference import (
+    inner_product,
+    resummation_coefficient,
+    spectral_projection,
+    verify_resolvent_identities,
+)
 
 
 def report(number, passed, detail=""):

@@ -281,6 +281,21 @@ def test_error_report_carries_periodization_diagnostics():
                                   "z": [-0.5, 0.0], "condition": 4.0e16}
 
 
+@pytest.mark.parametrize("command, center", [("green", 1000), ("green", 4000),
+                                             ("green", 1e300), ("compare", 1000)])
+def test_forcing_far_from_cover_time_zero_rejected(tmp_path, command, center):
+    # green once gave NaN defects with exit 0, a NearPoleError and a TypeError at
+    # these centers, and compare a NaN delta reported as a failed comparison
+    forcing = tmp_path / "far.json"
+    forcing.write_text(json.dumps({"time_bump": {"center": center, "width": 3.14}}))
+    out = tmp_path / "out"
+    assert run([command, "--fixture", "EX1S", "--qmax", "4", "--m", "16",
+                "--forcing", str(forcing), "--out", str(out)]) == 1
+    error = json.loads(read(out / "error.json"))["error"]
+    assert error["type"] == "SpecError"
+    assert error["message"].startswith(f"forcing center {center:.6g} is too far")
+
+
 def test_numeric_failure_emits_error_json(tmp_path, inflow_config):
     # failures inside the command, after --out exists, and one while loading; the
     # inflow spec has persistent poles right of its energy threshold, EX1's z* is

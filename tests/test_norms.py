@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from cylspec.norms import TruncationError, multi_indices, sobolev_seminorm, triple_norm
+from cylspec import norms
+from cylspec.norms import TruncationError, graded_seminorms, multi_indices, triple_norm
 from cylspec.operator_model import WeightSequence
-from cylspec.spectral import random_band_limited
+from cylspec.spectral import OverflowGuardError, build_basis, random_band_limited
 from reference import (
     check_combinatorial_identity,
     check_resummation_coefficient,
     resummation_coefficient,
+    sobolev_seminorm,
 )
 
 
@@ -76,15 +78,66 @@ def grid_constant(basis, value=1.0):
 
 def test_seminorm_of_constant(basis_q4m32):
     one = grid_constant(basis_q4m32)
-    assert abs(sobolev_seminorm(one, 0, basis_q4m32) - math.sqrt(4 * math.pi)) < 1e-12
-    assert sobolev_seminorm(one, 1, basis_q4m32) < 1e-12
+    got = graded_seminorms(one, 1, basis_q4m32)
+    assert abs(got[0] - math.sqrt(4 * math.pi)) < 1e-12
+    assert got[1] < 1e-12
 
 
 def test_seminorm_of_coordinate(basis_q4m32):
     b = basis_q4m32
     x = (b.x1[None, :, None] * np.ones((b.n_time, 1, 1))).astype(complex)
     # only the spatial derivative contributes: integral of 1 over the cylinder
-    assert abs(sobolev_seminorm(x, 1, b) - math.sqrt(4 * math.pi)) < 1e-12
+    assert abs(graded_seminorms(x, 1, b)[1] - math.sqrt(4 * math.pi)) < 1e-12
+
+
+def test_seminorm_of_time_mode(basis_q4m32):
+    # d0^a of exp(3i x0) is (3i)^a exp(3i x0): ||u||_ell = 3^ell ||u||_0
+    b = basis_q4m32
+    u = np.exp(3j * b.x0)[:, None, None] * grid_constant(b)
+    got = graded_seminorms(u, 4, b)
+    for ell in range(5):
+        assert abs(got[ell] - 3**ell * math.sqrt(4 * math.pi)) < 1e-12 * 3**ell
+
+
+def _per_alpha(u, top, basis):
+    return np.array([sobolev_seminorm(u, ell, basis) for ell in range(top + 1)])
+
+
+@pytest.mark.parametrize("q_max, m", [(4, 32), (16, 16)])
+def test_seminorm_ladder_matches_per_alpha_reference(monkeypatch, ex1, q_max, m):
+    basis = build_basis(q_max, m)
+    rng = np.random.default_rng(9)
+    samples = [random_band_limited(basis, rng) for _ in range(8)]
+    for u in samples:
+        ladder, ref = graded_seminorms(u, 16, basis), _per_alpha(u, 16, basis)
+        for ell in range(4):
+            assert abs(ladder[ell] - ref[ell]) <= 1e-13 * ref[ell]
+        # the high orders are ill-conditioned in both (d1^b amplifies roundoff
+        # like M^2b): at q4m32 they part by up to about 1e-4 at ell = 16
+        for ell in range(4, 17):
+            assert abs(ladder[ell] - ref[ell]) <= 1e-3 * ref[ell]
+    got = [triple_norm(u, h, ex1, basis) for u in samples for h in (0, 1)]
+    monkeypatch.setattr(norms, "graded_seminorms", _per_alpha)
+    ref = [triple_norm(u, h, ex1, basis) for u in samples for h in (0, 1)]
+    for g, r in zip(got, ref):
+        assert abs(g.value - r.value) <= 1e-12 * r.value
+        # the tail extrapolates the last two terms, so it carries their gap, but
+        # r_ell / ell! holds it far below the value
+        assert abs(g.tail_bound - r.tail_bound) <= 1e-12 * r.value
+        assert abs(g.tail_bound - r.tail_bound) <= 1e-2 * r.tail_bound
+
+
+def test_seminorm_overflow_guard(ex1, basis_q4m32):
+    # the per-alpha reference and the ladder forbid the same orders
+    u = grid_constant(basis_q4m32)
+    assert len(graded_seminorms(u, 64, basis_q4m32)) == 65
+    with pytest.raises(OverflowGuardError):
+        sobolev_seminorm(u, 65, basis_q4m32)
+    with pytest.raises(OverflowGuardError, match="order 65"):
+        graded_seminorms(u, 65, basis_q4m32)
+    spec = dataclasses.replace(ex1, weights=WeightSequence.geometric(0.024, 65), L_max=65)
+    with pytest.raises(OverflowGuardError):
+        triple_norm(u, 0, spec, basis_q4m32)
 
 
 def test_triple_norm_of_constant(ex1, basis_q4m32):

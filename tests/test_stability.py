@@ -16,6 +16,9 @@ from cylspec.spectral import (
     mode_operator_parts,
 )
 from cylspec.stability import (
+    COVER_EXPONENT_MAX,
+    DECAY_ABSCISSA,
+    DECAY_PERIODS,
     REFINE_SHIFT,
     BumpProfile,
     CoverSum,
@@ -484,6 +487,28 @@ def test_segment_left_of_poles_rejected(ex1s, basis_q4m32, poles_ex1s):
     forcing = make_forcing(basis_q4m32, "default")
     with pytest.raises(SpecError, match="right of the poles"):
         retarded_solution(ex1s, basis_q4m32, forcing, poles_ex1s, c=0.5)
+
+
+def test_forcing_far_from_cover_time_zero_rejected(ex1s, basis_q4m32, poles_ex1s):
+    # decompose's shifts reach |Re z| = max(c, |c'|) = 1.05 on EX1S; past the bound on
+    # |center| a weight exp(z X) or exp(-z t), or its square, leaves [1e-300, 1e300]
+    c_decay = DECAY_ABSCISSA * max(poles_ex1s.z_star_star_star, poles_ex1s.window[0])
+    shift = max(segment_abscissa(poles_ex1s), abs(c_decay))
+    reach = COVER_EXPONENT_MAX / shift - (math.pi + DECAY_PERIODS * PERIOD)
+    assert shift == pytest.approx(1.05) and reach == pytest.approx(288.1, abs=0.01)
+
+    def bump(center):
+        return make_forcing(basis_q4m32, {"time_bump": {"center": center, "width": math.pi}})
+
+    for center in (reach + 1, -reach - 1, 1000.0, 4000.0, 1e300):
+        with pytest.raises(SpecError, match="forcing center .* at most"):
+            decompose(ex1s, basis_q4m32, bump(center), poles_ex1s)
+    # just inside the bound, on either side of 0, the fields stay finite and the
+    # rate is z***'s
+    for center in (reach - 1, -reach + 1):
+        dec = decompose(ex1s, basis_q4m32, bump(center), poles_ex1s)
+        assert np.isfinite(dec.kernel_defect) and np.isfinite(dec.identity_defect)
+        assert abs(dec.fitted_rate + 0.25) < 1e-3
 
 
 # -- the mirrored segment ------------------------------------------------------------
