@@ -5,19 +5,25 @@ inverse, as a function of z, extends meromorphically with poles periodic under
 z ~ z + i.  Poles are located as generalized eigenvalues of the collocation
 pencil (D, -A^0), filtered against discretization artifacts by persistence
 under resolution doubling, and reduced to the fundamental strip 0 <= Im z < 1.
-Spectral projections are loop integrals of (z - lam)^l D_z^{-1}.  A pole's order
-and rank (`_projection_family`) and the projections themselves, exactly
-(`loop_projections`), come from an ordered Schur form of A^0^{-1} base0; the
-dense trapezoid loop integrals of `tests/reference.py` cross-check them.
+Spectral projections are loop integrals of (z - lam)^l D_z^{-1}.  `find_poles`
+counts the pencil's QZ eigenvalues inside each pole's loop, the same numbers its
+radius keeps clear of: a loop about exactly one is a simple pole, order 1 and
+rank 1 by definition, with no Schur form.  A loop about several (a cluster, such
+as a defective pole) takes its order and rank (`_projection_family`) from an
+ordered Schur form of A^0^{-1} base0, and the projections themselves, exactly
+(`loop_projections`), come from that form for every pole; the dense trapezoid
+loop integrals of `tests/reference.py` cross-check them.
 
 Every routine works on one block pencil, `spectral.mode_operator_parts`: block q
 of D + z*A^0 is base0 + (z + i*q)*A^0, one block per Fourier mode when the
 coefficients do not depend on the periodic coordinate and one value-space block
-otherwise.  Each pencil is factored once: its triangular Schur form of
+otherwise.  Each pencil is factored at most once: its triangular Schur form of
 A^0^{-1} base0 (`ModePencil.schur`, taken on first use) serves `_schur_solve`
-for every shift and `_loop_blocks` for every pole, which reorders it per pole
-for `loop_projections` and `_projection_family`, and the pole set carries it
-(`PoleSet.pencil`, `PoleSet.loop_projections`).  `resolvent_matrix_for` inverts
+for every shift and `_loop_blocks` for every pole that needs it, which reorders
+it per pole for `loop_projections` and a cluster's `_projection_family`, and the
+pole set carries it (`PoleSet.pencil`, `PoleSet.loop_projections`).  A pole
+search whose poles are all simple never takes it: the first solve or projection
+on the pole set's pencil does.  `resolvent_matrix_for` inverts
 the blocks into the dense value-space resolvent that those loop integrals sum.
 
 Block q has the eigenvalues of (base0, -A^0) shifted by -i*q and the same
@@ -182,7 +188,17 @@ def _schur_solve(pencil: ModePencil, w: np.ndarray, rhs: np.ndarray,
         return np.subtract(rhs, r, out=r)
 
     def by_node(x):
-        return np.sqrt(np.bincount(node, np.linalg.norm(x, axis=0) ** 2))
+        # squares overflow past about 1e154 and lose bits below about 1e-154: a node
+        # whose sum of squares leaves (1e-290, 1e290) is summed again, its entries
+        # scaled by the power of two that puts its largest in [0.5, 1)
+        sq = np.bincount(node, np.linalg.norm(x, axis=0) ** 2)
+        if np.all((1e-290 < sq) & (sq < 1e290)):
+            return np.sqrt(sq)
+        peak = np.zeros(len(sq))
+        np.maximum.at(peak, node, np.abs(x).max(axis=0))
+        scale = -np.frexp(peak)[1]
+        parts = np.ldexp(x.real, scale[node]) ** 2 + np.ldexp(x.imag, scale[node]) ** 2
+        return np.ldexp(np.sqrt(np.bincount(node, parts.sum(axis=0))), -scale)
 
     with np.errstate(all="ignore"):
         u = solve(rhs)
@@ -402,7 +418,11 @@ def find_poles(spec: OperatorSpec, basis: SpectralBasis,
     window and tail tests run once per eigenvector and persistence once on the
     mode-0 spectra (`_persistent`).  Survivors are deduplicated modulo z ~ z + i
     using interior modes; each strip pole gets a loop radius (_loop_radius) and the
-    order and rank of its loop projection (_projection_family).  A pole with
+    order and rank of its loop projection.  A loop about one QZ eigenvalue
+    (`eigenvalues`, whose gaps set the radius) is a simple pole, order 1 and rank 1;
+    only a loop about several takes the Schur form (_projection_family), which
+    `decompose` and the resolvent solves otherwise take on first use.  With
+    compute_projections=False every pole reads order 1, rank 0.  A pole with
     Re >= -PERSIST_TOL counts as nonnegative.  Persistent eigenvalues right of the
     window are kept in `right_of_window` for `PoleSet.check_right_edge`.
     """
@@ -435,10 +455,16 @@ def find_poles(spec: OperatorSpec, basis: SpectralBasis,
 
     poles = []
     right = eigenvalues[persistent & (vals.real > re_max + pad)]
+    flat = eigenvalues.ravel()
     for lam, src, res in reps:
         others = [o for o, _s, _r in reps if o != lam]
-        radius = _loop_radius(lam, src, others, eigenvalues.ravel())
-        order, rank = _projection_family(pencil, src, radius) if compute_projections else (1, 0)
+        radius = _loop_radius(lam, src, others, flat)
+        if not compute_projections:
+            order, rank = 1, 0
+        elif np.count_nonzero(np.abs(flat - src) < radius) == 1:
+            order, rank = 1, 1   # one eigenvalue in the loop: a simple pole
+        else:
+            order, rank = _projection_family(pencil, src, radius)
         poles.append(Pole(lam=lam, order=order, rank=rank, residual=res, source=src,
                           radius=radius))
 
@@ -456,13 +482,18 @@ def find_poles(spec: OperatorSpec, basis: SpectralBasis,
 
 def _strip_clusters(zs) -> list[list[int]]:
     """Indices of zs grouped into poles: each joins the first cluster whose first
-    member lies within CLUSTER_TOL on the cylinder."""
-    clusters: list[list[int]] = []
-    for k, z in enumerate(zs):
-        cl = next((cl for cl in clusters if _strip_distance(zs[cl[0]], z) <= CLUSTER_TOL), [])
-        if not cl:
-            clusters.append(cl)
-        cl.append(k)
+    member (its head) lies within CLUSTER_TOL on the cylinder.  Heads come in index
+    order, so each point that no earlier head owns is a head and claims the unowned
+    points near it (all later ones), from one matrix of pairwise distances."""
+    z = np.asarray(zs, dtype=complex).reshape(-1)
+    near = _strip_distance(z[:, None], z) <= CLUSTER_TOL
+    owned = np.zeros(len(z), dtype=bool)
+    clusters = []
+    for head in range(len(z)):
+        if not owned[head]:
+            members = np.flatnonzero(near[head] & ~owned)
+            owned[members] = True
+            clusters.append(members.tolist())
     return clusters
 
 
@@ -472,11 +503,10 @@ def _strip_point(z: complex) -> complex:
     return complex(lam.real, 0.0) if min(lam.imag, 1.0 - lam.imag) < 1e-12 else lam
 
 
-def _strip_distance(a: complex, b: complex) -> float:
-    """Distance on the cylinder C / (z ~ z + i)."""
-    d_im = abs(a.imag - b.imag) % 1.0
-    d_im = min(d_im, 1.0 - d_im)
-    return math.hypot(a.real - b.real, d_im)
+def _strip_distance(a, b):
+    """Distance on the cylinder C / (z ~ z + i), elementwise on arrays."""
+    d_im = np.abs(np.imag(a) - np.imag(b)) % 1.0
+    return np.hypot(np.real(a) - np.real(b), np.minimum(d_im, 1.0 - d_im))
 
 
 def _loop_radius(lam: complex, source: complex, others: list[complex],
@@ -485,8 +515,9 @@ def _loop_radius(lam: complex, source: complex, others: list[complex],
     eigenvalue): the loop about `source` keeps clear of every eigenvalue outside
     its cluster, whether the filter kept it or not."""
     gaps = np.abs(eigenvalues - source)
-    dist = [_strip_distance(lam, o) for o in others] + gaps[gaps > CLUSTER_TOL].tolist()
-    return min(0.2, 0.5 * min(dist, default=math.inf))
+    dist = np.concatenate([_strip_distance(lam, np.asarray(others, dtype=complex)),
+                           gaps[gaps > CLUSTER_TOL]])
+    return float(min(0.2, 0.5 * dist.min(initial=math.inf)))
 
 
 # ---------------------------------------------------------------------------

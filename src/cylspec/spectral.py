@@ -223,7 +223,7 @@ class ModePencil:
 
     Block q is a0 (T + (z + i*q) I) with T = a0^{-1} base0 for every q, so one
     triangular Schur form of T (`schur`, taken on first use and kept) serves every
-    block, shift and pole of the pencil.  A pencil with no imaginary part (`real`:
+    block, shift and pole cluster of the pencil; a simple pole needs none.  A pencil with no imaginary part (`real`:
     the mode pencil of every real-coefficient spec) is factored and solved for its
     eigenvalues in real arithmetic, and its factors stay real when they can.
     """

@@ -25,10 +25,10 @@ Shifts are batched: a segment is one `forward_transform` and one column-level
 `resolvent._schur_solve` call, over only its lower half for a real forcing on a
 real mode pencil (`solve_on_segment`), and F f refines every pole in one solve.
 Real Schur factors (`ModePencil.schur`) solve in real arithmetic.  The pole set
-carries the pencil `find_poles` factored and the loop projections
+carries the pencil `find_poles` built and the loop projections
 (`PoleSet.pencil`, `PoleSet.loop_projections`): `decompose`'s segments, F f and
-its kernel check all use its one Schur form, and a pole set from another grid
-raises.
+its kernel check all use its one Schur form (taken on first use when every pole
+is simple), and a pole set from another grid raises.
 
 Everything between the forcing and the cover stays in the pencil's block
 columns (a mode block's column is one Fourier coefficient in x0, unscaled; the

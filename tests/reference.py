@@ -13,7 +13,9 @@ come from one derivative ladder (`norms.graded_seminorms`); here from one
 spectral derivative per multi-index on the grid and its quadrature norm
 (`sobolev_seminorm`, `apply_derivative`, `inner_product`), and a coefficient's
 d^alpha p from its ladder (`MatrixPolynomial.derivatives`); here by single
-derivatives in variable order (`derivative_multi`).
+derivatives in variable order (`derivative_multi`).  Poles are grouped on the
+cylinder from one matrix of pairwise distances (`resolvent._strip_clusters`);
+here one point at a time (`greedy_strip_clusters`).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from cylspec import timedomain
 from cylspec.norms import _compositions, multi_indices
 from cylspec.operator_model import OperatorSpec, SpecError
 from cylspec.polynomial import MatrixPolynomial
-from cylspec.resolvent import PoleSet, _strip_distance, resolvent_matrix_for
+from cylspec.resolvent import CLUSTER_TOL, PoleSet, _strip_distance, resolvent_matrix_for
 from cylspec.spectral import OverflowGuardError, SpectralBasis, multiplier_matrix
 
 # ---------------------------------------------------------------------------
@@ -248,6 +250,23 @@ def check_resummation_coefficient(n: int, ell: int, k: int) -> bool:
         resummation_coefficient(n, ell, k, gamma) == expected
         for gamma in _compositions(n + 1, ell - k + 1)
     )
+
+
+# ---------------------------------------------------------------------------
+# pole clusters on the cylinder
+# ---------------------------------------------------------------------------
+
+
+def greedy_strip_clusters(zs) -> list[list[int]]:
+    """Indices of zs grouped into poles, one point at a time: each joins the first
+    cluster whose first member lies within CLUSTER_TOL on the cylinder."""
+    clusters: list[list[int]] = []
+    for k, z in enumerate(zs):
+        cl = next((cl for cl in clusters if _strip_distance(zs[cl[0]], z) <= CLUSTER_TOL), [])
+        if not cl:
+            clusters.append(cl)
+        cl.append(k)
+    return clusters
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylspec import resolvent
 from cylspec.operator_model import (
@@ -26,6 +28,7 @@ from cylspec.resolvent import (
     _persistent,
     _projection_family,
     _schur_solve,
+    _strip_clusters,
     _strip_distance,
     apply_operator,
     apply_resolvent,
@@ -44,7 +47,12 @@ from cylspec.spectral import (
     multiplier_matrix,
 )
 from cylspec.stability import forward_transform, make_forcing, segment_abscissa
-from reference import _loop_nodes, spectral_projection, verify_resolvent_identities
+from reference import (
+    _loop_nodes,
+    greedy_strip_clusters,
+    spectral_projection,
+    verify_resolvent_identities,
+)
 
 
 # -- direct solves --------------------------------------------------------------
@@ -276,6 +284,17 @@ def test_schur_solve_raises_at_a_pole_and_on_nan(ex1, wobble):
         with pytest.raises(NearPoleError) as err:
             _schur_solve(pencil, *_block_columns(pencil, np.array([1.0, 1.5]), f))
         assert err.value.z == 1.5 and np.isnan(err.value.residual)
+
+
+def test_schur_solve_checks_far_scaled_right_hand_sides():
+    # squared norms overflow past about 1e154 and underflow below about 1e-154: the
+    # residual check sums such nodes scaled, so each solves as s times the unit one
+    spec, basis = fixture("EX1S"), build_basis(4, 16)
+    f = np.ones((basis.n_time, basis.n_space, spec.N), dtype=complex)
+    unit = apply_resolvent(spec, basis, 1.05, f)
+    for s in (1e200, 1e300, 1e-300):
+        u = apply_resolvent(spec, basis, 1.05, s * f)
+        assert np.linalg.norm(u / s - unit) <= 1e-12 * np.linalg.norm(unit)
 
 
 # -- pole location ----------------------------------------------------------------
@@ -852,20 +871,51 @@ def _sorted_schur_family(pencil, center, radius):
 
 
 @pytest.mark.parametrize("name, q_max, m", [
-    ("EX1", 4, 32), ("EX1S", 16, 32), ("EX1 x Jordan", 2, 16), ("hermitian A0", 4, 16),
-    ("wobble", 4, 8),
+    ("EX1", 4, 32), ("EX1S", 16, 32), ("EX1 x Jordan", 2, 16), ("EX1 x Jordan", 4, 32),
+    ("hermitian A0", 4, 16), ("wobble", 4, 8), ("shifted EX1", 8, 32),
 ])
 def test_projection_family_matches_sorted_schur(name, q_max, m, request):
-    # one Schur form reordered per pole gives what a sorted Schur form per pole gave
-    spec = _named_spec(name, request)
-    basis = build_basis(q_max, m)
-    ps = find_poles(spec, basis, window=(-2.2, 1.0))
-    pencil = mode_operator_parts(spec, basis)
+    # find_poles calls a loop about one QZ eigenvalue order 1, rank 1 without the
+    # Schur form, and reorders the pencil's one Schur form per pole for a loop
+    # about several (EX1 x Jordan's defective poles): both give what a sorted
+    # Schur form per pole gives
+    if name == "shifted EX1":
+        spec, basis, window = next(_shifted_ex1_cases())
+    else:
+        spec, basis, window = _named_spec(name, request), build_basis(q_max, m), (-2.2, 1.0)
+    ps = find_poles(spec, basis, window=window)
     assert ps.poles
     for pole in ps.poles:
-        ref = _sorted_schur_family(pencil, pole.source, pole.radius)
-        assert _projection_family(pencil, pole.source, pole.radius) == ref
+        ref = _sorted_schur_family(ps.pencil, pole.source, pole.radius)
+        assert _projection_family(ps.pencil, pole.source, pole.radius) == ref
         assert (pole.order, pole.rank) == ref
+    simple = name != "EX1 x Jordan"
+    assert all((p.order, p.rank) == ((1, 1) if simple else (2, 2)) for p in ps.poles)
+
+
+_near_offset = st.floats(-1.5 * CLUSTER_TOL, 1.5 * CLUSTER_TOL)
+
+
+@st.composite
+def _strip_point_sets(draw):
+    """Up to four heads, at Im near 0, 1/2 or 1 or anywhere, each with near
+    duplicates within about CLUSTER_TOL, some of them a few periods away."""
+    points = []
+    for _ in range(draw(st.integers(1, 4))):
+        re = draw(st.floats(-2.5, 1.0))
+        im = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(-2.0, 2.0))
+        for _ in range(draw(st.integers(1, 3))):
+            points.append(complex(re + draw(_near_offset),
+                                  im + draw(_near_offset) + draw(st.integers(-2, 2))))
+    return draw(st.permutations(points))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_strip_point_sets())
+def test_strip_clusters_match_greedy_reference(points):
+    # one pairwise distance matrix, heads claiming their later unowned
+    # neighbours: the clusters of the one-point-at-a-time rule
+    assert _strip_clusters(points) == greedy_strip_clusters(points)
 
 
 def _complex_eigenvalues(pencil):

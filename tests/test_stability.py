@@ -970,11 +970,13 @@ def test_default_slice_grid_covers_both_sides(basis_q4m32):
 
 
 def test_one_schur_form_per_pole_search_and_decomposition(monkeypatch, ex1s, basis_q16m32,
-                                                          poles_ex1s_q16, default_forcing_q16):
-    # find_poles reorders one Schur form of A0^-1 base0 for all its poles (none
-    # without poles); decompose builds no pencil and takes no Schur form: its two
-    # segments, its projections, its refinement solves and its kernel check all
-    # use the pole set's
+                                                          default_forcing_q16):
+    # find_poles reads a simple pole's order and rank off the QZ eigenvalues and
+    # takes no Schur form for it (none without poles); only a loop around several
+    # eigenvalues, as at EX1 x Jordan's defective poles, takes the pencil's one
+    # Schur form.  decompose takes it on first use, on the pole set's pencil, and
+    # builds no pencil: its segments, projections, refinement solves and kernel
+    # check all use that one
     def no_pencil(*args, **kwargs):
         raise AssertionError("a pencil was built")
 
@@ -987,13 +989,17 @@ def test_one_schur_form_per_pole_search_and_decomposition(monkeypatch, ex1s, bas
 
     monkeypatch.setattr(scipy.linalg, "schur", counted)
     assert len(find_poles(ex1s, build_basis(4, 32), window=(-2.2, 1.0)).poles) == 6
-    assert calls == [None]
     assert not find_poles(fixture("CE-FLAT"), build_basis(4, 16)).poles
+    assert calls == []
+    jordan = find_poles(_jordan_spec(), build_basis(2, 16), window=(-2.2, 1.0)).poles
+    assert jordan and all((p.order, p.rank) == (2, 2) for p in jordan)
     assert calls == [None]
+    poles = find_poles(ex1s, basis_q16m32, window=(-2.2, 1.0))
+    assert calls == [None] and "schur" not in vars(poles.pencil)
     for module in (spectral, resolvent, stability):
         monkeypatch.setattr(module, "mode_operator_parts", no_pencil, raising=False)
-    dec = decompose(ex1s, basis_q16m32, default_forcing_q16, poles_ex1s_q16)
-    assert dec.rank == 2 and calls == [None]
+    dec = decompose(ex1s, basis_q16m32, default_forcing_q16, poles)
+    assert dec.rank == 2 and calls == [None, None] and "schur" in vars(poles.pencil)
 
 
 def test_pole_set_from_another_grid_raises(ex1s, basis_q16m32, poles_ex1s,
