@@ -319,6 +319,11 @@ def _checked(kind, ok, what: str):
 _finite_float = _checked(float, math.isfinite, "finite")
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least `low`, else a usage error."""
+    return _checked(int, lambda v: v >= low, f"at least {low}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cylspec",
@@ -340,14 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def pole_window(p, qmax=4):
         """The basis and the window's left edge of the subcommands that locate poles."""
-        p.add_argument("--qmax", type=int, default=qmax)
-        p.add_argument("--m", type=int, default=32)
+        p.add_argument("--qmax", type=_int_at_least(0), default=qmax)
+        p.add_argument("--m", type=_int_at_least(2), default=32)
         p.add_argument("--re-min", type=_finite_float, default=-2.2, dest="re_min")
         return p
 
     p = command("check", cmd_check, "verify the admissibility conditions")
     p.add_argument("--kappa", type=float, default=None)
-    p.add_argument("--density", type=int, default=64)
+    p.add_argument("--density", type=_int_at_least(1), default=64)
 
     pole_window(command("spectrum", cmd_spectrum, "locate resolvent poles in a window"))
 
@@ -359,10 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", action="store_true")
 
     p = command("evolve", cmd_evolve, "time-domain evolution and energies")
-    p.add_argument("--m", type=int, default=32)
-    p.add_argument("--lmax", type=_checked(int, lambda v: v >= 0, "at least 0"), default=2)
+    p.add_argument("--m", type=_int_at_least(2), default=32)
+    p.add_argument("--lmax", type=_int_at_least(0), default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--periods", type=_checked(int, lambda v: v >= 1, "at least 1"), default=10)
+    p.add_argument("--periods", type=_int_at_least(1), default=10)
     p.add_argument("--shift", type=_finite_float, default=0.0)
 
     p = pole_window(command("compare", cmd_compare, "cross-engine agreement checks"), qmax=16)

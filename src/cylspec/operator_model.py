@@ -17,7 +17,13 @@ norms terminate at the coefficient degree and the condition-(4) sums are finite.
 Samples are taken in fixed-size blocks of points with stacked eigenvalue
 solves, and each form only on the rows where it varies: one time slice when it
 has no x0 term, one point when it is constant.  The first sample attaining a
-minimum is its witness.  The sample grids are built once per (n, density).
+minimum is its witness.  The sample grids are built once per (n, density),
+each with its one-slice row count; a density below 1 is an error.  A 1x1
+form's eigenvalue is its real part, bit for bit what LAPACK returns for N = 1,
+so 1x1 stacks take no eigensolve (`_eigvalsh`); `eval_points` adds a constant
+term's matrix without a monomial; the certificate form does not form its
+products with a zero Xi^j, and a derivative of weight 1 enters the norm rows
+unscaled.  Each shortcut leaves every output bit as it was.
 
 The norm table's derivatives come from one ladder per coefficient
 (`MatrixPolynomial.derivatives`): each d^alpha p is its parent d^{alpha - e_v} p
@@ -33,6 +39,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -253,11 +260,32 @@ class AssumptionReport:
 # ---------------------------------------------------------------------------
 
 
+class _Grid(NamedTuple):
+    """A sample grid: read-only rows (t_i, *flat_j), time-major (every spatial row
+    for t_0, then for t_1, ...), and the number of rows in one time slice."""
+
+    points: np.ndarray
+    slice_rows: int
+
+
+def _times_slices(t: np.ndarray, flat: np.ndarray) -> _Grid:
+    pts = np.column_stack([np.repeat(t, len(flat)), np.tile(flat, (len(t), 1))])
+    pts.setflags(write=False)
+    return _Grid(pts, len(flat))
+
+
+def _time_axis(density: int) -> np.ndarray:
+    """The sample times of both grids; no grid has a density below 1."""
+    if density < 1:
+        raise SpecError(f"sample density must be at least 1, got density = {density}")
+    return np.linspace(0.0, 2 * np.pi, max(4, min(density, 16)), endpoint=False)
+
+
 @functools.lru_cache(maxsize=16)
-def _interior_points(n: int, density: int) -> np.ndarray:
+def _interior_grid(n: int, density: int) -> _Grid:
     """Deterministic sample points of the solid cylinder, including extreme slices;
-    built once per (n, density) and shared, so read-only."""
-    t = np.linspace(0.0, 2 * np.pi, max(4, min(density, 16)), endpoint=False)
+    built once per (n, density) and shared."""
+    t = _time_axis(density)
     if n == 1:
         x = np.unique(np.concatenate([np.linspace(-1.0, 1.0, density), [-1.0, 0.0, 1.0]]))
         flat = x[:, None]
@@ -266,21 +294,14 @@ def _interior_points(n: int, density: int) -> np.ndarray:
         mesh = np.meshgrid(*axes, indexing="ij")
         flat = np.stack([m.ravel() for m in mesh], axis=1)
         flat = flat[np.sum(flat**2, axis=1) <= 1.0 + 1e-12]
-    pts = _times_slices(t, flat)
-    pts.setflags(write=False)
-    return pts
-
-
-def _times_slices(t: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """Rows (t_i, *flat_j), time-major: every spatial row for t_0, then for t_1, ..."""
-    return np.column_stack([np.repeat(t, len(flat)), np.tile(flat, (len(t), 1))])
+    return _times_slices(t, flat)
 
 
 @functools.lru_cache(maxsize=16)
-def _boundary_points(n: int, density: int) -> np.ndarray:
+def _boundary_grid(n: int, density: int) -> _Grid:
     """Boundary samples; the outward normal at (t, x1, ..., xn) is (0, x1, ..., xn).
-    Built once per (n, density) and shared, so read-only."""
-    t = np.linspace(0.0, 2 * np.pi, max(4, min(density, 16)), endpoint=False)
+    Built once per (n, density) and shared."""
+    t = _time_axis(density)
     if n == 1:
         dirs = np.array([[1.0], [-1.0]])
     elif n == 2:
@@ -301,9 +322,7 @@ def _boundary_points(n: int, density: int) -> np.ndarray:
             rng = np.random.default_rng(0)
             dirs = rng.standard_normal((m, n))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    pts = _times_slices(t, dirs)
-    pts.setflags(write=False)
-    return pts
+    return _times_slices(t, dirs)
 
 
 # Points per evaluated block: the stacks of coefficient values and eigenvalue
@@ -315,7 +334,7 @@ def _blocks(n_points: int):
     return (slice(start, start + _BLOCK) for start in range(0, n_points, _BLOCK))
 
 
-def _varying_rows(pts: np.ndarray, polys: list[MatrixPolynomial]) -> np.ndarray:
+def _varying_rows(grid: _Grid, polys: list[MatrixPolynomial]) -> np.ndarray:
     """The leading rows of a time-major grid on which the polynomials take all their values.
 
     Every row if some polynomial has an x0 term.  Otherwise the first time slice:
@@ -323,13 +342,22 @@ def _varying_rows(pts: np.ndarray, polys: list[MatrixPolynomial]) -> np.ndarray:
     slices repeat its values bit for bit.  One row if every polynomial is constant.
     """
     if any(p.var_degree(0) for p in polys):
-        return pts
+        return grid.points
     if all(p.is_constant() for p in polys):
-        return pts[:1]
-    return pts[:np.count_nonzero(pts[:, 0] == pts[0, 0])]
+        return grid.points[:1]
+    return grid.points[:grid.slice_rows]
 
 
-def _min_eig(pts: np.ndarray, polys: list[MatrixPolynomial], form) -> tuple[float, int | None]:
+def _eigvalsh(mats: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh`` of a stack of Hermitian matrices.  A 1x1 matrix's
+    eigenvalue is its real part, which is what LAPACK's ?heevd and ?syevd return
+    for N = 1 bit for bit, so a 1x1 stack takes no eigensolve."""
+    if mats.shape[-1] == 1:
+        return mats[..., 0].real
+    return np.linalg.eigvalsh(mats)
+
+
+def _min_eig(grid: _Grid, polys: list[MatrixPolynomial], form) -> tuple[float, int | None]:
     """Smallest eigenvalue of a Hermitian form over the grid and the first point index attaining it.
 
     ``form(values)`` maps the polynomials' values at a block of points to the
@@ -337,27 +365,27 @@ def _min_eig(pts: np.ndarray, polys: list[MatrixPolynomial], form) -> tuple[floa
     are sampled; the first sample attaining the minimum lies among them, and a
     later block replaces the witness only when strictly smaller.
     """
-    rows = _varying_rows(pts, polys)
+    rows = _varying_rows(grid, polys)
     best, where = np.inf, None
     for sl in _blocks(len(rows)):
-        ev = np.linalg.eigvalsh(form([p.eval_points(rows[sl]) for p in polys])).min(axis=-1)
+        ev = _eigvalsh(form([p.eval_points(rows[sl]) for p in polys])).min(axis=-1)
         k = int(np.argmin(ev))
         if ev[k] < best:
             best, where = float(ev[k]), sl.start + k
     return best, where
 
 
-def _sup_norm(pts: np.ndarray, polys: list[MatrixPolynomial]) -> float:
+def _sup_norm(grid: _Grid, polys: list[MatrixPolynomial]) -> float:
     """Max over the points of the spectral norm of the row [p_1(x), p_2(x), ...]:
     the square root of the largest eigenvalue of its N-by-N Gram matrix."""
     if all(p.is_zero for p in polys):
         return 0.0
-    rows = _varying_rows(pts, polys)
+    rows = _varying_rows(grid, polys)
     best = 0.0
     for sl in _blocks(len(rows)):
         row = np.concatenate([p.eval_points(rows[sl]) for p in polys], axis=-1)
         gram = row @ row.conj().swapaxes(-1, -2)
-        best = max(best, float(np.linalg.eigvalsh(gram).max()))
+        best = max(best, float(_eigvalsh(gram).max()))
     return math.sqrt(best)
 
 
@@ -377,21 +405,27 @@ def derivative_norms(spec: OperatorSpec, k: int, density: int = 64) -> tuple[flo
     into one block row; the norm is the largest singular value, maximized over a
     sample grid (exact for affine coefficients since the grid contains the domain
     corners).  The d^alpha p are level k of each coefficient's derivative ladder;
-    a derivative that vanishes keeps its zero block in the row.
+    a derivative that vanishes keeps its zero block in the row, and one of weight
+    1 enters unscaled.
     """
     from .norms import multi_indices
 
     if k < 0:
         raise SpecError("derivative order must be nonnegative")
-    pts = _interior_points(spec.n, density)
+    grid = _interior_grid(spec.n, density)
     table = multi_indices(spec.n + 1, k)
     zero = MatrixPolynomial.zero(spec.n + 1, (spec.N, spec.N))
 
+    def block(level, alpha, w: int) -> MatrixPolynomial:
+        if alpha not in level:
+            return zero
+        return level[alpha] if w == 1 else math.sqrt(w) * level[alpha]
+
     def sup_norm(polys: list[MatrixPolynomial]) -> float:
         levels = [p.derivatives(k) for p in polys]
-        return _sup_norm(pts, [math.sqrt(w) * level[alpha] if alpha in level else zero
-                               for alpha, w in zip(table.indices, table.weights)
-                               for level in levels])
+        return _sup_norm(grid, [block(level, alpha, w)
+                                for alpha, w in zip(table.indices, table.weights)
+                                for level in levels])
 
     return sup_norm(list(spec.A)), sup_norm([spec.B]), sup_norm([spec.A0])
 
@@ -423,12 +457,12 @@ def check_assumptions(spec: OperatorSpec, sample_density: int = 64) -> Assumptio
     # (1) Hermitian coefficients, positive definite A^0
     witnesses = []
     herm_ok = all(a.is_hermitian(tol=1e-14) for a in spec.A)
-    pts = _interior_points(spec.n, sample_density)
-    min_eig_a0, k = _min_eig(pts, [spec.A0], lambda v: v[0])
+    grid = _interior_grid(spec.n, sample_density)
+    min_eig_a0, k = _min_eig(grid, [spec.A0], lambda v: v[0])
     if not herm_ok:
         witnesses.append({"reason": "non-Hermitian coefficient matrix"})
     if min_eig_a0 <= TOL_PSD:
-        witnesses.append({"point": pts[k].tolist(), "min_eig": min_eig_a0})
+        witnesses.append({"point": grid.points[k].tolist(), "min_eig": min_eig_a0})
     checks["i"] = CheckResult(
         "pass" if herm_ok and min_eig_a0 > TOL_PSD else "fail",
         witnesses,
@@ -438,10 +472,11 @@ def check_assumptions(spec: OperatorSpec, sample_density: int = 64) -> Assumptio
     # (2) outflow: A^i w_i psd along the boundary, where the normal w_i is the
     # coordinate x_i, so the form is the polynomial x_i A^i
     witnesses = []
-    bpts = _boundary_points(spec.n, sample_density)
+    bgrid = _boundary_grid(spec.n, sample_density)
+    bpts = bgrid.points
     n = spec.n
     coords = [MatrixPolynomial.coordinate(i, n + 1) for i in range(1, n + 1)]
-    worst, k = _min_eig(bpts, coords + list(spec.A[1:]), lambda v: _hermitian_part(
+    worst, k = _min_eig(bgrid, coords + list(spec.A[1:]), lambda v: _hermitian_part(
         sum(x * a for x, a in zip(v[:n], v[n:]))))
     if worst < -TOL_PSD:
         witnesses.append({"point": bpts[k].tolist(), "normal": [0.0, *bpts[k, 1:].tolist()],
@@ -456,11 +491,11 @@ def check_assumptions(spec: OperatorSpec, sample_density: int = 64) -> Assumptio
     else:
         n1 = spec.n + 1
         blocks = [blk for row in _certificate_blocks(spec) for blk in row]
-        worst, k = _min_eig(pts, blocks, lambda v: _hermitian_part(
+        worst, k = _min_eig(grid, blocks, lambda v: _hermitian_part(
             np.block([v[i:i + n1] for i in range(0, n1 * n1, n1)])))
         witnesses = []
         if worst < 1.0 - TOL_PSD:
-            witnesses.append({"point": pts[k].tolist(), "min_eig": worst})
+            witnesses.append({"point": grid.points[k].tolist(), "min_eig": worst})
         checks["iii"] = CheckResult(
             "pass" if worst >= 1.0 - TOL_PSD else "fail",
             witnesses,
@@ -484,18 +519,29 @@ def check_assumptions(spec: OperatorSpec, sample_density: int = 64) -> Assumptio
 
 
 def _certificate_blocks(spec: OperatorSpec) -> list[list[MatrixPolynomial]]:
-    """Blocks xi*A^{ij} + (A^i Xi^j + (Xi^i)^† A^j)/2 of the certified quadratic form."""
+    """Blocks xi*A^{ij} + (A^i Xi^j + (Xi^i)^† A^j)/2 of the certified quadratic form.
+
+    A product with a zero Xi is the zero polynomial, and adding it changes no
+    coefficient, so it is not formed.
+    """
     A, xi, Xi = spec.A, spec.certificate.xi, spec.certificate.Xi
-    return [[xi * (0.5 * (A[j].derivative(i) + A[i].derivative(j)))
-             + 0.5 * (A[i] @ Xi[j]) + 0.5 * (Xi[i].adjoint() @ A[j])
-             for j in range(spec.n + 1)] for i in range(spec.n + 1)]
+
+    def block(i: int, j: int) -> MatrixPolynomial:
+        blk = xi * (0.5 * (A[j].derivative(i) + A[i].derivative(j)))
+        if not Xi[j].is_zero:
+            blk = blk + 0.5 * (A[i] @ Xi[j])
+        if not Xi[i].is_zero:
+            blk = blk + 0.5 * (Xi[i].adjoint() @ A[j])
+        return blk
+
+    return [[block(i, j) for j in range(spec.n + 1)] for i in range(spec.n + 1)]
 
 
 def certificate_norm(spec: OperatorSpec, density: int = 64) -> float:
     """Sup over the domain of the stacked-row norm of the certificate matrices."""
     if spec.certificate is None:
         raise SpecError("no certificate")
-    return _sup_norm(_interior_points(spec.n, density), list(spec.certificate.Xi))
+    return _sup_norm(_interior_grid(spec.n, density), list(spec.certificate.Xi))
 
 
 def q_effective(spec: OperatorSpec, density: int = 64) -> float:
@@ -512,20 +558,32 @@ def q_effective(spec: OperatorSpec, density: int = 64) -> float:
 
 
 def _energy_threshold(spec: OperatorSpec, density: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """z*, with K_0 and A^0 at the interior rows where either varies."""
+    """z*, with K_0 and A^0 at the interior rows where either varies.  An A^0
+    that is not positive definite at a row raises a SpecError for condition (i)
+    naming the first such row and A^0's smallest eigenvalue there."""
     div_a = spec.A[0].derivative(0)
     for i in range(1, spec.n + 1):
         div_a = div_a + spec.A[i].derivative(i)
     k0_poly = 0.5 * ((-1.0) * div_a + spec.B + spec.B.adjoint())
 
-    rows = _varying_rows(_interior_points(spec.n, density), [k0_poly, spec.A0])
+    rows = _varying_rows(_interior_grid(spec.n, density), [k0_poly, spec.A0])
     from scipy.linalg import eigh
 
     k0_vals = _hermitian_part(k0_poly.eval_points(rows))
     a0_vals = spec.A0.eval_points(rows)
-    # smallest s with k0 + s*a0 - a0/2 >= 0
-    z_star = max(float(eigh(0.5 * a0 - k0, a0, eigvals_only=True).max())
-                 for k0, a0 in zip(k0_vals, a0_vals))
+
+    def threshold(k: int) -> float:
+        """The smallest s with k0 + s*a0 - a0/2 >= 0 at row k."""
+        try:
+            return float(eigh(0.5 * a0_vals[k] - k0_vals[k], a0_vals[k], eigvals_only=True).max())
+        except np.linalg.LinAlgError:
+            least = float(_eigvalsh(a0_vals[k]).min())
+            if least > 0:
+                raise
+            raise SpecError(f"condition (i) fails: A0 is not positive definite at the sample "
+                            f"point {rows[k].tolist()}, smallest eigenvalue {least:.6g}") from None
+
+    z_star = max(threshold(k) for k in range(len(rows)))
     return z_star, k0_vals, a0_vals
 
 
@@ -550,10 +608,10 @@ def stability_constants(spec: OperatorSpec, density: int = 64) -> StabilityConst
     R = np.inf
     for sl in _blocks(len(k0_vals)):
         k_s = k0_vals[sl] + s_grid[:, None, None, None] * a0_vals[sl]
-        ratios = np.linalg.eigvalsh(k_s).min(axis=-1) / (1.0 + np.abs(s_grid))[:, None]
+        ratios = _eigvalsh(k_s).min(axis=-1) / (1.0 + np.abs(s_grid))[:, None]
         R = min(R, float(ratios.min()))
     # ratio tends to min-eig(A0) as s -> +infinity
-    a0_floor = float(np.linalg.eigvalsh(a0_vals).min())
+    a0_floor = float(_eigvalsh(a0_vals).min())
     R = min(R, a0_floor)
     if R <= 0:
         raise SpecError("coercivity constant R is nonpositive; conditions (1)-(3) violated?")

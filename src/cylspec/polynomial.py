@@ -175,18 +175,23 @@ class MatrixPolynomial:
     def eval_points(self, pts) -> np.ndarray:
         """Evaluate at the rows of a (P, n_vars) array; returns shape (P,) + self.shape.
 
-        Equals ``self(pts[p])`` bit for bit: ``float_power`` is the scalar ``**``.
+        Equals ``self(pts[p])`` bit for bit for finite coefficients:
+        ``float_power`` is the scalar ``**``, and a monomial starts from its
+        first power, not from 1.  A constant term's matrix is added as it is;
+        ``1.0 * mat`` could differ from it only in the sign of a zero, which
+        adding into the zero-initialized sum does not keep.
         """
         x = np.asarray(pts, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.n_vars:
             raise ValueError(f"points must have {self.n_vars} coordinates")
         out = np.zeros((len(x),) + self.shape, dtype=complex)
         for alpha, mat in self.terms.items():
-            mono = np.ones(len(x))
+            mono = None
             for col, ai in zip(x.T, alpha):
                 if ai:
-                    mono = mono * np.float_power(col, ai)
-            out += mono[:, None, None] * mat
+                    power = np.float_power(col, ai)
+                    mono = power if mono is None else mono * power
+            out += mat if mono is None else mono[:, None, None] * mat
         return out
 
     def eval_grid(self, *coords) -> np.ndarray:

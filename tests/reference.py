@@ -15,7 +15,11 @@ spectral derivative per multi-index on the grid and its quadrature norm
 d^alpha p from its ladder (`MatrixPolynomial.derivatives`); here by single
 derivatives in variable order (`derivative_multi`).  Poles are grouped on the
 cylinder from one matrix of pairwise distances (`resolvent._strip_clusters`);
-here one point at a time (`greedy_strip_clusters`).
+here one point at a time (`greedy_strip_clusters`).  Admissibility sampling adds
+a constant term's matrix as it is (`MatrixPolynomial.eval_points`) and forms no
+product with a zero certificate matrix (`operator_model._certificate_blocks`);
+here every monomial starts from 1 (`monomial_eval_points`) and every product is
+formed (`unskipped_certificate_blocks`).
 """
 
 from __future__ import annotations
@@ -267,6 +271,32 @@ def greedy_strip_clusters(zs) -> list[list[int]]:
             clusters.append(cl)
         cl.append(k)
     return clusters
+
+
+# ---------------------------------------------------------------------------
+# admissibility sampling without its fast paths
+# ---------------------------------------------------------------------------
+
+
+def monomial_eval_points(p: MatrixPolynomial, pts) -> np.ndarray:
+    """p at the rows of pts, each term's monomial built up from 1, constant terms too."""
+    x = np.asarray(pts, dtype=float)
+    out = np.zeros((len(x),) + p.shape, dtype=complex)
+    for alpha, mat in p.terms.items():
+        mono = np.ones(len(x))
+        for col, ai in zip(x.T, alpha):
+            if ai:
+                mono = mono * np.float_power(col, ai)
+        out += mono[:, None, None] * mat
+    return out
+
+
+def unskipped_certificate_blocks(spec: OperatorSpec) -> list[list[MatrixPolynomial]]:
+    """xi*A^{ij} + (A^i Xi^j + (Xi^i)^† A^j)/2 with both products formed, zero or not."""
+    A, xi, Xi = spec.A, spec.certificate.xi, spec.certificate.Xi
+    return [[xi * (0.5 * (A[j].derivative(i) + A[i].derivative(j)))
+             + 0.5 * (A[i] @ Xi[j]) + 0.5 * (Xi[i].adjoint() @ A[j])
+             for j in range(spec.n + 1)] for i in range(spec.n + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -476,3 +476,35 @@ def test_evolve_rejects_unusable_counts(tmp_path, capsys, flag, value):
     assert exc.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("check", "--density", "0"), ("check", "--density", "-4"),
+    ("spectrum", "--qmax", "-1"), ("spectrum", "--m", "1"), ("codim", "--m", "0"),
+    ("green", "--qmax", "-2"), ("compare", "--m", "1"), ("evolve", "--m", "1"),
+])
+def test_grid_sizes_below_their_minimum_are_usage_errors(tmp_path, capsys, command, flag,
+                                                        value):
+    # --density -4 once failed in numpy's linspace and --density 0 sampled 3 points per
+    # slice with exit 0; --qmax -1 and --m 1 failed in build_basis
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--fixture", "EX1", flag, value, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be at least" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["spectrum", "codim", "green", "compare"])
+def test_non_positive_a0_is_a_spec_error(tmp_path, command):
+    # A0 = -1: scipy's eigh in the energy threshold raised an untyped LinAlgError
+    cfg = tmp_path / "neg.json"
+    cfg.write_text(json.dumps({"n": 1, "N": 1, "B": [],
+                               "A": [[{"alpha": [0, 0], "matrix": [[[-1.0, 0.0]]]}],
+                                     [{"alpha": [0, 1], "matrix": [[[0.5, 0.0]]]}]]}))
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--qmax", "1", "--m", "4", "--out", str(out)]) == 1
+    error = json.loads(read(out / "error.json"))["error"]
+    assert error["type"] == "SpecError"
+    assert error["message"] == ("condition (i) fails: A0 is not positive definite at the "
+                                "sample point [0.0, -1.0], smallest eigenvalue -1")
+    assert not (out / "manifest.json").exists()

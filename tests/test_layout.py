@@ -101,7 +101,9 @@ def test_cross_checks_fail_the_rule_back_in_src():
             "FIT_FLOOR_REL": "timedomain", "GROWTH_RUNS": "timedomain",
             "random_run_growth_rate": "timedomain", "inner_product": "spectral",
             "apply_derivative": "spectral", "sobolev_seminorm": "norms",
-            "derivative_multi": "polynomial", "greedy_strip_clusters": "resolvent"}
+            "derivative_multi": "polynomial", "greedy_strip_clusters": "resolvent",
+            "monomial_eval_points": "polynomial",
+            "unskipped_certificate_blocks": "operator_model"}
     moved = _definitions(ast.parse((ROOT / "tests" / "reference.py").read_text()))
     assert set(moved) == set(home)
     for name, definition in moved.items():

@@ -7,6 +7,7 @@ import pytest
 from cylspec import operator_model
 from cylspec.norms import multi_indices
 from cylspec.operator_model import (
+    FIXTURE_NAMES,
     TOL_PSD,
     AssumptionReport,
     Certificate,
@@ -16,6 +17,7 @@ from cylspec.operator_model import (
     StabilityConstants,
     WeightSequence,
     _certificate_blocks,
+    _eigvalsh,
     _scalar_affine_operator,
     _summability_sums,
     check_assumptions,
@@ -28,7 +30,7 @@ from cylspec.operator_model import (
     stability_constants,
 )
 from cylspec.polynomial import MatrixPolynomial
-from reference import derivative_multi
+from reference import derivative_multi, monomial_eval_points, unskipped_certificate_blocks
 
 
 # -- loading and validation --------------------------------------------------
@@ -207,37 +209,99 @@ def test_energy_threshold_needs_no_certificate():
 
 def test_coercivity_inequality_on_grid():
     # K_z - R(1+|Re z|) psd on samples for every admissible fixture
-    from cylspec.operator_model import _interior_points
+    from cylspec.operator_model import _interior_grid
 
     for name in ("EX1", "EX1S"):
         spec = fixture(name)
         sc = stability_constants(spec)
         div_a = spec.A[0].derivative(0) + spec.A[1].derivative(1)
         for s in (sc.z_star, sc.z_star + 0.5, sc.z_star + 3.0):
-            for pt in _interior_points(1, 17):
+            for pt in _interior_grid(1, 17).points:
                 k0 = 0.5 * (-div_a(pt) + spec.B(pt) + spec.B(pt).conj().T)
                 kz = k0 + s * spec.A[0](pt)
                 bound = sc.R * (1.0 + abs(s)) * np.eye(spec.N)
                 assert np.linalg.eigvalsh(kz - bound).min() >= -1e-10
 
 
-def test_interior_grid_built_once_and_read_only():
-    from cylspec.operator_model import _interior_points
+def _slice_rows(pts):
+    # the rows of the first time slice, counted as _varying_rows did before the
+    # grids carried the count
+    return np.count_nonzero(pts[:, 0] == pts[0, 0])
 
-    pts = _interior_points(1, 17)
-    assert _interior_points(1, 17) is pts and not pts.flags.writeable
+
+def test_interior_grid_built_once_and_read_only():
+    from cylspec.operator_model import _interior_grid
+
+    grid = _interior_grid(1, 17)
+    pts = grid.points
+    assert _interior_grid(1, 17) is grid and not pts.flags.writeable
     assert np.array_equal(pts, _reference_interior_points(1, 17))
     with pytest.raises(ValueError):
         pts[0, 0] = 1.0
+    for n, density in ((1, 17), (1, 64), (3, 8)):
+        grid = _interior_grid(n, density)
+        assert grid.slice_rows == _slice_rows(grid.points)
+        assert np.array_equal(grid.points, _reference_interior_points(n, density))
 
 
 def test_boundary_grid_built_once_and_read_only():
-    from cylspec.operator_model import _boundary_points
+    from cylspec.operator_model import _boundary_grid
 
     for n, density in ((1, 17), (3, 64)):
-        pts = _boundary_points(n, density)
-        assert _boundary_points(n, density) is pts and not pts.flags.writeable
-        assert np.array_equal(pts, _reference_boundary_points(n, density)[0])
+        grid = _boundary_grid(n, density)
+        assert _boundary_grid(n, density) is grid and not grid.points.flags.writeable
+        assert np.array_equal(grid.points, _reference_boundary_points(n, density)[0])
+        assert grid.slice_rows == _slice_rows(grid.points)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("density", [0, -4])
+def test_grids_reject_density_below_one(n, density):
+    from cylspec.operator_model import _boundary_grid, _interior_grid
+
+    for grid in (_interior_grid, _boundary_grid):
+        with pytest.raises(SpecError, match="density"):
+            grid(n, density)
+    with pytest.raises(SpecError, match="density"):
+        check_assumptions(fixture("EX1"), sample_density=density)
+
+
+NOT_POSITIVE_A0 = {"n": 1, "N": 1, "B": [],
+                   "A": [[{"alpha": [0, 0], "matrix": [[[-1.0, 0.0]]]}],
+                         [{"alpha": [0, 1], "matrix": [[[0.5, 0.0]]]}]]}
+
+
+def test_energy_threshold_names_a_non_positive_a0():
+    # scipy's eigh raised an untyped LinAlgError about its second matrix "B"
+    spec = load_spec(NOT_POSITIVE_A0)
+    for call in (lambda: energy_threshold(spec), lambda: energy_threshold(spec, 8),
+                 lambda: stability_constants(dataclasses.replace(
+                     spec, certificate=fixture("EX1").certificate))):
+        with pytest.raises(SpecError, match=r"condition \(i\).*\[0\.0, -1\.0\].*-1$"):
+            call()
+    # A0 = x1 + 0.5 is positive only right of x1 = -0.5: the first sample left of it
+    doc = dict(NOT_POSITIVE_A0, A=[[{"alpha": [0, 0], "matrix": [[[0.5, 0.0]]]},
+                                    {"alpha": [0, 1], "matrix": [[[1.0, 0.0]]]}],
+                                   NOT_POSITIVE_A0["A"][1]])
+    with pytest.raises(SpecError, match=r"condition \(i\).*\[0\.0, -1\.0\].*-0\.5$"):
+        energy_threshold(load_spec(doc))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_one_by_one_eigvalsh_is_lapacks_bit_for_bit(dtype):
+    mags = np.logspace(-300, 300, 61)
+    vals = np.concatenate([mags, -mags, [0.0, -0.0, np.nan, 5e-324, -5e-324, -1.0]])
+    rng = np.random.default_rng(30)
+    mats = vals.astype(dtype)
+    if dtype is complex:
+        mats = mats + 1j * np.concatenate([rng.choice([-1.0, 1.0], len(mags)) * mags[::-1],
+                                           mags, [-0.0, 0.0, 1.0, np.nan, -1e300, 0.5]])
+    for stack in (mats[:, None, None], mats.reshape(8, -1)[:, :, None, None]):
+        got, ref = _eigvalsh(stack), np.linalg.eigvalsh(stack)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+    two = rng.standard_normal((5, 2, 2)).astype(dtype)
+    assert _eigvalsh(two).tobytes() == np.linalg.eigvalsh(two).tobytes()
 
 
 def test_non_finite_coefficients_rejected():
@@ -519,3 +583,45 @@ def test_block_boundaries_do_not_move_witnesses(monkeypatch):
     after = [repr(check_assumptions(s, sample_density=17).to_json()) for s in specs]
     assert after == before
     assert [repr(_reference_check(s, 17).to_json()) for s in specs] == before
+
+
+@pytest.mark.parametrize("spec", [fixture("EX1"), fixture("EX2"), _random_hermitian_spec()],
+                         ids=["EX1", "EX2", "nonzero Xi^1"])
+def test_certificate_blocks_skip_only_zero_products(spec):
+    got, ref = _certificate_blocks(spec), unskipped_certificate_blocks(spec)
+    for got_row, ref_row in zip(got, ref, strict=True):
+        for g, r in zip(got_row, ref_row, strict=True):
+            assert list(g.terms) == list(r.terms)
+            assert all(g.terms[a].tobytes() == m.tobytes() for a, m in r.terms.items())
+
+
+def _check_workload_recentred(seed=1, count=4, clearance=0.05):
+    """The recentred operators d0 + 0.5 (x1 - x*) d1 of the check benchmark workload's
+    seed (x* drawn as in `perfbench/workloads.py`, Check.inputs)."""
+    rng = np.random.default_rng([seed, 4])
+    xs = []
+    while len(xs) < count:
+        x = float(rng.uniform(-1.8, 1.8))
+        if abs(abs(x) - 1.0) >= clearance:
+            xs.append(x)
+    return [_scalar_affine_operator(0.5, x, kappa=0.024, name=f"recentred {x:+.4f}")
+            for x in xs]
+
+
+def test_sampling_fast_paths_match_the_general_path(monkeypatch):
+    # no eigensolve for 1x1 forms, no monomial for constant terms and no zero
+    # products in the certificate form: the reports and constants must not move a bit
+    specs = [fixture(name) for name in FIXTURE_NAMES] + _check_workload_recentred()
+    assert len(specs) == 9
+
+    def outputs():
+        reports = [repr(check_assumptions(s, sample_density=64).to_json()) for s in specs]
+        constants = [stability_constants(fixture(name), density=density)
+                     for name in ("EX1", "EX1S", "EX2") for density in (8, 64)]
+        return reports, [repr(dataclasses.astuple(c)) for c in constants]
+
+    fast = outputs()
+    monkeypatch.setattr(operator_model, "_eigvalsh", np.linalg.eigvalsh)
+    monkeypatch.setattr(MatrixPolynomial, "eval_points", monomial_eval_points)
+    monkeypatch.setattr(operator_model, "_certificate_blocks", unskipped_certificate_blocks)
+    assert outputs() == fast

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cylspec.polynomial import MatrixPolynomial
+from reference import monomial_eval_points
 
 
 def affine_scalar(const, slope, var=1, n_vars=2):
@@ -51,6 +52,32 @@ def test_grid_evaluation_matches_pointwise():
     pointwise = np.array([q(pt) for pt in pts])
     assert np.array_equal(q.eval_points(pts), pointwise)
     assert np.array_equal(q.eval_grid(t, x).reshape(-1, 2, 2), pointwise)
+
+
+def test_eval_points_fast_paths_are_pointwise_bit_for_bit():
+    # constant terms are added as they are and each monomial starts from its first
+    # power: both must give __call__'s bits, and the general path's, with signed
+    # zeros in the coefficients and the points and negative coefficients
+    nz = -0.0
+    const = [[complex(nz, 1.5), complex(-2.0, nz)], [complex(0.0, nz), complex(nz, nz)]]
+    slope = [[complex(-0.5, nz), complex(nz, -0.25)], [complex(3.0, 0.0), complex(nz, 0.0)]]
+    polys = [
+        MatrixPolynomial(2, (2, 2), {(0, 0): const, (0, 1): slope, (2, 3): slope}),
+        MatrixPolynomial(2, (2, 2), {(1, 0): slope, (0, 0): const, (0, 2): const}),
+        MatrixPolynomial(2, (2, 2), {(0, 0): const}),
+        MatrixPolynomial(3, (1, 1), {(0, 0, 0): [[complex(-1e-300, nz)]],
+                                     (0, 1, 1): [[-7.0 + 0j]], (3, 0, 0): [[nz + 2j]]}),
+    ]
+    rng = np.random.default_rng(30)
+    for p in polys:
+        special = np.array([[0.0, nz, -1.0, 1.0, -0.5, 1e-200][:p.n_vars],
+                            [nz, 0.0, 2.0, -1e-300, 0.25, nz][:p.n_vars],
+                            [nz] * p.n_vars, [0.0] * p.n_vars])
+        pts = np.concatenate([special, rng.uniform(-2.0, 2.0, (9, p.n_vars))])
+        got = p.eval_points(pts)
+        for row, pt in zip(got, pts):
+            assert row.tobytes() == p(pt).tobytes()
+        assert got.tobytes() == monomial_eval_points(p, pts).tobytes()
 
 
 def test_json_round_trip():
