@@ -263,6 +263,8 @@ def cmd_green(args, spec, out: RunOutput) -> int:
 
 
 def cmd_evolve(args, spec, out: RunOutput) -> int:
+    # condition (i): an A0 that is not positive definite stops the run before a step
+    energy_threshold(spec)
     # the engine steps Chebyshev slices: the Fourier band is never read
     basis = build_basis(0, args.m)
     init = random_smooth_slice(np.random.default_rng(args.seed), basis, spec.N)

@@ -20,10 +20,14 @@ has no x0 term, one point when it is constant.  The first sample attaining a
 minimum is its witness.  The sample grids are built once per (n, density),
 each with its one-slice row count; a density below 1 is an error.  A 1x1
 form's eigenvalue is its real part, bit for bit what LAPACK returns for N = 1,
-so 1x1 stacks take no eigensolve (`_eigvalsh`); `eval_points` adds a constant
-term's matrix without a monomial; the certificate form does not form its
-products with a zero Xi^j, and a derivative of weight 1 enters the norm rows
-unscaled.  Each shortcut leaves every output bit as it was.
+so 1x1 stacks take no eigensolve (`_eigvalsh`); nor does a 1x1 pencil's energy
+threshold, Re(a0/2 - K0) / l**2 with l = sqrt(Re a0), which is LAPACK's answer
+for N = 1 too (`_pencil_eigvalsh_1x1`), so the checks and the constants of an
+N = 1 spec load no scipy (N > 1 thresholds import scipy's `eigh`);
+`eval_points` adds a constant term's matrix without a monomial; the
+certificate form does not form its products with a zero Xi^j, and a derivative
+of weight 1 enters the norm rows unscaled.  Each shortcut leaves every output
+bit as it was.
 
 The norm table's derivatives come from one ladder per coefficient
 (`MatrixPolynomial.derivatives`): each d^alpha p is its parent d^{alpha - e_v} p
@@ -357,6 +361,15 @@ def _eigvalsh(mats: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(mats)
 
 
+def _pencil_eigvalsh_1x1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a stack of 1x1 Hermitian pencils (a, b) with Re b > 0: Re a / l**2
+    with l = sqrt(Re b), which is what LAPACK's ?hegvd and ?sygvd return for N = 1
+    bit for bit (?potrf takes the square root, ?hegs2 divides by its square), so a
+    1x1 pencil takes no eigensolve.  Plain Re a / Re b can differ in the last bit."""
+    root = np.sqrt(b[..., 0, 0].real)
+    return a[..., 0, 0].real / (root * root)
+
+
 def _min_eig(grid: _Grid, polys: list[MatrixPolynomial], form) -> tuple[float, int | None]:
     """Smallest eigenvalue of a Hermitian form over the grid and the first point index attaining it.
 
@@ -567,24 +580,33 @@ def _energy_threshold(spec: OperatorSpec, density: int) -> tuple[float, np.ndarr
     k0_poly = 0.5 * ((-1.0) * div_a + spec.B + spec.B.adjoint())
 
     rows = _varying_rows(_interior_grid(spec.n, density), [k0_poly, spec.A0])
-    from scipy.linalg import eigh
-
     k0_vals = _hermitian_part(k0_poly.eval_points(rows))
     a0_vals = spec.A0.eval_points(rows)
 
-    def threshold(k: int) -> float:
-        """The smallest s with k0 + s*a0 - a0/2 >= 0 at row k."""
-        try:
-            return float(eigh(0.5 * a0_vals[k] - k0_vals[k], a0_vals[k], eigvals_only=True).max())
-        except np.linalg.LinAlgError:
-            least = float(_eigvalsh(a0_vals[k]).min())
-            if least > 0:
-                raise
-            raise SpecError(f"condition (i) fails: A0 is not positive definite at the sample "
-                            f"point {rows[k].tolist()}, smallest eigenvalue {least:.6g}") from None
+    def not_positive(k: int) -> SpecError:
+        least = float(_eigvalsh(a0_vals[k]).min())
+        return SpecError(f"condition (i) fails: A0 is not positive definite at the sample "
+                         f"point {rows[k].tolist()}, smallest eigenvalue {least:.6g}")
 
-    z_star = max(threshold(k) for k in range(len(rows)))
-    return z_star, k0_vals, a0_vals
+    # the smallest s with k0 + s*a0 - a0/2 >= 0, row by row
+    if spec.N == 1:
+        bad = np.flatnonzero(~(a0_vals[:, 0, 0].real > 0))
+        if bad.size:
+            raise not_positive(int(bad[0]))
+        thresholds = _pencil_eigvalsh_1x1(0.5 * a0_vals - k0_vals, a0_vals).tolist()
+    else:
+        from scipy.linalg import eigh
+
+        thresholds = []
+        for k in range(len(rows)):
+            try:
+                thresholds.append(float(eigh(0.5 * a0_vals[k] - k0_vals[k], a0_vals[k],
+                                             eigvals_only=True).max()))
+            except np.linalg.LinAlgError:
+                if _eigvalsh(a0_vals[k]).min() > 0:
+                    raise
+                raise not_positive(k) from None
+    return max(thresholds), k0_vals, a0_vals
 
 
 def energy_threshold(spec: OperatorSpec, density: int = 64) -> float:

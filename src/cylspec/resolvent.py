@@ -44,6 +44,12 @@ on complex factors with its residual in real arithmetic.  Eigenvalues
 always come from the pencil, never from the Schur form of A^0^{-1} base0: its
 diagonal splits EX1 x Jordan's defective poles by up to 4.6e-6 at q4m32, where
 the pencil's QZ keeps them within 6e-11.
+
+scipy is imported in the routines that call it (the QZ eigensolves
+`_finite_eigenvalues` and `_pencil_eigenpairs`, and the `ztrsen` and `ztrsyl`
+of `_loop_blocks` and `loop_projections`), so importing this module, as the
+CLI does, loads numpy alone; the admissibility checks and the time engine
+never load scipy.linalg.
 """
 
 from __future__ import annotations
@@ -53,7 +59,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .operator_model import OperatorSpec, SpecError
 from .spectral import (
@@ -244,6 +249,8 @@ def _mode_shifted(vals: np.ndarray, modes: np.ndarray) -> np.ndarray:
 
 def _finite_eigenvalues(pencil: ModePencil) -> np.ndarray:
     """Finite eigenvalues of (base0, -a0), without eigenvectors."""
+    import scipy.linalg
+
     base0, a0 = pencil.parts
     vals = scipy.linalg.eig(base0, -a0, right=False)
     return vals[np.isfinite(vals)]
@@ -353,6 +360,8 @@ def _pencil_eigenpairs(spec: OperatorSpec, basis: SpectralBasis) -> PencilEigenp
     """Generalized eigenvalues z of (D + z*A^0) v = 0 with eigenvectors, from one
     eigensolve of (base0, -A^0) on the pencil of (spec, basis) in its arithmetic
     (`ModePencil.parts`), and every residual from one product."""
+    import scipy.linalg
+
     pencil = mode_operator_parts(spec, basis)
     base0, a0 = pencil.parts
     vals, vecs = scipy.linalg.eig(base0, -a0)
@@ -531,6 +540,8 @@ def _loop_blocks(pencil: ModePencil, center: complex, radius: float):
     inside it, and the pencil's Schur form of T reordered to put them first
     (LAPACK `ztrsen`, the step schur(T, sort=) takes after this same
     factorization) is V S V^H."""
+    import scipy.linalg
+
     tri, U, _left = pencil.schur
     inside = np.abs(-np.diag(tri) - 1j * pencil.modes[:, None] - center) < radius
     for b in np.flatnonzero(inside.any(axis=1)).tolist():
@@ -551,6 +562,8 @@ def loop_projections(pencil: ModePencil, center: complex, radius: float) -> list
     index, V[:, :k], S11, [I Y] V^H a0^{-1}) per block with eigenvalues inside the
     loop.
     """
+    import scipy.linalg
+
     _tri, U, left = pencil.schur
     out = []
     for b, S, V, k in _loop_blocks(pencil, center, radius):

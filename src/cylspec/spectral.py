@@ -4,7 +4,8 @@ Grid functions are complex arrays of shape (n_time, n_space, N): trigonometric
 band q in [-Q_max, Q_max] on the periodic coordinate times Gauss-Lobatto points
 on [-1, 1].  The collocated operator carries no boundary rows: admissible
 operators are outflow at the boundary, so the first-order collocation matrix is
-used as-is.
+used as-is.  scipy is imported in the one routine that calls it
+(`ModePencil.schur`), so bases, operators and pencils are built on numpy alone.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .operator_model import OperatorSpec, SpecError
 
@@ -294,6 +294,8 @@ class ModePencil:
         three are float64 and `resolvent._schur_solve` multiplies them as reals;
         otherwise (a 2 x 2 block, as for CE-BDY at m32, or a complex pencil) they
         are complex."""
+        import scipy.linalg
+
         if self.real:
             T = np.linalg.solve(self.a0.real, self.base0.real)
             tri, U = scipy.linalg.rsf2csf(*scipy.linalg.schur(T))

@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -494,17 +498,47 @@ def test_grid_sizes_below_their_minimum_are_usage_errors(tmp_path, capsys, comma
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("command", ["spectrum", "codim", "green", "compare"])
+@pytest.mark.parametrize("command", ["spectrum", "codim", "green", "compare", "evolve"])
 def test_non_positive_a0_is_a_spec_error(tmp_path, command):
-    # A0 = -1: scipy's eigh in the energy threshold raised an untyped LinAlgError
+    # A0 = -1: scipy's eigh in the energy threshold raised an untyped LinAlgError, and
+    # evolve stepped it, overflowing field.bin, and exited 0
     cfg = tmp_path / "neg.json"
     cfg.write_text(json.dumps({"n": 1, "N": 1, "B": [],
                                "A": [[{"alpha": [0, 0], "matrix": [[[-1.0, 0.0]]]}],
                                      [{"alpha": [0, 1], "matrix": [[[0.5, 0.0]]]}]]}))
     out = tmp_path / "out"
-    assert run([command, "--config", str(cfg), "--qmax", "1", "--m", "4", "--out", str(out)]) == 1
+    grid = ["--m", "4"] if command == "evolve" else ["--qmax", "1", "--m", "4"]
+    assert run([command, "--config", str(cfg), *grid, "--out", str(out)]) == 1
     error = json.loads(read(out / "error.json"))["error"]
     assert error["type"] == "SpecError"
     assert error["message"] == ("condition (i) fails: A0 is not positive definite at the "
                                 "sample point [0.0, -1.0], smallest eigenvalue -1")
     assert not (out / "manifest.json").exists()
+
+
+# run in a fresh interpreter: checking admissibility, the constants of a 1x1 spec
+# and an N = 1 evolve take no scipy routine, so they must not load scipy.linalg;
+# the pole search still does, and finds EX1's five poles
+_SCIPY_PROBE = """
+import sys
+import cylspec, cylspec.cli
+from cylspec.operator_model import FIXTURE_NAMES, check_assumptions, fixture, stability_constants
+from cylspec.resolvent import find_poles
+for name in FIXTURE_NAMES:
+    check_assumptions(fixture(name))
+for name in ("EX1", "EX1S"):
+    stability_constants(fixture(name))
+assert cylspec.cli.main(["evolve", "--fixture", "EX1", "--m", "8", "--out", sys.argv[1]]) == 0
+assert "scipy.linalg" not in sys.modules, "scipy.linalg loaded"
+poles = find_poles(fixture("EX1"), cylspec.build_basis(4, 32), window=(-2.2, 0.75)).poles
+assert len(poles) == 5, poles
+"""
+
+
+def test_admissibility_and_evolve_leave_scipy_unloaded(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -18,6 +18,7 @@ from cylspec.operator_model import (
     WeightSequence,
     _certificate_blocks,
     _eigvalsh,
+    _pencil_eigvalsh_1x1,
     _scalar_affine_operator,
     _summability_sums,
     check_assumptions,
@@ -302,6 +303,28 @@ def test_one_by_one_eigvalsh_is_lapacks_bit_for_bit(dtype):
         assert got.tobytes() == ref.tobytes()
     two = rng.standard_normal((5, 2, 2)).astype(dtype)
     assert _eigvalsh(two).tobytes() == np.linalg.eigvalsh(two).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_one_by_one_threshold_is_lapacks_bit_for_bit(dtype):
+    # a 1x1 pencil's eigenvalue Re a / l**2 with l = sqrt(Re b), against scipy's eigh
+    # (LAPACK ?sygvd or ?hegvd), over b from 1e-300 to 1e300 and a of either sign
+    # within 1e10 of b; plain Re a / Re b differs in the last bit on over a quarter
+    from scipy.linalg import eigh
+
+    rng = np.random.default_rng(31)
+    n = 4000
+    mag = rng.integers(-300, 301, n)
+    b = rng.uniform(0.5, 2.0, n) * 10.0 ** mag
+    a = rng.standard_normal(n) * 10.0 ** np.clip(mag + rng.integers(-10, 11, n), -307, 300)
+    if dtype is complex:
+        a = a + 1j * rng.standard_normal(n) * 10.0 ** rng.integers(-300, 301, n)
+    a[:3] = [0.0, -0.0, 1.0]
+    got = _pencil_eigvalsh_1x1(a[:, None, None], b[:, None, None])
+    ref = np.array([eigh(a[k:k + 1, None], b[k:k + 1, None], eigvals_only=True)[0]
+                    for k in range(n)])
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    assert np.count_nonzero(a.real / b != ref) > n // 4
 
 
 def test_non_finite_coefficients_rejected():
