@@ -31,8 +31,8 @@ from .resolvent import NearPoleError, PolesRightOfWindowError, find_poles
 from .spectral import build_basis
 from .stability import CROSS_ENGINE_TOL, cross_engine_deltas, decompose, make_forcing, \
     segment_abscissa
-from .timedomain import InstabilityError, PeriodizationError, _step_plan, energy_series, \
-    evolve, growth_rate, random_smooth_slice, stable_time_step
+from .timedomain import InstabilityError, PeriodizationError, energy_series, evolve, \
+    growth_rate, random_smooth_slice
 
 # the diagnostics that error.json carries for each typed error, by attribute name
 _ERROR_FIELDS = {
@@ -268,20 +268,11 @@ def cmd_evolve(args, spec, out: RunOutput) -> int:
     # the engine steps Chebyshev slices: the Fourier band is never read
     basis = build_basis(0, args.m)
     init = random_smooth_slice(np.random.default_rng(args.seed), basis, spec.N)
-    # every 16th step is stored unless that leaves energy_series too few slices:
-    # its 6, and two left after it drops 2*lmax at each end
-    span = args.periods * 2 * math.pi
-    need = max(6, 4 * args.lmax + 2)
-    dt = min(stable_time_step(spec, basis, args.shift), span / (need - 1))
-    n_steps, _ = _step_plan(span, dt, 1)
-    stride = 16 if math.ceil(n_steps / 16) + 1 >= need else n_steps // (need - 1)
-    run = evolve(spec, basis, initial=init, z=args.shift, t_range=(0.0, span),
-                 store_stride=stride, dt=dt)
-    series = [energy_series(run, ell, spec) for ell in range(args.lmax + 1)]
-    # higher orders lose finite-difference margin slices; align on the shortest
-    times = min((s.times for s in series), key=len)
-    columns = [s.values[(len(s.times) - len(times)) // 2:][:len(times)] for s in series]
-    out.write("energy.csv", (["x0", *(f"E{s.ell}" for s in series)], zip(times, *columns)))
+    run = evolve(spec, basis, initial=init, z=args.shift,
+                 t_range=(0.0, args.periods * 2 * math.pi), store_stride=16)
+    series = [energy_series(run, ell, spec, args.shift) for ell in range(args.lmax + 1)]
+    out.write("energy.csv", (["x0", *(f"E{s.ell}" for s in series)],
+                             zip(run.times, *(s.values for s in series))))
     out.write("field.bin", run)
     growth = growth_rate(spec, basis, z=args.shift)
     out.write("evolve.json", {

@@ -338,8 +338,8 @@ def random_run_growth_rate(spec: OperatorSpec, basis: SpectralBasis, *, periods:
     for k in range(GROWTH_RUNS):
         values = states[:, :, k].reshape(len(times), basis.n_space, spec.N)
         norms = timedomain.FieldOnCover(times, values, basis).slice_norms()
-        rates.append(timedomain.fit_log_slope(times[half], norms[half],
-                                              floor=FIT_FLOOR_REL * norms.max()))
+        fit = half & (norms > FIT_FLOOR_REL * norms.max())
+        rates.append(timedomain.fit_log_slope(times[fit], norms[fit]))
         final = values[-1]
         nrm = np.linalg.norm(final)
         profiles.append(final / nrm if nrm > 0 else final)

@@ -104,9 +104,10 @@ def test_rk4_convergence_order(ex1, basis_q4m32):
     dt0 = stable_time_step(ex1, basis_q4m32, 1.0)
     errs = []
     for dt in (dt0, dt0 / 2):
-        run = evolve(ex1, basis_q4m32, initial=np.ones((33, 1)), z=1.0,
-                     t_range=(0.0, 1.0), dt=dt, store_stride=1)
-        errs.append(np.abs(run.values[-1] - math.exp(-1.0)).max())
+        n_steps, _ = _step_plan(1.0, dt, 1)
+        prop = _propagator(ex1, basis_q4m32, 1.0, 1.0 / n_steps)
+        end = _march(prop, np.ones((33, 1), dtype=complex), 0.0, n_steps, 1)[-1]
+        errs.append(np.abs(end - math.exp(-1.0)).max())
     assert 12.0 < errs[0] / errs[1] < 20.0
 
 
@@ -119,27 +120,19 @@ def test_forced_run_retarded_exactly(ex1, basis_q4m32):
     assert np.all(run.values[before] == 0)
 
 
-def test_instability_detector(monkeypatch):
+def test_instability_detector():
     spec, basis = fixture("EX1"), build_basis(0, 8)
-
-    def run():
-        with pytest.raises(InstabilityError) as info:
-            evolve(spec, basis, initial=np.ones((9, 1)), z=0.0,
-                   t_range=(0.0, 200.0), dt=1.5)  # far beyond the stable step
-        return info.value
-
-    err, ref = _with_reference_march(monkeypatch, run)
+    n_steps, _ = _step_plan(200.0, 1.5, 1)  # steps far beyond the stable step
+    prop = _propagator(spec, basis, 0.0, 200.0 / n_steps)
+    errors = []
+    for march in (_march, _reference_march):
+        with pytest.raises(InstabilityError) as info, np.errstate(over="ignore", invalid="ignore"):
+            march(prop, np.ones((9, 1), dtype=complex), 0.0, n_steps, 1)
+        errors.append(info.value)
+    err, ref = errors
     assert (err.time, err.column, err.cap) == (ref.time, 0, ref.cap)
     assert not err.norm <= err.cap
     assert str(err) == str(ref) == f"evolution diverged at t = {err.time:.4g}"
-
-
-def test_evolve_rejects_bad_time_step(ex1, basis_q4m32):
-    # a negative step used to take one step across the range; zero meant "stable step"
-    for dt in (-0.1, 0.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="time step"):
-            evolve(ex1, basis_q4m32, initial=np.ones((33, 1)), z=1.0,
-                   t_range=(0.0, 2.0), dt=dt)
 
 
 @pytest.mark.parametrize("forced", [False, True])
@@ -315,9 +308,24 @@ def test_energy_order_one_decays_too(ex1, basis_q4m32):
     sc = stability_constants(ex1)
     run = evolve(ex1, basis_q4m32, initial=chebyshev_data(basis_q4m32, seed=4),
                  z=sc.z_star + 0.1, t_range=(0.0, 6 * PERIOD), store_stride=8)
-    es = energy_series(run, 1, ex1)
+    es = energy_series(run, 1, ex1, sc.z_star + 0.1)
     half = es.times >= 3 * PERIOD
     assert fit_log_slope(es.times[half], es.values[half]) <= -0.9
+
+
+def test_constant_mode_energies_at_every_slice(ex1, basis_q4m32):
+    # EX1's constant mode solves d_0 u = -z u, so E_ell = z^(2 ell) E_0 on every
+    # stored slice, the first and last included (from E_3 on, d_1's roundoff on
+    # the constant, amplified like M^2 per derivative, passes 1e-12)
+    z = 0.5
+    run = evolve(ex1, basis_q4m32, initial=np.ones((33, 1)), z=z,
+                 t_range=(0.0, 2 * PERIOD), store_stride=16)
+    e0 = energy_series(run, 0, ex1, z)
+    assert np.all(e0.values > 0)
+    for ell in (1, 2):
+        es = energy_series(run, ell, ex1, z)
+        assert np.array_equal(es.times, run.times)
+        assert np.abs(es.values / (z ** (2 * ell) * e0.values) - 1).max() <= 1e-12
 
 
 def test_forced_energy_two_phase(ex1, basis_q4m32):
@@ -430,7 +438,8 @@ def test_batched_growth_rates_match_separate_runs(ex1s, basis_q4m32):
         run = evolve(ex1s, basis, initial=init, z=0.0, t_range=(0.0, span), store_stride=16)
         norms = run.slice_norms()
         late = run.times >= span / 2
-        expected = fit_log_slope(run.times[late], norms[late], floor=FIT_FLOOR_REL * norms.max())
+        late &= norms > FIT_FLOOR_REL * norms.max()
+        expected = fit_log_slope(run.times[late], norms[late])
         assert abs(rate - expected) <= 1e-12
 
 
