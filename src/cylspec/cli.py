@@ -31,7 +31,7 @@ from .resolvent import NearPoleError, PolesRightOfWindowError, find_poles
 from .spectral import build_basis
 from .stability import CROSS_ENGINE_TOL, cross_engine_deltas, decompose, make_forcing, \
     segment_abscissa
-from .timedomain import InstabilityError, PeriodizationError, energy_series, evolve, \
+from .timedomain import InstabilityError, PeriodizationError, _energy_ladder, evolve, \
     growth_rate, random_smooth_slice
 
 # the diagnostics that error.json carries for each typed error, by attribute name
@@ -270,7 +270,7 @@ def cmd_evolve(args, spec, out: RunOutput) -> int:
     init = random_smooth_slice(np.random.default_rng(args.seed), basis, spec.N)
     run = evolve(spec, basis, initial=init, z=args.shift,
                  t_range=(0.0, args.periods * 2 * math.pi), store_stride=16)
-    series = [energy_series(run, ell, spec, args.shift) for ell in range(args.lmax + 1)]
+    series = _energy_ladder(run, range(args.lmax + 1), spec, args.shift)
     out.write("energy.csv", (["x0", *(f"E{s.ell}" for s in series)],
                              zip(run.times, *(s.values for s in series))))
     out.write("field.bin", run)

@@ -177,21 +177,28 @@ class MatrixPolynomial:
 
         Equals ``self(pts[p])`` bit for bit for finite coefficients:
         ``float_power`` is the scalar ``**``, and a monomial starts from its
-        first power, not from 1.  A constant term's matrix is added as it is;
-        ``1.0 * mat`` could differ from it only in the sign of a zero, which
-        adding into the zero-initialized sum does not keep.
+        first power, not from 1.  A constant term's matrix is added as it is,
+        and a monomial times a coefficient is added on the float view of the
+        flattened output: each real and imaginary part takes one real product.
+        Both can differ from ``1.0 * mat`` and numpy's complex-by-real product
+        (which promotes the real factor to complex) only in the sign of a zero,
+        which adding into the zero-initialized sum does not keep.
         """
         x = np.asarray(pts, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.n_vars:
             raise ValueError(f"points must have {self.n_vars} coordinates")
         out = np.zeros((len(x),) + self.shape, dtype=complex)
+        flat = out.reshape(len(x), self.shape[0] * self.shape[1]).view(float)
         for alpha, mat in self.terms.items():
             mono = None
             for col, ai in zip(x.T, alpha):
                 if ai:
                     power = np.float_power(col, ai)
                     mono = power if mono is None else mono * power
-            out += mat if mono is None else mono[:, None, None] * mat
+            if mono is None:
+                out += mat
+            else:
+                flat += mono[:, None] * mat.reshape(-1).view(float)
         return out
 
     def eval_grid(self, *coords) -> np.ndarray:

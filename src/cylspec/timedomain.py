@@ -53,7 +53,9 @@ at the ends, and neither a minimum slice count nor a uniform time grid is
 needed.  On `cylspec evolve --fixture EX1S` (m = 32, 10 periods) E_1 and E_2
 differ from the fourth-order differences this replaced by 4.6e-8 and 9.3e-8
 relative after the first period (the differences' truncation error on the
-dominant mode) and by up to 1.2e-4 and 1.2e-3 within it.
+dominant mode) and by up to 1.2e-4 and 1.2e-3 within it.  `cmd_evolve` takes
+the orders 0..lmax from one ladder (`_energy_ladder`): one L and one set of
+rungs L^a u, each order's energies bit for bit its own `energy_series` call's.
 """
 
 from __future__ import annotations
@@ -308,25 +310,35 @@ def energy_series(field: FieldOnCover, ell: int, spec: OperatorSpec,
     `_generator`.  On a forced run, where d_0 u = L u + A0^{-1} f, E_0 is
     exact and the higher orders leave out the forcing's terms.
     """
+    return _energy_ladder(field, range(ell, ell + 1), spec, z)[0]
+
+
+def _energy_ladder(field: FieldOnCover, orders: range, spec: OperatorSpec,
+                   z: complex) -> list[EnergySeries]:
+    """`energy_series` of each order in orders, bit for bit, with L and the rungs
+    L^a u up to the last order built once for all of them."""
     from .norms import multi_indices
 
     shape = field.values.shape
     generator_t = _generator(spec, field.basis, z).T
     rungs = [field.values]
-    for _ in range(ell):
+    for _ in range(orders[-1]):
         rungs.append((rungs[-1].reshape(shape[0], -1) @ generator_t).reshape(shape))
     a0 = spec.A[0].eval_grid(np.array([0.0]), field.basis.x1)[0]
     w1 = field.basis.w1
 
-    table = multi_indices(2, ell)
-    total = np.zeros(shape[0])
-    for alpha, weight in zip(table.indices, table.weights):
-        dv = rungs[alpha[0]]
-        for _ in range(alpha[1]):
-            dv = np.einsum("ms,ksc->kmc", field.basis.d1, dv)
-        dens = 0.5 * np.einsum("kma,mab,kmb->km", np.conj(dv), a0, dv).real
-        total += weight * np.einsum("m,km->k", w1, dens)
-    return EnergySeries(ell=ell, times=field.times, values=total)
+    series = []
+    for ell in orders:
+        table = multi_indices(2, ell)
+        total = np.zeros(shape[0])
+        for alpha, weight in zip(table.indices, table.weights):
+            dv = rungs[alpha[0]]
+            for _ in range(alpha[1]):
+                dv = np.einsum("ms,ksc->kmc", field.basis.d1, dv)
+            dens = 0.5 * np.einsum("kma,mab,kmb->km", np.conj(dv), a0, dv).real
+            total += weight * np.einsum("m,km->k", w1, dens)
+        series.append(EnergySeries(ell=ell, times=field.times, values=total))
+    return series
 
 
 def fit_log_slope(times: np.ndarray, values: np.ndarray) -> float:

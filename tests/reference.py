@@ -15,11 +15,14 @@ spectral derivative per multi-index on the grid and its quadrature norm
 d^alpha p from its ladder (`MatrixPolynomial.derivatives`); here by single
 derivatives in variable order (`derivative_multi`).  Poles are grouped on the
 cylinder from one matrix of pairwise distances (`resolvent._strip_clusters`);
-here one point at a time (`greedy_strip_clusters`).  Admissibility sampling adds
-a constant term's matrix as it is (`MatrixPolynomial.eval_points`) and forms no
-product with a zero certificate matrix (`operator_model._certificate_blocks`);
-here every monomial starts from 1 (`monomial_eval_points`) and every product is
-formed (`unskipped_certificate_blocks`).
+here one point at a time (`greedy_strip_clusters`).  Admissibility sampling
+adds a constant term's matrix as it is and each monomial's products on the
+float view (`MatrixPolynomial.eval_points`); here every monomial starts from 1
+and multiplies as a complex number (`monomial_eval_points`).  Condition (iii)'s
+form is one Hermitian polynomial (`operator_model._certificate_form`); here it
+is (n+1)^2 polynomial blocks, put together and symmetrized per sample, that
+skip the products with a zero certificate matrix (`_certificate_blocks`) or
+form every one of them (`unskipped_certificate_blocks`).
 """
 
 from __future__ import annotations
@@ -289,6 +292,25 @@ def monomial_eval_points(p: MatrixPolynomial, pts) -> np.ndarray:
                 mono = mono * np.float_power(col, ai)
         out += mono[:, None, None] * mat
     return out
+
+
+def _certificate_blocks(spec: OperatorSpec) -> list[list[MatrixPolynomial]]:
+    """Blocks xi*A^{ij} + (A^i Xi^j + (Xi^i)^† A^j)/2 of the certified quadratic form.
+
+    A product with a zero Xi is the zero polynomial, and adding it changes no
+    coefficient, so it is not formed.
+    """
+    A, xi, Xi = spec.A, spec.certificate.xi, spec.certificate.Xi
+
+    def block(i: int, j: int) -> MatrixPolynomial:
+        blk = xi * (0.5 * (A[j].derivative(i) + A[i].derivative(j)))
+        if not Xi[j].is_zero:
+            blk = blk + 0.5 * (A[i] @ Xi[j])
+        if not Xi[i].is_zero:
+            blk = blk + 0.5 * (Xi[i].adjoint() @ A[j])
+        return blk
+
+    return [[block(i, j) for j in range(spec.n + 1)] for i in range(spec.n + 1)]
 
 
 def unskipped_certificate_blocks(spec: OperatorSpec) -> list[list[MatrixPolynomial]]:

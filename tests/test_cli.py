@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from cylspec import timedomain
 from cylspec.cli import _error_report, main
 from cylspec.operator_model import fixture, spec_to_json
 from cylspec.polynomial import MatrixPolynomial
@@ -188,6 +189,20 @@ def test_evolve_stores_the_slices_energy_series_needs(tmp_path, m, lmax):
     rows = [[float(x) for x in line.split(",")] for line in lines[2:]]
     assert len(rows) == len(stored)
     assert all(len(row) == lmax + 2 and all(map(math.isfinite, row)) for row in rows)
+
+
+def test_evolve_builds_one_generator_for_every_energy_order(tmp_path, monkeypatch):
+    # the run, the energies and the growth report each build L once, whatever --lmax
+    counts = []
+    build = timedomain._generator
+    for lmax in (0, 4):
+        calls = []
+        monkeypatch.setattr(timedomain, "_generator", lambda *a: calls.append(a) or build(*a))
+        assert run(["evolve", "--fixture", "EX1", "--m", "4", "--periods", "1",
+                    "--lmax", str(lmax), "--out", str(tmp_path / str(lmax))]) == 0
+        monkeypatch.undo()
+        counts.append(len(calls))
+    assert counts == [3, 3]
 
 
 def test_compare_passes(tmp_path):

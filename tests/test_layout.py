@@ -103,6 +103,7 @@ def test_cross_checks_fail_the_rule_back_in_src():
             "apply_derivative": "spectral", "sobolev_seminorm": "norms",
             "derivative_multi": "polynomial", "greedy_strip_clusters": "resolvent",
             "monomial_eval_points": "polynomial",
+            "_certificate_blocks": "operator_model",
             "unskipped_certificate_blocks": "operator_model"}
     moved = _definitions(ast.parse((ROOT / "tests" / "reference.py").read_text()))
     assert set(moved) == set(home)

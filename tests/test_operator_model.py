@@ -16,7 +16,7 @@ from cylspec.operator_model import (
     SpecError,
     StabilityConstants,
     WeightSequence,
-    _certificate_blocks,
+    _certificate_form,
     _eigvalsh,
     _pencil_eigvalsh_1x1,
     _scalar_affine_operator,
@@ -31,7 +31,8 @@ from cylspec.operator_model import (
     stability_constants,
 )
 from cylspec.polynomial import MatrixPolynomial
-from reference import derivative_multi, monomial_eval_points, unskipped_certificate_blocks
+from reference import _certificate_blocks, derivative_multi, monomial_eval_points, \
+    unskipped_certificate_blocks
 
 
 # -- loading and validation --------------------------------------------------
@@ -434,12 +435,11 @@ def _reference_check(spec, density):
     checks["ii"] = CheckResult("pass" if worst >= -TOL_PSD else "fail", witnesses,
                                f"min eig A.w = {worst:.6g}")
 
-    M = _certificate_blocks(spec)
+    form = _certificate_form(spec)
     worst = np.inf
     witnesses = []
     for pt in pts:
-        big = np.block([[blk(pt) for blk in row] for row in M])
-        ev = float(np.linalg.eigvalsh(0.5 * (big + big.conj().T)).min())
+        ev = float(np.linalg.eigvalsh(form(pt)).min())
         if ev < worst:
             worst, worst_pt = ev, pt
     if worst < 1.0 - TOL_PSD:
@@ -632,8 +632,8 @@ def _check_workload_recentred(seed=1, count=4, clearance=0.05):
 
 
 def test_sampling_fast_paths_match_the_general_path(monkeypatch):
-    # no eigensolve for 1x1 forms, no monomial for constant terms and no zero
-    # products in the certificate form: the reports and constants must not move a bit
+    # no eigensolve for 1x1 forms, no monomial for constant terms and real products
+    # on the float view: the reports and constants must not move a bit
     specs = [fixture(name) for name in FIXTURE_NAMES] + _check_workload_recentred()
     assert len(specs) == 9
 
@@ -646,5 +646,54 @@ def test_sampling_fast_paths_match_the_general_path(monkeypatch):
     fast = outputs()
     monkeypatch.setattr(operator_model, "_eigvalsh", np.linalg.eigvalsh)
     monkeypatch.setattr(MatrixPolynomial, "eval_points", monomial_eval_points)
-    monkeypatch.setattr(operator_model, "_certificate_blocks", unskipped_certificate_blocks)
     assert outputs() == fast
+
+
+FORM_CASES = [(s, True) for s in [fixture(name) for name in FIXTURE_NAMES]
+              + _check_workload_recentred() + [_recentred_spec()]] \
+    + [(s, False) for s in (_random_hermitian_spec(), _x0_dependent_spec(in_a=True),
+                            _x0_dependent_spec(in_a=False))]
+
+
+@pytest.mark.parametrize("spec, exact", FORM_CASES, ids=[s.name for s, _ in FORM_CASES])
+def test_certificate_form_is_the_hermitian_part_of_the_blocks(spec, exact):
+    # the one polynomial against the (n+1)^2 blocks put together and symmetrized
+    # per sample: the same bits on the fixtures and the recentred operators, whose
+    # coefficients take no rounding, and within 4 ulp of the form's norm otherwise
+    pts = operator_model._interior_grid(spec.n, 17).points
+    got = _certificate_form(spec).eval_points(pts)
+    assert got.shape == (len(pts), (spec.n + 1) * spec.N, (spec.n + 1) * spec.N)
+    blocks = _certificate_blocks(spec)
+    for value, pt in zip(got, pts):
+        big = np.block([[blk(pt) for blk in row] for row in blocks])
+        ref = 0.5 * (big + big.conj().T)
+        if exact:
+            assert value.tobytes() == ref.tobytes()
+        else:
+            eps = np.finfo(float).eps
+            assert np.abs(value - ref).max() <= 4 * eps * np.linalg.norm(ref, 2)
+
+
+def test_certificate_form_is_evaluated_once_per_row_block(monkeypatch):
+    # EX2's condition (iii) samples one time slice of its interior grid: one
+    # evaluation of the 8x8 form per block of rows, and no per-sample assembly
+    spec = fixture("EX2")
+    size = (spec.n + 1) * spec.N
+    rows = operator_model._interior_grid(spec.n, 64).slice_rows
+    calls = []
+    evaluate = MatrixPolynomial.eval_points
+
+    def counted(self, pts):
+        calls.append((self.shape, len(pts)))
+        return evaluate(self, pts)
+
+    def no_block(*args, **kwargs):
+        raise AssertionError("np.block called")
+
+    monkeypatch.setattr(MatrixPolynomial, "eval_points", counted)
+    monkeypatch.setattr(np, "block", no_block)
+    report = check_assumptions(spec, sample_density=64)
+    assert report.checks["iii"].status == "pass"
+    form_calls = [n for shape, n in calls if shape == (size, size)]
+    assert form_calls == [len(range(rows)[sl]) for sl in operator_model._blocks(rows)]
+    assert len(form_calls) == -(-rows // operator_model._BLOCK) > 1

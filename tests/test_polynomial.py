@@ -54,10 +54,33 @@ def test_grid_evaluation_matches_pointwise():
     assert np.array_equal(q.eval_grid(t, x).reshape(-1, 2, 2), pointwise)
 
 
+def _signed_zero_polynomial(size, rng):
+    """A (size, size) polynomial in 3 variables whose coefficient entries have zero
+    real or imaginary parts, either sign of zero, or both parts zero."""
+    nz = -0.0
+    kinds = [lambda v, w: complex(v, w), lambda v, w: complex(v, 0.0),
+             lambda v, w: complex(0.0, w), lambda v, w: complex(v, nz),
+             lambda v, w: complex(nz, w), lambda v, w: complex(nz, nz), lambda v, w: 0j]
+
+    def coeff():
+        mat = np.empty((size, size), dtype=complex)
+        for idx in np.ndindex(mat.shape):
+            v, w = rng.uniform(-2.0, 2.0, 2)
+            mat[idx] = kinds[rng.integers(len(kinds))](v, w)
+        mat.flat[0] = complex(1.0, nz)          # never an all-zero (dropped) term
+        return mat
+
+    return MatrixPolynomial(3, (size, size), {alpha: coeff() for alpha in (
+        (0, 0, 0), (0, 1, 0), (1, 0, 2), (0, 3, 1), (2, 0, 0))})
+
+
 def test_eval_points_fast_paths_are_pointwise_bit_for_bit():
-    # constant terms are added as they are and each monomial starts from its first
-    # power: both must give __call__'s bits, and the general path's, with signed
-    # zeros in the coefficients and the points and negative coefficients
+    # constant terms are added as they are, each monomial starts from its first
+    # power and multiplies a coefficient on the float view, one real product per
+    # real and imaginary part: all must give __call__'s bits, and the general
+    # path's (complex products), signbits included, with signed zeros in the
+    # coefficients and the points, zero real or imaginary parts, negative
+    # coefficients, and complex coefficients of every size from 1x1 to 8x8
     nz = -0.0
     const = [[complex(nz, 1.5), complex(-2.0, nz)], [complex(0.0, nz), complex(nz, nz)]]
     slope = [[complex(-0.5, nz), complex(nz, -0.25)], [complex(3.0, 0.0), complex(nz, 0.0)]]
@@ -69,6 +92,7 @@ def test_eval_points_fast_paths_are_pointwise_bit_for_bit():
                                      (0, 1, 1): [[-7.0 + 0j]], (3, 0, 0): [[nz + 2j]]}),
     ]
     rng = np.random.default_rng(30)
+    polys += [_signed_zero_polynomial(size, rng) for size in range(1, 9)]
     for p in polys:
         special = np.array([[0.0, nz, -1.0, 1.0, -0.5, 1e-200][:p.n_vars],
                             [nz, 0.0, 2.0, -1e-300, 0.25, nz][:p.n_vars],
@@ -77,7 +101,9 @@ def test_eval_points_fast_paths_are_pointwise_bit_for_bit():
         got = p.eval_points(pts)
         for row, pt in zip(got, pts):
             assert row.tobytes() == p(pt).tobytes()
-        assert got.tobytes() == monomial_eval_points(p, pts).tobytes()
+        general = monomial_eval_points(p, pts)
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(general.view(float)))
+        assert got.tobytes() == general.tobytes()
 
 
 def test_json_round_trip():

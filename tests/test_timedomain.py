@@ -16,6 +16,7 @@ from cylspec.timedomain import (
     FieldOnCover,
     InstabilityError,
     PeriodizationError,
+    _energy_ladder,
     _march,
     _period_increment,
     _propagator,
@@ -326,6 +327,28 @@ def test_constant_mode_energies_at_every_slice(ex1, basis_q4m32):
         es = energy_series(run, ell, ex1, z)
         assert np.array_equal(es.times, run.times)
         assert np.abs(es.values / (z ** (2 * ell) * e0.values) - 1).max() <= 1e-12
+
+
+def test_energy_ladder_is_energy_series_bit_for_bit(ex1, basis_q4m32, monkeypatch):
+    # one generator and one set of rungs for every order, the same bits as one
+    # energy_series call per order
+    z = 0.3
+    run = evolve(ex1, basis_q4m32, initial=chebyshev_data(basis_q4m32, seed=2), z=z,
+                 t_range=(0.0, PERIOD), store_stride=16)
+    each = [energy_series(run, ell, ex1, z) for ell in range(4)]
+    generators = []
+    build = timedomain._generator
+
+    def counted(*args):
+        generators.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(timedomain, "_generator", counted)
+    ladder = _energy_ladder(run, range(4), ex1, z)
+    assert len(generators) == 1
+    assert [s.ell for s in ladder] == [0, 1, 2, 3]
+    for got, want in zip(ladder, each, strict=True):
+        assert got.times is run.times and got.values.tobytes() == want.values.tobytes()
 
 
 def test_forced_energy_two_phase(ex1, basis_q4m32):
