@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -156,20 +157,30 @@ def test_two_component_evolve_matches_stagewise_rk4(forced):
 # -- the block march against the per-step reference -------------------------------
 
 
-def _reference_march(prop, v, t0, n_steps, stride, g=None):
+def _reference_march(prop, v, t0, n_steps, stride, g=None, forcing=None):
     """The per-step march: a fresh state and one blow-up check per step, the
-    forced step's stack concatenated anew, and its forcing increment formed from g."""
+    forced step's stack concatenated anew, and its forcing increment formed from
+    one half-step's A0^{-1} f at a time.  For an `evolve` run that comes from
+    the raw forcing callable, as prop.inv_a0 @ slice.reshape(n, 1), not from
+    evolve's block function g; otherwise from g one half-step at a time."""
     h, H, Q, W = prop.h, prop.H, prop.Q, prop.W
+    n = len(v)
+    if forcing is not None:
+        def at(j):
+            return prop.inv_a0 @ np.asarray(forcing(t0 + j * prop.h / 2)).reshape(n, 1)
+    else:
+        def at(j):
+            return g(j, j + 1)[0]
     cap = math.exp(min(10.0 * n_steps * h * prop.coeff_scale, 700.0)) \
         * np.maximum(np.linalg.norm(v, axis=0), 1.0)
     stored = np.empty((n_steps // stride + 1, *v.shape), dtype=complex)
     stored[0] = v
-    g0 = None if g is None else g(0)
+    g0 = None if g is None else at(0)
     for step in range(1, n_steps + 1):
         if g is None:
             v = v + H @ (Q @ v)
         else:
-            gh, g1 = g(2 * step - 1), g(2 * step)
+            gh, g1 = at(2 * step - 1), at(2 * step)
             v = v + (h / 6 * (g0 + 4 * gh + g1) + H @ (W @ np.concatenate((v, g0, gh))))
             g0 = g1
         norms = np.linalg.norm(v, axis=0)
@@ -181,10 +192,11 @@ def _reference_march(prop, v, t0, n_steps, stride, g=None):
     return stored
 
 
-def _with_reference_march(monkeypatch, run):
-    """run() with the block march, then with the per-step reference."""
+def _with_reference_march(monkeypatch, run, forcing=None):
+    """run() with the block march, then with the per-step reference, which takes
+    an `evolve` run's A0^{-1} f from the raw forcing callable when one is given."""
     new = run()
-    monkeypatch.setattr(timedomain, "_march", _reference_march)
+    monkeypatch.setattr(timedomain, "_march", functools.partial(_reference_march, forcing=forcing))
     with np.errstate(over="ignore", invalid="ignore"):  # as _march discards diverged states
         ref = run()
     monkeypatch.undo()
@@ -217,10 +229,24 @@ def test_forced_evolve_bit_identical_to_per_step_march(monkeypatch, ex1, basis_q
             else {"time_gaussian": {"center": 2.0, "sigma": 0.4}}
         spec, basis = ex1, basis_q4m32
         forcing, t_range = make_forcing(basis, doc).slice_at, (0.0, 4.0)
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return forcing(t)
+
+    # the reference calls the raw forcing, so calls holds the block march's alone
     new, ref = _with_reference_march(monkeypatch, lambda: evolve(
-        spec, basis, forcing=forcing, z=0.1, t_range=t_range, store_stride=1))
+        spec, basis, forcing=counted, z=0.1, t_range=t_range, store_stride=1), forcing)
     assert np.abs(new.values).max() > 0
     _assert_same_fields(new, ref)
+    # one call per half-step, in order, the blocks' shared half-steps not fetched
+    # again; every case has several guard blocks and ends on a partial one
+    n_steps = len(new.times) - 1
+    rows = GUARD_BLOCK_BYTES // new.values[0].nbytes
+    assert n_steps > rows and n_steps % rows
+    h = (t_range[1] - t_range[0]) / n_steps
+    assert calls == [t_range[0] + j * h / 2 for j in range(2 * n_steps + 1)]
 
 
 @pytest.mark.parametrize("name", ["EX1", "CE-FLAT"])
@@ -269,7 +295,7 @@ def test_guard_names_first_failing_state(monkeypatch, stride, where):
             evolve(spec, basis, forcing=forcing, z=0.0, t_range=(0.0, span), store_stride=stride)
         return info.value
 
-    err, ref = _with_reference_march(monkeypatch, run)
+    err, ref = _with_reference_march(monkeypatch, run, forcing)
     assert err.time == ref.time == s * h
     assert (err.column, err.cap) == (0, ref.cap)
     assert math.isnan(err.norm) and math.isnan(ref.norm)
