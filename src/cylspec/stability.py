@@ -77,6 +77,11 @@ SLICE_PERIODS = 8
 DECAY_PERIODS = 6
 FIT_PERIODS = 4
 
+# _segment_sum evaluates its cover times in blocks whose (times, terms, modes)
+# kernel takes at most this many bytes; `decompose`'s 49 decay slices at q16 stay
+# one block, where a split cost more in calls than it saved in memory
+_KERNEL_BYTES = 1 << 20
+
 # decompose and cross_engine_deltas keep every exponent |Re z| * |X| of exp(z X)
 # and exp(-z t) at or below this, so that each weight and its square (in the
 # solves' residual norms) stay within [1e-300, 1e300]
@@ -268,11 +273,17 @@ def _segment_sum(weights: np.ndarray, coeffs: np.ndarray, basis: SpectralBasis,
     fields' Fourier coefficients (fields, n_time, n_space, N) in FFT order
     (`ModePencil.coefficients`): the one product behind every `CoverSum`
     evaluation, and the only place where grid values appear.  The weights times
-    the phases exp(i q X), (times, fields, modes), act on the coefficients.
+    the phases exp(i q X), (times, fields, modes), act on the coefficients, one
+    block of at most _KERNEL_BYTES at a time.
     """
     times = np.asarray(times, dtype=float)
-    kernel = weights[:, :, None] * np.exp(1j * np.outer(times, basis.modes))[:, None, :]
-    return FieldOnCover(times, np.tensordot(kernel, coeffs), basis)
+    values = np.empty((len(times), *coeffs.shape[2:]), dtype=complex)
+    block = max(1, _KERNEL_BYTES // (16 * max(weights.shape[1], 1) * len(basis.modes)))
+    for start in range(0, len(times), block):
+        rows = slice(start, start + block)
+        phases = np.exp(1j * np.outer(times[rows], basis.modes))
+        values[rows] = np.tensordot(weights[rows, :, None] * phases[:, None, :], coeffs)
+    return FieldOnCover(times, values, basis)
 
 
 # ---------------------------------------------------------------------------

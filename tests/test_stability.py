@@ -327,20 +327,23 @@ def _reference_segment_sum(weights, fields, basis, times):
 
 
 @pytest.mark.parametrize("count", [0, 2, 33])
-def test_segment_sum_matches_two_contractions(basis_q16m32, count):
+def test_segment_sum_matches_two_contractions(monkeypatch, basis_q16m32, count):
     # a decay window on a segment of `count` nodes; no nodes (an empty nonnegative
-    # pole set) sums to zero
+    # pole set) sums to zero.  The window is one block, then blocks of 10 times
     times = np.linspace(12.0, 50.0, 49)
     shifts = -0.2 + 1j * np.arange(count) / max(count, 1)
     weights = np.exp(np.outer(times, shifts)) / max(count, 1)
     fields = _random_fields(basis_q16m32, count, N=2, seed=count)
-    got = _segment_sum(weights, fourier_coefficients(fields, basis_q16m32), basis_q16m32, times)
     ref = _reference_segment_sum(weights, fields, basis_q16m32, times)
-    assert got.values.shape == ref.shape == (49, 33, 2)
-    if count:
-        assert np.abs(got.values - ref).max() <= 1e-13 * np.abs(ref).max()
-    else:
-        assert not got.values.any()
+    for kernel_bytes in (stability._KERNEL_BYTES, 10 * 16 * max(count, 1) * 33):
+        monkeypatch.setattr(stability, "_KERNEL_BYTES", kernel_bytes)
+        got = _segment_sum(weights, fourier_coefficients(fields, basis_q16m32), basis_q16m32,
+                           times)
+        assert got.values.shape == ref.shape == (49, 33, 2)
+        if count:
+            assert np.abs(got.values - ref).max() <= 1e-13 * np.abs(ref).max()
+        else:
+            assert not got.values.any()
 
 
 def _modal_part(ex1, basis):

@@ -154,6 +154,29 @@ def test_two_component_evolve_matches_stagewise_rk4(forced):
     assert np.abs(run.values - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def test_ex1_forced_evolve_matches_stagewise_rk4(ex1, basis_q4m32):
+    # the fused forced step against the stage-by-stage stepper, not only against
+    # its own per-step reference: EX1 under a Gaussian pulse
+    forcing = make_forcing(basis_q4m32, {"time_gaussian": {"center": 1.0, "sigma": 0.3}})
+    run = evolve(ex1, basis_q4m32, forcing=forcing.slice_at, z=0.1, t_range=(0.0, 2.0),
+                 store_stride=1)
+    ref = reference_rk4(ex1, basis_q4m32, np.zeros((basis_q4m32.n_space, 1)),
+                        forcing.slice_at, 0.1, run.times)
+    assert len(run.times) > 50 and np.abs(ref).max() > 0
+    assert np.abs(run.values - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_march_and_period_map_share_one_step_matrix(ex1):
+    # one homogeneous step of the identity columns is I + HQ, and the period map
+    # of one step is HQ itself: the march and the period map apply one matrix
+    # (the grid is coarse so that the rough unit columns stay under the guard's cap)
+    basis = build_basis(0, 8)
+    prop = _propagator(ex1, basis, 0.5, stable_time_step(ex1, basis, 0.5))
+    ident = np.eye(len(prop.HQ), dtype=complex)
+    assert np.array_equal(_march(prop, ident, 0.0, 1, 1)[-1], ident + prop.HQ)
+    assert np.array_equal(_period_increment(prop, 1), prop.HQ)
+
+
 # -- the block march against the per-step reference -------------------------------
 
 
@@ -163,7 +186,7 @@ def _reference_march(prop, v, t0, n_steps, stride, g=None, forcing=None):
     one half-step's A0^{-1} f at a time.  For an `evolve` run that comes from
     the raw forcing callable, as prop.inv_a0 @ slice.reshape(n, 1), not from
     evolve's block function g; otherwise from g one half-step at a time."""
-    h, H, Q, W = prop.h, prop.H, prop.Q, prop.W
+    h, HQ, HW = prop.h, prop.HQ, prop.HW
     n = len(v)
     if forcing is not None:
         def at(j):
@@ -178,10 +201,10 @@ def _reference_march(prop, v, t0, n_steps, stride, g=None, forcing=None):
     g0 = None if g is None else at(0)
     for step in range(1, n_steps + 1):
         if g is None:
-            v = v + H @ (Q @ v)
+            v = v + HQ @ v
         else:
             gh, g1 = at(2 * step - 1), at(2 * step)
-            v = v + (h / 6 * (g0 + 4 * gh + g1) + H @ (W @ np.concatenate((v, g0, gh))))
+            v = v + (h / 6 * (g0 + 4 * gh + g1) + HW @ np.concatenate((v, g0, gh)))
             g0 = g1
         norms = np.linalg.norm(v, axis=0)
         if not (norms <= cap).all():
@@ -424,8 +447,8 @@ def test_periodize_matches_direct_solve(ex1, basis_q4m32):
 def test_period_increment_is_the_power_less_identity(ex1, per):
     basis = build_basis(0, 16)
     prop = _propagator(ex1, basis, 0.5, stable_time_step(ex1, basis, 0.5))
-    ident = np.eye(len(prop.H))
-    power = np.linalg.matrix_power(ident + prop.H @ prop.Q, per)
+    ident = np.eye(len(prop.HQ))
+    power = np.linalg.matrix_power(ident + prop.HQ, per)
     assert np.abs(_period_increment(prop, per) - (power - ident)).max() <= 1e-13
 
 
