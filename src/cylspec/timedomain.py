@@ -9,11 +9,10 @@ On the flattened (n_space * N) grid state the collocated system is linear and
 autonomous apart from the forcing, dv/dt = L v + g(t), with the generator
 L = -A0^{-1} (A^1 d_1 + B + z A^0) (block-diagonal A0^{-1} and B) and
 g = A0^{-1} f.  So one RK4 step of size h is a fixed matrix polynomial in
-H = h L, built once per (spec, basis, z, h) with H folded in, and applied with
-one matvec:
+H = h L, built once per (spec, basis, z, h) with H folded in:
 
-    v <- v + h/6 (g0 + 4 gh + g1) + HW (v, g0, gh)
-    HW = H [Q | R0 | Rh],   HQ = H Q   (the homogeneous step: v <- v + HQ v)
+    v <- v + (HQ v + c),   c = h/6 (g0 + 4 gh + g1) + HF (g0, gh)
+    HQ = H Q,   HF = H [R0 | Rh]   (the homogeneous step: v <- v + HQ v)
     Q  = I + H/2 + H^2/6 + H^3/24
     R0 = h/6 (I + H/2 + H^2/4),   Rh = h/6 (2I + H/2)
 
@@ -23,23 +22,23 @@ increment form on purpose: a stored step matrix P = I + HQ rounds the terms
 of size h against the identity.  On EX1's constant mode at half the stable step
 that doubles the error (1.3e-14 against 7e-15 from exp(-t)), and the error
 ratio between two step sizes drops from 14.2 to 7.8, off fourth order.
-Folding H into HQ and HW changes only how the increment rounds: that ratio
-reads 13.7 (14.2 with H applied after Q), and the marched states move by at
-most 1.3e-14 relative.
+Folding H into HQ and HF changes only how the increment rounds: that ratio
+reads 13.7 (14.2 with H applied after Q).
 
-A step costs about its one matvec and its forcing: states go straight
-into blocks of rows (the stored rows at stride 1, else a GUARD_BLOCK_BYTES
-buffer), one norm call per block holds each to the blow-up cap, and the forced
-step stacks (v, g0, gh) in one preallocated buffer.  The forcing comes a block
-at a time: `_march` fetches A0^{-1} f at a guard block's half steps in one call
-(the half step it shares with the block before is carried over) and forms the
-block's increments h/6 (g0 + 4 gh + g1) in one expression.  A forcing is a
-callable from a plain float time to an (n_space, N) slice; `evolve` calls it
-once per half step into a buffer and applies the block-diagonal A0^{-1} to the
-block in one stacked product, and `periodize` slices its period table.  A
+The forcing increment c does not depend on v, so a forced step costs one n x n
+matvec, as a homogeneous one does, and a zero forcing gives the homogeneous
+march bit for bit.  States go straight into blocks of rows (the stored rows at
+stride 1, else a GUARD_BLOCK_BYTES buffer), and one norm call per block holds
+each to the blow-up cap.  `_march` fetches A0^{-1} f at a guard block's half
+steps in one call (the half step it shares with the block before is carried
+over) and forms the block's increments c before its steps.  A forcing is a
+callable from a plain float time to an (n_space, N) slice; `evolve` writes a
+block's slices into one buffer and applies the block-diagonal A0^{-1} to them
+in one stacked product, and `periodize` slices its period table.  A
 `CoverForcing` slice evaluates its time profile on the plain float.  A forced
-step at n = 17 takes about 9.4 us and a homogeneous one 2.0 us, against 10.5
-and 3.0 us with H applied after Q and W (one BLAS thread, 2-core x86-64 VM).
+step at n = 17 takes about 6.4 us and a homogeneous one 1.8 us, against 8.2 us
+for one n x 3n matvec on the stacked (v, g0, gh) (one BLAS thread, 2-core
+x86-64 VM).
 
 Over one period of per steps the march is affine, v -> M v + b, b the forced
 response from zero, so `periodize` solves u0 = (I - M)^{-1} b for the periodic
@@ -184,10 +183,12 @@ def _pointwise_operators(spec: OperatorSpec, basis: SpectralBasis, z: complex):
     return inv_a0, a1, b + z * a0
 
 
-def stable_time_step(spec: OperatorSpec, basis: SpectralBasis, z: complex = 0.0) -> float:
+def stable_time_step(spec: OperatorSpec, basis: SpectralBasis, z: complex = 0.0,
+                     ops=None) -> float:
     """Explicit-step bound: CFL * (min grid spacing) / (max wave speed), capped
-    by CFL / (norm of the zero-order term + 1)."""
-    inv_a0, a1, bz = _pointwise_operators(spec, basis, z)
+    by CFL / (norm of the zero-order term + 1).  ops is `_pointwise_operators`'
+    (inv_a0, a1, bz) when the caller has evaluated them already."""
+    inv_a0, a1, bz = _pointwise_operators(spec, basis, z) if ops is None else ops
     speeds = np.abs(np.linalg.eigvals(np.einsum("mab,mbc->mac", inv_a0, a1)))
     vmax = float(speeds.max())
     spacing = float(np.min(np.abs(np.diff(basis.x1))))
@@ -210,33 +211,38 @@ def _step_plan(span: float, dt_max: float, store_stride: int) -> tuple[int, int]
 @dataclass(frozen=True)
 class _Propagator:
     """One RK4 step of dv/dt = L v + A0^{-1} f on flattened (n_space * N) states,
-    with H = h L folded into both step matrices: each step is one matvec."""
+    with H = h L folded into the step matrices: each step is one n x n matvec."""
 
     h: float
     HQ: np.ndarray         # H Q, Q = I + H/2 + H^2/6 + H^3/24: the homogeneous increment
-    HW: np.ndarray         # H [Q | R0 | Rh], applied to the stacked (v, g0, gh)
+    HF: np.ndarray         # H [R0 | Rh], applied to the stacked (g0, gh) a guard block at a time
     inv_a0: np.ndarray     # block-diagonal A0^{-1}
     coeff_scale: float     # largest coefficient entry, sizes the growth cap
 
 
-def _generator(spec: OperatorSpec, basis: SpectralBasis, z: complex) -> np.ndarray:
-    """L = -A0^{-1} (A^1 d_1 + B + z A^0) on flattened (n_space * N) states."""
-    inv_a0, a1, bz = _pointwise_operators(spec, basis, z)
-    n = basis.n_space * spec.N
+def _generator(basis: SpectralBasis, ops) -> np.ndarray:
+    """L = -A0^{-1} (A^1 d_1 + B + z A^0) on flattened (n_space * N) states, from
+    the pointwise operators ops = (inv_a0, a1, bz) of `_pointwise_operators`."""
+    inv_a0, a1, bz = ops
+    n = basis.n_space * inv_a0.shape[-1]
     transport = np.einsum("mac,mcb,ms->masb", inv_a0, a1, basis.d1).reshape(n, n)
     return -(transport + _block_diag_multiplier((inv_a0 @ bz)[None]))
 
 
-def _propagator(spec: OperatorSpec, basis: SpectralBasis, z: complex, h: float) -> _Propagator:
-    inv_a0, a1, bz = _pointwise_operators(spec, basis, z)
-    H = h * _generator(spec, basis, z)
+def _propagator(spec: OperatorSpec, basis: SpectralBasis, z: complex, h: float,
+                ops=None) -> _Propagator:
+    """The step of size h.  ops is `_pointwise_operators`' (inv_a0, a1, bz) when
+    the caller has evaluated them already."""
+    ops = _pointwise_operators(spec, basis, z) if ops is None else ops
+    inv_a0, a1, bz = ops
+    H = h * _generator(basis, ops)
     ident = np.eye(len(H))
     H2 = H @ H
     Q = ident + H / 2 + H2 / 6 + H2 @ H / 24
     R0 = h / 6 * (ident + H / 2 + H2 / 4)
     Rh = h / 6 * (2 * ident + H / 2)
     coeff_scale = max(float(np.abs(a1).max()), float(np.abs(bz).max()), 1.0)
-    return _Propagator(h, H @ Q, H @ np.hstack([Q, R0, Rh]),
+    return _Propagator(h, H @ Q, H @ np.hstack([R0, Rh]),
                        _block_diag_multiplier(inv_a0[None]), coeff_scale)
 
 
@@ -249,11 +255,12 @@ def _march(prop: _Propagator, v: np.ndarray, t0: float, n_steps: int, stride: in
     half-steps t0 + j*h/2, j0 <= j < j1, as a (j1 - j0, n, 1) array, or None for
     the homogeneous system; forced marches carry one column.  Each guard block
     fetches its own half-steps once (the one it shares with the block before is
-    carried over) and forms its forcing increments in one expression.  A step is
-    one matvec, with prop.HQ (homogeneous) or prop.HW (forced).  Every state of
-    every column is checked for blow-up.
+    carried over) and forms its forcing increments h/6 (g0 + 4 gh + g1) + HF
+    (g0, gh) in one stacked product.  A step is one matvec with prop.HQ, plus the
+    step's forcing increment when forced.  Every state of every column is checked
+    for blow-up.
     """
-    h, HQ, HW = prop.h, prop.HQ, prop.HW
+    h, HQ = prop.h, prop.HQ
     cap = math.exp(min(10.0 * n_steps * h * prop.coeff_scale, 700.0)) \
         * np.maximum(np.linalg.norm(v, axis=0), 1.0)
     stored = np.empty((n_steps // stride + 1, *v.shape), dtype=complex)
@@ -261,7 +268,6 @@ def _march(prop: _Propagator, v: np.ndarray, t0: float, n_steps: int, stride: in
     rows = max(1, GUARD_BLOCK_BYTES // stored[0].nbytes)
     buffer = None if stride == 1 else np.empty((min(rows, n_steps), *v.shape), dtype=complex)
     last = None if g is None else g(0, 1)
-    stack = np.empty((3 * len(v), 1), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # states past a failure may overflow
         for first in range(1, n_steps + 1, rows):
             block = stored[first:first + rows] if buffer is None else buffer[:n_steps + 1 - first]
@@ -269,16 +275,17 @@ def _march(prop: _Propagator, v: np.ndarray, t0: float, n_steps: int, stride: in
                 # the block's half-steps, its first carried over from the block before
                 G = np.concatenate((last, g(2 * first - 1, 2 * (first + len(block)) - 1)))
                 g0s, ghs, last = G[0:-1:2], G[1::2], G[-1:]
-                incs = h / 6 * (g0s + 4 * ghs + G[2::2])
+                # a stacked matmul is one matvec per step, bit for bit; a 2-D
+                # product over the block would round differently
+                incs = h / 6 * (g0s + 4 * ghs + G[2::2]) \
+                    + np.matmul(prop.HF, np.concatenate((g0s, ghs), axis=1))
             for step, out in enumerate(block, first):
                 if g is None:
                     np.add(v, HQ @ v, out=out)
                 else:
-                    g0, gh, inc = g0s[step - first], ghs[step - first], incs[step - first]
-                    np.concatenate((v, g0, gh), out=stack)
                     # the forcing and operator increments cancel near a steady
                     # state: sum them before they meet v
-                    np.add(v, inc + HW @ stack, out=out)
+                    np.add(v, HQ @ v + incs[step - first], out=out)
                 v = out
                 if buffer is not None and step % stride == 0:
                     stored[step // stride] = v
@@ -306,8 +313,9 @@ def evolve(spec: OperatorSpec, basis: SpectralBasis, *,
     t0, t1 = t_range
     if t1 <= t0:
         raise ValueError("empty time range")
-    n_steps, stride = _step_plan(t1 - t0, stable_time_step(spec, basis, z), store_stride)
-    prop = _propagator(spec, basis, z, (t1 - t0) / n_steps)
+    ops = _pointwise_operators(spec, basis, z)
+    n_steps, stride = _step_plan(t1 - t0, stable_time_step(spec, basis, z, ops), store_stride)
+    prop = _propagator(spec, basis, z, (t1 - t0) / n_steps, ops)
 
     n = basis.n_space * spec.N
     v = np.zeros((n, 1), dtype=complex) if initial is None \
@@ -315,10 +323,10 @@ def evolve(spec: OperatorSpec, basis: SpectralBasis, *,
     g = None
     if forcing is not None:
         def g(j0: int, j1: int) -> np.ndarray:
-            buf = np.empty((j1 - j0, n, 1), dtype=complex)
+            buf = np.empty((j1 - j0, basis.n_space, spec.N), dtype=complex)
             for k, j in enumerate(range(j0, j1)):
-                buf[k] = np.asarray(forcing(t0 + j * prop.h / 2)).reshape(n, 1)
-            return np.matmul(prop.inv_a0, buf)
+                buf[k] = forcing(t0 + j * prop.h / 2)
+            return np.matmul(prop.inv_a0, buf.reshape(j1 - j0, n, 1))
     states = _march(prop, v, t0, n_steps, stride, g)
     times = t0 + prop.h * np.arange(0, n_steps + 1, stride)
     return FieldOnCover(times, states.reshape(len(times), basis.n_space, spec.N), basis)
@@ -343,7 +351,7 @@ def _energy_ladder(field: FieldOnCover, orders: range, spec: OperatorSpec,
     from .norms import multi_indices
 
     shape = field.values.shape
-    generator_t = _generator(spec, field.basis, z).T
+    generator_t = _generator(field.basis, _pointwise_operators(spec, field.basis, z)).T
     rungs = [field.values]
     for _ in range(orders[-1]):
         rungs.append((rungs[-1].reshape(shape[0], -1) @ generator_t).reshape(shape))
@@ -401,10 +409,11 @@ def periodize(spec: OperatorSpec, basis: SpectralBasis, f: np.ndarray, z: comple
     if f.shape != expected:
         raise ValueError(f"periodic forcing must have shape {expected}")
     # step count per period divisible by the node count: snapshots land on grid times
-    per = int(math.ceil(period / stable_time_step(spec, basis, z)))
+    ops = _pointwise_operators(spec, basis, z)
+    per = int(math.ceil(period / stable_time_step(spec, basis, z, ops)))
     per = basis.n_time * int(math.ceil(per / basis.n_time))
     stride = per // basis.n_time
-    prop = _propagator(spec, basis, z, period / per)
+    prop = _propagator(spec, basis, z, period / per, ops)
 
     # f has integer Fourier modes, so A0^{-1} f at the 2*per + 1 half-step times
     # of one period serves both marches
@@ -443,8 +452,9 @@ def floquet_exponents(spec: OperatorSpec, basis: SpectralBasis, z: complex = 0.0
     real part -inf.
     """
     period = 2.0 * np.pi
-    per = int(math.ceil(period / stable_time_step(spec, basis, z)))
-    d = np.linalg.eigvals(_period_increment(_propagator(spec, basis, z, period / per), per))
+    ops = _pointwise_operators(spec, basis, z)
+    per = int(math.ceil(period / stable_time_step(spec, basis, z, ops)))
+    d = np.linalg.eigvals(_period_increment(_propagator(spec, basis, z, period / per, ops), per))
     with np.errstate(divide="ignore"):
         log_mod = np.where(np.abs(d) < 0.5,
                            0.5 * np.log1p(d.real * (2.0 + d.real) + d.imag ** 2),

@@ -28,6 +28,7 @@ from cylspec.timedomain import (
     floquet_exponents,
     growth_rate,
     periodize,
+    random_smooth_slice,
     stable_time_step,
 )
 from conftest import aligned_times
@@ -177,16 +178,44 @@ def test_march_and_period_map_share_one_step_matrix(ex1):
     assert np.array_equal(_period_increment(prop, 1), prop.HQ)
 
 
+@pytest.mark.parametrize("stride", [1, 16])
+def test_zero_forcing_is_the_homogeneous_march(ex1, basis_q4m32, stride):
+    # a zero forcing's increments are exact zeros, so the forced step adds nothing
+    # to the homogeneous step's HQ v
+    init = random_smooth_slice(np.random.default_rng(4), basis_q4m32, 1)
+    zeros = np.zeros((basis_q4m32.n_space, 1))
+    runs = [evolve(ex1, basis_q4m32, initial=init, forcing=forcing, z=0.0,
+                   t_range=(0.0, PERIOD), store_stride=stride)
+            for forcing in (None, lambda t: zeros)]
+    assert np.abs(runs[0].values).max() > 0
+    _assert_same_fields(*runs)
+
+
+@pytest.mark.parametrize("run", [
+    lambda spec, b: evolve(spec, b, initial=np.ones((b.n_space, 1)), t_range=(0.0, 1.0)),
+    lambda spec, b: periodize(spec, b, np.ones((b.n_time, b.n_space, 1)), 1.0),
+    lambda spec, b: floquet_exponents(spec, b),
+], ids=["evolve", "periodize", "floquet_exponents"])
+def test_one_pointwise_evaluation_per_call(monkeypatch, ex1, basis_q4m32, run):
+    # the step bound, the generator and the step matrices share one evaluation
+    calls = []
+    build = timedomain._pointwise_operators
+    monkeypatch.setattr(timedomain, "_pointwise_operators",
+                        lambda *a: calls.append(a) or build(*a))
+    run(ex1, basis_q4m32)
+    assert len(calls) == 1
+
+
 # -- the block march against the per-step reference -------------------------------
 
 
 def _reference_march(prop, v, t0, n_steps, stride, g=None, forcing=None):
-    """The per-step march: a fresh state and one blow-up check per step, the
-    forced step's stack concatenated anew, and its forcing increment formed from
-    one half-step's A0^{-1} f at a time.  For an `evolve` run that comes from
-    the raw forcing callable, as prop.inv_a0 @ slice.reshape(n, 1), not from
+    """The per-step march: a fresh state and one blow-up check per step, and the
+    forced step's increment formed anew from its own (g0, gh) stack and one
+    half-step's A0^{-1} f at a time.  For an `evolve` run that comes from the
+    raw forcing callable, as prop.inv_a0 @ slice.reshape(n, 1), not from
     evolve's block function g; otherwise from g one half-step at a time."""
-    h, HQ, HW = prop.h, prop.HQ, prop.HW
+    h, HQ, HF = prop.h, prop.HQ, prop.HF
     n = len(v)
     if forcing is not None:
         def at(j):
@@ -204,7 +233,7 @@ def _reference_march(prop, v, t0, n_steps, stride, g=None, forcing=None):
             v = v + HQ @ v
         else:
             gh, g1 = at(2 * step - 1), at(2 * step)
-            v = v + (h / 6 * (g0 + 4 * gh + g1) + HW @ np.concatenate((v, g0, gh)))
+            v = v + (HQ @ v + (h / 6 * (g0 + 4 * gh + g1) + HF @ np.concatenate((g0, gh))))
             g0 = g1
         norms = np.linalg.norm(v, axis=0)
         if not (norms <= cap).all():
