@@ -36,7 +36,7 @@ callable from a plain float time to an (n_space, N) slice; `evolve` writes a
 block's slices into one buffer and applies the block-diagonal A0^{-1} to them
 in one stacked product, and `periodize` slices its period table.  A
 `CoverForcing` slice evaluates its time profile on the plain float.  A forced
-step at n = 17 takes about 6.4 us and a homogeneous one 1.8 us, against 8.2 us
+step at n = 17 takes about 6.5 us and a homogeneous one 1.7 us, against 8.3 us
 for one n x 3n matvec on the stacked (v, g0, gh) (one BLAS thread, 2-core
 x86-64 VM).
 
@@ -183,12 +183,16 @@ def _pointwise_operators(spec: OperatorSpec, basis: SpectralBasis, z: complex):
     return inv_a0, a1, b + z * a0
 
 
-def stable_time_step(spec: OperatorSpec, basis: SpectralBasis, z: complex = 0.0,
-                     ops=None) -> float:
+def stable_time_step(spec: OperatorSpec, basis: SpectralBasis, z: complex = 0.0) -> float:
     """Explicit-step bound: CFL * (min grid spacing) / (max wave speed), capped
-    by CFL / (norm of the zero-order term + 1).  ops is `_pointwise_operators`'
-    (inv_a0, a1, bz) when the caller has evaluated them already."""
-    inv_a0, a1, bz = _pointwise_operators(spec, basis, z) if ops is None else ops
+    by CFL / (norm of the zero-order term + 1)."""
+    return _step_bound(basis, _pointwise_operators(spec, basis, z))
+
+
+def _step_bound(basis: SpectralBasis, ops) -> float:
+    """`stable_time_step` for the pointwise operators ops = (inv_a0, a1, bz) of
+    `_pointwise_operators`."""
+    inv_a0, a1, bz = ops
     speeds = np.abs(np.linalg.eigvals(np.einsum("mab,mbc->mac", inv_a0, a1)))
     vmax = float(speeds.max())
     spacing = float(np.min(np.abs(np.diff(basis.x1))))
@@ -229,11 +233,9 @@ def _generator(basis: SpectralBasis, ops) -> np.ndarray:
     return -(transport + _block_diag_multiplier((inv_a0 @ bz)[None]))
 
 
-def _propagator(spec: OperatorSpec, basis: SpectralBasis, z: complex, h: float,
-                ops=None) -> _Propagator:
-    """The step of size h.  ops is `_pointwise_operators`' (inv_a0, a1, bz) when
-    the caller has evaluated them already."""
-    ops = _pointwise_operators(spec, basis, z) if ops is None else ops
+def _propagator(basis: SpectralBasis, ops, h: float) -> _Propagator:
+    """The step of size h for the pointwise operators ops = (inv_a0, a1, bz) of
+    `_pointwise_operators`."""
     inv_a0, a1, bz = ops
     H = h * _generator(basis, ops)
     ident = np.eye(len(H))
@@ -305,8 +307,9 @@ def evolve(spec: OperatorSpec, basis: SpectralBasis, *,
            store_stride: int = 1) -> FieldOnCover:
     """Integrate the forced system from `initial` over t_range with RK4.
 
-    `forcing` is None or a callable t -> (n_space, N) slice, evaluated once
-    per half step, in time order, and multiplied by A0^{-1} one guard block of
+    `forcing` is None or a callable t -> (n_space, N) slice (or its n_space * N
+    values flattened; any other size raises ValueError), evaluated once per
+    half step, in time order, and multiplied by A0^{-1} one guard block of
     slices at a time.  Steps are at most the stable step.  The returned field
     stores every store_stride-th step (endpoints always included).
     """
@@ -314,18 +317,24 @@ def evolve(spec: OperatorSpec, basis: SpectralBasis, *,
     if t1 <= t0:
         raise ValueError("empty time range")
     ops = _pointwise_operators(spec, basis, z)
-    n_steps, stride = _step_plan(t1 - t0, stable_time_step(spec, basis, z, ops), store_stride)
-    prop = _propagator(spec, basis, z, (t1 - t0) / n_steps, ops)
+    n_steps, stride = _step_plan(t1 - t0, _step_bound(basis, ops), store_stride)
+    prop = _propagator(basis, ops, (t1 - t0) / n_steps)
 
     n = basis.n_space * spec.N
     v = np.zeros((n, 1), dtype=complex) if initial is None \
         else np.asarray(initial, dtype=complex).reshape(n, 1)
     g = None
     if forcing is not None:
+        shape = (basis.n_space, spec.N)
+
         def g(j0: int, j1: int) -> np.ndarray:
-            buf = np.empty((j1 - j0, basis.n_space, spec.N), dtype=complex)
+            buf = np.empty((j1 - j0, *shape), dtype=complex)
             for k, j in enumerate(range(j0, j1)):
-                buf[k] = forcing(t0 + j * prop.h / 2)
+                f = forcing(t0 + j * prop.h / 2)
+                # any other shape is reshaped, never broadcast, so a slice of
+                # another size is refused (the shape test costs a third of the
+                # reshape every slice would take)
+                buf[k] = f if getattr(f, "shape", None) == shape else np.asarray(f).reshape(shape)
             return np.matmul(prop.inv_a0, buf.reshape(j1 - j0, n, 1))
     states = _march(prop, v, t0, n_steps, stride, g)
     times = t0 + prop.h * np.arange(0, n_steps + 1, stride)
@@ -410,10 +419,10 @@ def periodize(spec: OperatorSpec, basis: SpectralBasis, f: np.ndarray, z: comple
         raise ValueError(f"periodic forcing must have shape {expected}")
     # step count per period divisible by the node count: snapshots land on grid times
     ops = _pointwise_operators(spec, basis, z)
-    per = int(math.ceil(period / stable_time_step(spec, basis, z, ops)))
+    per = int(math.ceil(period / _step_bound(basis, ops)))
     per = basis.n_time * int(math.ceil(per / basis.n_time))
     stride = per // basis.n_time
-    prop = _propagator(spec, basis, z, period / per, ops)
+    prop = _propagator(basis, ops, period / per)
 
     # f has integer Fourier modes, so A0^{-1} f at the 2*per + 1 half-step times
     # of one period serves both marches
@@ -453,8 +462,8 @@ def floquet_exponents(spec: OperatorSpec, basis: SpectralBasis, z: complex = 0.0
     """
     period = 2.0 * np.pi
     ops = _pointwise_operators(spec, basis, z)
-    per = int(math.ceil(period / stable_time_step(spec, basis, z, ops)))
-    d = np.linalg.eigvals(_period_increment(_propagator(spec, basis, z, period / per, ops), per))
+    per = int(math.ceil(period / _step_bound(basis, ops)))
+    d = np.linalg.eigvals(_period_increment(_propagator(basis, ops, period / per), per))
     with np.errstate(divide="ignore"):
         log_mod = np.where(np.abs(d) < 0.5,
                            0.5 * np.log1p(d.real * (2.0 + d.real) + d.imag ** 2),

@@ -352,7 +352,8 @@ def random_run_growth_rate(spec: OperatorSpec, basis: SpectralBasis, *, periods:
     # the runs march together, one column each
     n_steps, stride = timedomain._step_plan(
         span, timedomain.stable_time_step(spec, basis, z), 16)
-    prop = timedomain._propagator(spec, basis, z, span / n_steps)
+    prop = timedomain._propagator(
+        basis, timedomain._pointwise_operators(spec, basis, z), span / n_steps)
     states = timedomain._march(prop, np.stack(inits, axis=1), 0.0, n_steps, stride)
     times = prop.h * np.arange(0, n_steps + 1, stride)
     half = times >= span / 2

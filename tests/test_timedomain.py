@@ -20,6 +20,7 @@ from cylspec.timedomain import (
     _energy_ladder,
     _march,
     _period_increment,
+    _pointwise_operators,
     _propagator,
     _step_plan,
     energy_series,
@@ -108,7 +109,7 @@ def test_rk4_convergence_order(ex1, basis_q4m32):
     errs = []
     for dt in (dt0, dt0 / 2):
         n_steps, _ = _step_plan(1.0, dt, 1)
-        prop = _propagator(ex1, basis_q4m32, 1.0, 1.0 / n_steps)
+        prop = _propagator(basis_q4m32, _pointwise_operators(ex1, basis_q4m32, 1.0), 1.0 / n_steps)
         end = _march(prop, np.ones((33, 1), dtype=complex), 0.0, n_steps, 1)[-1]
         errs.append(np.abs(end - math.exp(-1.0)).max())
     assert 12.0 < errs[0] / errs[1] < 20.0
@@ -126,7 +127,7 @@ def test_forced_run_retarded_exactly(ex1, basis_q4m32):
 def test_instability_detector():
     spec, basis = fixture("EX1"), build_basis(0, 8)
     n_steps, _ = _step_plan(200.0, 1.5, 1)  # steps far beyond the stable step
-    prop = _propagator(spec, basis, 0.0, 200.0 / n_steps)
+    prop = _propagator(basis, _pointwise_operators(spec, basis, 0.0), 200.0 / n_steps)
     errors = []
     for march in (_march, _reference_march):
         with pytest.raises(InstabilityError) as info, np.errstate(over="ignore", invalid="ignore"):
@@ -172,7 +173,8 @@ def test_march_and_period_map_share_one_step_matrix(ex1):
     # of one step is HQ itself: the march and the period map apply one matrix
     # (the grid is coarse so that the rough unit columns stay under the guard's cap)
     basis = build_basis(0, 8)
-    prop = _propagator(ex1, basis, 0.5, stable_time_step(ex1, basis, 0.5))
+    prop = _propagator(basis, _pointwise_operators(ex1, basis, 0.5),
+                       stable_time_step(ex1, basis, 0.5))
     ident = np.eye(len(prop.HQ), dtype=complex)
     assert np.array_equal(_march(prop, ident, 0.0, 1, 1)[-1], ident + prop.HQ)
     assert np.array_equal(_period_increment(prop, 1), prop.HQ)
@@ -204,6 +206,21 @@ def test_one_pointwise_evaluation_per_call(monkeypatch, ex1, basis_q4m32, run):
                         lambda *a: calls.append(a) or build(*a))
     run(ex1, basis_q4m32)
     assert len(calls) == 1
+
+
+def test_forcing_slice_of_the_wrong_size_is_refused():
+    # an N = 2 run takes (n_space, 2) slices, or the same values flattened; a slice
+    # with one component, or a scalar, is refused rather than broadcast
+    spec, basis = two_component_spec(), build_basis(0, 8)
+    profile = chebyshev_data(basis, seed=5, n=4, N=2)
+
+    def run(forcing):
+        return evolve(spec, basis, forcing=forcing, t_range=(0.0, 0.5))
+
+    _assert_same_fields(run(lambda t: profile), run(lambda t: profile.reshape(-1)))
+    for wrong in (profile[:, :1], 1.0):
+        with pytest.raises(ValueError):
+            run(lambda t: wrong)
 
 
 # -- the block march against the per-step reference -------------------------------
@@ -355,7 +372,8 @@ def test_guard_names_first_failing_state(monkeypatch, stride, where):
 
 def test_guard_names_failing_column(ex1, basis_q4m32):
     # three marched columns, the last non-finite from the start
-    prop = _propagator(ex1, basis_q4m32, 0.0, stable_time_step(ex1, basis_q4m32))
+    prop = _propagator(basis_q4m32, _pointwise_operators(ex1, basis_q4m32, 0.0),
+                       stable_time_step(ex1, basis_q4m32))
     v = np.ones((basis_q4m32.n_space, 3), dtype=complex)
     v[:, 2] = np.inf
     for march in (_march, _reference_march):
@@ -475,7 +493,8 @@ def test_periodize_matches_direct_solve(ex1, basis_q4m32):
 @pytest.mark.parametrize("per", [1, 2, 7, 64])
 def test_period_increment_is_the_power_less_identity(ex1, per):
     basis = build_basis(0, 16)
-    prop = _propagator(ex1, basis, 0.5, stable_time_step(ex1, basis, 0.5))
+    prop = _propagator(basis, _pointwise_operators(ex1, basis, 0.5),
+                       stable_time_step(ex1, basis, 0.5))
     ident = np.eye(len(prop.HQ))
     power = np.linalg.matrix_power(ident + prop.HQ, per)
     assert np.abs(_period_increment(prop, per) - (power - ident)).max() <= 1e-13
@@ -590,7 +609,8 @@ def test_strip_poles_are_floquet_exponents(basis_q4m32, name, n_poles):
     assert len(poles) == n_poles
     exponents = floquet_exponents(spec, basis_q4m32)
     per = int(math.ceil(PERIOD / stable_time_step(spec, basis_q4m32)))
-    increment = _period_increment(_propagator(spec, basis_q4m32, 0.0, PERIOD / per), per)
+    ops = _pointwise_operators(spec, basis_q4m32, 0.0)
+    increment = _period_increment(_propagator(basis_q4m32, ops, PERIOD / per), per)
     norm_m = np.linalg.norm(np.eye(len(increment)) + increment, 2)
     for pole in poles:
         dist = np.hypot(exponents.real - pole.lam.real,
